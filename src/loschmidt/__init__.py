@@ -38,7 +38,6 @@ from .noise import (
     NoiseConfig,
     apply_noise_layer,
     mitigate_rescale,
-    run_noisy_probability,
     sample_shots,
     statistical_error_model,
     trajectory_survivals,
@@ -54,13 +53,12 @@ from .reconstruct import (
 )
 from .spectral import LdosSpectrum, exact_ldos, ldos_dft
 from .statevector import (
-    Circuit,
     LocalGate,
     StateVector,
-    apply_circuit,
     apply_gate,
     apply_layer,
     apply_matrix,
+    compile_layers,
     inner_product,
     pack_layers,
     product_state,

@@ -101,7 +101,6 @@ def _resolved_document(doc: RunDocument) -> dict:
         "zero_correction": exp.zero_correction,
         "threshold": exp.threshold,
         "anchor": exp.anchor,
-        "merge_half_layers": exp.merge_half_layers,
     }
     resolved["seed"] = exp.seed
     if exp.noise is not None:
@@ -318,7 +317,6 @@ def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
         if not flip_sites:
             raise ConfigError("baseline.flip_sites is required for the sequential method")
         chain = [exp.psi]
-        orientations = None
         for site in flip_sites:
             prev = chain[-1]
             amps = apply_matrix(prev, np.array([[0, 1], [1, 0]], dtype=complex), (int(site),))

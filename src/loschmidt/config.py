@@ -55,7 +55,6 @@ class ExperimentConfig:
     zero_correction: bool = True
     threshold: float | None = None
     anchor: float | None = None
-    merge_half_layers: bool = False
     noise: NoiseConfig | None = None
     seed: int = 0
     threads: int = 1
@@ -160,7 +159,7 @@ def parse_state(raw: Any, n_sites: int, where: str) -> StateVector:
 
 _ALGORITHM_KEYS = {
     "tau", "h", "t_max", "order", "rule", "ite_mode", "backend", "shots",
-    "zero_correction", "threshold", "anchor", "merge_half_layers",
+    "zero_correction", "threshold", "anchor",
 }
 _NOISE_KEYS = {"gamma", "n_trajectories", "shots", "seed"}
 _STATE_KEYS = {"psi", "psi_final", "operator_a", "t_prime"}
@@ -313,7 +312,6 @@ def parse_document(doc: Any) -> RunDocument:
                 float(algo["threshold"]) if algo.get("threshold") is not None else None
             ),
             anchor=float(algo["anchor"]) if algo.get("anchor") is not None else None,
-            merge_half_layers=bool(algo.get("merge_half_layers", False)),
             noise=noise,
             seed=seed,
         )

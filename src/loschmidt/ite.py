@@ -37,7 +37,7 @@ import numpy as np
 
 from .exceptions import NumericsError
 from .model import HamiltonianSpec, SIGMA_X
-from .statevector import LocalGate, StateVector, apply_layer, pack_layers
+from .statevector import LocalGate, StateVector, apply_layer, compile_layers, pack_layers
 
 _IDENTITY_ATOL = 1e-12
 
@@ -48,16 +48,25 @@ def ite_angle(h: float, g: float) -> float:
     return float(np.arctan(np.tanh(h * g / 2.0)))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ItePlan:
-    """Local unitaries plus the log of the total rescaling constant."""
+    """Local unitaries plus the log of the total rescaling constant.
+
+    ``layers`` is the census of physical layers; ``compiled`` holds their
+    execution form, built once at construction.
+    """
 
     sign: int
     h: float
+    n_sites: int
     gates: list[LocalGate] = field(repr=False)
     log_c_total: float
     psi_fingerprint: bytes = field(repr=False)
-    layers: list[list[LocalGate]] = field(repr=False, default_factory=list)
+    layers: list[list[LocalGate]] = field(repr=False)
+    compiled: tuple[tuple, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", compile_layers(self.n_sites, self.layers))
 
     @property
     def c_total(self) -> float:
@@ -77,7 +86,7 @@ def apply_ite(plan: ItePlan, state: StateVector) -> StateVector:
     built for."""
     if _fingerprint(state) != plan.psi_fingerprint:
         raise ValueError("ITE plan applied to a different state than it was built for")
-    for layer in plan.layers:
+    for layer in plan.compiled:
         state = apply_layer(state, layer)
     return state
 
@@ -139,7 +148,7 @@ def build_ite_plan_tfim(
             "requires a transverse-field Ising structure "
             "(diagonal bonds plus sigma^x site terms)"
         )
-    return ItePlan(sign, h, gates, log_c, _fingerprint(psi), pack_layers(gates))
+    return ItePlan(sign, h, psi.n_qubits, gates, log_c, _fingerprint(psi), pack_layers(gates))
 
 
 def _local_vectors(psi: StateVector) -> list[np.ndarray]:
@@ -186,7 +195,7 @@ def build_ite_plan_general(
     sign = _check_sign(sign)
     locals_ = _local_vectors(psi)
     if h == 0.0:
-        return ItePlan(sign, 0.0, [], 0.0, _fingerprint(psi), [])
+        return ItePlan(sign, 0.0, psi.n_qubits, [], 0.0, _fingerprint(psi), [])
     log_c = 0.0
     gates: list[LocalGate] = []
     for term in spec.terms:
@@ -210,4 +219,4 @@ def build_ite_plan_general(
         if np.max(np.abs(gate - np.eye(phi.shape[0]))) > _IDENTITY_ATOL:
             gates.append(LocalGate(term.support, gate))
     layers = pack_layers(gates, ordered=True)
-    return ItePlan(sign, h, gates, log_c, _fingerprint(psi), layers)
+    return ItePlan(sign, h, psi.n_qubits, gates, log_c, _fingerprint(psi), layers)

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exceptions import NumericsError
 from .statevector import StateVector
 
 ORACLE_MAX_SITES = 12
@@ -191,7 +192,8 @@ def oracle_phase_series(
 
 
 def expectation(spec: HamiltonianSpec, state: StateVector) -> float:
-    """Real part of <psi|H|psi>; asserts the imaginary residue is tiny."""
+    """Real part of <psi|H|psi>; raises when the imaginary residue is not
+    tiny."""
     if 2**spec.n_sites != state.amplitudes.shape[0]:
         raise ValueError("state size does not match Hamiltonian")
     from .statevector import apply_matrix
@@ -200,5 +202,8 @@ def expectation(spec: HamiltonianSpec, state: StateVector) -> float:
     for term in spec.terms:
         h_psi = apply_matrix(state, term.matrix, term.support)
         acc += np.vdot(state.amplitudes, h_psi.amplitudes)
-    assert abs(acc.imag) < 1e-10, "expectation of Hermitian operator has imaginary part"
+    if not abs(acc.imag) < 1e-10:
+        raise NumericsError(
+            f"expectation of Hermitian operator has imaginary part {acc.imag:.3e}"
+        )
     return float(acc.real)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericsError
-from .statevector import Circuit, StateVector, apply_layer
+from .statevector import StateVector, apply_layer
 
 
 @dataclass
@@ -119,7 +119,8 @@ def trajectory_survivals(
 ) -> np.ndarray:
     """Trajectory-averaged survival probabilities of a layered circuit.
 
-    ``record_after`` lists layer counts (0 <= k <= len(layers)) after which
+    ``layers`` are compiled layers (``compile_layers``).  ``record_after``
+    lists layer counts (0 <= k <= len(layers)) after which
     |<psi_final|state>|^2 is recorded; an entry 0 records the bare initial
     state.  Noise fires after every layer.  Returns the average over
     ``noise.n_trajectories`` trajectories for each recording point; the
@@ -145,23 +146,6 @@ def trajectory_survivals(
         for item in work:
             _run_trajectory(item)
     return rows.mean(axis=0)
-
-
-def run_noisy_probability(
-    circuit: Circuit,
-    psi_init: StateVector,
-    psi_final: StateVector,
-    noise: NoiseConfig,
-) -> tuple[float, int]:
-    """Survival probability of one noisy circuit and the traversed depth.
-
-    Returns ``(p_hat, D)`` where ``p_hat`` is the trajectory average of
-    |<psi_final|trajectory state>|^2 and ``D`` the number of noisy layers.
-    """
-    p = trajectory_survivals(
-        psi_init, circuit.layers, [circuit.n_layers], psi_final, noise
-    )
-    return float(p[0]), circuit.n_layers
 
 
 def sample_shots(p: float, shots: int, rng) -> float:

@@ -417,10 +417,7 @@ def run_phase_experiment(config) -> PhaseTrace:
         p_plus = np.exp(2.0 * (np.log(np.abs(g_plus)) - plan_plus.log_c_total))
         p_minus = np.exp(2.0 * (np.log(np.abs(g_minus)) - plan_minus.log_c_total))
     elif config.backend in ("statevector_trotter", "noisy"):
-        step = build_plan(
-            spec, config.tau, config.tau, config.order,
-            merge_half_layers=config.merge_half_layers,
-        )
+        step = build_plan(spec, config.tau, config.tau, config.order)
         total_steps = config.prefix_steps + n_points - 1
         if config.backend == "statevector_trotter":
             states = {
@@ -444,18 +441,18 @@ def run_phase_experiment(config) -> PhaseTrace:
             if config.noise is None:
                 raise ConfigError("noisy backend requires a noise block")
             layers_per_step = step.layers_per_step
-            step_layers = step.step_layers * total_steps
+            trotter_layers = step.compiled * total_steps
             record_r = [
                 (config.prefix_steps + k) * layers_per_step for k in range(n_points)
             ]
             p_r = trajectory_survivals(
-                psi, step_layers, record_r, bra, config.noise, config.threads
+                psi, trotter_layers, record_r, bra, config.noise, config.threads
             )
             depth_r = np.array(record_r)
             results = {}
             depths = {}
             for fam, plan in ((_FAMILY_PLUS, plan_plus), (_FAMILY_MINUS, plan_minus)):
-                layers = list(plan.layers) + step_layers
+                layers = plan.compiled + trotter_layers
                 record = [plan.n_layers + d for d in record_r]
                 results[fam] = trajectory_survivals(
                     psi, layers, record, bra, config.noise, config.threads
@@ -501,8 +498,9 @@ def run_phase_experiment(config) -> PhaseTrace:
 
     if effective_shots is not None or config.backend == "noisy":
         # probabilities are physical after sampling / mitigation clamping
-        assert np.all((p_plus >= 0) & (p_plus <= 1)), "p_plus outside [0, 1]"
-        assert np.all((p_minus >= 0) & (p_minus <= 1)), "p_minus outside [0, 1]"
+        for name, probs in (("p_plus", p_plus), ("p_minus", p_minus)):
+            if not np.all((probs >= 0) & (probs <= 1)):
+                raise NumericsError(f"{name} outside [0, 1] after sampling or mitigation")
 
     trace = reconstruct_trace(
         times,

@@ -8,9 +8,11 @@ mitigation exponent count, so it is fixed at plan build time and never
 re-derived.
 
 Order 2 is the symmetric splitting A/2 B A/2; order 4 is the Suzuki
-recursion on the order-2 step.  Half-layer merging across steps is off by
-default so that the physical layer count is unambiguous; a flag enables it
-for noiseless speed runs (the reported per-step census is unaffected).
+recursion on the order-2 step.  A plan compiles its step once, layer for
+layer, into the form ``apply_layer`` runs (see ``compile_layers``), so noise
+still has one insertion point per physical layer.  The mirrored tail of a
+symmetric step holds the head's layer objects, and so shares their compiled
+form, including each folded diagonal layer's phase vector.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import HamiltonianSpec
-from .statevector import LocalGate, StateVector, apply_layer, pack_layers
+from .statevector import LocalGate, StateVector, apply_layer, compile_layers, pack_layers
 
 #: coefficient of the Suzuki order-4 recursion U2(a t)^2 U2((1-4a) t) U2(a t)^2
 _SUZUKI_A = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
@@ -69,7 +71,7 @@ def _step_layers(spec: HamiltonianSpec, dt: float, order: int) -> list[list[Loca
         for label in labels[:-1]:
             head.extend(_group_layers(spec, label, dt / 2))
         middle = _group_layers(spec, labels[-1], dt)
-        tail = [list(layer) for layer in reversed(head)]
+        tail = head[::-1]
         return head + middle + tail
     if order == 4:
         outer = _step_layers(spec, _SUZUKI_A * dt, 2)
@@ -78,17 +80,28 @@ def _step_layers(spec: HamiltonianSpec, dt: float, order: int) -> list[list[Loca
     raise ValueError(f"unsupported Trotter order {order}; choose 1, 2 or 4")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrotterPlan:
-    """Precomputed gate layers for one Trotter step, repeated ``n_steps``."""
+    """Gate layers of one Trotter step, repeated ``n_steps``.
+
+    ``step_layers`` is the census of physical layers; ``compiled`` holds
+    their execution form, built once at construction.
+    """
 
     order: int
     tau: float
     n_steps: int
     n_sites: int
-    step_layers: list[list[LocalGate]] = field(repr=False)
-    # (prefix, cycle, suffix) fast path for merged order-2 evolution
-    _merged: tuple | None = field(default=None, repr=False)
+    step_layers: tuple[tuple[LocalGate, ...], ...] = field(repr=False)
+    compiled: tuple[tuple, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # compile before copying, so layers shared by the mirrored tail
+        # are still the same objects
+        object.__setattr__(self, "compiled", compile_layers(self.n_sites, self.step_layers))
+        object.__setattr__(
+            self, "step_layers", tuple(tuple(layer) for layer in self.step_layers)
+        )
 
     @property
     def layers_per_step(self) -> int:
@@ -100,13 +113,7 @@ class TrotterPlan:
         return k * self.layers_per_step
 
 
-def build_plan(
-    spec: HamiltonianSpec,
-    t: float,
-    tau: float,
-    order: int = 2,
-    merge_half_layers: bool = False,
-) -> TrotterPlan:
+def build_plan(spec: HamiltonianSpec, t: float, tau: float, order: int = 2) -> TrotterPlan:
     """Trotter plan covering total time ``t`` in steps of ``tau``.
 
     ``t/tau`` must be an integer to within 4 ulp; the layer decomposition of
@@ -121,22 +128,7 @@ def build_plan(
     if abs(ratio - n_steps) > 4 * np.finfo(float).eps * max(1.0, abs(ratio)):
         raise ValueError(f"incommensurate step: t/tau = {ratio} is not an integer")
     layers = _step_layers(spec, tau, order) if n_steps > 0 else []
-    plan = TrotterPlan(order, tau, n_steps, spec.n_sites, layers)
-    labels = spec.group_labels()
-    if merge_half_layers and order == 2 and n_steps > 1 and len(labels) == 2 and layers:
-        # A/2 B (A/2 A/2) B ... collapses to A/2 B (A B)^(k-1) A/2: the
-        # trailing and leading half layers of consecutive steps commute
-        # (same group) and combine into full-step layers.  Used by evolve()
-        # only; the reported per-step census stays the unmerged one.
-        a_half = _group_layers(spec, labels[0], tau / 2)
-        a_full = _group_layers(spec, labels[0], tau)
-        b_full = _group_layers(spec, labels[1], tau)
-        plan._merged = (
-            a_half + b_full,
-            a_full + b_full,
-            [list(layer) for layer in reversed(a_half)],
-        )
-    return plan
+    return TrotterPlan(order, tau, n_steps, spec.n_sites, layers)
 
 
 def evolve(state: StateVector, plan: TrotterPlan, n_steps: int | None = None) -> StateVector:
@@ -144,19 +136,7 @@ def evolve(state: StateVector, plan: TrotterPlan, n_steps: int | None = None) ->
     if 2**plan.n_sites != state.amplitudes.shape[0]:
         raise ValueError("state size does not match plan")
     k = plan.n_steps if n_steps is None else n_steps
-    if k == 0:
-        return state
-    if plan._merged is not None and k > 1:
-        prefix, cycle, suffix = plan._merged
-        for layer in prefix:
-            state = apply_layer(state, layer)
-        for _ in range(k - 1):
-            for layer in cycle:
-                state = apply_layer(state, layer)
-        for layer in suffix:
-            state = apply_layer(state, layer)
-        return state
     for _ in range(k):
-        for layer in plan.step_layers:
+        for layer in plan.compiled:
             state = apply_layer(state, layer)
     return state

@@ -44,6 +44,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_document(doc)
 
+    def test_merge_half_layers_key_rejected(self):
+        # compiled plans have a single execution path; the old switch is gone
+        doc = base_config()
+        doc["algorithm"]["merge_half_layers"] = True
+        with pytest.raises(ConfigError, match="unknown keys"):
+            parse_document(doc)
+
     def test_missing_required_key(self):
         doc = base_config()
         del doc["algorithm"]["tau"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from loschmidt.exceptions import NumericsError
 from loschmidt.model import (
     HamiltonianSpec,
     LocalTerm,
@@ -193,6 +194,14 @@ class TestExpectation:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             expectation(tfim(3, 1, 0.5), product_state(["up"] * 4))
+
+    def test_imaginary_residue_raises(self):
+        # terms are checked Hermitian at construction; one altered afterwards
+        # gives <psi|i*1|psi> = i, which must raise even under python -O
+        term = LocalTerm((0,), SIGMA_X)
+        term.matrix = 1j * np.eye(2)
+        with pytest.raises(NumericsError, match="imaginary part"):
+            expectation(HamiltonianSpec(1, (term,)), product_state(["x+"]))
 
 
 class TestOraclePhaseSeries:

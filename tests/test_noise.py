@@ -8,12 +8,11 @@ from loschmidt.noise import (
     NoiseConfig,
     apply_noise_layer,
     mitigate_rescale,
-    run_noisy_probability,
     sample_shots,
     statistical_error_model,
     trajectory_survivals,
 )
-from loschmidt.statevector import Circuit, LocalGate, product_state
+from loschmidt.statevector import LocalGate, compile_layers, product_state
 
 
 def sigma_z_mean(state):
@@ -57,24 +56,30 @@ class TestApplyNoiseLayer:
         assert abs(state.norm() - 1.0) < 1e-12
 
 
+def noisy_probability(psi_init, layers, psi_final, noise):
+    """Survival probability after every layer of one noisy circuit."""
+    p = trajectory_survivals(psi_init, layers, [len(layers)], psi_final, noise)
+    return float(p[0])
+
+
 class TestRunNoisyProbability:
     def test_gamma_zero_exact(self):
         psi = product_state(["up", "up"])
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        circuit = Circuit(2, layers=[[LocalGate((0,), h)], [LocalGate((1,), h)]])
+        layers = compile_layers(2, [[LocalGate((0,), h)], [LocalGate((1,), h)]])
+        assert len(layers) == 2
         noise = NoiseConfig(gamma=0.0, n_trajectories=3, master_seed=7)
-        p, depth = run_noisy_probability(circuit, psi, psi, noise)
-        assert depth == 2
+        p = noisy_probability(psi, layers, psi, noise)
         assert abs(p - 0.25) < 1e-12
 
     def test_single_noise_layer_identity_circuit(self):
         # X and Y errors kill the overlap with |up>, Z keeps it: 1 - 2g/3
         gamma = 0.3
         psi = product_state(["up"])
-        circuit = Circuit(1, layers=[[]])
+        layers = compile_layers(1, [[]])
+        assert len(layers) == 1
         noise = NoiseConfig(gamma=gamma, n_trajectories=20000, master_seed=11)
-        p, depth = run_noisy_probability(circuit, psi, psi, noise)
-        assert depth == 1
+        p = noisy_probability(psi, layers, psi, noise)
         expected = 1 - 2 * gamma / 3
         sigma = np.sqrt(expected * (1 - expected) / noise.n_trajectories)
         assert abs(p - expected) < 3 * sigma
@@ -82,22 +87,22 @@ class TestRunNoisyProbability:
     def test_doubling_trajectories_halves_variance(self):
         gamma = 0.2
         psi = product_state(["up", "down"])
-        circuit = Circuit(2, layers=[[], [], []])
+        layers = compile_layers(2, [[], [], []])
         estimates = {n: [] for n in (64, 128)}
         for n in estimates:
             for seed in range(150):
                 noise = NoiseConfig(gamma=gamma, n_trajectories=n, master_seed=1000 + seed)
-                p, _ = run_noisy_probability(circuit, psi, psi, noise)
+                p = noisy_probability(psi, layers, psi, noise)
                 estimates[n].append(p)
         var_ratio = np.var(estimates[64]) / np.var(estimates[128])
         assert 1.4 < var_ratio < 2.9
 
     def test_bit_identical_reruns(self):
         psi = product_state(["x+", "up"])
-        circuit = Circuit(2, layers=[[], []])
+        layers = compile_layers(2, [[], []])
         noise = NoiseConfig(gamma=0.4, n_trajectories=50, master_seed=3)
-        p1, _ = run_noisy_probability(circuit, psi, psi, noise)
-        p2, _ = run_noisy_probability(circuit, psi, psi, noise)
+        p1 = noisy_probability(psi, layers, psi, noise)
+        p2 = noisy_probability(psi, layers, psi, noise)
         assert p1 == p2
 
     def test_thread_count_invariance(self):

@@ -307,6 +307,24 @@ class TestRunPhaseExperiment:
         assert np.array_equal(a.p_plus, b.p_plus)
         assert np.array_equal(a.phi, b.phi)
 
+    @pytest.mark.parametrize("family, name", [(1, "p_plus"), (2, "p_minus")])
+    def test_unphysical_sampled_probability_raises(self, monkeypatch, family, name):
+        # sampling keeps probabilities in [0, 1]; a series pushed outside
+        # must raise NumericsError, which python -O does not strip
+        import loschmidt.reconstruct as reconstruct
+
+        sample = reconstruct._sample_series
+
+        def shifted(p, shots, seed, fam):
+            out = sample(p, shots, seed, fam)
+            return out + 2.0 if fam == family else out
+
+        monkeypatch.setattr(reconstruct, "_sample_series", shifted)
+        cfg = ExperimentConfig(spec=tfim(3, 1.0, 0.5), psi=product_state(["up"] * 3),
+                               tau=0.05, h=0.05, t_max=0.1, shots=100, seed=1)
+        with pytest.raises(NumericsError, match=f"{name} outside"):
+            run_phase_experiment(cfg)
+
     def test_general_bj_mode_matches_closed_form(self):
         n = 4
         spec = tfim(n, 1.0, 0.5)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from loschmidt.statevector import (
-    Circuit,
     LocalGate,
     StateVector,
     apply_gate,
     apply_layer,
     apply_matrix,
+    compile_layers,
     inner_product,
     pack_layers,
     product_state,
@@ -183,11 +183,12 @@ class TestLayers:
     def test_layer_disjointness_enforced(self):
         g = LocalGate((0, 1), np.eye(4))
         with pytest.raises(ValueError, match="overlapping"):
-            Circuit(3, layers=[[g, LocalGate((1,), np.eye(2))]])
+            compile_layers(3, [[g, LocalGate((1,), np.eye(2))]])
 
     def test_apply_layer_equals_sequential(self):
         state = random_state(4)
         layer = [LocalGate((0, 1), random_unitary(4)), LocalGate((2, 3), random_unitary(4))]
-        out = apply_layer(state, layer)
+        (compiled,) = compile_layers(4, [layer])
+        out = apply_layer(state, compiled)
         seq = apply_gate(apply_gate(state, layer[0]), layer[1])
         assert np.allclose(out.amplitudes, seq.amplitudes)

@@ -5,7 +5,7 @@ import pytest
 
 from loschmidt.model import dense_matrix, tfim
 from loschmidt.statevector import StateVector, product_state
-from loschmidt.trotter import build_plan, evolve
+from loschmidt.trotter import TrotterPlan, build_plan, evolve
 
 RNG = np.random.default_rng(31)
 
@@ -88,11 +88,16 @@ class TestEvolve:
         spec = tfim(5, 1.0, 0.5)
         state = random_state(5)
         forward = build_plan(spec, 1.0, 0.05, 2)
-        backward = build_plan(spec, 1.0, 0.05, 2)
-        backward.step_layers = [
-            [type(g)(g.support, g.matrix.conj().T) for g in layer]
-            for layer in reversed(forward.step_layers)
-        ]
+        backward = TrotterPlan(
+            forward.order,
+            forward.tau,
+            forward.n_steps,
+            forward.n_sites,
+            [
+                [type(g)(g.support, g.matrix.conj().T) for g in layer]
+                for layer in reversed(forward.step_layers)
+            ],
+        )
         out = evolve(evolve(state, forward), backward)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 20 * 1e-10
 
@@ -132,16 +137,6 @@ class TestEvolve:
         e2 = one_step_error(spec, 0.2, 2, state)
         e4 = one_step_error(spec, 0.2, 4, state)
         assert e4 < e2 / 10
-
-    def test_merged_half_layers_match_unmerged(self):
-        spec = tfim(5, 1.0, 0.5)
-        state = random_state(5)
-        plain = build_plan(spec, 2.0, 0.1, 2)
-        merged = build_plan(spec, 2.0, 0.1, 2, merge_half_layers=True)
-        assert merged.layers_per_step == plain.layers_per_step
-        a = evolve(state, plain)
-        b = evolve(state, merged)
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
     def test_size_mismatch(self):
         plan = build_plan(tfim(3, 1, 0.5), 0.1, 0.1, 1)
