@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,23 +51,36 @@ NOISE_EXTRA_HEADER = [
 ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+_CSV_SPECS = {"d": "%d", "s": "%s", "f": "%.17g"}
+
+
+def _kind(value) -> str:
+    """CSV kind of one value: "d" for bools and ints, "s" for strings, else "f"."""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return "d"
+    return "s" if isinstance(value, str) else "f"
+
+
+def _csv_column(column):
+    """(%-format spec, Python values) of one CSV column.  A column mixing
+    numbers and strings, or ints and floats, is rendered value by value."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return ("%.17g" if column.dtype.kind == "f" else "%d"), column.tolist()
+    values = list(column)
+    kinds = {_kind(v) for v in values}
+    if len(kinds) == 1:
+        return _CSV_SPECS[kinds.pop()], values
+    return "%s", [_CSV_SPECS[_kind(v)] % v for v in values]
 
 
 def write_csv(path: Path, header, columns) -> None:
     """Rectangular CSV with '.'-decimal 17-significant-digit floats, LF."""
-    rows = zip(*columns)
+    columns = [_csv_column(column) for column in columns]
+    row_format = ",".join(spec for spec, _ in columns) + "\n"
+    rows = zip(*(values for _, values in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.write("".join(row_format % row for row in rows))
 
 
 def _trace_columns(trace: PhaseTrace, with_noise: bool):
@@ -185,15 +199,14 @@ def _two_sided_states(doc: RunDocument):
 
 
 def cmd_two_sided(doc: RunDocument, outdir: Path) -> int:
-    exp = doc.experiment
     bra, prefix_steps, anchor = _two_sided_states(doc)
-    exp.bra_state = bra
-    exp.prefix_steps = prefix_steps
-    exp.anchor = anchor
+    exp = replace(doc.experiment, bra_state=bra, prefix_steps=prefix_steps, anchor=anchor)
     trace = run_phase_experiment(exp)
     header, cols = _trace_columns(trace, with_noise=exp.backend == "noisy")
     write_csv(outdir / "two_sided.csv", header, cols)
-    _emit_run_records(outdir, doc, "two-sided", {"t_prime": doc.t_prime, "anchor": anchor})
+    # the snapshot records the anchor the run used, so a replay reproduces it
+    _emit_run_records(outdir, replace(doc, experiment=exp), "two-sided",
+                      {"t_prime": doc.t_prime, "anchor": anchor})
     return 0
 
 

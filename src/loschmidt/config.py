@@ -168,8 +168,8 @@ _BASELINE_KEYS = {"flip_sites", "thetas", "fallback_threshold", "part", "shots"}
 _COST_KEYS = {"n", "t", "epsilon", "p", "d", "r", "i_factor"}
 _SWEEP_KEYS = {"kind", "n_values", "values", "t_max"}
 _TOP_KEYS = {
-    "model", "states", "algorithm", "noise", "sweep", "output", "seed",
-    "spectral", "baseline", "cost",
+    "model", "states", "algorithm", "noise", "sweep", "seed", "spectral",
+    "baseline", "cost",
 }
 
 
@@ -232,7 +232,6 @@ class RunDocument:
     spectral: dict = field(default_factory=dict)
     baseline: dict = field(default_factory=dict)
     cost: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
 
 
 def parse_document(doc: Any) -> RunDocument:
@@ -289,10 +288,6 @@ def parse_document(doc: Any) -> RunDocument:
     if not isinstance(cost, dict):
         raise ConfigError("cost block must be an object")
     _require_keys(cost, _COST_KEYS, set(), "cost")
-    output = doc.get("output") or {}
-    if not isinstance(output, dict):
-        raise ConfigError("output block must be an object")
-    _require_keys(output, {"dir", "prefix"}, set(), "output")
 
     try:
         experiment = ExperimentConfig(
@@ -326,7 +321,6 @@ def parse_document(doc: Any) -> RunDocument:
         spectral=spectral,
         baseline=baseline,
         cost=cost,
-        output=output,
     )
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from loschmidt.cli import main
+from loschmidt.cli import cmd_two_sided, main, write_csv
 from loschmidt.config import parse_document
 from loschmidt.exceptions import ConfigError
 
@@ -50,6 +50,11 @@ class TestConfigParsing:
         doc["algorithm"]["merge_half_layers"] = True
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_document(doc)
+
+    def test_output_block_rejected(self):
+        # nothing read output.dir or output.prefix; --out names the directory
+        with pytest.raises(ConfigError, match=r"unknown keys \['output'\]"):
+            parse_document(base_config(output={"dir": "x", "prefix": "run"}))
 
     def test_missing_required_key(self):
         doc = base_config()
@@ -239,6 +244,21 @@ class TestTwoSided:
         g_or = amplitude_series(spec, bra, psi, s + 0.5)
         assert np.max(np.abs(g_rec - g_or)) < 2e-3
 
+    def test_parsed_config_not_mutated(self, tmp_path):
+        doc = base_config()
+        doc["states"]["operator_a"] = {"sites": [0], "name": "x"}
+        doc["states"]["t_prime"] = 0.1
+        run_doc = parse_document(doc)
+        exp = run_doc.experiment
+        before = (exp.bra_state, exp.prefix_steps, exp.anchor)
+        assert cmd_two_sided(run_doc, tmp_path) == 0
+        assert run_doc.experiment is exp
+        assert (exp.bra_state, exp.prefix_steps, exp.anchor) == before == (None, 0, None)
+        # the snapshot still records the anchor the run used
+        resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+        info = json.loads((tmp_path / "runinfo.json").read_text())
+        assert resolved["algorithm"]["anchor"] == info["anchor"]
+
     def test_incommensurate_t_prime(self, tmp_path):
         doc = base_config()
         doc["states"]["operator_a"] = {"sites": [0], "name": "x"}
@@ -343,3 +363,45 @@ class TestScalingLdosCost:
         info = json.loads((out_s / "runinfo.json").read_text())
         diff = (info["phase"] - info["oracle_phase"] + np.pi) % (2 * np.pi) - np.pi
         assert abs(diff) < 5e-3
+
+
+def _fmt_per_value(value) -> str:
+    """The per-value formatter ``write_csv`` used before rows were rendered
+    through one %-format string; the byte reference for the faster path."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return format(float(value), ".17g")
+
+
+class TestWriteCsv:
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(23)
+        floats = rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)
+        floats = np.concatenate(
+            [floats, [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e16, 1e17, 0.1]]
+        )
+        n = len(floats)
+        columns = [
+            floats,
+            list(floats),
+            rng.random(n) < 0.5,
+            [np.bool_(b) for b in rng.random(n) < 0.5],
+            rng.integers(-(2**62), 2**62, n),
+            [np.int32(i) for i in range(n)],
+            [f"label{i}" for i in range(n)],
+            [1] * (n // 2) + [2.5] * (n - n // 2),  # mixed ints and floats
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(tmp_path / "out.csv", header, columns)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(_fmt_per_value(v) for v in row) + "\n" for row in zip(*columns)
+        )
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
+
+    def test_header_only_without_rows(self, tmp_path):
+        write_csv(tmp_path / "out.csv", ["a", "b"], [[], np.array([])])
+        assert (tmp_path / "out.csv").read_bytes() == b"a,b\n"

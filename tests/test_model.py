@@ -1,20 +1,28 @@
 """Tests for Hamiltonian construction and the dense complex-time oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from test_compiled_plans import PROPERTY, chains
 
 from loschmidt.exceptions import NumericsError
 from loschmidt.model import (
     HamiltonianSpec,
     LocalTerm,
     SIGMA_X,
+    SIGMA_Y,
+    _eigensystem,
+    _embed,
+    amplitude_series,
     dense_matrix,
     exact_amplitude,
     expectation,
     oracle_phase_series,
     tfim,
 )
-from loschmidt.statevector import product_state
+from loschmidt.statevector import StateVector, product_state
 
 RNG = np.random.default_rng(7)
 
@@ -94,6 +102,17 @@ class TestDenseMatrix:
         a = dense_matrix(HamiltonianSpec(2, (LocalTerm((1, 0), m),)))
         b = dense_matrix(HamiltonianSpec(2, (LocalTerm((0, 1), swapped),)))
         assert np.allclose(a, b)
+
+    @PROPERTY
+    @given(chains())
+    def test_equals_sum_of_kron_embedded_terms(self, spec):
+        # random 1- and 2-site terms at N <= 8, reversed supports included
+        expected = np.zeros((2**spec.n_sites,) * 2, dtype=complex)
+        for term in spec.terms:
+            expected += _embed(term, spec.n_sites)
+        built = dense_matrix(spec)
+        assert built.dtype == complex
+        np.testing.assert_array_equal(built, expected)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -215,3 +234,69 @@ class TestOraclePhaseSeries:
             assert abs(r[k] - abs(g)) < 1e-12
             # phases agree modulo 2 pi
             assert abs(np.exp(1j * phi[k]) - np.exp(1j * np.angle(g))) < 1e-10
+
+
+def _complex_eigh_series(spec, bra, ket, z_values):
+    """V exp(-i E z) V^dag from the complex solver, independent of the
+    oracle's cache and of its choice of solver."""
+    energies, vectors = np.linalg.eigh(dense_matrix(spec))
+    weights = np.conj(vectors.conj().T @ bra.amplitudes) * (vectors.conj().T @ ket.amplitudes)
+    return np.array([np.sum(weights * np.exp(-1j * energies * z)) for z in z_values])
+
+
+def _random_unit_state(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+class TestAmplitudeSeries:
+    Z_VALUES = np.concatenate([
+        np.linspace(0.0, 6.0, 25) + 0j,
+        np.linspace(0.0, 6.0, 25) + 0.05j,
+        np.linspace(0.0, 6.0, 25) - 0.05j,
+    ])
+
+    def test_real_tfim_uses_real_eigenvectors_and_matches(self):
+        rng = np.random.default_rng(41)
+        spec = tfim(6, 1.0, 0.5)
+        bra, ket = _random_unit_state(rng, 6), _random_unit_state(rng, 6)
+        assert _eigensystem(spec)[1].dtype == np.float64
+        got = amplitude_series(spec, bra, ket, self.Z_VALUES)
+        want = _complex_eigh_series(spec, bra, ket, self.Z_VALUES)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_sigma_y_term_keeps_complex_solver_and_matches(self):
+        rng = np.random.default_rng(43)
+        base = tfim(5, 1.0, 0.5)
+        spec = HamiltonianSpec(5, base.terms + (LocalTerm((2,), 0.3 * SIGMA_Y, "y"),))
+        bra, ket = _random_unit_state(rng, 5), _random_unit_state(rng, 5)
+        assert _eigensystem(spec)[1].dtype == np.complex128
+        got = amplitude_series(spec, bra, ket, self.Z_VALUES)
+        want = _complex_eigh_series(spec, bra, ket, self.Z_VALUES)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_blocks_agree_with_pointwise_amplitude(self, monkeypatch):
+        # blocks of 7 rows: a ragged last block and several full ones
+        import loschmidt.model as model_module
+
+        spec = tfim(4, 1.0, 0.5)
+        psi = product_state(["up"] * 4)
+        monkeypatch.setattr(model_module, "_SERIES_BLOCK", 7 * 16)
+        z_values = np.linspace(0.0, 3.0, 30) + 0.02j
+        got = amplitude_series(spec, psi, psi, z_values)
+        want = [exact_amplitude(spec, psi, psi, z) for z in z_values]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_memory_bounded_in_grid_length(self):
+        # one K x 2^N phase table would be 20000 * 1024 * 16 B = 328 MB
+        spec = tfim(10, 1.0, 0.5)
+        psi = product_state(["up"] * 10)
+        times = np.arange(20000) * 0.01
+        tracemalloc.start()
+        try:
+            series = amplitude_series(spec, psi, psi, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.shape == (20000,)
+        assert peak < 100e6

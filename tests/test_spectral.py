@@ -1,8 +1,14 @@
 """Tests for the LDOS transforms."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import loschmidt.model as model_module
+import loschmidt.spectral as spectral_module
+from loschmidt.cli import main
 from loschmidt.model import amplitude_series, dense_matrix, expectation, tfim
 from loschmidt.spectral import exact_ldos, ldos_dft
 from loschmidt.statevector import StateVector, product_state
@@ -112,6 +118,81 @@ class TestLdosDft:
         tapered = ldos_dft(g, tau, hermitian_extend=True, taper_width=3.0)
         far = np.abs(plain.energies - e0) > 2.0
         assert np.max(np.abs(tapered.densities[far])) < np.max(np.abs(plain.densities[far]))
+
+
+def _direct_ldos(g, tau, hermitian_extend, center_energy, taper_width):
+    """d_l = (tau / 2 pi) sum_j s_j exp(i E_l t_j) as an explicit phase matrix
+    on the shifted, sorted energy window."""
+    g = np.asarray(g, dtype=complex)
+    if taper_width is not None:
+        g = g * np.exp(-0.5 * (np.arange(len(g)) * tau / taper_width) ** 2)
+    if hermitian_extend:
+        t_j = np.arange(-(len(g) - 1), len(g)) * tau
+        series = np.concatenate([np.conj(g[:0:-1]), g])
+    else:
+        t_j = np.arange(len(g)) * tau
+        series = g
+    n = len(series)
+    base = np.arange(n) * (2 * np.pi / (n * tau))
+    period = 2 * np.pi / tau
+    energies = np.sort(base - period * np.round((base - center_energy) / period))
+    return energies, (tau / (2 * np.pi)) * (np.exp(1j * np.outer(energies, t_j)) @ series)
+
+
+class TestLdosDftAgainstDirectSum:
+    @pytest.mark.parametrize("k_pts", [2, 3, 16, 17, 64, 101])
+    @pytest.mark.parametrize("hermitian_extend", [True, False])
+    @pytest.mark.parametrize("center_energy,taper_width", [(0.0, None), (-3.7, None),
+                                                           (2.2, 0.8)])
+    def test_matches(self, k_pts, hermitian_extend, center_energy, taper_width):
+        rng = np.random.default_rng(k_pts)
+        g = rng.normal(size=k_pts) + 1j * rng.normal(size=k_pts)
+        g[0] = 1.0
+        tau = 0.07
+        spectrum = ldos_dft(g, tau, hermitian_extend=hermitian_extend,
+                            center_energy=center_energy, taper_width=taper_width)
+        energies, densities = _direct_ldos(g, tau, hermitian_extend, center_energy,
+                                           taper_width)
+        np.testing.assert_allclose(spectrum.energies, energies, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spectrum.densities, densities.real, rtol=0, atol=1e-12)
+        assert abs(spectrum.max_imag_residue - np.max(np.abs(densities.imag))) < 1e-12
+
+    def test_memory_bounded_in_grid_length(self):
+        # a direct transform at K=5000 holds a 9999^2 phase matrix (1.6 GB)
+        g = np.exp(-1j * 0.3 * np.arange(5000) * 0.01)
+        tracemalloc.start()
+        try:
+            spectrum = ldos_dft(g, 0.01, hermitian_extend=True, center_energy=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(spectrum.energies) == 9999
+        assert peak < 100e6
+
+
+class TestLdosCommandEigensystem:
+    def test_one_dense_matrix_per_run(self, tmp_path, monkeypatch):
+        # the oracle series and the exact reference share one eigensystem
+        calls = []
+        original = model_module.dense_matrix
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(model_module, "dense_matrix", counted)
+        monkeypatch.setattr(spectral_module, "dense_matrix", counted)
+        doc = {
+            "model": {"model": "tfim", "n": 5, "J": 1.0, "g": 0.5},
+            "states": {"psi": "up"},
+            "algorithm": {"tau": 0.1, "h": 0.01, "t_max": 2.0, "backend": "exact_oracle"},
+            "spectral": {"hermitian_extend": True, "width": 0.08},
+        }
+        cfg = tmp_path / "ldos.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["ldos", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "ldos_reference.csv").exists()
+        assert len(calls) == 1
 
 
 class TestExactLdos:
