@@ -38,8 +38,7 @@ import numpy as np
 from .exceptions import NumericsError
 from .model import HamiltonianSpec, SIGMA_X
 from .statevector import LocalGate, StateVector, apply_layer, compile_layers, pack_layers
-
-_IDENTITY_ATOL = 1e-12
+from .trotter import _exp_gate, _is_identity
 
 
 def ite_angle(h: float, g: float) -> float:
@@ -214,9 +213,8 @@ def build_ite_plan_general(
         v = 1j * (mat @ phi - mean * phi)
         b = np.outer(v, phi.conj()) + np.outer(phi, v.conj())
 
-        evals, evecs = np.linalg.eigh(b)
-        gate = (evecs * np.exp(-1j * sign * h * evals)) @ evecs.conj().T
-        if np.max(np.abs(gate - np.eye(phi.shape[0]))) > _IDENTITY_ATOL:
+        gate = _exp_gate(b, sign * h)
+        if not _is_identity(gate):
             gates.append(LocalGate(term.support, gate))
     layers = pack_layers(gates, ordered=True)
     return ItePlan(sign, h, psi.n_qubits, gates, log_c, _fingerprint(psi), layers)

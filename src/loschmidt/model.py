@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import NumericsError
-from .statevector import StateVector
+from .statevector import StateVector, _lsb_first
 
 ORACLE_MAX_SITES = 12
 
@@ -103,19 +103,10 @@ def tfim(n_sites: int, J: float, g: float) -> HamiltonianSpec:
     return HamiltonianSpec(n_sites, tuple(terms))
 
 
-def _lsb_first(term: LocalTerm) -> np.ndarray:
-    """Term matrix with the lower site as the least significant local bit."""
-    if len(term.support) == 2 and term.support[0] > term.support[1]:
-        return term.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return term.matrix
-
-
 def _embed(term: LocalTerm, n: int) -> np.ndarray:
-    lo = min(term.support)
+    lo, matrix = _lsb_first(term)
     width = len(term.support)
-    return np.kron(
-        np.eye(2 ** (n - lo - width)), np.kron(_lsb_first(term), np.eye(2**lo))
-    )
+    return np.kron(np.eye(2 ** (n - lo - width)), np.kron(matrix, np.eye(2**lo)))
 
 
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
@@ -130,10 +121,11 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     n = spec.n_sites
     full = np.zeros((2**n, 2**n), dtype=complex)
     for term in spec.terms:
-        lo, width = min(term.support), len(term.support)
+        lo, matrix = _lsb_first(term)
+        width = len(term.support)
         shape = (2 ** (n - lo - width), 2**width, 2**lo)
         block = np.einsum("aibajb->aijb", full.reshape(shape + shape))  # view of full
-        block += _lsb_first(term)[None, :, :, None]
+        block += matrix[None, :, :, None]
     return full
 
 

@@ -4,7 +4,9 @@ The depolarizing channel of rate gamma applies one of X, Y, Z (probability
 gamma/3 each) independently to every qubit after every circuit layer.  It is
 unraveled exactly by discrete Pauli insertion into Monte Carlo wavefunction
 trajectories; survival probabilities are the trajectory average of
-|<psi_final|state>|^2.
+|<psi_final|state>|^2.  ``circuit_survivals`` runs one layered circuit,
+either noiseless or as one such trajectory, so the noiseless and the noisy
+backends share it.
 
 Determinism contract: the master seed is hashed once into a 64-bit stream
 base and trajectory k draws from a generator seeded with ``base XOR k``
@@ -47,38 +49,12 @@ class NoiseConfig:
             raise ValueError("shots must be >= 1 when given")
 
 
-def _pauli_x(tensor, axis):
-    return np.flip(tensor, axis=axis)
-
-
-def _pauli_z(tensor, axis):
-    out = tensor.copy()
-    idx = [slice(None)] * tensor.ndim
-    idx[axis] = 1
-    out[tuple(idx)] *= -1
-    return out
-
-
-def _pauli_y(tensor, axis):
-    out = np.flip(tensor, axis=axis).copy()
-    idx0 = [slice(None)] * tensor.ndim
-    idx1 = [slice(None)] * tensor.ndim
-    idx0[axis] = 0
-    idx1[axis] = 1
-    out[tuple(idx0)] *= -1j  # was |1>, Y|1> = -i|0>
-    out[tuple(idx1)] *= 1j
-    return out
-
-
-_PAULI_ACTIONS = (_pauli_x, _pauli_y, _pauli_z)
-
-
 def apply_noise_layer(state: StateVector, gamma: float, rng) -> StateVector:
     """One round of the depolarizing channel: per qubit, with probability
     gamma apply a uniformly chosen Pauli.
 
     Always draws 2 variates per qubit so the consumed stream length does not
-    depend on which errors fire.
+    depend on which errors fire.  Returns ``state`` itself when none fires.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must satisfy 0 <= gamma < 1")
@@ -87,26 +63,49 @@ def apply_noise_layer(state: StateVector, gamma: float, rng) -> StateVector:
     picks = rng.integers(0, 3, size=n)
     if not np.any(hits):
         return state
-    tensor = state.amplitudes.reshape([2] * n)
+    amps = state.amplitudes.copy()
     for qubit in np.nonzero(hits)[0]:
-        tensor = _PAULI_ACTIONS[picks[qubit]](tensor, n - 1 - int(qubit))
-    return StateVector(n, np.ascontiguousarray(tensor.reshape(-1)))
+        # axis 1 is the qubit's bit, as in the compiled gate kernel
+        view = amps.reshape(-1, 2, 1 << int(qubit))
+        pick = picks[qubit]
+        if pick != 2:  # X and Y flip the qubit
+            view[:] = view[:, ::-1].copy()
+        if pick == 1:
+            view[:, 0] *= -1j  # was |1>, Y|1> = -i|0>
+            view[:, 1] *= 1j
+        elif pick == 2:
+            view[:, 1] *= -1
+    return StateVector(n, amps)
 
 
-def _run_trajectory(args) -> None:
-    psi_init, layers, record_after, final, gamma, seed, rows, traj = args
-    rng = np.random.default_rng(seed)
-    state = psi_init
+def circuit_survivals(
+    state: StateVector, layers, record_after, psi_final: StateVector, gamma=0.0, rng=None
+) -> np.ndarray:
+    """|<psi_final|state>|^2 of a layered circuit at its record points.
+
+    ``layers`` are compiled layers (``compile_layers``); ``record_after``
+    lists ascending layer counts (0 <= k <= len(layers)) after which the
+    overlap is recorded, so an entry 0 records the bare initial state.  With
+    ``rng`` a depolarizing layer of rate ``gamma`` follows every circuit
+    layer, which makes the run one Monte Carlo trajectory; without it the
+    circuit is noiseless.
+    """
+    if any(k < 0 or k > len(layers) for k in record_after):
+        raise ValueError("record_after entries must lie within the layer range")
+    final = psi_final.amplitudes
+    out = np.empty(len(record_after))
     pointer = 0
     for k, layer in enumerate(layers):
         while pointer < len(record_after) and record_after[pointer] == k:
-            rows[traj, pointer] = abs(np.vdot(final, state.amplitudes)) ** 2
+            out[pointer] = abs(np.vdot(final, state.amplitudes)) ** 2
             pointer += 1
         state = apply_layer(state, layer)
-        state = apply_noise_layer(state, gamma, rng)
+        if rng is not None:
+            state = apply_noise_layer(state, gamma, rng)
     while pointer < len(record_after):
-        rows[traj, pointer] = abs(np.vdot(final, state.amplitudes)) ** 2
+        out[pointer] = abs(np.vdot(final, state.amplitudes)) ** 2
         pointer += 1
+    return out
 
 
 def trajectory_survivals(
@@ -119,33 +118,26 @@ def trajectory_survivals(
 ) -> np.ndarray:
     """Trajectory-averaged survival probabilities of a layered circuit.
 
-    ``layers`` are compiled layers (``compile_layers``).  ``record_after``
-    lists layer counts (0 <= k <= len(layers)) after which
-    |<psi_final|state>|^2 is recorded; an entry 0 records the bare initial
-    state.  Noise fires after every layer.  Returns the average over
-    ``noise.n_trajectories`` trajectories for each recording point; the
-    result does not depend on ``threads`` (pre-assigned streams, fixed-order
-    reduction).
+    Each trajectory is one ``circuit_survivals`` run with noise after every
+    layer.  Returns the average over ``noise.n_trajectories`` trajectories
+    for each recording point; the result does not depend on ``threads``
+    (pre-assigned streams, fixed-order reduction).
     """
     record_after = list(record_after)
-    if any(k < 0 or k > len(layers) for k in record_after):
-        raise ValueError("record_after entries must lie within the layer range")
-    final = psi_final.amplitudes
     base = np.random.SeedSequence(noise.master_seed).generate_state(1, np.uint64)[0]
-    rows = np.empty((noise.n_trajectories, len(record_after)))
-    work = [
-        (psi_init, layers, record_after, final, noise.gamma, base ^ np.uint64(traj), rows, traj)
-        for traj in range(noise.n_trajectories)
-    ]
+
+    def trajectory(traj: int) -> np.ndarray:
+        rng = np.random.default_rng(base ^ np.uint64(traj))
+        return circuit_survivals(psi_init, layers, record_after, psi_final, noise.gamma, rng)
+
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_run_trajectory, work))
+            rows = list(pool.map(trajectory, range(noise.n_trajectories)))
     else:
-        for item in work:
-            _run_trajectory(item)
-    return rows.mean(axis=0)
+        rows = [trajectory(traj) for traj in range(noise.n_trajectories)]
+    return np.array(rows).mean(axis=0)
 
 
 def sample_shots(p: float, shots: int, rng) -> float:

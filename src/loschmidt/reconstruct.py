@@ -29,16 +29,18 @@ simulation backends that produce those series is ``run_phase_experiment``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .exceptions import ConfigError, NumericsError
-from .ite import apply_ite, build_ite_plan_general, build_ite_plan_tfim
+from .ite import apply_ite  # noqa: F401  (perfbench/tracer.py patches it here)
+from .ite import build_ite_plan_general, build_ite_plan_tfim
 from .model import amplitude_series
-from .noise import mitigate_rescale, sample_shots, trajectory_survivals
+from .noise import circuit_survivals, mitigate_rescale, sample_shots, trajectory_survivals
 from .statevector import inner_product
-from .trotter import build_plan, evolve
+from .trotter import build_plan
+from .trotter import evolve  # noqa: F401  (perfbench/tracer.py patches it here)
 
 _P_FLOOR = 1e-30
 
@@ -110,11 +112,11 @@ def integrate_phase(derivatives, tau: float, rule: str = "simpson", anchor: floa
     if rule == "trapezoid":
         phi[1:] = anchor + np.cumsum(tau * (d[1:] + d[:-1]) / 2.0)
         return phi
-    for k in range(1, len(d)):
-        if k % 2 == 0:
-            phi[k] = phi[k - 2] + tau / 3.0 * (d[k - 2] + 4.0 * d[k - 1] + d[k])
-        else:
-            phi[k] = phi[k - 1] + tau / 2.0 * (d[k - 1] + d[k])
+    # even entries: running Simpson panels; odd entries: one trapezoid on
+    # from their even neighbour
+    panels = tau / 3.0 * (d[:-2:2] + 4.0 * d[1:-1:2] + d[2::2])
+    phi[::2] = np.add.accumulate(np.concatenate(([anchor], panels)))
+    phi[1::2] = phi[:-1:2] + tau / 2.0 * (d[:-1:2] + d[1::2])
     return phi
 
 
@@ -229,29 +231,9 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
         phi[k + 1 :] += shift
         applied.append(float(shift))
         kept.append(int(k))
-    out = PhaseTrace(
-        times=trace.times,
-        r=trace.r,
-        p_plus=trace.p_plus,
-        p_minus=trace.p_minus,
-        dphi_dt=trace.dphi_dt,
-        phi=phi,
-        g_complex=g,
-        i_factor=trace.i_factor,
-        h=trace.h,
-        anchor=trace.anchor,
-        shots=trace.shots,
-        zero_threshold=trace.zero_threshold,
-        crossings=kept,
-        correction_phases=applied,
-        r_squared_raw=trace.r_squared_raw,
-        p_plus_raw=trace.p_plus_raw,
-        p_minus_raw=trace.p_minus_raw,
-        p_plus_mitigated=trace.p_plus_mitigated,
-        p_minus_mitigated=trace.p_minus_mitigated,
-        clamped=trace.clamped,
+    return replace(
+        trace, phi=phi, g_complex=g, crossings=kept, correction_phases=applied
     )
-    return out
 
 
 def _running_i_factor(times, p_plus, p_minus) -> np.ndarray:
@@ -363,13 +345,17 @@ def run_phase_experiment(config) -> PhaseTrace:
     * ``exact_oracle`` — amplitudes from the dense eigendecomposition
       (imaginary-time constants still come from the configured ITE plan so
       the recorded probabilities match what an experiment would see),
-    * ``statevector_trotter`` — ITE plan gates plus Trotter evolution with
-      exact overlap probabilities,
-    * ``noisy`` — same circuits with depolarizing trajectories, optional
-      shot sampling, and rescaling mitigation.
+    * ``statevector_trotter`` — one circuit per family (r: the Trotter
+      steps; p+-: the ITE plan's layers, then the same steps), each run once
+      through ``circuit_survivals`` with exact overlap probabilities,
+    * ``noisy`` — the same circuits as depolarizing trajectories
+      (``trajectory_survivals``), then rescaling mitigation at each record
+      point's layer depth.
 
-    Optional shot sampling applies to the first two backends through
-    ``config.shots``.
+    Shots and their seed come from the noise block on ``noisy`` and from
+    ``config.shots``/``config.seed`` otherwise; each family is sampled with
+    its own spawn key.  The ITE plans are built from ``config.psi`` in
+    this function, so their layers run without ``apply_ite``'s state check.
     """
     spec = config.spec
     psi = config.psi
@@ -407,96 +393,68 @@ def run_phase_experiment(config) -> PhaseTrace:
             raise ConfigError("anchor undefined: <psi'|psi> vanishes at t = 0")
         anchor = float(np.angle(overlap))
 
-    extras: dict = {}
+    noisy = config.backend == "noisy"
     if config.backend == "exact_oracle":
         t_eval = times + config.prefix_steps * config.tau
         g_real = amplitude_series(spec, bra, psi, t_eval + 0j)
         g_plus = amplitude_series(spec, bra, psi, t_eval + 1j * config.h)
         g_minus = amplitude_series(spec, bra, psi, t_eval - 1j * config.h)
-        p_r = np.abs(g_real) ** 2
-        p_plus = np.exp(2.0 * (np.log(np.abs(g_plus)) - plan_plus.log_c_total))
-        p_minus = np.exp(2.0 * (np.log(np.abs(g_minus)) - plan_minus.log_c_total))
+        series = [
+            np.abs(g_real) ** 2,
+            np.exp(2.0 * (np.log(np.abs(g_plus)) - plan_plus.log_c_total)),
+            np.exp(2.0 * (np.log(np.abs(g_minus)) - plan_minus.log_c_total)),
+        ]
     elif config.backend in ("statevector_trotter", "noisy"):
+        if noisy and config.noise is None:
+            raise ConfigError("noisy backend requires a noise block")
+        # one circuit per family, r / + / -: the ITE layers (none for r),
+        # then the Trotter steps, recorded once per grid point
         step = build_plan(spec, config.tau, config.tau, config.order)
-        total_steps = config.prefix_steps + n_points - 1
-        if config.backend == "statevector_trotter":
-            states = {
-                _FAMILY_R: psi,
-                _FAMILY_PLUS: apply_ite(plan_plus, psi),
-                _FAMILY_MINUS: apply_ite(plan_minus, psi),
-            }
-            series = {}
-            for fam, state in states.items():
-                probs = np.empty(n_points)
-                current = evolve(state, step, n_steps=config.prefix_steps)
-                probs[0] = abs(inner_product(bra, current)) ** 2
-                for k in range(1, n_points):
-                    current = evolve(current, step, n_steps=1)
-                    probs[k] = abs(inner_product(bra, current)) ** 2
-                series[fam] = probs
-            p_r, p_plus, p_minus = (
-                series[_FAMILY_R], series[_FAMILY_PLUS], series[_FAMILY_MINUS]
-            )
-        else:
-            if config.noise is None:
-                raise ConfigError("noisy backend requires a noise block")
-            layers_per_step = step.layers_per_step
-            trotter_layers = step.compiled * total_steps
-            record_r = [
-                (config.prefix_steps + k) * layers_per_step for k in range(n_points)
+        trotter_layers = step.compiled * (config.prefix_steps + n_points - 1)
+        record_r = [(config.prefix_steps + k) * step.layers_per_step for k in range(n_points)]
+        circuits = [(trotter_layers, record_r)] + [
+            (plan.compiled + trotter_layers, [plan.n_layers + d for d in record_r])
+            for plan in (plan_plus, plan_minus)
+        ]
+        if noisy:
+            series = [
+                trajectory_survivals(psi, layers, record, bra, config.noise, config.threads)
+                for layers, record in circuits
             ]
-            p_r = trajectory_survivals(
-                psi, trotter_layers, record_r, bra, config.noise, config.threads
-            )
-            depth_r = np.array(record_r)
-            results = {}
-            depths = {}
-            for fam, plan in ((_FAMILY_PLUS, plan_plus), (_FAMILY_MINUS, plan_minus)):
-                layers = plan.compiled + trotter_layers
-                record = [plan.n_layers + d for d in record_r]
-                results[fam] = trajectory_survivals(
-                    psi, layers, record, bra, config.noise, config.threads
-                )
-                depths[fam] = np.array(record)
-            p_plus, p_minus = results[_FAMILY_PLUS], results[_FAMILY_MINUS]
+        else:
+            series = [circuit_survivals(psi, layers, record, bra) for layers, record in circuits]
     else:
         raise ConfigError(f"unknown backend {config.backend!r}")
 
-    if config.backend == "noisy":
-        shots = config.noise.shots
-        if shots is not None:
-            p_r = _sample_series(p_r, shots, config.noise.master_seed, _FAMILY_R)
-            p_plus = _sample_series(p_plus, shots, config.noise.master_seed, _FAMILY_PLUS)
-            p_minus = _sample_series(p_minus, shots, config.noise.master_seed, _FAMILY_MINUS)
-        extras["r_squared_raw"] = p_r.copy()
-        extras["p_plus_raw"] = p_plus.copy()
-        extras["p_minus_raw"] = p_minus.copy()
+    if noisy:
+        shots, seed = config.noise.shots, config.noise.master_seed
+    else:
+        shots, seed = config.shots, config.seed
+    if shots is not None:
+        series = [
+            _sample_series(p, shots, seed, family)
+            for p, family in zip(series, (_FAMILY_R, _FAMILY_PLUS, _FAMILY_MINUS))
+        ]
+    extras: dict = {}
+    if noisy:
+        extras.update(r_squared_raw=series[0], p_plus_raw=series[1], p_minus_raw=series[2])
         gamma, n_sites = config.noise.gamma, spec.n_sites
         clamp_flags = np.zeros(n_points, dtype=bool)
         mitigated = []
-        for probs, depth in (
-            (p_r, depth_r), (p_plus, depths[_FAMILY_PLUS]), (p_minus, depths[_FAMILY_MINUS])
-        ):
-            out = np.empty_like(probs)
-            for k in range(n_points):
-                out[k], clamped = mitigate_rescale(
-                    float(probs[k]), gamma, n_sites, int(depth[k])
-                )
+        for probs, (_, record) in zip(series, circuits):
+            out = np.empty(n_points)
+            for k, depth in enumerate(record):
+                out[k], clamped = mitigate_rescale(float(probs[k]), gamma, n_sites, depth)
                 clamp_flags[k] |= clamped
             mitigated.append(out)
-        p_r, p_plus, p_minus = mitigated
-        extras["p_plus_mitigated"] = p_plus.copy()
-        extras["p_minus_mitigated"] = p_minus.copy()
-        extras["clamped"] = clamp_flags
-        effective_shots = shots
-    else:
-        effective_shots = config.shots
-        if effective_shots is not None:
-            p_r = _sample_series(p_r, effective_shots, config.seed, _FAMILY_R)
-            p_plus = _sample_series(p_plus, effective_shots, config.seed, _FAMILY_PLUS)
-            p_minus = _sample_series(p_minus, effective_shots, config.seed, _FAMILY_MINUS)
+        series = mitigated
+        extras.update(
+            p_plus_mitigated=series[1].copy(), p_minus_mitigated=series[2].copy(),
+            clamped=clamp_flags,
+        )
+    p_r, p_plus, p_minus = series
 
-    if effective_shots is not None or config.backend == "noisy":
+    if shots is not None or noisy:
         # probabilities are physical after sampling / mitigation clamping
         for name, probs in (("p_plus", p_plus), ("p_minus", p_minus)):
             if not np.all((probs >= 0) & (probs <= 1)):
@@ -514,8 +472,6 @@ def run_phase_experiment(config) -> PhaseTrace:
         anchor=anchor,
         zero_correction=config.zero_correction,
         threshold=config.threshold,
-        shots=effective_shots,
+        shots=shots,
     )
-    for key, value in extras.items():
-        setattr(trace, key, value)
-    return trace
+    return replace(trace, **extras)

@@ -248,8 +248,9 @@ class BlockOp:
 _SWAP_SITES = np.array([0, 2, 1, 3])
 
 
-def _lsb_first(gate: LocalGate) -> tuple[int, np.ndarray]:
-    """(lo, matrix) with the lowest support site as the LSB of the index."""
+def _lsb_first(gate) -> tuple[int, np.ndarray]:
+    """(lo, matrix) of a ``LocalGate`` or ``LocalTerm``, with the lowest
+    support site as the LSB of the index."""
     if len(gate.support) == 1:
         return gate.support[0], gate.matrix
     a, b = gate.support

@@ -12,7 +12,14 @@ from loschmidt.noise import (
     statistical_error_model,
     trajectory_survivals,
 )
-from loschmidt.statevector import LocalGate, compile_layers, product_state
+from loschmidt.model import SIGMA_X, SIGMA_Y, SIGMA_Z
+from loschmidt.statevector import (
+    LocalGate,
+    StateVector,
+    apply_matrix,
+    compile_layers,
+    product_state,
+)
 
 
 def sigma_z_mean(state):
@@ -54,6 +61,31 @@ class TestApplyNoiseLayer:
         for _ in range(20):
             state = apply_noise_layer(state, 0.5, rng)
         assert abs(state.norm() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("pick, pauli", [(0, SIGMA_X), (1, SIGMA_Y), (2, SIGMA_Z)])
+    def test_paulis_match_apply_matrix(self, pick, pauli):
+        # a stub stream fires exactly one chosen Pauli on one chosen qubit
+        class OneError:
+            def __init__(self, qubit):
+                self.qubit = qubit
+
+            def random(self, n):
+                return np.where(np.arange(n) == self.qubit, 0.0, 1.0)
+
+            def integers(self, low, high, size):
+                return np.full(size, pick)
+
+        n = 5
+        amps = [1.0, 1j] @ np.random.default_rng(17).normal(size=(2, 2**n))
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        for qubit in range(n):
+            out = apply_noise_layer(state, 0.5, OneError(qubit))
+            expected = apply_matrix(state, pauli, [qubit])
+            assert np.max(np.abs(out.amplitudes - expected.amplitudes)) <= 1e-15
+
+    def test_no_error_returns_input(self):
+        state = product_state(["x+", "up"])
+        assert apply_noise_layer(state, 0.0, np.random.default_rng(0)) is state
 
 
 def noisy_probability(psi_init, layers, psi_final, noise):

@@ -108,6 +108,20 @@ class TestIntegratePhase:
         phi = integrate_phase([1.0, 2.0, 3.0], 0.1, "simpson", anchor=-2.5)
         assert phi[0] == -2.5
 
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_simpson_equals_reference_loop(self, k):
+        # the vectorized rule reproduces the point-by-point recurrence exactly
+        d = np.random.default_rng(k).normal(size=k)
+        tau, anchor = 0.037, 0.41
+        ref = np.empty(k)
+        ref[0] = anchor
+        for j in range(1, k):
+            if j % 2 == 0:
+                ref[j] = ref[j - 2] + tau / 3.0 * (d[j - 2] + 4.0 * d[j - 1] + d[j])
+            else:
+                ref[j] = ref[j - 1] + tau / 2.0 * (d[j - 1] + d[j])
+        assert np.array_equal(integrate_phase(d, tau, "simpson", anchor), ref)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             integrate_phase([1.0], 0.1)
@@ -359,6 +373,32 @@ class TestRunPhaseExperiment:
         assert np.all(trace.r <= 1 + 1e-12)
         # phi'(0) = -<H> = +J(N-1)/4 up to O(h^2)
         assert abs(trace.dphi_dt[0] - (n - 1) / 4) < 5e-3
+
+    @pytest.mark.parametrize("case", ["tfim_up", "tilted_two_sided"])
+    def test_noiseless_trajectory_equals_statevector_backend(self, case):
+        # one gamma = 0 trajectory without shots runs the same circuits as
+        # the statevector backend, so every series agrees bit for bit
+        from loschmidt.noise import NoiseConfig
+
+        spec = tfim(4, 1.0, 0.5)
+        if case == "tfim_up":
+            kwargs = dict(spec=spec, psi=product_state(["up"] * 4),
+                          ite_mode="tfim_closed_form")
+        else:
+            psi = product_state(["x+", "y-", "up", "x-"])
+            kwargs = dict(spec=spec, psi=psi, ite_mode="general_bj",
+                          bra_state=product_state(["up", "x+", "y+", "up"]),
+                          prefix_steps=3, anchor=0.3)
+        kwargs.update(tau=0.05, h=0.05, t_max=0.5)
+        sv = run_phase_experiment(ExperimentConfig(backend="statevector_trotter", **kwargs))
+        noisy = run_phase_experiment(ExperimentConfig(
+            backend="noisy", noise=NoiseConfig(gamma=0.0, n_trajectories=1), **kwargs
+        ))
+        assert np.array_equal(noisy.r, sv.r)
+        for name in ("p_plus", "p_minus"):
+            assert np.array_equal(getattr(noisy, name), getattr(sv, name))
+            assert np.array_equal(getattr(noisy, f"{name}_raw"), getattr(sv, name))
+        assert np.array_equal(noisy.phi, sv.phi)
 
     def test_mitigation_exponent_matches_plan_census(self):
         # cross-module consistency: the depth used by the rescaling at grid
