@@ -99,6 +99,15 @@ def _trace_columns(trace: PhaseTrace, with_noise: bool):
     return header, cols
 
 
+def _trace_health(trace: PhaseTrace) -> dict:
+    """Floored points and repaired crossings of a trace, for runinfo.json."""
+    return {
+        "floored": trace.floored,
+        "crossings": trace.crossings,
+        "correction_phases": trace.correction_phases,
+    }
+
+
 def _resolved_document(doc: RunDocument) -> dict:
     """Config snapshot with every algorithm default made explicit."""
     exp = doc.experiment
@@ -157,7 +166,7 @@ def cmd_phase(doc: RunDocument, outdir: Path, command="phase") -> int:
     trace = run_phase_experiment(exp)
     header, cols = _trace_columns(trace, with_noise=exp.backend == "noisy")
     write_csv(outdir / "phase.csv", header, cols)
-    _emit_run_records(outdir, doc, command)
+    _emit_run_records(outdir, doc, command, _trace_health(trace))
     return 0
 
 
@@ -206,7 +215,7 @@ def cmd_two_sided(doc: RunDocument, outdir: Path) -> int:
     write_csv(outdir / "two_sided.csv", header, cols)
     # the snapshot records the anchor the run used, so a replay reproduces it
     _emit_run_records(outdir, replace(doc, experiment=exp), "two-sided",
-                      {"t_prime": doc.t_prime, "anchor": anchor})
+                      {"t_prime": doc.t_prime, "anchor": anchor, **_trace_health(trace)})
     return 0
 
 

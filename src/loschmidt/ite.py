@@ -24,21 +24,30 @@ Two constructions are provided:
   the local support (minimal completion: everything outside the forced
   column/row is zero), and the gate is exp(-i * sign * B * h).
 
-Plans fingerprint the state they were built for and refuse application to a
-different one: the gates are only meaningful for that state.
+Both start from the state's site vectors, factored in O(N + 2^N) from the
+amplitudes one bit flip away from the largest one; a state that the outer
+product of those vectors does not reproduce is rejected.  A plan keeps the
+(N, 2) site vectors, not the 2^N amplitudes, and refuses application to a
+state whose overlap with their product does not have modulus one: the gates
+are only meaningful for the state the plan was built for, up to a global
+phase.  The gate layers are compiled for the kernel on first use, so a
+caller that reads only ``log_c_total`` (the dense oracle) compiles nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import NumericsError
 from .model import HamiltonianSpec, SIGMA_X
 from .statevector import LocalGate, StateVector, apply_layer, compile_layers, pack_layers
-from .trotter import _exp_gate, _is_identity
+from .trotter import _exp_gates, _gates_in_term_order, _stacks_by_width
+
+#: tolerance on |<site-vector product|state>| = 1
+_PRODUCT_ATOL = 1e-10
 
 
 def ite_angle(h: float, g: float) -> float:
@@ -52,7 +61,8 @@ class ItePlan:
     """Local unitaries plus the log of the total rescaling constant.
 
     ``layers`` is the census of physical layers; ``compiled`` holds their
-    execution form, built once at construction.
+    execution form, built on first use.  ``site_vectors`` are the (N, 2)
+    factors of the product state the plan was built for.
     """
 
     sign: int
@@ -60,12 +70,12 @@ class ItePlan:
     n_sites: int
     gates: list[LocalGate] = field(repr=False)
     log_c_total: float
-    psi_fingerprint: bytes = field(repr=False)
+    site_vectors: np.ndarray = field(repr=False)
     layers: list[list[LocalGate]] = field(repr=False)
-    compiled: tuple[tuple, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "compiled", compile_layers(self.n_sites, self.layers))
+    @cached_property
+    def compiled(self) -> tuple[tuple, ...]:
+        return compile_layers(self.n_sites, self.layers)
 
     @property
     def c_total(self) -> float:
@@ -76,30 +86,43 @@ class ItePlan:
         return len(self.layers)
 
 
-def _fingerprint(state: StateVector) -> bytes:
-    return hashlib.sha256(np.ascontiguousarray(state.amplitudes).tobytes()).digest()
+def _is_product_of(vecs: np.ndarray, state: StateVector) -> bool:
+    """Whether |<v_{N-1} x ... x v_0|state>| = 1 within ``_PRODUCT_ATOL``,
+    contracting one site at a time from the most significant."""
+    if state.n_qubits != len(vecs):
+        return False
+    rest = state.amplitudes
+    for vec in vecs[::-1]:
+        rest = vec.conj() @ rest.reshape(2, -1)
+    # written so that a nan overlap fails
+    return bool(abs(abs(rest[0]) - 1.0) <= _PRODUCT_ATOL)
+
+
+def _site_vectors(psi: StateVector) -> np.ndarray:
+    """(N, 2) normalized single-site factors of a product state, or raise.
+
+    With ``top`` the index of the largest amplitude, site i's factor is
+    proportional to the pair of amplitudes at ``top`` with bit i cleared and
+    set; the outer product of the factors must reproduce the state.
+    """
+    amps = psi.amplitudes
+    top = int(np.argmax(np.abs(amps)))
+    bits = 1 << np.arange(psi.n_qubits)
+    vecs = np.stack([amps[top & ~bits], amps[top | bits]], axis=1)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    if not _is_product_of(vecs, psi):
+        raise ValueError("requires product state")
+    return vecs
 
 
 def apply_ite(plan: ItePlan, state: StateVector) -> StateVector:
     """Apply the plan's gates (not the scalar constant) to the state it was
-    built for."""
-    if _fingerprint(state) != plan.psi_fingerprint:
+    built for, or to a global-phase copy of it."""
+    if not _is_product_of(plan.site_vectors, state):
         raise ValueError("ITE plan applied to a different state than it was built for")
     for layer in plan.compiled:
         state = apply_layer(state, layer)
     return state
-
-
-def _basis_bits(psi: StateVector) -> list[int]:
-    """Bit string of a computational-basis product state, or raise."""
-    amps = psi.amplitudes
-    idx = int(np.argmax(np.abs(amps)))
-    on_basis = abs(abs(amps[idx]) - 1.0) < 1e-12 and np.all(
-        np.abs(np.delete(amps, idx)) < 1e-12
-    )
-    if not on_basis:
-        raise ValueError("requires computational-basis product state")
-    return [(idx >> i) & 1 for i in range(psi.n_qubits)]
 
 
 def _check_sign(sign: int) -> int:
@@ -120,7 +143,11 @@ def build_ite_plan_tfim(
     standard field term a = g/2 that is the usual sqrt(cosh(h g)).
     """
     sign = _check_sign(sign)
-    bits = _basis_bits(psi)
+    vecs = _site_vectors(psi)
+    mags = np.abs(vecs)
+    if np.any(mags.min(axis=1) >= 1e-12):
+        raise ValueError("requires computational-basis product state")
+    bits = mags.argmax(axis=1).tolist()
     log_c = 0.0
     gates: list[LocalGate] = []
     for term in spec.terms:
@@ -147,34 +174,7 @@ def build_ite_plan_tfim(
             "requires a transverse-field Ising structure "
             "(diagonal bonds plus sigma^x site terms)"
         )
-    return ItePlan(sign, h, psi.n_qubits, gates, log_c, _fingerprint(psi), pack_layers(gates))
-
-
-def _local_vectors(psi: StateVector) -> list[np.ndarray]:
-    """Single-site factors of a product state, or raise for entangled input."""
-    n = psi.n_qubits
-    tensor = psi.amplitudes.reshape([2] * n)
-    vecs = []
-    for site in range(n):
-        axis = n - 1 - site
-        mat = np.moveaxis(tensor, axis, 0).reshape(2, -1)
-        rho = mat @ mat.conj().T
-        evals, evecs = np.linalg.eigh(rho)
-        if evals[0] > 1e-10:
-            raise ValueError("requires product state")
-        vecs.append(evecs[:, 1])
-    # verify reconstruction (catches classically correlated inputs)
-    recon = vecs[0]
-    for v in vecs[1:]:
-        recon = np.kron(v, recon)
-    if abs(abs(np.vdot(recon, psi.amplitudes)) - 1.0) > 1e-10:
-        raise ValueError("requires product state")
-    return vecs
-
-
-def _expm_hermitian(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(mat)
-    return (evecs * np.exp(evals)) @ evecs.conj().T
+    return ItePlan(sign, h, psi.n_qubits, gates, log_c, vecs, pack_layers(gates))
 
 
 def build_ite_plan_general(
@@ -189,32 +189,37 @@ def build_ite_plan_general(
     vector is the local restriction phi of psi only the first column/row of
     B is forced; with v = i (H_m - <H_m>) phi (orthogonal to phi) the
     minimal completion is B = v phi^dag + phi v^dag.  Gates keep the term
-    order of the spec.
+    order of the spec.  The terms of one support width share one batched
+    eigendecomposition of their matrices (for every c^2) and one of their
+    generators B (for every gate).
     """
     sign = _check_sign(sign)
-    locals_ = _local_vectors(psi)
+    vecs = _site_vectors(psi)
     if h == 0.0:
-        return ItePlan(sign, 0.0, psi.n_qubits, [], 0.0, _fingerprint(psi), [])
-    log_c = 0.0
-    gates: list[LocalGate] = []
-    for term in spec.terms:
-        if len(term.support) > 2:
-            raise ValueError("term support larger than 2 sites is unsupported")
-        phi = locals_[term.support[0]]
-        for s in term.support[1:]:
-            phi = np.kron(locals_[s], phi)
-        mat = term.matrix
-        c_sq = np.vdot(phi, _expm_hermitian(sign * 2.0 * h * mat) @ phi).real
-        if c_sq <= 0:
-            raise NumericsError("nonpositive rescaling constant")
-        log_c += 0.5 * np.log(c_sq)
+        return ItePlan(sign, 0.0, psi.n_qubits, [], 0.0, vecs, [])
+    terms = spec.terms
+    if any(len(term.support) > 2 for term in terms):
+        raise ValueError("term support larger than 2 sites is unsupported")
+    c_sq = np.empty(len(terms))
+    parts = []
+    for idx, mats in _stacks_by_width(terms):
+        supports = np.array([terms[k].support for k in idx])
+        # phi = v[s_1] x v[s_0]: the first support site is the least significant
+        phi = vecs[supports[:, 0]]
+        if supports.shape[1] == 2:
+            phi = (vecs[supports[:, 1], :, None] * phi[:, None, :]).reshape(len(idx), 4)
+        energies, vectors = np.linalg.eigh(mats)
+        weights = np.abs((vectors.conj().swapaxes(1, 2) @ phi[:, :, None])[:, :, 0]) ** 2
+        c_sq[idx] = np.sum(weights * np.exp(sign * 2.0 * h * energies), axis=1)
 
-        mean = np.vdot(phi, mat @ phi).real
-        v = 1j * (mat @ phi - mean * phi)
-        b = np.outer(v, phi.conj()) + np.outer(phi, v.conj())
-
-        gate = _exp_gate(b, sign * h)
-        if not _is_identity(gate):
-            gates.append(LocalGate(term.support, gate))
-    layers = pack_layers(gates, ordered=True)
-    return ItePlan(sign, h, psi.n_qubits, gates, log_c, _fingerprint(psi), layers)
+        h_phi = (mats @ phi[:, :, None])[:, :, 0]
+        mean = np.sum(phi.conj() * h_phi, axis=1).real
+        v = 1j * (h_phi - mean[:, None] * phi)
+        b = v[:, :, None] * phi.conj()[:, None, :] + phi[:, :, None] * v.conj()[:, None, :]
+        parts.append((idx, _exp_gates(b, sign * h)))
+    if np.any(c_sq <= 0):
+        raise NumericsError("nonpositive rescaling constant")
+    # summed left to right in term order, as a term-by-term accumulation would
+    log_c = sum((0.5 * np.log(c_sq)).tolist(), 0.0)
+    gates = _gates_in_term_order(terms, parts)
+    return ItePlan(sign, h, psi.n_qubits, gates, log_c, vecs, pack_layers(gates, ordered=True))

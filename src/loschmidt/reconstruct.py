@@ -56,7 +56,9 @@ class PhaseTrace:
     probabilities; ``r`` is the real-time magnitude; ``g_complex`` is
     ``r * exp(i*phi)`` so its magnitude is the ``r`` channel by construction.
     The noisy backend additionally fills the ``*_raw`` fields (pre-
-    mitigation) and ``clamped`` flags.
+    mitigation) and ``clamped`` flags.  ``floored`` lists the indices where
+    p+ or p- was not positive and was raised to ``_P_FLOOR``; ``crossings``
+    and ``correction_phases`` record the repaired near-zeros.
     """
 
     times: np.ndarray
@@ -73,6 +75,7 @@ class PhaseTrace:
     zero_threshold: float | None = None
     crossings: list[int] = field(default_factory=list)
     correction_phases: list[float] = field(default_factory=list)
+    floored: list[int] = field(default_factory=list)
     r_squared_raw: np.ndarray | None = None
     p_plus_raw: np.ndarray | None = None
     p_minus_raw: np.ndarray | None = None
@@ -134,23 +137,15 @@ def detect_zeros(trace: PhaseTrace, threshold: float | None = None) -> list[int]
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     r = trace.r
-    below = r < threshold
+    # runs [start, end) of below-threshold points, from the padded mask's edges
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], r < threshold, [False]))))
     crossings = []
-    k = 0
-    while k < len(r):
-        if below[k]:
-            end = k
-            while end + 1 < len(r) and below[end + 1]:
-                end += 1
-            run = np.arange(k, end + 1)
-            dip = int(run[np.argmin(r[run])])
-            # a crossing is an interior local minimum; the argmin of a run
-            # that just decays into the series boundary is not one
-            if 0 < dip < len(r) - 1 and r[dip] <= r[dip - 1] and r[dip] <= r[dip + 1]:
-                crossings.append(dip)
-            k = end + 1
-        else:
-            k += 1
+    for start, end in zip(edges[::2], edges[1::2]):
+        dip = int(start + np.argmin(r[start:end]))
+        # a crossing is an interior local minimum; the argmin of a run
+        # that just decays into the series boundary is not one
+        if 0 < dip < len(r) - 1 and r[dip] <= r[dip - 1] and r[dip] <= r[dip + 1]:
+            crossings.append(dip)
     return crossings
 
 
@@ -317,6 +312,7 @@ def reconstruct_trace(
         anchor=anchor,
         shots=shots,
         zero_threshold=threshold,
+        floored=np.flatnonzero(bad).tolist(),
     )
     if zero_correction and n > 1:
         crossings = detect_zeros(trace, threshold)

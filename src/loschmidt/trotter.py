@@ -30,14 +30,33 @@ _SUZUKI_A = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 _IDENTITY_ATOL = 1e-12
 
 
-def _exp_gate(matrix: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-i theta M) for Hermitian M via eigendecomposition."""
-    energies, vectors = np.linalg.eigh(matrix)
-    return (vectors * np.exp(-1j * theta * energies)) @ vectors.conj().T
+def _exp_gates(mats: np.ndarray, theta: float) -> np.ndarray:
+    """exp(-i theta M) for each Hermitian matrix of a stack, by one batched
+    eigendecomposition."""
+    energies, vectors = np.linalg.eigh(mats)
+    phases = np.exp(-1j * theta * energies)[:, None, :]
+    return (vectors * phases) @ vectors.conj().swapaxes(1, 2)
 
 
-def _is_identity(matrix: np.ndarray) -> bool:
-    return bool(np.max(np.abs(matrix - np.eye(matrix.shape[0]))) < _IDENTITY_ATOL)
+def _stacks_by_width(terms):
+    """(term indices, stacked term matrices), one pair per support width
+    present in ``terms``."""
+    for width in (1, 2):
+        idx = [k for k, term in enumerate(terms) if len(term.support) == width]
+        if idx:
+            yield idx, np.stack([terms[k].matrix for k in idx])
+
+
+def _gates_in_term_order(terms, parts) -> list[LocalGate]:
+    """LocalGates on the terms' supports from (term indices, gate stack)
+    parts, in term order; gates that equal the identity are dropped."""
+    gates = {}
+    for idx, stack in parts:
+        identity = np.max(np.abs(stack - np.eye(stack.shape[-1])), axis=(1, 2)) < _IDENTITY_ATOL
+        for k, gate, drop in zip(idx, stack, identity):
+            if not drop:
+                gates[k] = LocalGate(terms[k].support, gate)
+    return [gates[k] for k in sorted(gates)]
 
 
 def _group_layers(spec: HamiltonianSpec, label: str, dt: float) -> list[list[LocalGate]]:
@@ -46,15 +65,9 @@ def _group_layers(spec: HamiltonianSpec, label: str, dt: float) -> list[list[Loc
     Gates that equal the identity (zero-coefficient terms) are dropped, so
     they neither cost work nor count as noise locations.
     """
-    gates = []
-    for term in spec.terms:
-        if term.group != label:
-            continue
-        mat = _exp_gate(term.matrix, dt)
-        if _is_identity(mat):
-            continue
-        gates.append(LocalGate(term.support, mat))
-    return pack_layers(gates)
+    terms = [term for term in spec.terms if term.group == label]
+    parts = [(idx, _exp_gates(mats, dt)) for idx, mats in _stacks_by_width(terms)]
+    return pack_layers(_gates_in_term_order(terms, parts))
 
 
 def _step_layers(spec: HamiltonianSpec, dt: float, order: int) -> list[list[LocalGate]]:

@@ -193,6 +193,29 @@ class TestCliCommands:
         info = json.loads((out / "runinfo.json").read_text())
         assert info["version"] == loschmidt.__version__
 
+    def test_runinfo_records_trace_health(self, tmp_path):
+        from loschmidt.reconstruct import run_phase_experiment
+
+        doc = base_config(model={"model": "tfim", "n": 4, "J": 1.0, "g": 3.0})
+        doc["algorithm"].update({"tau": 0.05, "h": 0.02, "t_max": 2.0,
+                                 "backend": "exact_oracle", "threshold": 0.05})
+        # an identity insertion at t' = 0 makes the two-sided run the same trace
+        doc["states"]["operator_a"] = {
+            "sites": [0],
+            "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        }
+        doc["states"]["t_prime"] = 0.0
+        trace = run_phase_experiment(parse_document(doc).experiment)
+        assert trace.crossings and len(trace.correction_phases) == len(trace.crossings)
+        cfg = write_config(tmp_path, doc)
+        for command in ("phase", "two-sided"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            info = json.loads((out / "runinfo.json").read_text())
+            assert info["floored"] == []
+            assert info["crossings"] == trace.crossings
+            assert np.allclose(info["correction_phases"], trace.correction_phases, atol=1e-12)
+
 
 class TestTwoSided:
     def test_identity_operator_matches_phase(self, tmp_path):

@@ -4,7 +4,8 @@ Random chains of N <= 8 sites carry Hermitian 1- and 2-site terms in custom
 groups, with reversed supports and both diagonal and dense matrices.  The
 compiled kernels are checked against dense products of ``_embed``-ed gate
 matrices, folded diagonal layers against their gates applied one by one,
-and the plan census against an independent statement of the step layout.
+the plan census against an independent statement of the step layout, and
+the batched ITE plan builders against a term-by-term construction.
 """
 
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import loschmidt.noise as noise_module
 from loschmidt.config import ExperimentConfig
-from loschmidt.ite import apply_ite, build_ite_plan_general, build_ite_plan_tfim
+from loschmidt.ite import apply_ite, build_ite_plan_general, build_ite_plan_tfim, ite_angle
 from loschmidt.model import HamiltonianSpec, LocalTerm, _embed, tfim
 from loschmidt.noise import NoiseConfig
 from loschmidt.reconstruct import run_phase_experiment
@@ -25,15 +26,27 @@ from loschmidt.statevector import (
     PhaseOp,
     StateVector,
     apply_gate,
+    basis_state,
     apply_layer,
     compile_layers,
     pack_layers,
     product_state,
 )
-from loschmidt.trotter import _SUZUKI_A, _exp_gate, _is_identity, build_plan, evolve
+from loschmidt.trotter import _SUZUKI_A, build_plan, evolve
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _exp_gate(matrix, theta):
+    """exp(-i theta M) of one Hermitian matrix (reference for the batched
+    builders)."""
+    energies, vectors = np.linalg.eigh(matrix)
+    return (vectors * np.exp(-1j * theta * energies)) @ vectors.conj().T
+
+
+def _is_identity(matrix):
+    return bool(np.max(np.abs(matrix - np.eye(matrix.shape[0]))) < 1e-12)
 
 
 def _unit(vec):
@@ -78,6 +91,32 @@ def chain_and_state(draw, product=None):
         product = draw(st.booleans())
     rng = np.random.default_rng(draw(SEEDS))
     return spec, _random_state(rng, spec.n_sites, product)
+
+
+@st.composite
+def product_states(draw, n):
+    """Product states mixing basis sites (exact-zero components, some with a
+    phase) and random complex sites."""
+    rng = np.random.default_rng(draw(SEEDS))
+    sites = []
+    for kind in draw(st.lists(st.sampled_from(["up", "down", "up~", "down~", "complex"]),
+                              min_size=n, max_size=n)):
+        phase = np.exp(2j * np.pi * rng.uniform())
+        if kind in ("up", "down"):
+            sites.append(kind)
+        elif kind == "up~":
+            sites.append([phase, 0.0])
+        elif kind == "down~":
+            sites.append([0.0, phase])
+        else:
+            sites.append(_unit(rng.normal(size=2) + 1j * rng.normal(size=2)))
+    return product_state(sites)
+
+
+@st.composite
+def chain_and_product_state(draw):
+    spec = draw(chains())
+    return spec, draw(product_states(spec.n_sites))
 
 
 @st.composite
@@ -130,6 +169,119 @@ def reference_step_layers(spec, dt, order):
     outer = reference_step_layers(spec, _SUZUKI_A * dt, 2)
     inner = reference_step_layers(spec, (1 - 4 * _SUZUKI_A) * dt, 2)
     return outer * 2 + inner + outer * 2
+
+
+def reference_ite_plan(spec, psi, h, sign):
+    """The term-by-term general ITE construction: site vectors from each
+    site's reduced density matrix, then per term one dense exponential for
+    c^2 and one for the gate.  Returns ([(support, gate)], log_c_total)."""
+    n = psi.n_qubits
+    tensor = psi.amplitudes.reshape([2] * n)
+    vecs = []
+    for site in range(n):
+        mat = np.moveaxis(tensor, n - 1 - site, 0).reshape(2, -1)
+        evals, evecs = np.linalg.eigh(mat @ mat.conj().T)
+        assert evals[0] <= 1e-10
+        vecs.append(evecs[:, 1])
+    log_c, gates = 0.0, []
+    for term in spec.terms:
+        phi = vecs[term.support[0]]
+        for s in term.support[1:]:
+            phi = np.kron(vecs[s], phi)
+        mat = term.matrix
+        evals, evecs = np.linalg.eigh(sign * 2.0 * h * mat)
+        c_sq = np.vdot(phi, (evecs * np.exp(evals)) @ evecs.conj().T @ phi).real
+        log_c += 0.5 * np.log(c_sq)
+        mean = np.vdot(phi, mat @ phi).real
+        v = 1j * (mat @ phi - mean * phi)
+        gate = _exp_gate(np.outer(v, phi.conj()) + np.outer(phi, v.conj()), sign * h)
+        if not _is_identity(gate):
+            gates.append((term.support, gate))
+    return gates, log_c
+
+
+def _embedded_pair(n, lo, pair, rng):
+    """An n-site state with the 4-vector ``pair`` on sites lo, lo+1 and
+    random single-site factors elsewhere."""
+    amps = np.ones(1, dtype=complex)
+    for site in range(n):
+        if site == lo:
+            amps = np.kron(pair, amps)
+        elif site != lo + 1:
+            amps = np.kron(_unit(rng.normal(size=2) + 1j * rng.normal(size=2)), amps)
+    return StateVector(n, amps)
+
+
+def _non_product_states():
+    rng = np.random.default_rng(5)
+    ghz = np.zeros(16, dtype=complex)
+    ghz[[0, 15]] = 1 / np.sqrt(2)
+    w = np.zeros(16, dtype=complex)
+    w[[1, 2, 4, 8]] = 0.5
+    product = product_state([_unit(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(4)])
+    return {
+        "bell": _embedded_pair(5, 2, np.array([1, 0, 0, 1]) / np.sqrt(2), rng),
+        "ghz": StateVector(4, ghz),
+        "w": StateVector(4, w),
+        "unnormalized": StateVector(4, 1.5 * product.amplitudes),
+        "unnormalized_basis": StateVector(4, 1.5 * basis_state(4, 6).amplitudes),
+    }
+
+
+class TestItePlanBuilders:
+    @PROPERTY
+    @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
+           h=st.sampled_from([0.02, 0.3]))
+    def test_general_plan_matches_term_by_term_construction(self, case, sign, h):
+        spec, psi = case
+        plan = build_ite_plan_general(spec, psi, h, sign)
+        ref_gates, ref_log_c = reference_ite_plan(spec, psi, h, sign)
+        assert [g.support for g in plan.gates] == [support for support, _ in ref_gates]
+        for gate, (_, ref) in zip(plan.gates, ref_gates):
+            assert np.max(np.abs(gate.matrix - ref)) < 1e-12
+        assert abs(plan.log_c_total - ref_log_c) < 1e-12
+
+    @PROPERTY
+    @given(n=st.integers(2, 8), seed=SEEDS, sign=st.sampled_from([1, -1]))
+    def test_tfim_plan_reads_bits_of_phased_basis_state(self, n, seed, sign):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=n)
+        phases = np.exp(2j * np.pi * rng.uniform(size=n))
+        psi = product_state([[p, 0.0] if b == 0 else [0.0, p] for b, p in zip(bits, phases)])
+        index = int(np.argmax(np.abs(psi.amplitudes)))
+        assert index == sum(int(b) << i for i, b in enumerate(bits))
+        g = float(rng.uniform(0.2, 1.5))
+        spec = tfim(n, float(rng.uniform(0.5, 1.5)), g)
+        plan = build_ite_plan_tfim(spec, psi, 0.1, sign)
+        # each field gate turns its site's basis vector towards the flipped one
+        theta = sign * ite_angle(0.1, g)
+        assert len(plan.gates) == n
+        for gate in plan.gates:
+            (site,) = gate.support
+            column = gate.matrix[:, bits[site]]
+            assert abs(column[bits[site]] - np.cos(theta)) < 1e-12
+            assert abs(column[1 - bits[site]] - np.sin(theta)) < 1e-12
+        ref = build_ite_plan_tfim(spec, basis_state(n, index), 0.1, sign)
+        assert plan.log_c_total == ref.log_c_total
+        assert [g.support for g in plan.gates] == [g.support for g in ref.gates]
+        assert all(np.array_equal(g.matrix, r.matrix) for g, r in zip(plan.gates, ref.gates))
+
+    @pytest.mark.parametrize("builder", [build_ite_plan_general, build_ite_plan_tfim])
+    @pytest.mark.parametrize("kind", sorted(_non_product_states()))
+    def test_rejects_non_product_input(self, builder, kind):
+        psi = _non_product_states()[kind]
+        with pytest.raises(ValueError, match="product state"):
+            builder(tfim(psi.n_qubits, 1.0, 0.5), psi, 0.1, 1)
+
+    @PROPERTY
+    @given(case=chain_and_product_state(), phase=st.floats(0.0, 2 * np.pi))
+    def test_apply_ite_accepts_state_and_global_phase_copy(self, case, phase):
+        spec, psi = case
+        plan = build_ite_plan_general(spec, psi, 0.05, -1)
+        out = apply_ite(plan, psi).amplitudes
+        turn = np.exp(1j * phase)
+        rotated = apply_ite(plan, StateVector(psi.n_qubits, turn * psi.amplitudes)).amplitudes
+        assert np.max(np.abs(rotated - turn * out)) < 1e-12
 
 
 class TestCompiledKernel:

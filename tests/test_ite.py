@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import loschmidt.ite as ite_module
+from loschmidt.config import ExperimentConfig
 from loschmidt.ite import (
     apply_ite,
     build_ite_plan_general,
@@ -10,6 +12,7 @@ from loschmidt.ite import (
     ite_angle,
 )
 from loschmidt.model import HamiltonianSpec, LocalTerm, SIGMA_X, dense_matrix, tfim
+from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.statevector import StateVector, product_state
 
 RNG = np.random.default_rng(99)
@@ -123,6 +126,11 @@ class TestTfimPlan:
         with pytest.raises(ValueError, match="different state"):
             apply_ite(plan, other)
 
+    def test_guard_rejects_other_qubit_count(self):
+        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), product_state(["up"] * 2), 0.1, 1)
+        with pytest.raises(ValueError, match="different state"):
+            apply_ite(plan, product_state(["up"] * 3))
+
 
 class TestGeneralPlan:
     def test_h_zero(self):
@@ -227,3 +235,36 @@ class TestGeneralPlan:
         psi = product_state(["up"] * 2)
         with pytest.raises(ValueError, match="sign"):
             build_ite_plan_tfim(tfim(2, 1, 0.5), psi, 0.1, 2)
+
+
+class TestLazyCompile:
+    @staticmethod
+    def _config(backend):
+        return ExperimentConfig(
+            spec=tfim(4, 1.0, 0.5), psi=product_state(["x+", "up", "y-", "down"]),
+            tau=0.05, h=0.05, t_max=0.2, ite_mode="general_bj", backend=backend,
+        )
+
+    def test_oracle_backend_compiles_no_ite_layers(self, monkeypatch):
+        def refuse(*_args):
+            raise RuntimeError("ITE layers compiled")
+
+        monkeypatch.setattr(ite_module, "compile_layers", refuse)
+        trace = run_phase_experiment(self._config("exact_oracle"))
+        assert np.all(np.isfinite(trace.phi))
+
+    def test_statevector_backend_compiles_both_plans(self, monkeypatch):
+        calls = []
+        original = ite_module.compile_layers
+
+        def counted(n_qubits, layers):
+            calls.append(len(layers))
+            return original(n_qubits, layers)
+
+        monkeypatch.setattr(ite_module, "compile_layers", counted)
+        run_phase_experiment(self._config("statevector_trotter"))
+        assert len(calls) == 2 and all(calls)
+
+    def test_compiled_once_per_plan(self):
+        plan = build_ite_plan_general(tfim(3, 1.0, 0.5), product_state(["x+", "up", "y-"]), 0.1, 1)
+        assert plan.compiled is plan.compiled

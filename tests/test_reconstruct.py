@@ -11,6 +11,7 @@ from loschmidt.model import (
     tfim,
 )
 from loschmidt.reconstruct import (
+    _P_FLOOR,
     correct_phase_jumps,
     detect_zeros,
     finite_difference_log,
@@ -156,6 +157,43 @@ class TestDetectZeros:
         # without shots the default 1e-3 misses it
         assert detect_zeros(self._trace(r)) == []
 
+    @staticmethod
+    def _reference_scan(r, threshold):
+        """The per-point scan for below-threshold runs, kept as the reference."""
+        below = r < threshold
+        crossings = []
+        k = 0
+        while k < len(r):
+            if below[k]:
+                end = k
+                while end + 1 < len(r) and below[end + 1]:
+                    end += 1
+                run = np.arange(k, end + 1)
+                dip = int(run[np.argmin(r[run])])
+                if 0 < dip < len(r) - 1 and r[dip] <= r[dip - 1] and r[dip] <= r[dip + 1]:
+                    crossings.append(dip)
+                k = end + 1
+            else:
+                k += 1
+        return crossings
+
+    @pytest.mark.parametrize("r", [
+        [0.5], [2.0], [0.5, 0.5], [0.5, 2.0], [2.0, 0.5], [2.0, 2.0],
+        [0.3, 0.2, 0.1, 0.4, 0.9, 0.8], [2.0, 3.0, 2.5, 4.0],
+        [0.1, 0.2, 2.0, 0.3, 0.2, 2.0, 0.4, 0.1], [2.0, 0.5, 0.5, 2.0, 0.7, 0.6],
+    ])
+    def test_equals_reference_scan_on_edge_cases(self, r):
+        r = np.asarray(r)
+        assert detect_zeros(self._trace(r), 1.0) == self._reference_scan(r, 1.0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_reference_scan_on_random_series(self, seed):
+        rng = np.random.default_rng(seed)
+        # coarse levels make ties, so the first-minimum and <= rules are hit
+        r = rng.integers(0, 6, size=int(rng.integers(1, 40))) / 5.0
+        threshold = float(rng.choice([0.1, 0.3, 0.5, 0.9, 1.1]))
+        assert detect_zeros(self._trace(r), threshold) == self._reference_scan(r, threshold)
+
     def test_critical_quench_has_crossings(self):
         n = 10
         spec = tfim(n, 1.0, 1.0)
@@ -240,6 +278,15 @@ class TestReconstructTrace:
         with pytest.raises(NumericsError, match="t = 0.1"):
             reconstruct_trace(t, np.ones(3), p, np.ones(3), 0.0, 0.0, 0.05,
                               zero_correction=False)
+
+    def test_floored_points_recorded(self):
+        t = np.arange(5) * 0.1
+        p_plus = np.array([1.0, 0.9, 0.0, 0.8, 0.7])
+        trace = reconstruct_trace(t, np.ones(5), p_plus, np.ones(5), 0.0, 0.0, 0.05)
+        assert trace.floored == [2]
+        assert trace.p_plus[2] == _P_FLOOR
+        clean = reconstruct_trace(t, np.ones(5), np.ones(5), np.ones(5), 0.0, 0.0, 0.05)
+        assert clean.floored == []
 
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 0.1, 0.3])
