@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trajectories (results are "
+                        help="worker threads for trajectory chunks (results are "
                              "independent of this setting)")
     parser.add_argument("--method", choices=["hadamard", "sequential"],
                         help="baseline method (baseline command only)")

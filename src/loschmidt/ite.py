@@ -43,7 +43,14 @@ import numpy as np
 
 from .exceptions import NumericsError
 from .model import HamiltonianSpec, SIGMA_X
-from .statevector import LocalGate, StateVector, apply_layer, compile_layers, pack_layers
+from .statevector import (
+    LocalGate,
+    StateVector,
+    apply_layer,
+    compile_layers,
+    pack_layers,
+    unitary_gates,
+)
 from .trotter import _exp_gates, _gates_in_term_order, _stacks_by_width
 
 #: tolerance on |<site-vector product|state>| = 1
@@ -149,7 +156,7 @@ def build_ite_plan_tfim(
         raise ValueError("requires computational-basis product state")
     bits = mags.argmax(axis=1).tolist()
     log_c = 0.0
-    gates: list[LocalGate] = []
+    sites, rotations = [], []
     for term in spec.terms:
         mat = term.matrix
         if np.max(np.abs(mat - np.diag(np.diagonal(mat)))) < 1e-12:
@@ -168,12 +175,14 @@ def build_ite_plan_tfim(
             else:
                 rot = np.array([[c, s], [-s, c]])
             if abs(theta) > 0:
-                gates.append(LocalGate((site,), rot))
+                sites.append((site,))
+                rotations.append(rot)
             continue
         raise ValueError(
             "requires a transverse-field Ising structure "
             "(diagonal bonds plus sigma^x site terms)"
         )
+    gates = unitary_gates(sites, np.reshape(rotations, (-1, 2, 2)))
     return ItePlan(sign, h, psi.n_qubits, gates, log_c, vecs, pack_layers(gates))
 
 

@@ -4,17 +4,33 @@ The depolarizing channel of rate gamma applies one of X, Y, Z (probability
 gamma/3 each) independently to every qubit after every circuit layer.  It is
 unraveled exactly by discrete Pauli insertion into Monte Carlo wavefunction
 trajectories; survival probabilities are the trajectory average of
-|<psi_final|state>|^2.  ``circuit_survivals`` runs one layered circuit,
-either noiseless or as one such trajectory, so the noiseless and the noisy
-backends share it.
+|<psi_final|state>|^2.  ``circuit_survivals`` runs one layered circuit on
+states held as the rows of one (B, 2^N) array, in place: noiselessly as one
+row, or as B trajectories with their own Paulis after every layer, so the
+noiseless and the noisy backends share it.  ``trajectory_survivals`` runs
+the trajectories through it in chunks of at most ``_CHUNK_AMPS``
+amplitudes.
 
-Determinism contract: the master seed is hashed once into a 64-bit stream
-base and trajectory k draws from a generator seeded with ``base XOR k``
-(hashing first keeps nearby master seeds statistically independent).  Every
-trajectory consumes a fixed number of random variates per layer regardless
-of which errors fire, and the average is a fixed-order reduction over the
-trajectory index, so results are bit-identical no matter how trajectories
-are dispatched.
+Determinism contract, stream version 2:
+
+* Trajectories.  The master seed is hashed once into a 64-bit stream base,
+  ``SeedSequence(master_seed).generate_state(1, uint64)[0]`` (hashing keeps
+  nearby master seeds statistically independent), and trajectory k draws
+  from ``default_rng(base XOR k)``.  On a circuit of L layers and N qubits
+  it draws once, before it runs: ``random((L, N)) < gamma`` marks the qubits
+  hit after each layer, then ``integers(0, 3, (L, N))`` picks their Paulis
+  (0 X, 1 Y, 2 Z).
+* Shots.  Each probability family (r, p+, p-) has one generator,
+  ``default_rng(SeedSequence(seed, spawn_key=(family,)))``, and one binomial
+  draw per grid point in grid order (``sample_shots`` on the whole series).
+
+The draws do not depend on which errors fire, on the chunking or on the
+thread that runs a chunk, and the average is a fixed-order reduction over
+the trajectory index, so results are bit-identical at any thread count.
+Version 1 drew 2N variates per trajectory and layer (``apply_noise_layer``)
+and one shot generator per grid point; noisy and shot-sampled outputs differ
+between the versions.  ``apply_noise_layer`` keeps its version 1 draws as
+the public one-state round of the channel.
 
 Rescaling mitigation divides a survival probability by (1-gamma)^(N*D), the
 probability that no error occurred anywhere in a depth-D circuit on N
@@ -28,7 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericsError
-from .statevector import StateVector, apply_layer
+from .statevector import StateVector
+from .statevector import apply_layer  # noqa: F401  (perfbench/tracer.py patches it here)
+
+#: Largest number of amplitudes one chunk of trajectories holds: a chunk is
+#: max(1, _CHUNK_AMPS // 2^N) trajectories (64 MiB of complex128).
+_CHUNK_AMPS = 1 << 22
 
 
 @dataclass
@@ -49,6 +70,26 @@ class NoiseConfig:
             raise ValueError("shots must be >= 1 when given")
 
 
+def _apply_errors(amps: np.ndarray, errors: np.ndarray) -> None:
+    """Apply the Paulis of a (B, N) error array (0 none, 1 X, 2 Y, 3 Z) to
+    the rows of a (B, 2^N) batch, in place."""
+    for qubit in np.flatnonzero(errors.any(axis=0)):
+        # axis 2 is the qubit's bit, as in the compiled gate kernel
+        view = amps.reshape(len(amps), -1, 2, 1 << int(qubit))
+        rows = np.flatnonzero(errors[:, qubit])
+        paulis = errors[rows, qubit]
+        flip = rows[paulis != 3]  # X and Y flip the qubit
+        if flip.size:
+            view[flip] = view[flip, :, ::-1]
+        ys = rows[paulis == 2]
+        if ys.size:
+            view[ys, :, 0] *= -1j  # was |1>, Y|1> = -i|0>
+            view[ys, :, 1] *= 1j
+        zs = rows[paulis == 3]
+        if zs.size:
+            view[zs, :, 1] *= -1
+
+
 def apply_noise_layer(state: StateVector, gamma: float, rng) -> StateVector:
     """One round of the depolarizing channel: per qubit, with probability
     gamma apply a uniformly chosen Pauli.
@@ -64,46 +105,58 @@ def apply_noise_layer(state: StateVector, gamma: float, rng) -> StateVector:
     if not np.any(hits):
         return state
     amps = state.amplitudes.copy()
-    for qubit in np.nonzero(hits)[0]:
-        # axis 1 is the qubit's bit, as in the compiled gate kernel
-        view = amps.reshape(-1, 2, 1 << int(qubit))
-        pick = picks[qubit]
-        if pick != 2:  # X and Y flip the qubit
-            view[:] = view[:, ::-1].copy()
-        if pick == 1:
-            view[:, 0] *= -1j  # was |1>, Y|1> = -i|0>
-            view[:, 1] *= 1j
-        elif pick == 2:
-            view[:, 1] *= -1
+    _apply_errors(amps[None], np.where(hits, picks + 1, 0)[None])
     return StateVector(n, amps)
 
 
+def _draw_errors(rng, n_layers: int, n_qubits: int, gamma: float) -> np.ndarray:
+    """One trajectory's Paulis on a circuit of ``n_layers`` layers, drawn at
+    once (stream version 2): an (n_layers, n_qubits) int8 array, 0 where no
+    error fires, else 1 X, 2 Y, 3 Z."""
+    hits = rng.random((n_layers, n_qubits)) < gamma
+    picks = rng.integers(0, 3, (n_layers, n_qubits))
+    return np.where(hits, picks + 1, 0).astype(np.int8)
+
+
 def circuit_survivals(
-    state: StateVector, layers, record_after, psi_final: StateVector, gamma=0.0, rng=None
+    state: StateVector, layers, record_after, psi_final: StateVector, errors=None
 ) -> np.ndarray:
-    """|<psi_final|state>|^2 of a layered circuit at its record points.
+    """|<psi_final|row>|^2 of a layered circuit at its record points, one
+    row of the result per trajectory.
 
     ``layers`` are compiled layers (``compile_layers``); ``record_after``
     lists ascending layer counts (0 <= k <= len(layers)) after which the
-    overlap is recorded, so an entry 0 records the bare initial state.  With
-    ``rng`` a depolarizing layer of rate ``gamma`` follows every circuit
-    layer, which makes the run one Monte Carlo trajectory; without it the
-    circuit is noiseless.
+    overlap is recorded, so an entry 0 records the bare initial state.
+    ``errors`` is a (B, len(layers), N) array of the Paulis that act after
+    each layer of B trajectories (0 none, 1 X, 2 Y, 3 Z).  All B rows start
+    as ``state`` and run in place in one (B, 2^N) buffer.  Without
+    ``errors`` the circuit runs noiselessly as one row.  Returns a
+    (B, len(record_after)) array.
     """
     if any(k < 0 or k > len(layers) for k in record_after):
         raise ValueError("record_after entries must lie within the layer range")
+    n_rows = 1 if errors is None else len(errors)
+    amps = np.empty((n_rows, len(state.amplitudes)), dtype=complex)
+    amps[:] = state.amplitudes
+    fired = [False] * len(layers) if errors is None else errors.any(axis=(0, 2)).tolist()
     final = psi_final.amplitudes
-    out = np.empty(len(record_after))
+    out = np.empty((n_rows, len(record_after)))
+
+    def record(column):
+        for row in range(n_rows):
+            out[row, column] = abs(np.vdot(final, amps[row])) ** 2
+
     pointer = 0
     for k, layer in enumerate(layers):
         while pointer < len(record_after) and record_after[pointer] == k:
-            out[pointer] = abs(np.vdot(final, state.amplitudes)) ** 2
+            record(pointer)
             pointer += 1
-        state = apply_layer(state, layer)
-        if rng is not None:
-            state = apply_noise_layer(state, gamma, rng)
+        for op in layer:
+            op.apply(amps)
+        if fired[k]:
+            _apply_errors(amps, errors[:, k])
     while pointer < len(record_after):
-        out[pointer] = abs(np.vdot(final, state.amplitudes)) ** 2
+        record(pointer)
         pointer += 1
     return out
 
@@ -118,33 +171,54 @@ def trajectory_survivals(
 ) -> np.ndarray:
     """Trajectory-averaged survival probabilities of a layered circuit.
 
-    Each trajectory is one ``circuit_survivals`` run with noise after every
-    layer.  Returns the average over ``noise.n_trajectories`` trajectories
-    for each recording point; the result does not depend on ``threads``
-    (pre-assigned streams, fixed-order reduction).
+    The trajectories run in chunks of max(1, ``_CHUNK_AMPS`` // 2^N) rows
+    of ``circuit_survivals``, each chunk with its trajectories' version 2
+    draws.  With ``threads`` > 1 a thread pool runs the chunks, so threads
+    help only when there is more than one chunk.  Returns the average over
+    ``noise.n_trajectories`` trajectories for each recording point; the
+    result does not depend on ``threads`` or on the chunk size (pre-assigned
+    streams, fixed-order reduction).
     """
     record_after = list(record_after)
+    n_qubits, n_layers = psi_init.n_qubits, len(layers)
     base = np.random.SeedSequence(noise.master_seed).generate_state(1, np.uint64)[0]
+    size = max(1, _CHUNK_AMPS >> n_qubits)
+    chunks = [
+        range(start, min(start + size, noise.n_trajectories))
+        for start in range(0, noise.n_trajectories, size)
+    ]
 
-    def trajectory(traj: int) -> np.ndarray:
-        rng = np.random.default_rng(base ^ np.uint64(traj))
-        return circuit_survivals(psi_init, layers, record_after, psi_final, noise.gamma, rng)
+    def run(chunk: range) -> np.ndarray:
+        errors = np.empty((len(chunk), n_layers, n_qubits), dtype=np.int8)
+        for row, traj in enumerate(chunk):
+            rng = np.random.default_rng(base ^ np.uint64(traj))
+            errors[row] = _draw_errors(rng, n_layers, n_qubits, noise.gamma)
+        return circuit_survivals(psi_init, layers, record_after, psi_final, errors)
 
-    if threads > 1:
+    if threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(trajectory, range(noise.n_trajectories)))
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            parts = list(pool.map(run, chunks))
     else:
-        rows = [trajectory(traj) for traj in range(noise.n_trajectories)]
-    return np.array(rows).mean(axis=0)
+        parts = [run(chunk) for chunk in chunks]
+    return np.concatenate(parts).mean(axis=0)
 
 
-def sample_shots(p: float, shots: int, rng) -> float:
-    """Finite-measurement estimate of a probability: binomial(M, p)/M."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return float(rng.binomial(shots, p)) / shots
+def sample_shots(p, shots: int, rng):
+    """Finite-measurement estimate of a probability: binomial(M, p)/M.
+
+    ``p`` is one probability (returns a float) or an array of them (returns
+    an array, one binomial draw per entry in order).
+    """
+    values = np.asarray(p, dtype=float)
+    # written so that nan fails
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"probability {values[outside].flat[0]} outside [0, 1]")
+    if values.ndim == 0:
+        return float(rng.binomial(shots, p)) / shots
+    return rng.binomial(shots, values) / shots
 
 
 def mitigate_rescale(

@@ -321,16 +321,11 @@ def reconstruct_trace(
     return trace
 
 
-def _shot_rng(seed: int, family: int, index: int):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(family, index)))
-
-
 def _sample_series(p, shots, seed, family) -> np.ndarray:
-    out = np.empty_like(p)
-    for k, value in enumerate(p):
-        clamped = min(max(float(value), 0.0), 1.0)
-        out[k] = sample_shots(clamped, shots, _shot_rng(seed, family, k))
-    return out
+    """Shot-sampled copy of one family's series, from the family's own
+    generator (stream version 2, see ``loschmidt.noise``)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(family,)))
+    return sample_shots(np.clip(p, 0.0, 1.0), shots, rng)
 
 
 def run_phase_experiment(config) -> PhaseTrace:
@@ -343,15 +338,17 @@ def run_phase_experiment(config) -> PhaseTrace:
       the recorded probabilities match what an experiment would see),
     * ``statevector_trotter`` — one circuit per family (r: the Trotter
       steps; p+-: the ITE plan's layers, then the same steps), each run once
-      through ``circuit_survivals`` with exact overlap probabilities,
+      through ``circuit_survivals`` as one row, with exact overlap
+      probabilities,
     * ``noisy`` — the same circuits as depolarizing trajectories
       (``trajectory_survivals``), then rescaling mitigation at each record
       point's layer depth.
 
     Shots and their seed come from the noise block on ``noisy`` and from
-    ``config.shots``/``config.seed`` otherwise; each family is sampled with
-    its own spawn key.  The ITE plans are built from ``config.psi`` in
-    this function, so their layers run without ``apply_ite``'s state check.
+    ``config.shots``/``config.seed`` otherwise; each family is sampled from
+    its own generator, with its own spawn key.  The ITE plans are built from
+    ``config.psi`` in this function, so their layers run without
+    ``apply_ite``'s state check.
     """
     spec = config.spec
     psi = config.psi
@@ -418,7 +415,7 @@ def run_phase_experiment(config) -> PhaseTrace:
                 for layers, record in circuits
             ]
         else:
-            series = [circuit_survivals(psi, layers, record, bra) for layers, record in circuits]
+            series = [circuit_survivals(psi, layers, record, bra)[0] for layers, record in circuits]
     else:
         raise ConfigError(f"unknown backend {config.backend!r}")
 

@@ -19,9 +19,14 @@ into blocks of at most ``_FUSE_SITES`` adjacent sites, each one matrix
 applied along axis 1 of the amplitudes viewed as
 ``(2^(N-lo-w), 2^w, 2^lo)``, without transposes.
 
-Every operation returns a new state and never mutates its inputs.  Results
-are deterministic for a fixed input regardless of how callers dispatch
-work.
+An op acts on any C-contiguous array whose last axis holds 2^N amplitudes:
+a single state of shape ``(2^N,)`` or a batch of states as the rows of a
+``(B, 2^N)`` array, which the Monte Carlo trajectories use.  Each row gets
+the same arithmetic as a lone state.
+
+Every operation on a ``StateVector`` returns a new state and never mutates
+its inputs; ops mutate the array they are given.  Results are deterministic
+for a fixed input regardless of how callers dispatch work.
 """
 
 from __future__ import annotations
@@ -98,11 +103,27 @@ class LocalGate:
         if mat.shape != (dim, dim):
             raise ValueError(f"gate matrix shape {mat.shape} does not match support {support}")
         if self.unitary:
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-            if dev > _ATOL_UNITARY:
-                raise ValueError(f"matrix flagged unitary deviates from unitarity by {dev:.2e}")
+            _check_unitary(mat)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "matrix", mat)
+
+
+def _check_unitary(mats: np.ndarray) -> None:
+    """Raise unless every matrix of a stack (or one matrix) is unitary."""
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    dev = np.max(np.abs(gram - np.eye(mats.shape[-1])), initial=0.0)
+    if dev > _ATOL_UNITARY:
+        raise ValueError(f"matrix flagged unitary deviates from unitarity by {dev:.2e}")
+
+
+def unitary_gates(supports, mats: np.ndarray) -> list[LocalGate]:
+    """One ``LocalGate`` per support from a stack of matrices, with one
+    batched unitarity check for the stack in place of one per gate."""
+    _check_unitary(mats)
+    gates = [LocalGate(support, mat, unitary=False) for support, mat in zip(supports, mats)]
+    for gate in gates:
+        object.__setattr__(gate, "unitary", True)  # checked as a stack above
+    return gates
 
 
 def _resolve_orientation(spec) -> np.ndarray:
@@ -218,7 +239,8 @@ def pack_layers(gates, ordered: bool = False) -> list[list[LocalGate]]:
 
 @dataclass(frozen=True, eq=False)
 class PhaseOp:
-    """A folded all-diagonal layer: multiply by the full 2^N diagonal."""
+    """A folded all-diagonal layer: multiply by the full 2^N diagonal (of
+    every row, for a batch)."""
 
     phase: np.ndarray
 
@@ -231,14 +253,17 @@ class BlockOp:
     """A matrix on the adjacent sites lo..lo+w-1, site lo as its LSB.
 
     ``shape`` is ``(2^(N-lo-w), 2^w)`` for lo = 0, where the op is one GEMM
-    on contiguous rows, and ``(2^(N-lo-w), 2^w, 2^lo)`` otherwise.
+    on contiguous rows, and ``(2^(N-lo-w), 2^w, 2^lo)`` otherwise.  A batch
+    is viewed as a stack of B such arrays, so every row gets the matmul a
+    lone state gets.  One flat GEMM over the batch would not match it bit
+    for bit: numpy hands a one-row product to GEMV.
     """
 
     shape: tuple[int, ...]
     matrix: np.ndarray
 
     def apply(self, amps: np.ndarray) -> None:
-        view = amps.reshape(self.shape)
+        view = amps.reshape((-1,) + self.shape)
         if len(self.shape) == 2:
             np.matmul(view, self.matrix.T, out=view)
         else:

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import HamiltonianSpec
-from .statevector import LocalGate, StateVector, apply_layer, compile_layers, pack_layers
+from .statevector import (
+    LocalGate,
+    StateVector,
+    apply_layer,
+    compile_layers,
+    pack_layers,
+    unitary_gates,
+)
 
 #: coefficient of the Suzuki order-4 recursion U2(a t)^2 U2((1-4a) t) U2(a t)^2
 _SUZUKI_A = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
@@ -49,13 +56,13 @@ def _stacks_by_width(terms):
 
 def _gates_in_term_order(terms, parts) -> list[LocalGate]:
     """LocalGates on the terms' supports from (term indices, gate stack)
-    parts, in term order; gates that equal the identity are dropped."""
+    parts, in term order; gates that equal the identity are dropped.  The
+    kept gates of a stack are checked for unitarity together."""
     gates = {}
     for idx, stack in parts:
         identity = np.max(np.abs(stack - np.eye(stack.shape[-1])), axis=(1, 2)) < _IDENTITY_ATOL
-        for k, gate, drop in zip(idx, stack, identity):
-            if not drop:
-                gates[k] = LocalGate(terms[k].support, gate)
+        kept = [k for k, drop in zip(idx, identity) if not drop]
+        gates.update(zip(kept, unitary_gates([terms[k].support for k in kept], stack[~identity])))
     return [gates[k] for k in sorted(gates)]
 
 

@@ -357,14 +357,16 @@ class TestPlanCensus:
 
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_noise_draws_once_per_physical_layer(self, monkeypatch, order):
+        # every trajectory draws its Paulis once per circuit, one noise
+        # round per physical layer
         calls = []
-        original = noise_module.apply_noise_layer
+        original = noise_module._draw_errors
 
-        def counted(state, gamma, rng):
-            calls.append(1)
-            return original(state, gamma, rng)
+        def counted(rng, n_layers, n_qubits, gamma):
+            calls.extend([1] * n_layers)
+            return original(rng, n_layers, n_qubits, gamma)
 
-        monkeypatch.setattr(noise_module, "apply_noise_layer", counted)
+        monkeypatch.setattr(noise_module, "_draw_errors", counted)
         spec, psi = tfim(3, 1.0, 0.5), product_state(["up"] * 3)
         n_traj, tau, t_max = 2, 0.1, 0.2
         run_phase_experiment(ExperimentConfig(

@@ -1,25 +1,37 @@
 """Tests for depolarizing trajectories, shot sampling and mitigation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loschmidt.noise as noise_module
 from loschmidt.exceptions import NumericsError
 from loschmidt.noise import (
     NoiseConfig,
     apply_noise_layer,
+    circuit_survivals,
     mitigate_rescale,
     sample_shots,
     statistical_error_model,
     trajectory_survivals,
 )
-from loschmidt.model import SIGMA_X, SIGMA_Y, SIGMA_Z
+from loschmidt.model import SIGMA_X, SIGMA_Y, SIGMA_Z, tfim
 from loschmidt.statevector import (
     LocalGate,
     StateVector,
+    apply_layer,
     apply_matrix,
     compile_layers,
     product_state,
 )
+from loschmidt.trotter import build_plan
+from test_compiled_plans import SEEDS, _random_state, chains
+
+PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def sigma_z_mean(state):
@@ -155,6 +167,110 @@ class TestRunNoisyProbability:
             trajectory_survivals(psi, [[]], [2], psi, noise)
 
 
+def stream_base(master_seed):
+    return np.random.SeedSequence(master_seed).generate_state(1, np.uint64)[0]
+
+
+def reference_trajectory(psi, layers, record_after, bra, gamma, rng):
+    """One stream version 2 trajectory, one state at a time.
+
+    Draws random((L, N)) < gamma, then integers(0, 3, (L, N)); after layer
+    l the Pauli picks[l, q] acts on every hit qubit q through
+    ``apply_matrix``.  Returns the survivals at the record points and the
+    draws as ``circuit_survivals`` takes them (0 none, 1 X, 2 Y, 3 Z).
+    """
+    n_layers, n = len(layers), psi.n_qubits
+    hits = rng.random((n_layers, n)) < gamma
+    picks = rng.integers(0, 3, (n_layers, n))
+    state, out = psi, []
+    for k in range(n_layers + 1):
+        out += [abs(np.vdot(bra.amplitudes, state.amplitudes)) ** 2] * record_after.count(k)
+        if k < n_layers:
+            state = apply_layer(state, layers[k])
+            for q in np.flatnonzero(hits[k]):
+                state = apply_matrix(state, PAULIS[picks[k, q]], [q])
+    return np.array(out), np.where(hits, picks + 1, 0)
+
+
+@st.composite
+def noisy_circuits(draw):
+    """Two Trotter steps of a random chain on N <= 6 sites, random initial
+    and final states, and ascending record points (every layer count, or a
+    few with repeats)."""
+    spec = draw(chains(max_sites=6))
+    rng = np.random.default_rng(draw(SEEDS))
+    layers = build_plan(spec, 0.1, 0.1, draw(st.sampled_from([1, 2]))).compiled * 2
+    record = list(range(len(layers) + 1))
+    if draw(st.booleans()):
+        record = sorted(draw(st.lists(st.integers(0, len(layers)), min_size=1, max_size=4)))
+    psi, bra = (_random_state(rng, spec.n_sites, draw(st.booleans())) for _ in range(2))
+    return psi, layers, record, bra
+
+
+class TestBatchedTrajectories:
+    @PROPERTY
+    @given(circuit=noisy_circuits(), gamma=st.sampled_from([0.1, 0.5]),
+           n_traj=st.integers(1, 9), seed=SEEDS)
+    def test_rows_match_reference_loop(self, circuit, gamma, n_traj, seed):
+        psi, layers, record, bra = circuit
+        base = stream_base(seed)
+        refs = [
+            reference_trajectory(psi, layers, record, bra, gamma,
+                                 np.random.default_rng(base ^ np.uint64(k)))
+            for k in range(n_traj)
+        ]
+        rows = np.array([survivals for survivals, _ in refs])
+        errors = np.array([drawn for _, drawn in refs])
+        batched = circuit_survivals(psi, layers, record, bra, errors)
+        assert batched.tobytes() == rows.tobytes()
+        noise = NoiseConfig(gamma=gamma, n_trajectories=n_traj, master_seed=seed)
+        mean = trajectory_survivals(psi, layers, record, bra, noise)
+        assert mean.tobytes() == rows.mean(axis=0).tobytes()
+
+    def test_chunk_size_does_not_change_output(self, monkeypatch):
+        # at N = 4 one block spans the state, the case numpy runs as GEMV
+        n = 4
+        psi = product_state(["x+", "up", "y-", "down"])
+        layers = build_plan(tfim(n, 1.0, 0.5), 0.1, 0.1, 2).compiled * 2
+        noise = NoiseConfig(gamma=0.1, n_trajectories=1000, master_seed=5)
+        outputs = set()
+        for rows, threads in ((1, 1), (7, 1), (7, 2), (1000, 1)):
+            monkeypatch.setattr(noise_module, "_CHUNK_AMPS", rows << n)
+            out = trajectory_survivals(psi, layers, [0, 3, len(layers)], psi, noise, threads)
+            outputs.add(out.tobytes())
+        assert len(outputs) == 1
+
+    def test_memory_bounded_by_chunk(self, monkeypatch):
+        n, n_traj, rows = 8, 1000, 64
+        monkeypatch.setattr(noise_module, "_CHUNK_AMPS", rows << n)
+        psi = product_state(["up"] * n)
+        layers = build_plan(tfim(n, 1.0, 0.5), 0.3, 0.3, 1).compiled * 5
+        record = list(range(0, len(layers) + 1, 5))
+        noise = NoiseConfig(gamma=3e-3, n_trajectories=n_traj, master_seed=9)
+        tracemalloc.start()
+        try:
+            trajectory_survivals(psi, layers, record, psi, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk's buffer and the temporary of an in-place matmul, its
+        # int8 draws, the per-trajectory rows and their concatenation; all
+        # 1000 trajectories in one buffer would take 8 MB
+        chunk = 2 * 16 * (rows << n)
+        draws = rows * len(layers) * n
+        results = 2 * 8 * n_traj * len(record)
+        assert peak <= chunk + draws + results + 64 * 1024
+
+    def test_gamma_zero_rows_equal_noiseless_run(self):
+        psi = product_state(["x+", "up", "down"])
+        layers = build_plan(tfim(3, 1.0, 0.5), 0.1, 0.1, 2).compiled * 3
+        record = [0, 5, len(layers)]
+        noiseless = circuit_survivals(psi, layers, record, psi)
+        batched = circuit_survivals(psi, layers, record, psi, np.zeros((4, len(layers), 3)))
+        assert noiseless.shape == (1, 3)
+        assert batched.tobytes() == np.repeat(noiseless, 4, axis=0).tobytes()
+
+
 class TestSampleShots:
     def test_certain_outcomes(self):
         rng = np.random.default_rng(0)
@@ -173,6 +289,19 @@ class TestSampleShots:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             sample_shots(1.2, 10, np.random.default_rng(0))
+
+    def test_array_draws_each_entry_in_order(self):
+        p = np.array([0.1, 0.5, 0.0, 1.0, 0.33])
+        rng = np.random.default_rng(5)
+        one_by_one = [sample_shots(float(x), 1000, rng) for x in p]
+        whole = sample_shots(p, 1000, np.random.default_rng(5))
+        assert isinstance(whole, np.ndarray) and whole.tobytes() == np.array(one_by_one).tobytes()
+        assert isinstance(sample_shots(0.5, 1000, rng), float)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.2, np.nan])
+    def test_array_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            sample_shots(np.array([0.5, bad]), 10, np.random.default_rng(0))
 
 
 class TestMitigateRescale:

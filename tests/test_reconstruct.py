@@ -368,6 +368,22 @@ class TestRunPhaseExperiment:
         assert np.array_equal(a.p_plus, b.p_plus)
         assert np.array_equal(a.phi, b.phi)
 
+    def test_shots_follow_stream_version_2(self):
+        # one generator per family, one binomial draw per grid point in order
+        from loschmidt.noise import sample_shots
+
+        kwargs = dict(spec=tfim(4, 1.0, 0.5), psi=product_state(["up"] * 4),
+                      tau=0.05, h=0.05, t_max=0.5)
+        exact = run_phase_experiment(ExperimentConfig(**kwargs))
+        sampled = run_phase_experiment(ExperimentConfig(shots=500, seed=42, **kwargs))
+        for family, name in ((1, "p_plus"), (2, "p_minus")):
+            rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(family,)))
+            expected = sample_shots(getattr(exact, name), 500, rng)
+            assert getattr(sampled, name).tobytes() == expected.tobytes()
+        rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(0,)))
+        expected_r = np.sqrt(sample_shots(np.clip(exact.r**2, 0.0, 1.0), 500, rng))
+        assert sampled.r.tobytes() == expected_r.tobytes()
+
     @pytest.mark.parametrize("family, name", [(1, "p_plus"), (2, "p_minus")])
     def test_unphysical_sampled_probability_raises(self, monkeypatch, family, name):
         # sampling keeps probabilities in [0, 1]; a series pushed outside

@@ -5,7 +5,7 @@ import pytest
 
 from loschmidt.model import dense_matrix, tfim
 from loschmidt.statevector import StateVector, product_state
-from loschmidt.trotter import TrotterPlan, build_plan, evolve
+from loschmidt.trotter import TrotterPlan, _gates_in_term_order, build_plan, evolve
 
 RNG = np.random.default_rng(31)
 
@@ -75,6 +75,19 @@ class TestBuildPlan:
             for layer in plan.step_layers:
                 sites = [s for g in layer for s in g.support]
                 assert len(sites) == len(set(sites))
+
+
+    def test_gate_stack_checked_for_unitarity(self):
+        spec = tfim(3, 1.0, 0.5)
+        plan = build_plan(spec, 0.1, 0.1, 1)
+        assert all(g.unitary for layer in plan.step_layers for g in layer)
+        stack = np.stack([np.eye(2), np.diag([1.0, 1j]), np.diag([1.0, 1.001])]).astype(complex)
+        with pytest.raises(ValueError, match="deviates from unitarity by 2.00e-03"):
+            _gates_in_term_order(spec.terms, [([2, 3, 4], stack)])
+        # the identity is dropped, the rest keep term order
+        gates = _gates_in_term_order(spec.terms, [([4, 3], stack[:2])])
+        assert [g.support for g in gates] == [spec.terms[3].support]
+        assert np.array_equal(gates[0].matrix, stack[1])
 
 
 class TestEvolve:
