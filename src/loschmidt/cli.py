@@ -422,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trajectory chunks (results are "
-                             "independent of this setting)")
+                        help="accepted and ignored: trajectory chunks run "
+                             "serially, so results do not depend on it")
     parser.add_argument("--method", choices=["hadamard", "sequential"],
                         help="baseline method (baseline command only)")
     return parser

@@ -8,8 +8,8 @@ trajectories; survival probabilities are the trajectory average of
 states held as the rows of one (B, 2^N) array, in place: noiselessly as one
 row, or as B trajectories with their own Paulis after every layer, so the
 noiseless and the noisy backends share it.  ``trajectory_survivals`` runs
-the trajectories through it in chunks of at most ``_CHUNK_AMPS``
-amplitudes.
+the trajectories through it one chunk of at most ``_CHUNK_AMPS`` amplitudes
+after another.
 
 Determinism contract, stream version 2:
 
@@ -24,9 +24,9 @@ Determinism contract, stream version 2:
   ``default_rng(SeedSequence(seed, spawn_key=(family,)))``, and one binomial
   draw per grid point in grid order (``sample_shots`` on the whole series).
 
-The draws do not depend on which errors fire, on the chunking or on the
-thread that runs a chunk, and the average is a fixed-order reduction over
-the trajectory index, so results are bit-identical at any thread count.
+The draws do not depend on which errors fire or on the chunking, and the
+average is a fixed-order reduction over the trajectory index, so results
+are bit-identical at any chunk size.
 Version 1 drew 2N variates per trajectory and layer (``apply_noise_layer``)
 and one shot generator per grid point; noisy and shot-sampled outputs differ
 between the versions.  ``apply_noise_layer`` keeps its version 1 draws as
@@ -45,11 +45,19 @@ import numpy as np
 
 from .exceptions import NumericsError
 from .statevector import StateVector
-from .statevector import apply_layer  # noqa: F401  (perfbench/tracer.py patches it here)
+# perfbench/tracer.py counts gates and noise rounds by patching
+# ``apply_layer`` here and ``apply_noise_layer`` below.  The batched runner
+# calls neither, so on noisy runs its statevector.gates,
+# statevector.bytes_computed, noise.noise_layers and noise.fire_ratio read 0.
+from .statevector import apply_layer  # noqa: F401
 
-#: Largest number of amplitudes one chunk of trajectories holds: a chunk is
-#: max(1, _CHUNK_AMPS // 2^N) trajectories (64 MiB of complex128).
-_CHUNK_AMPS = 1 << 22
+#: Amplitudes in one chunk of trajectories: a chunk is
+#: max(1, _CHUNK_AMPS // 2^N) trajectories.  A chunk's buffer and the input
+#: copy numpy makes for an in-place block matmul peak at 2 * _CHUNK_AMPS
+#: amplitudes (2 MiB).  At N = 8, 11 and 14 with 1000 trajectories, chunks
+#: of 2^14 to 2^18 amplitudes ran equally fast; 2^20 and 2^22 ran slower at
+#: N = 14.
+_CHUNK_AMPS = 1 << 16
 
 
 @dataclass
@@ -171,37 +179,26 @@ def trajectory_survivals(
 ) -> np.ndarray:
     """Trajectory-averaged survival probabilities of a layered circuit.
 
-    The trajectories run in chunks of max(1, ``_CHUNK_AMPS`` // 2^N) rows
-    of ``circuit_survivals``, each chunk with its trajectories' version 2
-    draws.  With ``threads`` > 1 a thread pool runs the chunks, so threads
-    help only when there is more than one chunk.  Returns the average over
+    The trajectories run one chunk after another, each chunk as
+    max(1, ``_CHUNK_AMPS`` // 2^N) rows of ``circuit_survivals`` with its
+    trajectories' version 2 draws.  Returns the average over
     ``noise.n_trajectories`` trajectories for each recording point; the
-    result does not depend on ``threads`` or on the chunk size (pre-assigned
-    streams, fixed-order reduction).
+    result does not depend on the chunk size (pre-assigned streams,
+    fixed-order reduction).  ``threads`` is accepted and ignored: the
+    chunks run serially, so memory stays at one chunk.
     """
     record_after = list(record_after)
     n_qubits, n_layers = psi_init.n_qubits, len(layers)
     base = np.random.SeedSequence(noise.master_seed).generate_state(1, np.uint64)[0]
     size = max(1, _CHUNK_AMPS >> n_qubits)
-    chunks = [
-        range(start, min(start + size, noise.n_trajectories))
-        for start in range(0, noise.n_trajectories, size)
-    ]
-
-    def run(chunk: range) -> np.ndarray:
+    parts = []
+    for start in range(0, noise.n_trajectories, size):
+        chunk = range(start, min(start + size, noise.n_trajectories))
         errors = np.empty((len(chunk), n_layers, n_qubits), dtype=np.int8)
         for row, traj in enumerate(chunk):
             rng = np.random.default_rng(base ^ np.uint64(traj))
             errors[row] = _draw_errors(rng, n_layers, n_qubits, noise.gamma)
-        return circuit_survivals(psi_init, layers, record_after, psi_final, errors)
-
-    if threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(chunk) for chunk in chunks]
+        parts.append(circuit_survivals(psi_init, layers, record_after, psi_final, errors))
     return np.concatenate(parts).mean(axis=0)
 
 

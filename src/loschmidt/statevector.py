@@ -117,13 +117,11 @@ def _check_unitary(mats: np.ndarray) -> None:
 
 
 def unitary_gates(supports, mats: np.ndarray) -> list[LocalGate]:
-    """One ``LocalGate`` per support from a stack of matrices, with one
-    batched unitarity check for the stack in place of one per gate."""
+    """One ``LocalGate`` per support from a stack of matrices.  The stack
+    gets one batched unitarity check, so its gates are built with
+    ``unitary=False`` and skip their own."""
     _check_unitary(mats)
-    gates = [LocalGate(support, mat, unitary=False) for support, mat in zip(supports, mats)]
-    for gate in gates:
-        object.__setattr__(gate, "unitary", True)  # checked as a stack above
-    return gates
+    return [LocalGate(support, mat, unitary=False) for support, mat in zip(supports, mats)]
 
 
 def _resolve_orientation(spec) -> np.ndarray:

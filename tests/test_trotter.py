@@ -79,8 +79,6 @@ class TestBuildPlan:
 
     def test_gate_stack_checked_for_unitarity(self):
         spec = tfim(3, 1.0, 0.5)
-        plan = build_plan(spec, 0.1, 0.1, 1)
-        assert all(g.unitary for layer in plan.step_layers for g in layer)
         stack = np.stack([np.eye(2), np.diag([1.0, 1j]), np.diag([1.0, 1.001])]).astype(complex)
         with pytest.raises(ValueError, match="deviates from unitarity by 2.00e-03"):
             _gates_in_term_order(spec.terms, [([2, 3, 4], stack)])
