@@ -4,14 +4,16 @@
 (N+1)-qubit register applies Hadamard, optionally S^dag, the Trotterized
 evolution controlled on the ancilla, Hadamard again, and measures the
 ancilla; 2 p0 - 1 estimates Re G(t) (or Im G(t) with the S^dag branch).
-Controlled gates are realized directly as (k+1)-qubit block matrices; the
-swap-network overhead of running them on hardware enters only the cost
-calculator.
+With the ancilla as the most significant qubit the register is two halves,
+and the controlled evolution is the compiled Trotter plan run on the
+ancilla-1 half alone; the swap-network overhead of running it on hardware
+enters only the cost calculator.
 
 ``sequential_interferometry`` transfers a known reference phase through a
 chain of product states differing by single spin flips, interfering each
-consecutive pair in superposition states (|psi_i> + e^{i theta}|psi_j>)/sqrt(2)
-prepared directly in the statevector.  Two theta values per pair fix the
+consecutive pair in superposition states (|psi_i> + e^{i theta}|psi_j>)/sqrt(2).
+Each chain state is evolved once; by linearity the evolved superposition is
+the same combination of the evolved pair.  Two theta values per pair fix the
 unknown cosine phase.
 
 ``resource_cost`` evaluates the circuit-depth and measurement-count scaling
@@ -27,7 +29,8 @@ import numpy as np
 
 from .exceptions import NumericsError
 from .model import HamiltonianSpec
-from .statevector import StateVector, apply_matrix, inner_product
+from .noise import sample_shots
+from .statevector import StateVector, inner_product
 from .trotter import build_plan, evolve
 
 
@@ -80,25 +83,6 @@ def resource_cost(inp: CostInput) -> CostEstimate:
     return CostEstimate(depth=float(depth), measurements=float(meas))
 
 
-def _controlled(matrix: np.ndarray) -> np.ndarray:
-    """Block matrix applying ``matrix`` when the control (highest local bit)
-    is set."""
-    dim = matrix.shape[0]
-    out = np.eye(2 * dim, dtype=complex)
-    out[dim:, dim:] = matrix
-    return out
-
-
-def _ancilla_probability_zero(state: StateVector, ancilla: int) -> float:
-    probs = np.abs(state.amplitudes.reshape(-1)) ** 2
-    mask = (np.arange(len(probs)) >> ancilla) & 1
-    return float(np.sum(probs[mask == 0]))
-
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S_DAGGER = np.array([[1, 0], [0, -1j]], dtype=complex)
-
-
 def hadamard_test(
     spec: HamiltonianSpec,
     psi: StateVector,
@@ -116,26 +100,16 @@ def hadamard_test(
     """
     if part not in ("real", "imag"):
         raise ValueError("part must be 'real' or 'imag'")
-    n = spec.n_sites
-    ancilla = n
-    full = StateVector(n + 1, np.kron(np.array([1.0, 0.0], dtype=complex), psi.amplitudes))
-    full = apply_matrix(full, _HADAMARD, (ancilla,))
-    if part == "imag":
-        full = apply_matrix(full, _S_DAGGER, (ancilla,))
-    plan = build_plan(spec, t, tau, order)
-    for _ in range(plan.n_steps):
-        for layer in plan.step_layers:
-            for gate in layer:
-                full = apply_matrix(
-                    full, _controlled(gate.matrix), (*gate.support, ancilla)
-                )
-    full = apply_matrix(full, _HADAMARD, (ancilla,))
-    p_zero = _ancilla_probability_zero(full, ancilla)
-    if shots is not None:
-        if rng is None:
-            rng = np.random.default_rng()
-        p_zero = rng.binomial(shots, min(max(p_zero, 0.0), 1.0)) / shots
-    return 2.0 * p_zero - 1.0
+    # after the first Hadamard both halves of the register hold psi/sqrt(2);
+    # S^dag and the controlled evolution act on the ancilla-1 half only
+    half = psi.amplitudes / np.sqrt(2)
+    branch = StateVector(psi.n_qubits, -1j * half if part == "imag" else half)
+    evolved = evolve(branch, build_plan(spec, t, tau, order)).amplitudes
+    # the last Hadamard leaves (a0 + a1)/sqrt(2) on the ancilla-0 half
+    p_zero = float(np.linalg.norm(half + evolved) ** 2) / 2
+    if shots is not None and rng is None:
+        rng = np.random.default_rng()
+    return 2.0 * _estimate(p_zero, shots, rng) - 1.0
 
 
 @dataclass
@@ -154,9 +128,11 @@ def _survival(bra: StateVector, ket: StateVector) -> float:
 
 
 def _estimate(p: float, shots, rng) -> float:
+    """``p`` itself without shots, else its shot estimate (clipped to [0, 1]
+    first, since exact probabilities carry rounding error)."""
     if shots is None:
         return p
-    return rng.binomial(shots, min(max(p, 0.0), 1.0)) / shots
+    return sample_shots(min(max(p, 0.0), 1.0), shots, rng)
 
 
 def _solve_two_angle(c0: float, c1: float, th0: float, th1: float) -> float:
@@ -221,8 +197,9 @@ def sequential_interferometry(
         mags.append((float(r_ii), float(r_ij), float(r_jj)))
 
         def evolved_superposition(theta):
-            amps = (psi_i.amplitudes + np.exp(1j * theta) * psi_j.amplitudes) / np.sqrt(2)
-            return evolve(StateVector(spec.n_sites, amps), plan)
+            # U (psi_i + e^{i theta} psi_j)/sqrt(2), by linearity
+            amps = evolved[idx].amplitudes + np.exp(1j * theta) * evolved[idx + 1].amplitudes
+            return StateVector(spec.n_sites, amps / np.sqrt(2))
 
         if r_ij > fallback_threshold and min(r_ii, r_jj) > fallback_threshold:
             # step 1: project the evolved superposition onto psi_i;

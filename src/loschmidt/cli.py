@@ -422,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: trajectory chunks run "
-                             "serially, so results do not depend on it")
+                        help="accepted and ignored, for callers that still "
+                             "pass it (the perfbench workloads): trajectory "
+                             "chunks run serially, so results do not depend on it")
     parser.add_argument("--method", choices=["hadamard", "sequential"],
                         help="baseline method (baseline command only)")
     return parser
@@ -439,7 +440,6 @@ def main(argv=None) -> int:
                 doc.raw.get("noise", {}).get("seed") is None
             ):
                 doc.experiment.noise.master_seed = args.seed
-        doc.experiment.threads = max(1, args.threads)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "amplitude":

@@ -57,7 +57,6 @@ class ExperimentConfig:
     anchor: float | None = None
     noise: NoiseConfig | None = None
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.rule not in _RULES:
@@ -83,8 +82,6 @@ class ExperimentConfig:
                 f"exact_oracle backend is capped at {ORACLE_MAX_SITES} sites, "
                 f"got {self.spec.n_sites}"
             )
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 def _require_keys(block: dict, allowed: set[str], required: set[str], where: str):

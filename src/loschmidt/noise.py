@@ -184,8 +184,9 @@ def trajectory_survivals(
     trajectories' version 2 draws.  Returns the average over
     ``noise.n_trajectories`` trajectories for each recording point; the
     result does not depend on the chunk size (pre-assigned streams,
-    fixed-order reduction).  ``threads`` is accepted and ignored: the
-    chunks run serially, so memory stays at one chunk.
+    fixed-order reduction).  ``threads`` is accepted and ignored, for the
+    callers that still pass it (perfbench/run.py): the chunks run serially,
+    so memory stays at one chunk.
     """
     record_after = list(record_after)
     n_qubits, n_layers = psi_init.n_qubits, len(layers)

@@ -411,7 +411,7 @@ def run_phase_experiment(config) -> PhaseTrace:
         ]
         if noisy:
             series = [
-                trajectory_survivals(psi, layers, record, bra, config.noise, config.threads)
+                trajectory_survivals(psi, layers, record, bra, config.noise)
                 for layers, record in circuits
             ]
         else:

@@ -8,12 +8,11 @@ Qubit ``i`` maps to bit ``i`` of the amplitude index, i.e. qubit 0 is the
 least significant bit of the local matrix index.  ``|up>`` is the basis
 vector ``(1, 0)`` (eigenvalue +1 of sigma^z).
 
-Two kernels apply gates.  ``apply_matrix`` takes any 2^k x 2^k matrix on
-any distinct sites; the Hadamard-test baseline needs it for gates controlled
-by a non-adjacent ancilla.  Plans instead run compiled layers through
-``apply_layer``: ``compile_layers`` turns each layer of gates on adjacent
-sites into a short tuple of ops that act in place on one contiguous copy of
-the amplitudes.  An all-diagonal layer becomes one elementwise multiply by a
+Every plan runs on one kernel path: ``compile_layers`` turns each layer of
+gates on adjacent sites into a short tuple of ops, and the plan runners
+(``evolve``, ``apply_ite``, ``circuit_survivals``) apply them in place to
+one contiguous copy of the amplitudes, as ``apply_layer`` does for one
+layer.  An all-diagonal layer becomes one elementwise multiply by a
 precomputed 2^N phase vector.  The other layers fuse their disjoint gates
 into blocks of at most ``_FUSE_SITES`` adjacent sites, each one matrix
 applied along axis 1 of the amplitudes viewed as
@@ -23,6 +22,11 @@ An op acts on any C-contiguous array whose last axis holds 2^N amplitudes:
 a single state of shape ``(2^N,)`` or a batch of states as the rows of a
 ``(B, 2^N)`` array, which the Monte Carlo trajectories use.  Each row gets
 the same arithmetic as a lone state.
+
+``apply_matrix`` is the general kernel for one-off operators outside any
+plan: any 2^k x 2^k matrix on any distinct sites, through a transpose of
+the full state.  It serves ``apply_gate``, the two-sided ``operator_a``,
+expectation values and the spin flips of the sequential baseline's chain.
 
 Every operation on a ``StateVector`` returns a new state and never mutates
 its inputs; ops mutate the array they are given.  Results are deterministic
@@ -165,9 +169,10 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
 def apply_matrix(state: StateVector, matrix: np.ndarray, sites) -> StateVector:
     """Apply a 2^k x 2^k matrix to ``sites`` of the state (general kernel).
 
-    The first listed site is the least significant bit of the local index.
-    Sites must be distinct and in range; ``k`` is not restricted to 2, which
-    the controlled-evolution baselines rely on.
+    For one-off operators outside any plan (no Trotter plan runs through
+    it).  The first listed site is the least significant bit of the local
+    index.  Sites must be distinct and in range; ``k`` is not restricted to
+    2, so a user ``operator_a`` may act on more than two sites.
     """
     sites = [int(s) for s in sites]
     n = state.n_qubits

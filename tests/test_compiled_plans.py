@@ -4,8 +4,9 @@ Random chains of N <= 8 sites carry Hermitian 1- and 2-site terms in custom
 groups, with reversed supports and both diagonal and dense matrices.  The
 compiled kernels are checked against dense products of ``_embed``-ed gate
 matrices, folded diagonal layers against their gates applied one by one,
-the plan census against an independent statement of the step layout, and
-the batched ITE plan builders against a term-by-term construction.
+the plan census against an independent statement of the step layout, the
+batched ITE plan builders against a term-by-term construction, and the
+baselines against circuits that evolve every state they interfere.
 """
 
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loschmidt.noise as noise_module
+from loschmidt.baselines import _solve_two_angle, hadamard_test, sequential_interferometry
 from loschmidt.config import ExperimentConfig
 from loschmidt.ite import apply_ite, build_ite_plan_general, build_ite_plan_tfim, ite_angle
 from loschmidt.model import HamiltonianSpec, LocalTerm, _embed, tfim
@@ -26,8 +28,9 @@ from loschmidt.statevector import (
     PhaseOp,
     StateVector,
     apply_gate,
-    basis_state,
     apply_layer,
+    apply_matrix,
+    basis_state,
     compile_layers,
     pack_layers,
     product_state,
@@ -85,8 +88,8 @@ def _random_state(rng, n, product):
 
 
 @st.composite
-def chain_and_state(draw, product=None):
-    spec = draw(chains())
+def chain_and_state(draw, product=None, max_sites=8):
+    spec = draw(chains(max_sites))
     if product is None:
         product = draw(st.booleans())
     rng = np.random.default_rng(draw(SEEDS))
@@ -377,3 +380,134 @@ class TestPlanCensus:
         trotter_layers = steps * build_plan(spec, tau, tau, order).layers_per_step
         ite_layers = build_ite_plan_tfim(spec, psi, 0.1, +1).n_layers
         assert len(calls) == n_traj * (3 * trotter_layers + 2 * ite_layers)
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_S_DAGGER = np.diag([1, -1j])
+
+
+def reference_hadamard_test(spec, psi, t, tau, order, part, shots=None, rng=None):
+    """The ancilla circuit on the (N+1)-qubit register, every Trotter gate
+    controlled by the ancilla (qubit N) as a 2^(k+1) block matrix."""
+    n = spec.n_sites
+    full = apply_matrix(StateVector(n + 1, np.kron([1, 0], psi.amplitudes)), _HADAMARD, (n,))
+    if part == "imag":
+        full = apply_matrix(full, _S_DAGGER, (n,))
+    plan = build_plan(spec, t, tau, order)
+    for layer in plan.step_layers * plan.n_steps:
+        for gate in layer:
+            dim = gate.matrix.shape[0]
+            controlled = np.eye(2 * dim, dtype=complex)
+            controlled[dim:, dim:] = gate.matrix
+            full = apply_matrix(full, controlled, (*gate.support, n))
+    full = apply_matrix(full, _HADAMARD, (n,))
+    p_zero = float(np.sum(np.abs(full.amplitudes[: 2**n]) ** 2))
+    if shots is not None:
+        p_zero = rng.binomial(shots, min(max(p_zero, 0.0), 1.0)) / shots
+    return 2.0 * p_zero - 1.0
+
+
+def reference_sequential(spec, chain, t, tau, anchor, thetas, threshold, shots=None, rng=None):
+    """(phase, step phases) of the interferometry chain, with every
+    superposition prepared and evolved as a state of its own."""
+    plan = build_plan(spec, t, tau, 2)
+
+    def measure(bra, ket):
+        p = abs(np.vdot(bra.amplitudes, ket.amplitudes)) ** 2
+        return p if shots is None else rng.binomial(shots, min(max(p, 0.0), 1.0)) / shots
+
+    def superposition(a, b, theta):
+        amps = (a.amplitudes + np.exp(1j * theta) * b.amplitudes) / np.sqrt(2)
+        return StateVector(spec.n_sites, amps)
+
+    phi, steps = anchor, []
+    for a, b in zip(chain, chain[1:]):
+        ua, ub = evolve(a, plan), evolve(b, plan)
+        r_ii, r_ij, r_jj = (np.sqrt(measure(x, y)) for x, y in ((a, ua), (a, ub), (b, ub)))
+        evolved = [evolve(superposition(a, b, th), plan) for th in thetas]
+        if r_ij > threshold and min(r_ii, r_jj) > threshold:
+            step = 0.0
+            for bra, r_own in ((a, r_ii), (b, r_jj)):
+                cs = [np.clip((2 * measure(bra, ket) - r_own**2 - r_ij**2) / (2 * r_own * r_ij),
+                              -1, 1) for ket in evolved]
+                step += _solve_two_angle(cs[0], cs[1], *thetas)
+        else:
+            bra = superposition(a, b, 0.0)
+            cs = [np.clip((4 * measure(bra, ket) - r_ii**2 - r_jj**2) / (2 * r_ii * r_jj), -1, 1)
+                  for ket in evolved]
+            step = _solve_two_angle(cs[0], cs[1], *thetas)
+        steps.append(step)
+        phi += step
+    return phi, steps
+
+
+class TestPlanRunners:
+    @PROPERTY
+    @given(case=chain_and_state(max_sites=6), order=st.sampled_from([1, 2, 4]),
+           part=st.sampled_from(["real", "imag"]), tau=st.sampled_from([0.05, 0.3]),
+           steps=st.integers(0, 3))
+    def test_hadamard_test_matches_controlled_gate_circuit(self, case, order, part, tau, steps):
+        spec, psi = case
+        args = (spec, psi, steps * tau, tau, order, part)
+        assert abs(hadamard_test(*args) - reference_hadamard_test(*args)) < 1e-12
+
+    @PROPERTY
+    @given(case=chain_and_state(max_sites=6), part=st.sampled_from(["real", "imag"]),
+           seed=SEEDS)
+    def test_sampled_hadamard_test_matches_circuit(self, case, part, seed):
+        spec, psi = case
+        args = (spec, psi, 0.6, 0.2, 2, part, 1000)
+        sampled = hadamard_test(*args, np.random.default_rng(seed))
+        assert sampled == reference_hadamard_test(*args, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("t, threshold, n_flips, fallback", [
+        # the flip chain of configs/baseline.json
+        (1.0, 1e-3, 2, False),
+        # the chain of test_baselines.py::test_fallback_branch
+        (0.2, 0.1, 1, True),
+    ])
+    @pytest.mark.parametrize("shots", [None, 10_000])
+    def test_sequential_matches_explicit_superpositions(
+        self, t, threshold, n_flips, fallback, shots
+    ):
+        spec = tfim(4, 1.0, 0.5)
+        chain = [product_state(["down"] * k + ["up"] * (4 - k)) for k in range(n_flips + 1)]
+        thetas = (0.0, np.pi / 2)
+        res = sequential_interferometry(
+            spec, chain, t, 0.01, anchor_phase=0.3, thetas=thetas, shots=shots,
+            rng=np.random.default_rng(11), fallback_threshold=threshold,
+        )
+        phase, steps = reference_sequential(
+            spec, chain, t, 0.01, 0.3, thetas, threshold, shots, np.random.default_rng(11)
+        )
+        assert bool(res.fallback_steps) == fallback
+        if shots is None:
+            assert abs(res.phase - phase) < 1e-12
+            assert np.max(np.abs(np.subtract(res.step_phases, steps))) < 1e-12
+        else:
+            assert res.phase == phase and res.step_phases == steps
+
+    @PROPERTY
+    @given(case=chain_and_state(), order=st.sampled_from([1, 2, 4]), steps=st.integers(0, 3),
+           partial=st.booleans())
+    def test_evolve_equals_layer_loop(self, case, order, steps, partial):
+        spec, psi = case
+        plan = build_plan(spec, 3 * 0.1, 0.1, order)
+        n_steps = steps if partial else None
+        expected = psi
+        for _ in range(plan.n_steps if n_steps is None else n_steps):
+            for layer in plan.compiled:
+                expected = apply_layer(expected, layer)
+        out = evolve(psi, plan, n_steps)
+        assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    @PROPERTY
+    @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
+           h=st.sampled_from([0.0, 0.05, 0.4]))
+    def test_apply_ite_equals_layer_loop(self, case, sign, h):
+        spec, psi = case
+        plan = build_ite_plan_general(spec, psi, h, sign)
+        expected = psi
+        for layer in plan.compiled:
+            expected = apply_layer(expected, layer)
+        assert apply_ite(plan, psi).amplitudes.tobytes() == expected.amplitudes.tobytes()
