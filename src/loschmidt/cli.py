@@ -284,21 +284,23 @@ def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
 
 def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
     exp = doc.experiment
-    trace = run_phase_experiment(exp)
-    hermitian = bool(doc.spectral.get("hermitian_extend", True))
+    hermitian = doc.spectral.get("hermitian_extend", True)
     if hermitian and exp.psi_final is not None:
         raise ConfigError("hermitian_extend requires psi_final = psi")
-    taper = doc.spectral.get("taper_width")
+    trace = run_phase_experiment(exp)
     center = expectation(exp.spec, exp.psi)
     spectrum = ldos_dft(
         trace.g_complex, exp.tau,
         hermitian_extend=hermitian,
         center_energy=center,
         times=trace.times,
-        taper_width=float(taper) if taper is not None else None,
+        taper_width=doc.spectral.get("taper_width"),
     )
     write_csv(outdir / "ldos.csv", ["E", "d"], [spectrum.energies, spectrum.densities])
-    extra = {"eta": spectrum.eta, "window_center": center}
+    extra = {
+        "eta": spectrum.eta, "window_center": center,
+        "imag_residue": spectrum.max_imag_residue, **_trace_health(trace),
+    }
     if exp.spec.n_sites <= ORACLE_MAX_SITES:
         width = float(doc.spectral.get("width", 0.08))
         reference = exact_ldos(exp.spec, exp.psi, width)

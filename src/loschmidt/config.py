@@ -215,6 +215,21 @@ def parse_operator(block: Any, n_sites: int):
     return sites, mat
 
 
+def _check_spectral(block: dict) -> None:
+    """``hermitian_extend`` is a JSON bool, ``width`` a positive number and
+    ``taper_width`` a positive number or null (no taper)."""
+    if not isinstance(block.get("hermitian_extend", True), bool):
+        raise ConfigError("spectral.hermitian_extend must be true or false")
+    for key in ("width", "taper_width"):
+        if key not in block or (key == "taper_width" and block[key] is None):
+            continue
+        value = block[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            0 < value < float("inf")
+        ):
+            raise ConfigError(f"spectral.{key} must be a positive number, got {value!r}")
+
+
 @dataclass
 class RunDocument:
     """Fully parsed config file: the experiment config plus CLI-level blocks
@@ -277,6 +292,7 @@ def parse_document(doc: Any) -> RunDocument:
     if not isinstance(spectral, dict):
         raise ConfigError("spectral block must be an object")
     _require_keys(spectral, _SPECTRAL_KEYS, set(), "spectral")
+    _check_spectral(spectral)
     baseline = doc.get("baseline") or {}
     if not isinstance(baseline, dict):
         raise ConfigError("baseline block must be an object")

@@ -30,14 +30,16 @@ product of those vectors does not reproduce is rejected.  A plan keeps the
 (N, 2) site vectors, not the 2^N amplitudes, and refuses application to a
 state whose overlap with their product does not have modulus one: the gates
 are only meaningful for the state the plan was built for, up to a global
-phase.  The gate layers are compiled for the kernel on first use, so a
-caller that reads only ``log_c_total`` (the dense oracle) compiles nothing.
+phase.  A plan computes its constant at construction and builds its gates,
+their layers and the layers' compiled form on first use, so a caller that
+reads only ``log_c_total`` (the dense oracle) builds no gates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -64,18 +66,30 @@ def ite_angle(h: float, g: float) -> float:
 class ItePlan:
     """Local unitaries plus the log of the total rescaling constant.
 
-    ``layers`` is the census of physical layers; ``compiled`` holds their
-    execution form, built on first use.  ``site_vectors`` are the (N, 2)
-    factors of the product state the plan was built for.
+    ``log_c_total`` is computed at construction; the gates are built on
+    first use of ``gates`` (by ``build_gates``), and so are ``layers``, the
+    census of physical layers, and ``compiled``, their execution form.  A
+    caller that reads only ``log_c_total`` (the dense oracle) builds no
+    gates.  ``site_vectors`` are the (N, 2) factors of the product state
+    the plan was built for.
     """
 
     sign: int
     h: float
     n_sites: int
-    gates: list[LocalGate] = field(repr=False)
     log_c_total: float
     site_vectors: np.ndarray = field(repr=False)
-    layers: list[list[LocalGate]] = field(repr=False)
+    build_gates: Callable[[], list[LocalGate]] = field(repr=False)
+
+    @cached_property
+    def gates(self) -> list[LocalGate]:
+        return self.build_gates()
+
+    @cached_property
+    def layers(self) -> list[list[LocalGate]]:
+        # gates keep their term order; on the 1-site gates of the closed
+        # form this is the same packing as for commuting gates
+        return pack_layers(self.gates, ordered=True)
 
     @cached_property
     def compiled(self) -> tuple[tuple, ...]:
@@ -182,8 +196,8 @@ def build_ite_plan_tfim(
             "requires a transverse-field Ising structure "
             "(diagonal bonds plus sigma^x site terms)"
         )
-    gates = unitary_gates(sites, np.reshape(rotations, (-1, 2, 2)))
-    return ItePlan(sign, h, psi.n_qubits, gates, log_c, vecs, pack_layers(gates))
+    gates = partial(unitary_gates, sites, np.reshape(rotations, (-1, 2, 2)))
+    return ItePlan(sign, h, psi.n_qubits, log_c, vecs, gates)
 
 
 def build_ite_plan_general(
@@ -205,12 +219,12 @@ def build_ite_plan_general(
     sign = _check_sign(sign)
     vecs = _site_vectors(psi)
     if h == 0.0:
-        return ItePlan(sign, 0.0, psi.n_qubits, [], 0.0, vecs, [])
+        return ItePlan(sign, 0.0, psi.n_qubits, 0.0, vecs, list)
     terms = spec.terms
     if any(len(term.support) > 2 for term in terms):
         raise ValueError("term support larger than 2 sites is unsupported")
     c_sq = np.empty(len(terms))
-    parts = []
+    stacks = []
     for idx, mats in _stacks_by_width(terms):
         supports = np.array([terms[k].support for k in idx])
         # phi = v[s_1] x v[s_0]: the first support site is the least significant
@@ -220,15 +234,20 @@ def build_ite_plan_general(
         energies, vectors = np.linalg.eigh(mats)
         weights = np.abs((vectors.conj().swapaxes(1, 2) @ phi[:, :, None])[:, :, 0]) ** 2
         c_sq[idx] = np.sum(weights * np.exp(sign * 2.0 * h * energies), axis=1)
-
-        h_phi = (mats @ phi[:, :, None])[:, :, 0]
-        mean = np.sum(phi.conj() * h_phi, axis=1).real
-        v = 1j * (h_phi - mean[:, None] * phi)
-        b = v[:, :, None] * phi.conj()[:, None, :] + phi[:, :, None] * v.conj()[:, None, :]
-        parts.append((idx, _exp_gates(b, sign * h)))
+        stacks.append((idx, mats, phi))
     if np.any(c_sq <= 0):
         raise NumericsError("nonpositive rescaling constant")
     # summed left to right in term order, as a term-by-term accumulation would
     log_c = sum((0.5 * np.log(c_sq)).tolist(), 0.0)
-    gates = _gates_in_term_order(terms, parts)
-    return ItePlan(sign, h, psi.n_qubits, gates, log_c, vecs, pack_layers(gates, ordered=True))
+
+    def gates() -> list[LocalGate]:
+        parts = []
+        for idx, mats, phi in stacks:
+            h_phi = (mats @ phi[:, :, None])[:, :, 0]
+            mean = np.sum(phi.conj() * h_phi, axis=1).real
+            v = 1j * (h_phi - mean[:, None] * phi)
+            b = v[:, :, None] * phi.conj()[:, None, :] + phi[:, :, None] * v.conj()[:, None, :]
+            parts.append((idx, _exp_gates(b, sign * h)))
+        return _gates_in_term_order(terms, parts)
+
+    return ItePlan(sign, h, psi.n_qubits, log_c, vecs, gates)

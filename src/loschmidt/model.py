@@ -164,22 +164,33 @@ def amplitude_series(
     psi_init: StateVector,
     z_values,
 ) -> np.ndarray:
-    """``exact_amplitude`` over an array of complex times (one shared
-    eigendecomposition).  The phase table exp(-i z E) is built in blocks of
-    at most ``_SERIES_BLOCK`` entries, so memory stays bounded in the grid."""
+    """``exact_amplitude`` over complex times (one shared eigendecomposition).
+
+    ``z_values`` is a flat array of K times, or a (K, R) grid whose columns
+    differ from the first by constants, z[:, r] = z[:, 0] + d_r, such as the
+    strip t, t + ih, t - ih; the result has the shape of the grid (flat for
+    flat input).  Since exp(-i z[:, r] E) = exp(-i z[:, 0] E) exp(-i d_r E),
+    one phase table of the first column serves every column, each against
+    the weights scaled by its exp(-i d_r E).  The table is built in blocks of
+    at most ``_SERIES_BLOCK`` entries, so memory stays bounded in the grid.
+    Raises ``ValueError`` when the column offsets are not constant."""
     energies, vectors = _eigensystem(spec)
     c_final = vectors.conj().T @ psi_final.amplitudes
     c_init = vectors.conj().T @ psi_init.amplitudes
-    weights = np.conj(c_final) * c_init
-    z_values = np.asarray(z_values, dtype=complex).ravel()
-    out = np.empty(z_values.size, dtype=complex)
+    z_values = np.asarray(z_values, dtype=complex)
+    grid = z_values if z_values.ndim == 2 else z_values.reshape(-1, 1)
+    offsets = grid - grid[:, :1]
+    if np.any(offsets != offsets[:1]):
+        raise ValueError("columns of a complex-time grid must differ by constants")
+    weights = (np.conj(c_final) * c_init)[:, None] * np.exp(-1j * np.outer(energies, offsets[:1]))
+    out = np.empty(grid.shape, dtype=complex)
     rows = max(1, _SERIES_BLOCK // energies.size)
-    for start in range(0, z_values.size, rows):
-        table = np.outer(z_values[start:start + rows], energies)
+    for start in range(0, len(grid), rows):
+        table = np.outer(grid[start:start + rows, 0], energies)
         table *= -1j
         np.exp(table, out=table)
         out[start:start + rows] = table @ weights
-    return out
+    return out if z_values.ndim == 2 else out[:, 0]
 
 
 def oracle_evolve(spec: HamiltonianSpec, state: StateVector, t: float) -> StateVector:

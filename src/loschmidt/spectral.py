@@ -60,7 +60,8 @@ def ldos_dft(
     to negative times via G(-t) = G(t)*.  ``times`` may be passed for
     validation; the grid must be uniform with spacing tau starting at 0.
     ``taper_width`` optionally multiplies the samples by a Gaussian
-    exp(-(t/w)^2/2) before transforming (off by default).
+    exp(-(t/w)^2/2) before transforming (off by default); it must be
+    positive.
     """
     g = np.asarray(g_samples, dtype=complex)
     if g.ndim != 1 or len(g) < 2:
@@ -76,6 +77,8 @@ def ldos_dft(
             raise ValueError("non-uniform grid: samples must sit at t = k tau")
 
     if taper_width is not None:
+        if not taper_width > 0:
+            raise ValueError("taper_width must be positive")
         t_grid = np.arange(len(g)) * tau
         g = g * np.exp(-0.5 * (t_grid / taper_width) ** 2)
 
@@ -124,7 +127,12 @@ def exact_ldos(spec: HamiltonianSpec, psi: StateVector, width: float) -> LdosSpe
     hi = energies[-1] + 6 * width
     step = width / 8.0
     grid = np.arange(lo, hi + step, step)
-    gauss = np.exp(-0.5 * ((grid[:, None] - energies[None, :]) / width) ** 2)
+    # one grid x 2^N buffer, updated in place
+    gauss = np.subtract.outer(grid, energies)
+    gauss /= width
+    np.square(gauss, out=gauss)
+    gauss *= -0.5
+    np.exp(gauss, out=gauss)
     gauss /= width * np.sqrt(2.0 * np.pi)
     densities = gauss @ weights
     return LdosSpectrum(energies=grid, densities=densities, eta=float(step))

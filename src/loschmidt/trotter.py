@@ -145,11 +145,14 @@ def build_plan(spec: HamiltonianSpec, t: float, tau: float, order: int = 2) -> T
 
 def evolve(state: StateVector, plan: TrotterPlan, n_steps: int | None = None) -> StateVector:
     """Apply ``n_steps`` Trotter steps (default: the plan's full count) to
-    one copy of the amplitudes; zero steps return ``state`` itself."""
+    one copy of the amplitudes; zero steps return ``state`` itself, a
+    negative count raises ``ValueError``."""
     if 2**plan.n_sites != state.amplitudes.shape[0]:
         raise ValueError("state size does not match plan")
     k = plan.n_steps if n_steps is None else n_steps
-    if k <= 0:
+    if k < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {k}")
+    if k == 0:
         return state
     amps = state.amplitudes.copy()
     for _ in range(k):

@@ -9,6 +9,8 @@ import pytest
 from loschmidt.cli import cmd_two_sided, main, write_csv
 from loschmidt.config import parse_document
 from loschmidt.exceptions import ConfigError
+from loschmidt.model import expectation
+from loschmidt.spectral import ldos_dft
 
 
 def base_config(**overrides):
@@ -55,6 +57,16 @@ class TestConfigParsing:
         # nothing read output.dir or output.prefix; --out names the directory
         with pytest.raises(ConfigError, match=r"unknown keys \['output'\]"):
             parse_document(base_config(output={"dir": "x", "prefix": "run"}))
+
+    def test_spectral_values_checked_at_load(self):
+        with pytest.raises(ConfigError, match="width must be a positive number"):
+            parse_document(base_config(spectral={"width": True}))
+        with pytest.raises(ConfigError, match="width must be a positive number"):
+            parse_document(base_config(spectral={"width": None}))
+        with pytest.raises(ConfigError, match="hermitian_extend must be true or false"):
+            parse_document(base_config(spectral={"hermitian_extend": 1}))
+        # a null taper is the default, no taper
+        parse_document(base_config(spectral={"taper_width": None, "width": 0.1}))
 
     def test_missing_required_key(self):
         doc = base_config()
@@ -205,16 +217,22 @@ class TestCliCommands:
             "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         }
         doc["states"]["t_prime"] = 0.0
-        trace = run_phase_experiment(parse_document(doc).experiment)
+        experiment = parse_document(doc).experiment
+        trace = run_phase_experiment(experiment)
         assert trace.crossings and len(trace.correction_phases) == len(trace.crossings)
         cfg = write_config(tmp_path, doc)
-        for command in ("phase", "two-sided"):
+        for command in ("phase", "two-sided", "ldos"):
             out = tmp_path / command
             assert main([command, "--config", cfg, "--out", str(out)]) == 0
             info = json.loads((out / "runinfo.json").read_text())
             assert info["floored"] == []
             assert info["crossings"] == trace.crossings
             assert np.allclose(info["correction_phases"], trace.correction_phases, atol=1e-12)
+        spectrum = ldos_dft(
+            trace.g_complex, 0.05, times=trace.times,
+            center_energy=expectation(experiment.spec, experiment.psi),
+        )
+        assert info["imag_residue"] == spectrum.max_imag_residue
 
 
 class TestTwoSided:
@@ -334,6 +352,35 @@ class TestScalingLdosCost:
         weight = info["eta"] * sum(float(r["d"]) for r in rows)
         assert abs(weight - 1.0) < 0.02
         assert (out / "ldos_reference.csv").exists()
+
+    @pytest.mark.parametrize("spectral", [
+        {"width": 0},
+        {"taper_width": 0},
+        {"taper_width": -2.0},
+        {"hermitian_extend": "no"},
+    ])
+    def test_bad_spectral_block_writes_nothing(self, tmp_path, spectral):
+        doc = base_config()
+        doc["algorithm"]["backend"] = "exact_oracle"
+        doc["spectral"] = spectral
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["ldos", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "ldos.csv").exists()
+
+    def test_hermitian_extend_with_psi_final_rejected_before_the_run(self, tmp_path, monkeypatch):
+        import loschmidt.cli as cli_module
+
+        def refuse(_config):
+            raise RuntimeError("experiment ran")
+
+        monkeypatch.setattr(cli_module, "run_phase_experiment", refuse)
+        doc = base_config()
+        doc["states"]["psi_final"] = "down"
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["ldos", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "ldos.csv").exists()
 
     def test_ldos_from_noisy_mitigated_run(self, tmp_path):
         # the full composite: trajectories + shots + mitigation feeding the

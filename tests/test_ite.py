@@ -265,6 +265,51 @@ class TestLazyCompile:
         run_phase_experiment(self._config("statevector_trotter"))
         assert len(calls) == 2 and all(calls)
 
+    #: a product state each ITE construction accepts
+    STATES = {"general_bj": ["x+", "up", "y-", "down"], "tfim_closed_form": ["up"] * 4}
+
+    def _mode_config(self, ite_mode, backend):
+        return ExperimentConfig(
+            spec=tfim(4, 1.0, 0.5), psi=product_state(self.STATES[ite_mode]),
+            tau=0.05, h=0.05, t_max=0.2, ite_mode=ite_mode, backend=backend,
+        )
+
+    @pytest.mark.parametrize("ite_mode", sorted(STATES))
+    def test_oracle_backend_builds_no_ite_gates(self, monkeypatch, ite_mode):
+        import loschmidt.trotter as trotter_module
+
+        def refuse(*_args):
+            raise RuntimeError("ITE gates built")
+
+        monkeypatch.setattr(ite_module, "_exp_gates", refuse)
+        monkeypatch.setattr(ite_module, "unitary_gates", refuse)
+        monkeypatch.setattr(trotter_module, "unitary_gates", refuse)
+        trace = run_phase_experiment(self._mode_config(ite_mode, "exact_oracle"))
+        assert np.all(np.isfinite(trace.phi))
+
+    @pytest.mark.parametrize("ite_mode", sorted(STATES))
+    def test_oracle_constants_equal_statevector_plans(self, monkeypatch, ite_mode):
+        import loschmidt.reconstruct as reconstruct_module
+
+        name = {"general_bj": "build_ite_plan_general",
+                "tfim_closed_form": "build_ite_plan_tfim"}[ite_mode]
+        original = getattr(ite_module, name)
+        plans = []
+
+        def kept(*args):
+            plans.append(original(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(reconstruct_module, name, kept)
+        run_phase_experiment(self._mode_config(ite_mode, "exact_oracle"))
+        oracle, plans[:] = plans[:], []
+        run_phase_experiment(self._mode_config(ite_mode, "statevector_trotter"))
+        assert [p.sign for p in oracle] == [p.sign for p in plans] == [1, -1]
+        # bit for bit: the constant does not depend on whether gates are built
+        assert [p.log_c_total for p in oracle] == [p.log_c_total for p in plans]
+        assert all("gates" not in vars(p) for p in oracle)
+        assert all("gates" in vars(p) and p.gates for p in plans)
+
     def test_compiled_once_per_plan(self):
         plan = build_ite_plan_general(tfim(3, 1.0, 0.5), product_state(["x+", "up", "y-"]), 0.1, 1)
         assert plan.compiled is plan.compiled

@@ -256,14 +256,23 @@ class TestAmplitudeSeries:
         np.linspace(0.0, 6.0, 25) - 0.05j,
     ])
 
+    #: the same times as a (25, 3) strip t, t + 0.05i, t - 0.05i
+    Z_GRID = Z_VALUES.reshape(3, 25).T
+
+    def _check_flat_and_grid(self, spec, bra, ket):
+        got = amplitude_series(spec, bra, ket, self.Z_VALUES)
+        want = _complex_eigh_series(spec, bra, ket, self.Z_VALUES)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        grid = amplitude_series(spec, bra, ket, self.Z_GRID)
+        assert grid.shape == (25, 3)
+        np.testing.assert_allclose(grid, got.reshape(3, 25).T, rtol=0, atol=1e-12)
+
     def test_real_tfim_uses_real_eigenvectors_and_matches(self):
         rng = np.random.default_rng(41)
         spec = tfim(6, 1.0, 0.5)
         bra, ket = _random_unit_state(rng, 6), _random_unit_state(rng, 6)
         assert _eigensystem(spec)[1].dtype == np.float64
-        got = amplitude_series(spec, bra, ket, self.Z_VALUES)
-        want = _complex_eigh_series(spec, bra, ket, self.Z_VALUES)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        self._check_flat_and_grid(spec, bra, ket)
 
     def test_sigma_y_term_keeps_complex_solver_and_matches(self):
         rng = np.random.default_rng(43)
@@ -271,9 +280,18 @@ class TestAmplitudeSeries:
         spec = HamiltonianSpec(5, base.terms + (LocalTerm((2,), 0.3 * SIGMA_Y, "y"),))
         bra, ket = _random_unit_state(rng, 5), _random_unit_state(rng, 5)
         assert _eigensystem(spec)[1].dtype == np.complex128
-        got = amplitude_series(spec, bra, ket, self.Z_VALUES)
-        want = _complex_eigh_series(spec, bra, ket, self.Z_VALUES)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        self._check_flat_and_grid(spec, bra, ket)
+
+    def test_grid_columns_must_differ_by_constants(self):
+        spec = tfim(3, 1.0, 0.5)
+        psi = product_state(["up"] * 3)
+        t = np.linspace(0.0, 1.0, 5)
+        grid = t[:, None] + 0.05j * np.array([0.0, 1.0, -1.0])
+        grid[2, 1] += 1e-12
+        with pytest.raises(ValueError, match="differ by constants"):
+            amplitude_series(spec, psi, psi, grid)
+        with pytest.raises(ValueError, match="differ by constants"):
+            amplitude_series(spec, psi, psi, np.stack([t, 2.0 * t], axis=1))
 
     def test_blocks_agree_with_pointwise_amplitude(self, monkeypatch):
         # blocks of 7 rows: a ragged last block and several full ones
@@ -285,6 +303,11 @@ class TestAmplitudeSeries:
         z_values = np.linspace(0.0, 3.0, 30) + 0.02j
         got = amplitude_series(spec, psi, psi, z_values)
         want = [exact_amplitude(spec, psi, psi, z) for z in z_values]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the (K, 3) strip goes through the same blocks of its first column
+        strip = z_values[:, None] + 0.03j * np.array([0.0, 1.0, -1.0])
+        got = amplitude_series(spec, psi, psi, strip)
+        want = [[exact_amplitude(spec, psi, psi, z) for z in row] for row in strip]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_memory_bounded_in_grid_length(self):

@@ -109,6 +109,12 @@ class TestLdosDft:
         with pytest.raises(ValueError, match="non-uniform"):
             ldos_dft(np.ones(4), 0.1, times=np.array([0.0, 0.1, 0.25, 0.3]))
 
+    @pytest.mark.parametrize("taper_width", [0.0, -1.0])
+    def test_nonpositive_taper_rejected(self, taper_width):
+        g = np.exp(-1j * 0.3 * np.arange(10) * 0.1)
+        with pytest.raises(ValueError, match="taper_width must be positive"):
+            ldos_dft(g, 0.1, taper_width=taper_width)
+
     def test_taper_damps_tail_ringing(self):
         tau, k_pts = 0.25, 40
         t = np.arange(k_pts) * tau

@@ -95,6 +95,11 @@ class TestEvolve:
         out = evolve(state, plan, n_steps=0)
         assert out is state
 
+    def test_negative_steps_rejected(self):
+        plan = build_plan(tfim(3, 1, 0.5), 0.5, 0.1, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            evolve(random_state(3), plan, n_steps=-2)
+
     def test_unitarity_round_trip(self):
         spec = tfim(5, 1.0, 0.5)
         state = random_state(5)
