@@ -215,6 +215,44 @@ def parse_operator(block: Any, n_sites: int):
     return sites, mat
 
 
+def _finite(value) -> bool:
+    """A finite JSON number; a bool (an int in Python) is not one."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and -float("inf") < value < float("inf")
+    )
+
+
+def _nonnegative(value) -> bool:
+    return _finite(value) and value >= 0
+
+
+def _positive(value) -> bool:
+    return _finite(value) and value > 0
+
+
+def _integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int)
+
+
+def _count(value) -> bool:
+    return _integer(value) and value >= 1
+
+
+def _check_values(block: dict, checks, where: str) -> None:
+    """Raise unless each key of ``block`` named in ``checks`` (key,
+    predicate, description) holds a value the predicate accepts."""
+    for key, accepts, what in checks:
+        if key in block and not accepts(block[key]):
+            raise ConfigError(f"{where}.{key} must be {what}, got {block[key]!r}")
+
+
+def _list_of(accepts):
+    """Predicate of a non-empty list whose entries ``accepts`` takes."""
+    return lambda value: isinstance(value, list) and bool(value) and all(map(accepts, value))
+
+
 def _check_spectral(block: dict) -> None:
     """``hermitian_extend`` is a JSON bool, ``width`` a positive number and
     ``taper_width`` a positive number or null (no taper)."""
@@ -223,11 +261,43 @@ def _check_spectral(block: dict) -> None:
     for key in ("width", "taper_width"):
         if key not in block or (key == "taper_width" and block[key] is None):
             continue
-        value = block[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-            0 < value < float("inf")
-        ):
-            raise ConfigError(f"spectral.{key} must be a positive number, got {value!r}")
+        if not _positive(block[key]):
+            raise ConfigError(f"spectral.{key} must be a positive number, got {block[key]!r}")
+
+
+#: the cost block's keys: N is one count or a list of them, the rest numbers
+_COST_CHECKS = (
+    ("n", lambda v: _count(v) or _list_of(_count)(v),
+     "a positive integer or a non-empty list of them"),
+    ("t", _nonnegative, "a nonnegative number"),
+    ("epsilon", _positive, "a positive number"),
+    ("p", lambda v: _integer(v) and v in _ORDERS, "one of 1, 2, 4"),
+    ("d", _count, "a positive integer"),
+    ("r", _nonnegative, "a nonnegative number"),
+    ("i_factor", _finite, "a finite number"),
+)
+
+_SWEEP_CHECKS = (
+    ("kind", lambda v: v in ("h", "tau"), "'h' or 'tau'"),
+    # the scaling sweep runs the built-in chain, which needs two sites
+    ("n_values", _list_of(lambda v: _integer(v) and v >= 2),
+     "a non-empty list of integers >= 2"),
+    ("values", _list_of(_positive), "a non-empty list of positive numbers"),
+    ("t_max", _nonnegative, "a nonnegative number"),
+)
+
+
+def _baseline_checks(n_sites: int):
+    return (
+        ("flip_sites", lambda v: isinstance(v, list) and all(
+            _integer(s) and 0 <= s < n_sites for s in v),
+         f"a list of sites in [0, {n_sites})"),
+        ("thetas", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v)),
+         "a list of two finite numbers"),
+        ("fallback_threshold", _nonnegative, "a nonnegative number"),
+        ("part", lambda v: v in ("real", "imag"), "'real' or 'imag'"),
+        ("shots", lambda v: v is None or _count(v), "a positive integer or null"),
+    )
 
 
 @dataclass
@@ -269,6 +339,8 @@ def parse_document(doc: Any) -> RunDocument:
     if not isinstance(algo, dict):
         raise ConfigError("algorithm block must be an object")
     _require_keys(algo, _ALGORITHM_KEYS, {"tau", "h", "t_max"}, "algorithm")
+    if not isinstance(algo.get("zero_correction", True), bool):
+        raise ConfigError("algorithm.zero_correction must be true or false")
 
     seed = int(doc.get("seed", 0))
     noise = None
@@ -288,6 +360,7 @@ def parse_document(doc: Any) -> RunDocument:
         if not isinstance(sweep, dict):
             raise ConfigError("sweep block must be an object")
         _require_keys(sweep, _SWEEP_KEYS, {"kind", "n_values", "values"}, "sweep")
+        _check_values(sweep, _SWEEP_CHECKS, "sweep")
     spectral = doc.get("spectral") or {}
     if not isinstance(spectral, dict):
         raise ConfigError("spectral block must be an object")
@@ -297,10 +370,12 @@ def parse_document(doc: Any) -> RunDocument:
     if not isinstance(baseline, dict):
         raise ConfigError("baseline block must be an object")
     _require_keys(baseline, _BASELINE_KEYS, set(), "baseline")
+    _check_values(baseline, _baseline_checks(spec.n_sites), "baseline")
     cost = doc.get("cost") or {}
     if not isinstance(cost, dict):
         raise ConfigError("cost block must be an object")
     _require_keys(cost, _COST_KEYS, set(), "cost")
+    _check_values(cost, _COST_CHECKS, "cost")
 
     try:
         experiment = ExperimentConfig(
@@ -315,7 +390,7 @@ def parse_document(doc: Any) -> RunDocument:
             ite_mode=str(algo.get("ite_mode", "tfim_closed_form")),
             backend=str(algo.get("backend", "statevector_trotter")),
             shots=int(algo["shots"]) if algo.get("shots") is not None else None,
-            zero_correction=bool(algo.get("zero_correction", True)),
+            zero_correction=algo.get("zero_correction", True),
             threshold=(
                 float(algo["threshold"]) if algo.get("threshold") is not None else None
             ),

@@ -30,9 +30,13 @@ product of those vectors does not reproduce is rejected.  A plan keeps the
 (N, 2) site vectors, not the 2^N amplitudes, and refuses application to a
 state whose overlap with their product does not have modulus one: the gates
 are only meaningful for the state the plan was built for, up to a global
-phase.  A plan computes its constant at construction and builds its gates,
-their layers and the layers' compiled form on first use, so a caller that
-reads only ``log_c_total`` (the dense oracle) builds no gates.
+phase.  A plan computes its constant at construction.  Its canonical form
+is the checked gate stack (supports in term order, one matrix each, after
+the identity drop and one batched unitarity check), built on first use;
+the ordered layer index over the supports, the layer census and the
+compiled ops are derived from the stack on first use, and ``LocalGate``
+views only when something reads them.  A caller that reads only
+``log_c_total`` (the dense oracle) builds no gates.
 """
 
 from __future__ import annotations
@@ -45,12 +49,20 @@ import numpy as np
 
 from .exceptions import NumericsError
 from .model import HamiltonianSpec, SIGMA_X
-from .statevector import LocalGate, StateVector, compile_layers, pack_layers, unitary_gates
+from .statevector import (
+    GateStack,
+    LocalGate,
+    StateVector,
+    _checked_stack,
+    _compile_stack,
+    _layer_index,
+    _local_gates,
+)
 # perfbench/tracer.py counts gates by patching ``apply_layer`` here;
 # ``apply_ite`` runs the compiled ops itself, so the gates it applies are
 # not counted.
 from .statevector import apply_layer  # noqa: F401
-from .trotter import _exp_gates, _gates_in_term_order, _stacks_by_width
+from .trotter import _exp_gates, _stack_in_term_order, _stacks_by_width
 
 #: tolerance on |<site-vector product|state>| = 1
 _PRODUCT_ATOL = 1e-10
@@ -66,12 +78,15 @@ def ite_angle(h: float, g: float) -> float:
 class ItePlan:
     """Local unitaries plus the log of the total rescaling constant.
 
-    ``log_c_total`` is computed at construction; the gates are built on
-    first use of ``gates`` (by ``build_gates``), and so are ``layers``, the
-    census of physical layers, and ``compiled``, their execution form.  A
-    caller that reads only ``log_c_total`` (the dense oracle) builds no
-    gates.  ``site_vectors`` are the (N, 2) factors of the product state
-    the plan was built for.
+    ``log_c_total`` is computed at construction.  The plan's canonical form
+    is its checked ``gate_stack`` (supports in term order, one matrix each),
+    built on first use by ``build_gates``; the layer census
+    (``layer_index``, ``n_layers``) and the execution form ``compiled`` are
+    derived from it on first use, and so are the ``LocalGate`` views
+    ``gates`` and ``layers``, which only readers such as tests and tracers
+    ask for.  A caller that reads only ``log_c_total`` (the dense oracle)
+    builds no gates.  ``site_vectors`` are the (N, 2) factors of the product
+    state the plan was built for.
     """
 
     sign: int
@@ -79,21 +94,29 @@ class ItePlan:
     n_sites: int
     log_c_total: float
     site_vectors: np.ndarray = field(repr=False)
-    build_gates: Callable[[], list[LocalGate]] = field(repr=False)
+    build_gates: Callable[[], GateStack] = field(repr=False)
 
     @cached_property
-    def gates(self) -> list[LocalGate]:
+    def gate_stack(self) -> GateStack:
         return self.build_gates()
 
     @cached_property
-    def layers(self) -> list[list[LocalGate]]:
+    def layer_index(self) -> list[list[int]]:
         # gates keep their term order; on the 1-site gates of the closed
         # form this is the same packing as for commuting gates
-        return pack_layers(self.gates, ordered=True)
+        return _layer_index(self.gate_stack.supports, ordered=True)
 
     @cached_property
     def compiled(self) -> tuple[tuple, ...]:
-        return compile_layers(self.n_sites, self.layers)
+        return _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
+
+    @cached_property
+    def gates(self) -> list[LocalGate]:
+        return _local_gates(self.gate_stack)
+
+    @cached_property
+    def layers(self) -> list[list[LocalGate]]:
+        return [[self.gates[k] for k in layer] for layer in self.layer_index]
 
     @property
     def c_total(self) -> float:
@@ -101,7 +124,7 @@ class ItePlan:
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
+        return len(self.layer_index)
 
 
 def _is_product_of(vecs: np.ndarray, state: StateVector) -> bool:
@@ -196,7 +219,7 @@ def build_ite_plan_tfim(
             "requires a transverse-field Ising structure "
             "(diagonal bonds plus sigma^x site terms)"
         )
-    gates = partial(unitary_gates, sites, np.reshape(rotations, (-1, 2, 2)))
+    gates = partial(_checked_stack, sites, np.array(rotations, dtype=complex).reshape(-1, 2, 2))
     return ItePlan(sign, h, psi.n_qubits, log_c, vecs, gates)
 
 
@@ -219,7 +242,7 @@ def build_ite_plan_general(
     sign = _check_sign(sign)
     vecs = _site_vectors(psi)
     if h == 0.0:
-        return ItePlan(sign, 0.0, psi.n_qubits, 0.0, vecs, list)
+        return ItePlan(sign, 0.0, psi.n_qubits, 0.0, vecs, partial(GateStack, (), ()))
     terms = spec.terms
     if any(len(term.support) > 2 for term in terms):
         raise ValueError("term support larger than 2 sites is unsupported")
@@ -240,7 +263,7 @@ def build_ite_plan_general(
     # summed left to right in term order, as a term-by-term accumulation would
     log_c = sum((0.5 * np.log(c_sq)).tolist(), 0.0)
 
-    def gates() -> list[LocalGate]:
+    def gates() -> GateStack:
         parts = []
         for idx, mats, phi in stacks:
             h_phi = (mats @ phi[:, :, None])[:, :, 0]
@@ -248,6 +271,6 @@ def build_ite_plan_general(
             v = 1j * (h_phi - mean[:, None] * phi)
             b = v[:, :, None] * phi.conj()[:, None, :] + phi[:, :, None] * v.conj()[:, None, :]
             parts.append((idx, _exp_gates(b, sign * h)))
-        return _gates_in_term_order(terms, parts)
+        return _stack_in_term_order(terms, parts)
 
     return ItePlan(sign, h, psi.n_qubits, log_c, vecs, gates)

@@ -104,7 +104,7 @@ def tfim(n_sites: int, J: float, g: float) -> HamiltonianSpec:
 
 
 def _embed(term: LocalTerm, n: int) -> np.ndarray:
-    lo, matrix = _lsb_first(term)
+    lo, matrix = _lsb_first(term.support, term.matrix)
     width = len(term.support)
     return np.kron(np.eye(2 ** (n - lo - width)), np.kron(matrix, np.eye(2**lo)))
 
@@ -121,7 +121,7 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     n = spec.n_sites
     full = np.zeros((2**n, 2**n), dtype=complex)
     for term in spec.terms:
-        lo, matrix = _lsb_first(term)
+        lo, matrix = _lsb_first(term.support, term.matrix)
         width = len(term.support)
         shape = (2 ** (n - lo - width), 2**width, 2**lo)
         block = np.einsum("aibajb->aijb", full.reshape(shape + shape))  # view of full

@@ -8,15 +8,21 @@ Qubit ``i`` maps to bit ``i`` of the amplitude index, i.e. qubit 0 is the
 least significant bit of the local matrix index.  ``|up>`` is the basis
 vector ``(1, 0)`` (eigenvalue +1 of sigma^z).
 
-Every plan runs on one kernel path: ``compile_layers`` turns each layer of
-gates on adjacent sites into a short tuple of ops, and the plan runners
-(``evolve``, ``apply_ite``, ``circuit_survivals``) apply them in place to
-one contiguous copy of the amplitudes, as ``apply_layer`` does for one
-layer.  An all-diagonal layer becomes one elementwise multiply by a
-precomputed 2^N phase vector.  The other layers fuse their disjoint gates
-into blocks of at most ``_FUSE_SITES`` adjacent sites, each one matrix
-applied along axis 1 of the amplitudes viewed as
-``(2^(N-lo-w), 2^w, 2^lo)``, without transposes.
+Every plan runs on one kernel path: each layer of gates on adjacent sites
+becomes a short tuple of ops, and the plan runners (``evolve``,
+``apply_ite``, ``circuit_survivals``) apply them in place to one contiguous
+copy of the amplitudes, as ``apply_layer`` does for one layer.  One compile
+core, ``_compile_placed``, builds a layer's ops from its (lowest site,
+matrix) pairs.  Plans reach it from their checked ``GateStack`` (supports in
+term order, one matrix each) and a layer index over the supports
+(``_layer_index``, which also serves ``pack_layers``); ``compile_layers`` is
+the adapter for layers of ``LocalGate`` objects.  An all-diagonal layer
+becomes one elementwise multiply by a 2^N phase vector, built as an
+outer-product chain: the gate diagonals, lowest site first, each multiply
+the vector of the sites below them, and ``np.tile`` repeats it over sites no
+gate covers.  The other layers fuse their disjoint gates into blocks of at
+most ``_FUSE_SITES`` adjacent sites, each one matrix applied along axis 1 of
+the amplitudes viewed as ``(2^(N-lo-w), 2^w, 2^lo)``, without transposes.
 
 An op acts on any C-contiguous array whose last axis holds 2^N amplitudes:
 a single state of shape ``(2^N,)`` or a batch of states as the rows of a
@@ -36,6 +42,7 @@ for a fixed input regardless of how callers dispatch work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,17 +122,33 @@ class LocalGate:
 def _check_unitary(mats: np.ndarray) -> None:
     """Raise unless every matrix of a stack (or one matrix) is unitary."""
     gram = mats.conj().swapaxes(-1, -2) @ mats
-    dev = np.max(np.abs(gram - np.eye(mats.shape[-1])), initial=0.0)
-    if dev > _ATOL_UNITARY:
+    dev = np.abs(gram - np.eye(mats.shape[-1])).max(initial=0.0)
+    # written so that a nan entry fails
+    if not dev <= _ATOL_UNITARY:
         raise ValueError(f"matrix flagged unitary deviates from unitarity by {dev:.2e}")
 
 
-def unitary_gates(supports, mats: np.ndarray) -> list[LocalGate]:
-    """One ``LocalGate`` per support from a stack of matrices.  The stack
-    gets one batched unitarity check, so its gates are built with
-    ``unitary=False`` and skip their own."""
+class GateStack(NamedTuple):
+    """The checked gates of a plan: ``supports`` in term order and one
+    matrix per support, after gates equal to the identity were dropped and
+    the rest passed one batched unitarity check.  A plan's layer index, its
+    compiled ops and its ``LocalGate`` views are derived from it."""
+
+    supports: tuple[tuple[int, ...], ...]
+    matrices: tuple[np.ndarray, ...]
+
+
+def _checked_stack(supports, mats: np.ndarray) -> GateStack:
+    """The ``GateStack`` of a stack of matrices, one per support, after one
+    batched unitarity check."""
     _check_unitary(mats)
-    return [LocalGate(support, mat, unitary=False) for support, mat in zip(supports, mats)]
+    return GateStack(tuple(supports), tuple(mats))
+
+
+def _local_gates(stack: GateStack) -> list[LocalGate]:
+    """One ``LocalGate`` per gate of a checked stack; the gates skip their
+    own unitarity check."""
+    return [LocalGate(s, m, unitary=False) for s, m in zip(stack.supports, stack.matrices)]
 
 
 def _resolve_orientation(spec) -> np.ndarray:
@@ -155,8 +178,9 @@ def product_state(orientations) -> StateVector:
     vecs = [_resolve_orientation(o) for o in orientations]
     amps = vecs[0]
     for vec in vecs[1:]:
-        # site k is the LSB of np.kron's second factor
-        amps = np.kron(vec, amps)
+        # site k is the high factor of the outer product, the operands and
+        # their order those of np.kron(vec, amps)
+        amps = (vec[:, None] * amps[None, :]).reshape(-1)
     return StateVector(len(vecs), amps)
 
 
@@ -210,34 +234,45 @@ def inner_product(bra: StateVector, ket: StateVector) -> complex:
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
-def pack_layers(gates, ordered: bool = False) -> list[list[LocalGate]]:
-    """Group gates into layers of pairwise-disjoint supports.
+def _layer_index(supports, ordered: bool = False) -> list[list[int]]:
+    """Indices of ``supports`` grouped into layers of pairwise-disjoint
+    supports, in input order within a layer.
 
-    With ``ordered=False`` (commuting gates) each gate goes into the earliest
-    layer that has no site conflict, which packs a nearest-neighbour bond
-    group into the usual even/odd brickwork.  With ``ordered=True`` the
-    relative order of overlapping gates is preserved: a gate is placed after
-    the last layer touching any of its sites.
+    With ``ordered=False`` (commuting gates) each support goes into the
+    earliest layer that has no site conflict, which packs a nearest-neighbour
+    bond group into the usual even/odd brickwork.  With ``ordered=True`` the
+    relative order of overlapping supports is preserved: a support is placed
+    after the last layer touching any of its sites.
     """
-    layers: list[list[LocalGate]] = []
-    occupied: list[set[int]] = []
-    last_touch: dict[int, int] = {}
-    for gate in gates:
+    layers: list[list[int]] = []
+    occupied: list[set[int]] = []  # the sites of each layer, for brickwork
+    free: dict[int, int] = {}  # per site, the layer after the last touching it
+    for k, support in enumerate(supports):
         if ordered:
-            start = 1 + max((last_touch.get(s, -1) for s in gate.support), default=-1)
-            idx = start
+            idx = max([free.get(s, 0) for s in support])
+            for s in support:
+                free[s] = idx + 1
         else:
             idx = 0
-            while idx < len(layers) and any(s in occupied[idx] for s in gate.support):
+            while idx < len(occupied) and not occupied[idx].isdisjoint(support):
                 idx += 1
-        while idx >= len(layers):
+            if idx == len(occupied):
+                occupied.append(set())
+            occupied[idx].update(support)
+        if idx == len(layers):
             layers.append([])
-            occupied.append(set())
-        layers[idx].append(gate)
-        occupied[idx].update(gate.support)
-        for s in gate.support:
-            last_touch[s] = idx
-    return [layer for layer in layers if layer]
+        layers[idx].append(k)
+    return layers
+
+
+def pack_layers(gates, ordered: bool = False) -> list[list[LocalGate]]:
+    """Group gates into layers of pairwise-disjoint supports (see
+    ``_layer_index`` for the two packings)."""
+    gates = list(gates)
+    return [
+        [gates[k] for k in layer]
+        for layer in _layer_index([g.support for g in gates], ordered)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,20 +308,31 @@ class BlockOp:
             np.matmul(self.matrix, view, out=view)
 
 
-_SWAP_SITES = np.array([0, 2, 1, 3])
+_SWAP_SITES_IX = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+
+#: the unit matrix a block's kron chain starts from
+_ONE = np.ones((1, 1), dtype=complex)
+
+#: identities on the gaps of k sites a block covers but no gate of it does,
+#: indexed by k < _FUSE_SITES
+_EYES = tuple(np.eye(1 << k) for k in range(_FUSE_SITES))
 
 
-def _lsb_first(gate) -> tuple[int, np.ndarray]:
-    """(lo, matrix) of a ``LocalGate`` or ``LocalTerm``, with the lowest
+def _lsb_first(support, matrix) -> tuple[int, np.ndarray]:
+    """(lo, matrix) of a gate or term on ``support``, with the lowest
     support site as the LSB of the index."""
-    if len(gate.support) == 1:
-        return gate.support[0], gate.matrix
-    a, b = gate.support
+    if len(support) == 1:
+        return support[0], matrix
+    a, b = support
     if abs(a - b) != 1:
-        raise ValueError(f"compiled gates act on adjacent sites, not {gate.support}")
+        raise ValueError(f"compiled gates act on adjacent sites, not {support}")
     if a < b:
-        return a, gate.matrix
-    return b, gate.matrix[np.ix_(_SWAP_SITES, _SWAP_SITES)]
+        return a, matrix
+    return b, matrix[_SWAP_SITES_IX]
+
+
+def _lo(item) -> int:
+    return item[0]
 
 
 def _width(matrix: np.ndarray) -> int:
@@ -294,7 +340,7 @@ def _width(matrix: np.ndarray) -> int:
 
 
 def _is_diagonal(matrix: np.ndarray) -> bool:
-    return not np.any(matrix - np.diag(np.diagonal(matrix)))
+    return np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
 
 
 def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -303,36 +349,54 @@ def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return out.reshape(high.shape[0] * low.shape[0], high.shape[1] * low.shape[1])
 
 
+def _phase_vector(n_qubits: int, placed) -> np.ndarray:
+    """The 2^N diagonal of a layer of diagonal gates, sorted by site, as an
+    outer-product chain from site 0 up: each gate's diagonal is the high
+    factor of the vector below it, and ``np.tile`` fills the sites no gate
+    covers.  Every entry is ``1 * d_first * ... * d_last`` in site order."""
+    phase = _ONE[0]
+    site = 0
+    for lo, mat in placed:
+        if lo > site:
+            phase = np.tile(phase, 1 << (lo - site))
+        phase = (phase[None, :] * np.diagonal(mat)[:, None]).reshape(-1)
+        site = lo + _width(mat)
+    if site < n_qubits:
+        phase = np.tile(phase, 1 << (n_qubits - site))
+    return phase
+
+
 def _block_op(n_qubits: int, start: int, members) -> BlockOp:
     """Fuse disjoint gates, sorted by site, into one op starting at ``start``;
     sites no gate covers get the identity."""
-    matrix = np.ones((1, 1), dtype=complex)
+    matrix = _ONE
     site = start
     for lo, mat in members:
         if lo > site:
-            matrix = _kron(np.eye(1 << (lo - site)), matrix)
-        matrix = _kron(mat, matrix)
+            matrix = _kron(_EYES[lo - site], matrix)
+        # mat * _ONE is _kron(mat, _ONE) entry for entry, without its views
+        matrix = mat * _ONE if matrix is _ONE else _kron(mat, matrix)
         site = lo + _width(mat)
     rows, dim = 1 << (n_qubits - site), 1 << (site - start)
     shape = (rows, dim) if start == 0 else (rows, dim, 1 << start)
     return BlockOp(shape, matrix)
 
 
-def _compile_layer(n_qubits: int, gates) -> tuple:
-    placed = sorted((_lsb_first(g) for g in gates), key=lambda item: item[0])
+def _compile_placed(n_qubits: int, placed) -> tuple:
+    """The ops of one layer from its (lo, matrix) pairs sorted by lo, each
+    matrix on the adjacent sites lo.. with site lo as its LSB: one
+    ``PhaseOp`` when every matrix is diagonal, else one ``BlockOp`` per
+    block of at most ``_FUSE_SITES`` sites."""
     ends = [lo + _width(mat) for lo, mat in placed]
-    if any(end > n_qubits for end in ends):
+    if ends and max(ends) > n_qubits:
         raise ValueError(f"gate support out of range for {n_qubits} qubits")
-    if any(lo < end for (lo, _), end in zip(placed[1:], ends)):
-        raise ValueError("layer contains gates with overlapping supports")
+    for (lo, _), end in zip(placed[1:], ends):
+        if lo < end:
+            raise ValueError("layer contains gates with overlapping supports")
     if placed and all(_is_diagonal(mat) for _, mat in placed):
-        phase = np.ones(2**n_qubits, dtype=complex)
-        for lo, mat in placed:
-            phase.reshape(-1, mat.shape[0], 1 << lo)[...] *= np.diagonal(mat)[:, None]
-        return (PhaseOp(phase),)
+        return (PhaseOp(_phase_vector(n_qubits, placed)),)
     blocks: list[tuple[int, list]] = []
-    for lo, mat in placed:
-        hi = lo + _width(mat)
+    for (lo, mat), hi in zip(placed, ends):
         if blocks and hi - blocks[-1][0] <= _FUSE_SITES:
             blocks[-1][1].append((lo, mat))
         else:
@@ -340,7 +404,16 @@ def _compile_layer(n_qubits: int, gates) -> tuple:
             # runs on a view with fewer than 2^_FUSE_SITES columns but one
             start = 0 if not blocks and hi <= _FUSE_SITES else lo
             blocks.append((start, [(lo, mat)]))
-    return tuple(_block_op(n_qubits, start, members) for start, members in blocks)
+    return tuple([_block_op(n_qubits, start, members) for start, members in blocks])
+
+
+def _compile_stack(n_qubits: int, stack: GateStack, index) -> tuple[tuple, ...]:
+    """The ops of a checked stack's layers, one entry per layer of
+    ``index`` (lists of gate indices, as ``_layer_index`` returns)."""
+    placed = list(map(_lsb_first, stack.supports, stack.matrices))
+    return tuple(
+        [_compile_placed(n_qubits, sorted([placed[k] for k in layer], key=_lo)) for layer in index]
+    )
 
 
 def compile_layers(n_qubits: int, layers) -> tuple[tuple, ...]:
@@ -354,7 +427,8 @@ def compile_layers(n_qubits: int, layers) -> tuple[tuple, ...]:
     out = []
     for layer in layers:
         if id(layer) not in compiled:
-            compiled[id(layer)] = _compile_layer(n_qubits, layer)
+            placed = sorted([_lsb_first(g.support, g.matrix) for g in layer], key=_lo)
+            compiled[id(layer)] = _compile_placed(n_qubits, placed)
         out.append(compiled[id(layer)])
     return tuple(out)
 

@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import HamiltonianSpec
-from .statevector import LocalGate, StateVector, compile_layers, pack_layers, unitary_gates
+from .statevector import (
+    GateStack,
+    LocalGate,
+    StateVector,
+    _check_unitary,
+    _local_gates,
+    compile_layers,
+    pack_layers,
+)
 # perfbench/tracer.py counts gates by patching ``apply_layer`` here; ``evolve``
 # runs the compiled ops itself, so the gates it applies are not counted.
 from .statevector import apply_layer  # noqa: F401
@@ -50,16 +58,23 @@ def _stacks_by_width(terms):
             yield idx, np.stack([terms[k].matrix for k in idx])
 
 
-def _gates_in_term_order(terms, parts) -> list[LocalGate]:
-    """LocalGates on the terms' supports from (term indices, gate stack)
-    parts, in term order; gates that equal the identity are dropped.  The
-    kept gates of a stack are checked for unitarity together."""
-    gates = {}
+def _stack_in_term_order(terms, parts) -> GateStack:
+    """The checked ``GateStack`` on the terms' supports from (term indices,
+    gate stack) parts, in term order; gates that equal the identity are
+    dropped.  The kept gates of a part are checked for unitarity together."""
+    kept = {}
     for idx, stack in parts:
         identity = np.max(np.abs(stack - np.eye(stack.shape[-1])), axis=(1, 2)) < _IDENTITY_ATOL
-        kept = [k for k, drop in zip(idx, identity) if not drop]
-        gates.update(zip(kept, unitary_gates([terms[k].support for k in kept], stack[~identity])))
-    return [gates[k] for k in sorted(gates)]
+        mats = stack[~identity]
+        _check_unitary(mats)
+        kept.update(zip([k for k, drop in zip(idx, identity) if not drop], mats))
+    order = sorted(kept)
+    return GateStack(tuple(terms[k].support for k in order), tuple(kept[k] for k in order))
+
+
+def _gates_in_term_order(terms, parts) -> list[LocalGate]:
+    """``LocalGate`` views of ``_stack_in_term_order``."""
+    return _local_gates(_stack_in_term_order(terms, parts))
 
 
 def _group_layers(spec: HamiltonianSpec, label: str, dt: float) -> list[list[LocalGate]]:

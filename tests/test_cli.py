@@ -308,6 +308,87 @@ class TestTwoSided:
         assert main(["two-sided", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+#: (command, block, bad values) of the CLI-level blocks checked at load
+_SWEEP = {"kind": "h", "n_values": [4], "values": [0.1]}
+_BAD_BLOCK_VALUES = [
+    ("cost", "cost", {"t": None}),
+    ("cost", "cost", {"t": "4.0"}),
+    ("cost", "cost", {"t": True}),
+    ("cost", "cost", {"t": float("nan")}),
+    ("cost", "cost", {"t": -1.0}),
+    ("cost", "cost", {"epsilon": 0.0}),
+    ("cost", "cost", {"epsilon": float("inf")}),
+    ("cost", "cost", {"p": 3}),
+    ("cost", "cost", {"p": 2.0}),
+    ("cost", "cost", {"d": 0}),
+    ("cost", "cost", {"n": []}),
+    ("cost", "cost", {"n": [8, 2.5]}),
+    ("cost", "cost", {"n": 0}),
+    ("cost", "cost", {"n": True}),
+    ("cost", "cost", {"r": -1.0}),
+    ("cost", "cost", {"i_factor": None}),
+    ("scaling", "sweep", {**_SWEEP, "kind": "beta"}),
+    ("scaling", "sweep", {**_SWEEP, "values": None}),
+    ("scaling", "sweep", {**_SWEEP, "values": []}),
+    ("scaling", "sweep", {**_SWEEP, "values": [0.1, -0.1]}),
+    ("scaling", "sweep", {**_SWEEP, "n_values": None}),
+    ("scaling", "sweep", {**_SWEEP, "n_values": [4, 1]}),
+    ("scaling", "sweep", {**_SWEEP, "n_values": [4.0]}),
+    ("scaling", "sweep", {**_SWEEP, "t_max": "2"}),
+    ("sequential", "baseline", {"flip_sites": [0, 4]}),
+    ("sequential", "baseline", {"flip_sites": "0"}),
+    ("sequential", "baseline", {"flip_sites": [0, 1], "thetas": [0.0]}),
+    ("sequential", "baseline", {"flip_sites": [0, 1], "thetas": [0.0, "pi"]}),
+    ("sequential", "baseline", {"flip_sites": [0, 1], "fallback_threshold": None}),
+    ("sequential", "baseline", {"flip_sites": [0, 1], "shots": 0}),
+    ("hadamard", "baseline", {"part": "both"}),
+    ("hadamard", "baseline", {"shots": 1.5}),
+    ("phase", "zero_correction", "no"),
+    ("phase", "zero_correction", 1),
+]
+
+
+class TestBadConfigWritesNothing:
+    @pytest.mark.parametrize("command, block, value", _BAD_BLOCK_VALUES)
+    def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, capsys, command, block, value):
+        doc = base_config()
+        if block == "zero_correction":
+            doc["algorithm"]["zero_correction"] = value
+        else:
+            doc[block] = value
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command in ("hadamard", "sequential"):
+            argv = ["baseline", "--method", command] + argv[1:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling"],  # no sweep block
+        ["two-sided"],  # no states.operator_a
+        ["baseline", "--method", "sequential"],  # no baseline.flip_sites
+    ])
+    def test_command_error_before_the_first_write_leaves_no_directory(self, tmp_path, argv):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_good_values_pass(self):
+        doc = base_config(
+            cost={"n": 8, "t": 0, "epsilon": 0.5, "p": 4, "d": 2, "r": 0.5, "i_factor": -1},
+            sweep={"kind": "tau", "n_values": [2, 3], "values": [1, 0.5], "t_max": 1},
+            baseline={"flip_sites": [], "thetas": [0, 1.5], "part": "imag", "shots": None,
+                      "fallback_threshold": 0},
+        )
+        doc["algorithm"]["zero_correction"] = False
+        parsed = parse_document(doc)
+        assert parsed.experiment.zero_correction is False
+
+
 class TestScalingLdosCost:
     def test_scaling_single_point(self, tmp_path):
         doc = base_config()

@@ -5,8 +5,10 @@ groups, with reversed supports and both diagonal and dense matrices.  The
 compiled kernels are checked against dense products of ``_embed``-ed gate
 matrices, folded diagonal layers against their gates applied one by one,
 the plan census against an independent statement of the step layout, the
-batched ITE plan builders against a term-by-term construction, and the
-baselines against circuits that evolve every state they interfere.
+batched ITE plan builders against a term-by-term construction, every plan's
+compiled ops against a gate-by-gate reference compile of its layers (bit for
+bit), and the baselines against circuits that evolve every state they
+interfere.
 """
 
 from types import SimpleNamespace
@@ -24,6 +26,7 @@ from loschmidt.model import HamiltonianSpec, LocalTerm, _embed, tfim
 from loschmidt.noise import NoiseConfig
 from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.statevector import (
+    BlockOp,
     LocalGate,
     PhaseOp,
     StateVector,
@@ -380,6 +383,148 @@ class TestPlanCensus:
         trotter_layers = steps * build_plan(spec, tau, tau, order).layers_per_step
         ite_layers = build_ite_plan_tfim(spec, psi, 0.1, +1).n_layers
         assert len(calls) == n_traj * (3 * trotter_layers + 2 * ite_layers)
+
+
+def _reference_pack(gates, ordered):
+    """Layering as a per-gate scan of site sets: the earliest layer without a
+    conflict (brickwork), or the layer after the last one touching a site of
+    the gate (ordered)."""
+    layers, last_touch = [], {}
+    for gate in gates:
+        if ordered:
+            idx = 1 + max(last_touch.get(s, -1) for s in gate.support)
+        else:
+            idx = 0
+            while idx < len(layers) and any(
+                s in g.support for g in layers[idx] for s in gate.support
+            ):
+                idx += 1
+        if idx == len(layers):
+            layers.append([])
+        layers[idx].append(gate)
+        for s in gate.support:
+            last_touch[s] = idx
+    return layers
+
+
+def _reference_compile_layer(n, gates):
+    """One layer's ops as (kind, shape, array), built gate by gate: a folded
+    diagonal layer multiplies a 2^N vector of ones by each gate's diagonal
+    in place, a block is an np.kron chain over np.eye gaps."""
+    placed = []
+    for gate in gates:
+        mat, support = gate.matrix, gate.support
+        if len(support) == 2 and support[0] > support[1]:
+            mat = mat[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
+        placed.append((min(support), mat))
+    placed.sort(key=lambda item: item[0])
+    widths = [mat.shape[0].bit_length() - 1 for _, mat in placed]
+    if placed and all(not np.any(m - np.diag(np.diagonal(m))) for _, m in placed):
+        phase = np.ones(2**n, dtype=complex)
+        for lo, mat in placed:
+            phase.reshape(-1, mat.shape[0], 1 << lo)[...] *= np.diagonal(mat)[:, None]
+        return [("phase", phase.shape, phase)]
+    blocks = []
+    for (lo, mat), width in zip(placed, widths):
+        hi = lo + width
+        if blocks and hi - blocks[-1][0] <= 5:
+            blocks[-1][1].append((lo, mat))
+        else:
+            blocks.append((0 if not blocks and hi <= 5 else lo, [(lo, mat)]))
+    ops = []
+    for start, members in blocks:
+        matrix, site = np.ones((1, 1), dtype=complex), start
+        for lo, mat in members:
+            if lo > site:
+                matrix = np.kron(np.eye(1 << (lo - site)), matrix)
+            matrix = np.kron(mat, matrix)
+            site = lo + mat.shape[0].bit_length() - 1
+        rows, dim = 1 << (n - site), 1 << (site - start)
+        ops.append(("block", (rows, dim) if start == 0 else (rows, dim, 1 << start), matrix))
+    return ops
+
+
+def _assert_same_ops(compiled, layers, n):
+    """``compiled`` equals the reference compile of ``layers`` op for op,
+    bit for bit."""
+    assert len(compiled) == len(layers)
+    for ops, layer in zip(compiled, layers):
+        reference = _reference_compile_layer(n, layer)
+        assert len(ops) == len(reference)
+        for op, (kind, shape, array) in zip(ops, reference):
+            if kind == "phase":
+                assert type(op) is PhaseOp
+                got = op.phase
+            else:
+                assert type(op) is BlockOp and op.shape == shape
+                got = op.matrix
+            assert got.dtype == array.dtype and got.shape == array.shape
+            assert got.tobytes() == array.tobytes()
+
+
+class TestCompileEquivalence:
+    """Plans compiled from their gate stacks against the gate-by-gate
+    reference compile of their layers."""
+
+    @PROPERTY
+    @given(spec=chains(), order=st.sampled_from([1, 2, 4]), tau=st.sampled_from([0.05, 0.7]))
+    def test_trotter_plan_ops(self, spec, order, tau):
+        plan = build_plan(spec, tau, tau, order)
+        _assert_same_ops(plan.compiled, plan.step_layers, spec.n_sites)
+        for layer, ref in zip(plan.step_layers, reference_step_layers(spec, tau, order)):
+            assert [g.support for g in layer] == [g.support for g in ref]
+
+    @PROPERTY
+    @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
+           h=st.sampled_from([0.02, 0.3]))
+    def test_general_ite_plan_ops(self, case, sign, h):
+        spec, psi = case
+        plan = build_ite_plan_general(spec, psi, h, sign)
+        layers = _reference_pack(plan.gates, ordered=True)
+        _assert_same_ops(plan.compiled, layers, spec.n_sites)
+        assert plan.n_layers == len(plan.layers) == len(layers)
+        assert plan.layers == pack_layers(plan.gates, ordered=True) == layers
+
+    @PROPERTY
+    @given(n=st.integers(2, 8), seed=SEEDS, sign=st.sampled_from([1, -1]))
+    def test_closed_form_ite_plan_ops(self, n, seed, sign):
+        rng = np.random.default_rng(seed)
+        psi = basis_state(n, int(rng.integers(0, 2**n)))
+        spec = tfim(n, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.2, 1.5)))
+        plan = build_ite_plan_tfim(spec, psi, 0.1, sign)
+        layers = _reference_pack(plan.gates, ordered=True)
+        _assert_same_ops(plan.compiled, layers, n)
+        assert plan.n_layers == len(plan.layers) == len(layers)
+        assert plan.layers == pack_layers(plan.gates, ordered=True) == layers
+
+    @PROPERTY
+    @given(layer=disjoint_layers(), seed=SEEDS)
+    def test_compile_layers_ops(self, layer, seed):
+        n, gates = layer
+        _assert_same_ops(compile_layers(n, [gates]), [gates], n)
+        # the brickwork packing agrees with the reference on a shuffled list
+        shuffled = [gates[k] for k in np.random.default_rng(seed).permutation(len(gates))]
+        assert pack_layers(shuffled) == _reference_pack(shuffled, ordered=False)
+
+    def test_diagonal_layer_with_uncovered_sites(self):
+        rng = np.random.default_rng(3)
+        phases = [np.diag(np.exp(1j * rng.uniform(0, 6, 2**w))) for w in (2, 1, 2)]
+        # sites 0, 3, 4 and 8 carry no gate; (6, 5) is a reversed support
+        gates = [LocalGate((1, 2), phases[0]), LocalGate((6, 5), phases[2]),
+                 LocalGate((7,), phases[1])]
+        (ops,) = compile_layers(9, [gates])
+        assert len(ops) == 1 and isinstance(ops[0], PhaseOp)
+        _assert_same_ops((ops,), [gates], 9)
+
+    def test_block_entries_keep_the_signed_zeros_of_the_kron_chain(self):
+        # the chain starts from the 1x1 unit, which turns an entry (-0.0, -0.0)
+        # into (+0.0, -0.0); the kron with a dense gate keeps the difference
+        zero = complex(-0.0, -0.0)
+        first = np.array([[1.0, zero], [zero, -1j]])
+        dense = _exp_gate(_random_hermitian(np.random.default_rng(4), 4, False), 0.3)
+        for n, gates in ((3, [LocalGate((0,), first), LocalGate((1, 2), dense)]),
+                         (9, [LocalGate((6,), first), LocalGate((7, 8), dense)])):
+            _assert_same_ops(compile_layers(n, [gates]), [gates], n)
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -249,19 +249,19 @@ class TestLazyCompile:
         def refuse(*_args):
             raise RuntimeError("ITE layers compiled")
 
-        monkeypatch.setattr(ite_module, "compile_layers", refuse)
+        monkeypatch.setattr(ite_module, "_compile_stack", refuse)
         trace = run_phase_experiment(self._config("exact_oracle"))
         assert np.all(np.isfinite(trace.phi))
 
     def test_statevector_backend_compiles_both_plans(self, monkeypatch):
         calls = []
-        original = ite_module.compile_layers
+        original = ite_module._compile_stack
 
-        def counted(n_qubits, layers):
+        def counted(n_qubits, stack, layers):
             calls.append(len(layers))
-            return original(n_qubits, layers)
+            return original(n_qubits, stack, layers)
 
-        monkeypatch.setattr(ite_module, "compile_layers", counted)
+        monkeypatch.setattr(ite_module, "_compile_stack", counted)
         run_phase_experiment(self._config("statevector_trotter"))
         assert len(calls) == 2 and all(calls)
 
@@ -276,14 +276,14 @@ class TestLazyCompile:
 
     @pytest.mark.parametrize("ite_mode", sorted(STATES))
     def test_oracle_backend_builds_no_ite_gates(self, monkeypatch, ite_mode):
-        import loschmidt.trotter as trotter_module
-
         def refuse(*_args):
             raise RuntimeError("ITE gates built")
 
+        # the general stack goes through _exp_gates and _stack_in_term_order,
+        # the closed-form rotation stack through _checked_stack
         monkeypatch.setattr(ite_module, "_exp_gates", refuse)
-        monkeypatch.setattr(ite_module, "unitary_gates", refuse)
-        monkeypatch.setattr(trotter_module, "unitary_gates", refuse)
+        monkeypatch.setattr(ite_module, "_stack_in_term_order", refuse)
+        monkeypatch.setattr(ite_module, "_checked_stack", refuse)
         trace = run_phase_experiment(self._mode_config(ite_mode, "exact_oracle"))
         assert np.all(np.isfinite(trace.phi))
 
@@ -307,8 +307,8 @@ class TestLazyCompile:
         assert [p.sign for p in oracle] == [p.sign for p in plans] == [1, -1]
         # bit for bit: the constant does not depend on whether gates are built
         assert [p.log_c_total for p in oracle] == [p.log_c_total for p in plans]
-        assert all("gates" not in vars(p) for p in oracle)
-        assert all("gates" in vars(p) and p.gates for p in plans)
+        assert all("gate_stack" not in vars(p) for p in oracle)
+        assert all("gate_stack" in vars(p) and p.gate_stack.supports for p in plans)
 
     def test_compiled_once_per_plan(self):
         plan = build_ite_plan_general(tfim(3, 1.0, 0.5), product_state(["x+", "up", "y-"]), 0.1, 1)

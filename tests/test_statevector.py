@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from loschmidt.statevector import (
+    AXIS_STATES,
     LocalGate,
     StateVector,
     apply_gate,
@@ -78,6 +79,25 @@ class TestProductState:
         state = product_state(["x+", "y-", "down", [0.6, 0.8j]])
         assert abs(state.norm() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_amplitudes_equal_kron_chain_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        names = ["up", "down", "x+", "x-", "y+", "y-"]
+        sites = []
+        for k in range(n):
+            if k % 2:
+                vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+                sites.append(vec / np.linalg.norm(vec))
+            else:
+                sites.append(names[rng.integers(len(names))])
+        vecs = [
+            AXIS_STATES[s] if isinstance(s, str) else s / np.linalg.norm(s) for s in sites
+        ]
+        expected = vecs[0]
+        for vec in vecs[1:]:
+            expected = np.kron(vec, expected)
+        assert product_state(sites).amplitudes.tobytes() == expected.tobytes()
+
 
 class TestApplyGate:
     def test_identity(self):
@@ -147,6 +167,10 @@ class TestApplyGate:
             LocalGate((0,), np.array([[1, 0], [0, 2.0]]))
         # allowed when flagged non-unitary
         LocalGate((0,), np.array([[1, 0], [0, 2.0]]), unitary=False)
+
+    def test_nan_matrix_fails_the_unitarity_check(self):
+        with pytest.raises(ValueError, match="unitar"):
+            LocalGate((0,), np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 class TestInnerProduct:
