@@ -230,8 +230,8 @@ def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
     # the sweep block was checked at load
     kind = doc.sweep["kind"]
     n_values = doc.sweep["n_values"]
-    values = [float(v) for v in doc.sweep["values"]]
-    t_max = float(doc.sweep.get("t_max", exp.t_max))
+    values = doc.sweep["values"]
+    t_max = doc.sweep.get("t_max", exp.t_max)
 
     rows = []
     exponents = []
@@ -241,7 +241,7 @@ def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
         model_block = doc.raw["model"]
         if model_block.get("model") != "tfim":
             raise ConfigError("scaling sweeps support the built-in tfim model only")
-        spec = tfim(n, float(model_block["J"]), float(model_block["g"]))
+        spec = tfim(n, model_block["J"], model_block["g"])
         psi = product_state(["up"] * n)
         errs = []
         for value in values:
@@ -303,7 +303,7 @@ def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
         "imag_residue": spectrum.max_imag_residue, **_trace_health(trace),
     }
     if exp.spec.n_sites <= ORACLE_MAX_SITES:
-        width = float(doc.spectral.get("width", 0.08))
+        width = doc.spectral.get("width", 0.08)
         reference = exact_ldos(exp.spec, exp.psi, width)
         write_csv(
             outdir / "ldos_reference.csv",
@@ -319,7 +319,6 @@ def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
     exp = doc.experiment
     rng = np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(17,)))
     shots = doc.baseline.get("shots")
-    shots = int(shots) if shots is not None else None
     if method == "hadamard":
         parts = [doc.baseline["part"]] if "part" in doc.baseline else ["real", "imag"]
         estimates = [
@@ -344,7 +343,7 @@ def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
         chain = [exp.psi]
         for site in flip_sites:
             prev = chain[-1]
-            amps = apply_matrix(prev, np.array([[0, 1], [1, 0]], dtype=complex), (int(site),))
+            amps = apply_matrix(prev, np.array([[0, 1], [1, 0]], dtype=complex), (site,))
             chain.append(StateVector(exp.spec.n_sites, amps.amplitudes))
         if exp.anchor is not None:
             anchor = exp.anchor
@@ -356,10 +355,10 @@ def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
         result = sequential_interferometry(
             exp.spec, chain, exp.t_max, exp.tau, exp.order,
             anchor_phase=anchor,
-            thetas=tuple(float(x) for x in thetas),
+            thetas=tuple(thetas),
             shots=shots,
             rng=rng,
-            fallback_threshold=float(doc.baseline.get("fallback_threshold", 1e-3)),
+            fallback_threshold=doc.baseline.get("fallback_threshold", 1e-3),
         )
         steps = list(range(len(result.step_phases)))
         write_csv(
@@ -387,13 +386,13 @@ def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
 def cmd_cost(doc: RunDocument, outdir: Path) -> int:
     block = doc.cost
     n_list = block.get("n", [8, 16, 32, 64])
-    n_list = [int(n) for n in (n_list if isinstance(n_list, list) else [n_list])]
-    t = float(block.get("t", 4.0))
-    eps = float(block.get("epsilon", 0.01))
-    order = int(block.get("p", 2))
-    dim = int(block.get("d", 1))
-    r = float(block.get("r", 1.0))
-    i_factor = float(block.get("i_factor", 1.0))
+    n_list = n_list if isinstance(n_list, list) else [n_list]
+    t = block.get("t", 4.0)
+    eps = block.get("epsilon", 0.01)
+    order = block.get("p", 2)
+    dim = block.get("d", 1)
+    r = block.get("r", 1.0)
+    i_factor = block.get("i_factor", 1.0)
     rows = []
     for n in n_list:
         for method in ("hadamard", "sequential", "this_work"):
@@ -438,11 +437,11 @@ def main(argv=None) -> int:
     try:
         doc = load_config(args.config)
         if args.seed is not None:
-            doc.experiment.seed = args.seed
-            if doc.experiment.noise is not None and (
-                doc.raw.get("noise", {}).get("seed") is None
-            ):
-                doc.experiment.noise.master_seed = args.seed
+            # through replace, so the override meets the config's seed checks
+            noise = doc.experiment.noise
+            if noise is not None and doc.raw["noise"].get("seed") is None:
+                noise = replace(noise, master_seed=args.seed)
+            doc.experiment = replace(doc.experiment, seed=args.seed, noise=noise)
         outdir = Path(args.out)
         if args.command == "amplitude":
             return cmd_amplitude(doc, outdir)

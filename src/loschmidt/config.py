@@ -1,4 +1,4 @@
-"""Experiment configuration: typed object plus strict JSON schema.
+"""Experiment configuration: typed objects plus strict JSON schema.
 
 A run is described by a single JSON document (no environment variables);
 unknown keys are rejected so that a stored config replays exactly.  The
@@ -14,25 +14,143 @@ or an explicit term list with matrices as nested [re, im] pairs
 State specifications are either a single named axis state applied to every
 site ("up", "z+", "x-", ...) or a per-site list mixing names and normalized
 [re, im] component pairs.
+
+Each value is checked once, by type and range, in the table of its block
+(``_check_values``), and then used as given: it is never coerced, so
+``"order": 2.9`` or ``"tau": "0.05"`` is an error.  ``ExperimentConfig`` and
+``NoiseConfig`` run their blocks' tables, for Python callers as for JSON.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
 
 from .exceptions import ConfigError
-from .model import ORACLE_MAX_SITES, HamiltonianSpec, LocalTerm, tfim
-from .noise import NoiseConfig
+from .model import ORACLE_MAX_SITES, SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec, LocalTerm, tfim
 from .statevector import StateVector, product_state
 
 _RULES = ("simpson", "trapezoid")
 _ITE_MODES = ("tfim_closed_form", "general_bj")
 _BACKENDS = ("exact_oracle", "statevector_trotter", "noisy")
 _ORDERS = (1, 2, 4)
+_NAMED_OPERATORS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+
+
+def _finite(value) -> bool:
+    """A finite real number; a bool (an int in Python) is not one."""
+    return not isinstance(value, bool) and isinstance(value, Real) and abs(value) < float("inf")
+
+
+def _nonnegative(value) -> bool:
+    return _finite(value) and value >= 0
+
+
+def _positive(value) -> bool:
+    return _finite(value) and value > 0
+
+
+def _integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, Integral)
+
+
+def _count(value) -> bool:
+    return _integer(value) and value >= 1
+
+
+def _seed(value) -> bool:
+    return _integer(value) and value >= 0
+
+
+def _one_of(options):
+    return lambda value: isinstance(value, str) and value in options
+
+
+def _optional(accepts):
+    """Predicate of null or a value ``accepts`` takes."""
+    return lambda value: value is None or accepts(value)
+
+
+def _list_of(accepts):
+    """Predicate of a non-empty list whose entries ``accepts`` takes."""
+    return lambda value: isinstance(value, list) and bool(value) and all(map(accepts, value))
+
+
+def _list(length: int, accepts):
+    """Predicate of a list of ``length`` entries that ``accepts`` takes."""
+    return lambda value: (
+        isinstance(value, list) and len(value) == length and all(map(accepts, value))
+    )
+
+
+_pair = _list(2, _finite)  # one complex number as [re, im]
+_spinor = _list(2, _pair)  # one site's state as two [re, im] components
+
+
+def _square_matrix(value) -> bool:
+    """A non-empty square matrix of [re, im] pairs."""
+    return isinstance(value, list) and _list_of(_list(len(value), _pair))(value)
+
+
+def _complex(pairs) -> np.ndarray:
+    """The complex array of checked nested [re, im] pairs."""
+    arr = np.array(pairs, dtype=float)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _check_values(block: dict, checks, where: str) -> None:
+    """Raise unless each key of ``block`` named in ``checks`` (key,
+    predicate, description) holds a value the predicate accepts.  ``where``
+    is the block's JSON path, empty for the top level."""
+    for key, accepts, what in checks:
+        if key in block and not accepts(block[key]):
+            path = f"{where}.{key}" if where else key
+            raise ConfigError(f"{path} must be {what}, got {block[key]!r}")
+
+
+#: the algorithm block, as the fields of ExperimentConfig
+_ALGORITHM_CHECKS = (
+    ("tau", _positive, "a positive number"),
+    ("h", _positive, "a positive number"),
+    ("t_max", _nonnegative, "a nonnegative number"),
+    ("order", lambda v: _integer(v) and v in _ORDERS, "one of 1, 2, 4"),
+    ("rule", _one_of(_RULES), f"one of {_RULES}"),
+    ("ite_mode", _one_of(_ITE_MODES), f"one of {_ITE_MODES}"),
+    ("backend", _one_of(_BACKENDS), f"one of {_BACKENDS}"),
+    ("shots", _optional(_count), "a positive integer or null"),
+    ("zero_correction", lambda v: isinstance(v, bool), "true or false"),
+    ("threshold", _optional(_positive), "a positive number or null"),
+    ("anchor", _optional(_finite), "a finite number or null"),
+)
+
+#: the top-level values, also fields of ExperimentConfig
+_TOP_CHECKS = (("seed", _seed, "a nonnegative integer"),)
+
+#: the noise block, as the fields of NoiseConfig (``seed`` is master_seed)
+_NOISE_CHECKS = (
+    ("gamma", lambda v: _finite(v) and 0 <= v < 1, "a number in [0, 1)"),
+    ("n_trajectories", _count, "a positive integer"),
+    ("shots", _optional(_count), "a positive integer or null"),
+    ("seed", _seed, "a nonnegative integer (it defaults to the config's seed)"),
+)
+
+
+@dataclass
+class NoiseConfig:
+    """Depolarizing rate, trajectory count, shot budget and master seed: the
+    ``noise`` block, whose ``seed`` defaults to the config's ``seed``."""
+
+    gamma: float
+    n_trajectories: int = 1000
+    shots: int | None = None
+    master_seed: int = 0
+
+    def __post_init__(self):
+        _check_values({**vars(self), "seed": self.master_seed}, _NOISE_CHECKS, "noise")
 
 
 @dataclass
@@ -59,24 +177,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rule not in _RULES:
-            raise ConfigError(f"rule must be one of {_RULES}")
-        if self.ite_mode not in _ITE_MODES:
-            raise ConfigError(f"ite_mode must be one of {_ITE_MODES}")
-        if self.backend not in _BACKENDS:
-            raise ConfigError(f"backend must be one of {_BACKENDS}")
-        if self.order not in _ORDERS:
-            raise ConfigError(f"order must be one of {_ORDERS}")
-        if self.tau <= 0 or self.h <= 0:
-            raise ConfigError("tau and h must be positive")
-        if self.t_max < 0:
-            raise ConfigError("t_max must be nonnegative")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigError("shots must be >= 1 when given")
-        if self.threshold is not None and self.threshold <= 0:
-            raise ConfigError("threshold must be positive when given")
+        _check_values(vars(self), _ALGORITHM_CHECKS, "algorithm")
+        _check_values(vars(self), _TOP_CHECKS, "")
         if self.backend == "noisy" and self.noise is None:
             raise ConfigError("noisy backend requires a noise block")
+        if self.noise is not None and self.shots is not None:
+            raise ConfigError("algorithm.shots is not read next to a noise block; set noise.shots")
         if self.backend == "exact_oracle" and self.spec.n_sites > ORACLE_MAX_SITES:
             raise ConfigError(
                 f"exact_oracle backend is capped at {ORACLE_MAX_SITES} sites, "
@@ -84,20 +190,42 @@ class ExperimentConfig:
             )
 
 
-def _require_keys(block: dict, allowed: set[str], required: set[str], where: str):
+def _keys(checks) -> set[str]:
+    """The keys a table checks: the keys its block may hold."""
+    return {key for key, _, _ in checks}
+
+
+def _checked_block(block: Any, where: str, allowed, required=frozenset(), checks=()) -> dict:
+    """``block`` once it is an object with keys among ``allowed``, all of
+    ``required``, and values the ``checks`` table accepts."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
     missing = required - set(block)
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
+    _check_values(block, checks, where)
+    return block
 
 
-def _complex_matrix(raw, where: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ConfigError(f"{where}: matrix must be square with [re, im] entries")
-    return arr[..., 0] + 1j * arr[..., 1]
+_TFIM_CHECKS = (
+    ("n", lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+    ("J", _finite, "a finite number"),
+    ("g", _finite, "a finite number"),
+)
+
+_TERMS_CHECKS = (
+    ("n", _count, "a positive integer"),
+    ("terms", lambda v: isinstance(v, list), "a list of terms"),
+)
+
+_TERM_CHECKS = (
+    ("support", _list_of(_integer), "a non-empty list of site indices"),
+    ("matrix", _square_matrix, "a square matrix of [re, im] pairs"),
+    ("group", lambda v: isinstance(v, str), "a string"),
+)
 
 
 def parse_model(block: Any) -> HamiltonianSpec:
@@ -105,108 +233,74 @@ def parse_model(block: Any) -> HamiltonianSpec:
         raise ConfigError("model block must be an object")
     kind = block.get("model")
     if kind == "tfim":
-        _require_keys(block, {"model", "n", "J", "g"}, {"model", "n", "J", "g"}, "model")
+        _checked_block(block, "model", {"model", "n", "J", "g"}, {"n", "J", "g"}, _TFIM_CHECKS)
+        return tfim(block["n"], block["J"], block["g"])
+    if kind != "terms":
+        raise ConfigError("model must be 'tfim' or 'terms'")
+    _checked_block(block, "model", {"model", "n", "terms"}, {"n", "terms"}, _TERMS_CHECKS)
+    terms = []
+    for idx, raw in enumerate(block["terms"]):
+        where = f"model.terms[{idx}]"
+        _checked_block(raw, where, _keys(_TERM_CHECKS), {"support", "matrix"}, _TERM_CHECKS)
         try:
-            return tfim(int(block["n"]), float(block["J"]), float(block["g"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "terms":
-        _require_keys(block, {"model", "n", "terms"}, {"model", "n", "terms"}, "model")
-        terms = []
-        for idx, raw in enumerate(block["terms"]):
-            _require_keys(
-                raw, {"support", "matrix", "group"}, {"support", "matrix"}, f"terms[{idx}]"
+            terms.append(
+                LocalTerm(tuple(raw["support"]), _complex(raw["matrix"]), raw.get("group", ""))
             )
-            try:
-                terms.append(
-                    LocalTerm(
-                        tuple(int(s) for s in raw["support"]),
-                        _complex_matrix(raw["matrix"], f"terms[{idx}]"),
-                        str(raw.get("group", "")),
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"terms[{idx}]: {exc}") from exc
-        try:
-            return HamiltonianSpec(int(block["n"]), tuple(terms))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError("model must be 'tfim' or 'terms'")
+            raise ConfigError(f"{where}: {exc}") from exc
+    try:
+        return HamiltonianSpec(block["n"], tuple(terms))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_state(raw: Any, n_sites: int, where: str) -> StateVector:
-    if isinstance(raw, str):
-        raw = [raw] * n_sites
-    if not isinstance(raw, list) or len(raw) != n_sites:
-        raise ConfigError(f"{where}: expected a name or a list of {n_sites} site states")
-    site_specs = []
-    for entry in raw:
-        if isinstance(entry, str):
-            site_specs.append(entry)
-        else:
-            arr = np.asarray(entry, dtype=float)
-            if arr.shape != (2, 2):
-                raise ConfigError(f"{where}: site entries are names or 2x[re, im] pairs")
-            site_specs.append(arr[:, 0] + 1j * arr[:, 1])
+    """The product state of a checked name or per-site list."""
+    sites = [raw] * n_sites if isinstance(raw, str) else raw
     try:
-        return product_state(site_specs)
+        return product_state([s if isinstance(s, str) else _complex(s) for s in sites])
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_ALGORITHM_KEYS = {
-    "tau", "h", "t_max", "order", "rule", "ite_mode", "backend", "shots",
-    "zero_correction", "threshold", "anchor",
-}
-_NOISE_KEYS = {"gamma", "n_trajectories", "shots", "seed"}
-_STATE_KEYS = {"psi", "psi_final", "operator_a", "t_prime"}
-_SPECTRAL_KEYS = {"hermitian_extend", "width", "taper_width"}
-_BASELINE_KEYS = {"flip_sites", "thetas", "fallback_threshold", "part", "shots"}
-_COST_KEYS = {"n", "t", "epsilon", "p", "d", "r", "i_factor"}
-_SWEEP_KEYS = {"kind", "n_values", "values", "t_max"}
-_TOP_KEYS = {
-    "model", "states", "algorithm", "noise", "sweep", "seed", "spectral",
-    "baseline", "cost",
-}
+def _state_checks(n_sites: int):
+    # a name for every site, or per site a name or two [re, im] components
+    sites = _list(n_sites, lambda v: isinstance(v, str) or _spinor(v))
+
+    def state(value):
+        return isinstance(value, str) or sites(value)
+
+    what = f"a name or a list of {n_sites} site states (names or [[re, im], [re, im]])"
+    return (
+        ("psi", state, what),
+        ("psi_final", _optional(state), f"{what} or null"),
+        ("t_prime", _optional(_nonnegative), "a nonnegative number or null"),
+    )
 
 
-def parse_noise(block: Any, default_seed: int) -> NoiseConfig:
-    if not isinstance(block, dict):
-        raise ConfigError("noise block must be an object")
-    _require_keys(block, _NOISE_KEYS, {"gamma", "n_trajectories"}, "noise")
-    try:
-        return NoiseConfig(
-            gamma=float(block["gamma"]),
-            n_trajectories=int(block["n_trajectories"]),
-            shots=int(block["shots"]) if block.get("shots") is not None else None,
-            master_seed=int(block.get("seed", default_seed)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _operator_checks(n_sites: int):
+    return (
+        ("sites", _list_of(lambda s: _integer(s) and 0 <= s < n_sites),
+         f"a non-empty list of sites in [0, {n_sites})"),
+        ("name", lambda v: isinstance(v, str) and v.lower() in _NAMED_OPERATORS,
+         "'x', 'y' or 'z'"),
+        ("matrix", _square_matrix, "a square matrix of [re, im] pairs"),
+    )
 
 
 def parse_operator(block: Any, n_sites: int):
     """Local unitary insertion: {"sites": [...], "name": "x"|"y"|"z"} or an
     explicit matrix {"sites": [...], "matrix": [[..]]}. Returns (sites, matrix)."""
-    from .model import SIGMA_X, SIGMA_Y, SIGMA_Z
-
-    if not isinstance(block, dict):
-        raise ConfigError("operator_a must be an object")
-    _require_keys(block, {"sites", "name", "matrix"}, {"sites"}, "operator_a")
-    if "name" in block and "matrix" in block:
-        raise ConfigError("operator_a takes a name or a matrix, not both")
-    sites = tuple(int(s) for s in block["sites"])
-    if any(s < 0 or s >= n_sites for s in sites):
-        raise ConfigError("operator_a sites out of range")
+    checks = _operator_checks(n_sites)
+    _checked_block(block, "states.operator_a", _keys(checks), {"sites"}, checks)
+    sites = tuple(block["sites"])
+    if ("name" in block) == ("matrix" in block):
+        raise ConfigError("operator_a takes a name or a matrix")
     if "name" in block:
-        named = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-        name = str(block["name"]).lower()
-        if name not in named or len(sites) != 1:
-            raise ConfigError("named operators are single-site x, y or z")
-        return sites, named[name]
-    if "matrix" not in block:
-        raise ConfigError("operator_a needs a name or a matrix")
-    mat = _complex_matrix(block["matrix"], "operator_a")
+        if len(sites) != 1:
+            raise ConfigError("named operators act on a single site")
+        return sites, _NAMED_OPERATORS[block["name"].lower()]
+    mat = _complex(block["matrix"])
     if mat.shape != (2 ** len(sites),) * 2:
         raise ConfigError("operator_a matrix does not match its sites")
     dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
@@ -215,55 +309,27 @@ def parse_operator(block: Any, n_sites: int):
     return sites, mat
 
 
-def _finite(value) -> bool:
-    """A finite JSON number; a bool (an int in Python) is not one."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and -float("inf") < value < float("inf")
+def parse_noise(block: Any, default_seed: int) -> NoiseConfig:
+    """The noise block; ``NoiseConfig`` checks its values."""
+    _checked_block(block, "noise", _keys(_NOISE_CHECKS), {"gamma", "n_trajectories"})
+    return NoiseConfig(
+        block["gamma"], block["n_trajectories"], block.get("shots"),
+        block.get("seed", default_seed),
     )
 
 
-def _nonnegative(value) -> bool:
-    return _finite(value) and value >= 0
+_TOP_KEYS = {
+    "model", "states", "algorithm", "noise", "sweep", "seed", "spectral",
+    "baseline", "cost",
+}
 
-
-def _positive(value) -> bool:
-    return _finite(value) and value > 0
-
-
-def _integer(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int)
-
-
-def _count(value) -> bool:
-    return _integer(value) and value >= 1
-
-
-def _check_values(block: dict, checks, where: str) -> None:
-    """Raise unless each key of ``block`` named in ``checks`` (key,
-    predicate, description) holds a value the predicate accepts."""
-    for key, accepts, what in checks:
-        if key in block and not accepts(block[key]):
-            raise ConfigError(f"{where}.{key} must be {what}, got {block[key]!r}")
-
-
-def _list_of(accepts):
-    """Predicate of a non-empty list whose entries ``accepts`` takes."""
-    return lambda value: isinstance(value, list) and bool(value) and all(map(accepts, value))
-
-
-def _check_spectral(block: dict) -> None:
-    """``hermitian_extend`` is a JSON bool, ``width`` a positive number and
-    ``taper_width`` a positive number or null (no taper)."""
-    if not isinstance(block.get("hermitian_extend", True), bool):
-        raise ConfigError("spectral.hermitian_extend must be true or false")
-    for key in ("width", "taper_width"):
-        if key not in block or (key == "taper_width" and block[key] is None):
-            continue
-        if not _positive(block[key]):
-            raise ConfigError(f"spectral.{key} must be a positive number, got {block[key]!r}")
-
+#: ``hermitian_extend`` a JSON bool, ``width`` a positive number and
+#: ``taper_width`` a positive number or null (no taper)
+_SPECTRAL_CHECKS = (
+    ("hermitian_extend", lambda v: isinstance(v, bool), "true or false"),
+    ("width", _positive, "a positive number"),
+    ("taper_width", _optional(_positive), "a positive number or null"),
+)
 
 #: the cost block's keys: N is one count or a list of them, the rest numbers
 _COST_CHECKS = (
@@ -278,7 +344,7 @@ _COST_CHECKS = (
 )
 
 _SWEEP_CHECKS = (
-    ("kind", lambda v: v in ("h", "tau"), "'h' or 'tau'"),
+    ("kind", _one_of(("h", "tau")), "'h' or 'tau'"),
     # the scaling sweep runs the built-in chain, which needs two sites
     ("n_values", _list_of(lambda v: _integer(v) and v >= 2),
      "a non-empty list of integers >= 2"),
@@ -292,11 +358,10 @@ def _baseline_checks(n_sites: int):
         ("flip_sites", lambda v: isinstance(v, list) and all(
             _integer(s) and 0 <= s < n_sites for s in v),
          f"a list of sites in [0, {n_sites})"),
-        ("thetas", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v)),
-         "a list of two finite numbers"),
+        ("thetas", _list(2, _finite), "a list of two finite numbers"),
         ("fallback_threshold", _nonnegative, "a nonnegative number"),
-        ("part", lambda v: v in ("real", "imag"), "'real' or 'imag'"),
-        ("shots", lambda v: v is None or _count(v), "a positive integer or null"),
+        ("part", _one_of(("real", "imag")), "'real' or 'imag'"),
+        ("shots", _optional(_count), "a positive integer or null"),
     )
 
 
@@ -316,99 +381,57 @@ class RunDocument:
     cost: dict = field(default_factory=dict)
 
 
-def parse_document(doc: Any) -> RunDocument:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(doc, _TOP_KEYS, {"model", "states", "algorithm"}, "config")
-    spec = parse_model(doc["model"])
+def _optional_block(doc: dict, name: str, checks) -> dict:
+    """A command-level block, empty when absent or null."""
+    block = doc.get(name)
+    return {} if block is None else _checked_block(block, name, _keys(checks), checks=checks)
 
-    states = doc["states"]
-    if not isinstance(states, dict):
-        raise ConfigError("states block must be an object")
-    _require_keys(states, _STATE_KEYS, {"psi"}, "states")
-    psi = parse_state(states["psi"], spec.n_sites, "states.psi")
+
+def parse_document(doc: Any) -> RunDocument:
+    _checked_block(doc, "config", _TOP_KEYS, {"model", "states", "algorithm"})
+    spec = parse_model(doc["model"])
+    n_sites = spec.n_sites
+
+    checks = _state_checks(n_sites)  # operator_a is a block of its own
+    states = _checked_block(doc["states"], "states", _keys(checks) | {"operator_a"}, {"psi"},
+                            checks)
+    psi = parse_state(states["psi"], n_sites, "states.psi")
     psi_final = None
     if states.get("psi_final") is not None:
-        psi_final = parse_state(states["psi_final"], spec.n_sites, "states.psi_final")
+        psi_final = parse_state(states["psi_final"], n_sites, "states.psi_final")
     operator_a = None
     if states.get("operator_a") is not None:
-        operator_a = parse_operator(states["operator_a"], spec.n_sites)
-    t_prime = float(states.get("t_prime") or 0.0)
+        operator_a = parse_operator(states["operator_a"], n_sites)
 
-    algo = doc["algorithm"]
-    if not isinstance(algo, dict):
-        raise ConfigError("algorithm block must be an object")
-    _require_keys(algo, _ALGORITHM_KEYS, {"tau", "h", "t_max"}, "algorithm")
-    if not isinstance(algo.get("zero_correction", True), bool):
-        raise ConfigError("algorithm.zero_correction must be true or false")
-
-    seed = int(doc.get("seed", 0))
+    # ExperimentConfig checks the algorithm values, NoiseConfig the noise block
+    algo = _checked_block(doc["algorithm"], "algorithm", _keys(_ALGORITHM_CHECKS),
+                          {"tau", "h", "t_max"})
+    seed = doc.get("seed", 0)
     noise = None
     if doc.get("noise") is not None:
         noise = parse_noise(doc["noise"], seed)
-        declared = algo.get("backend")
-        if declared is None:
-            algo = dict(algo)
-            algo["backend"] = "noisy"
-        elif declared != "noisy":
+        algo = {"backend": "noisy", **algo}
+        if algo["backend"] != "noisy":
             raise ConfigError(
                 "a noise block requires backend 'noisy' (or leave backend unset)"
             )
 
     sweep = doc.get("sweep")
     if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep block must be an object")
-        _require_keys(sweep, _SWEEP_KEYS, {"kind", "n_values", "values"}, "sweep")
-        _check_values(sweep, _SWEEP_CHECKS, "sweep")
-    spectral = doc.get("spectral") or {}
-    if not isinstance(spectral, dict):
-        raise ConfigError("spectral block must be an object")
-    _require_keys(spectral, _SPECTRAL_KEYS, set(), "spectral")
-    _check_spectral(spectral)
-    baseline = doc.get("baseline") or {}
-    if not isinstance(baseline, dict):
-        raise ConfigError("baseline block must be an object")
-    _require_keys(baseline, _BASELINE_KEYS, set(), "baseline")
-    _check_values(baseline, _baseline_checks(spec.n_sites), "baseline")
-    cost = doc.get("cost") or {}
-    if not isinstance(cost, dict):
-        raise ConfigError("cost block must be an object")
-    _require_keys(cost, _COST_KEYS, set(), "cost")
-    _check_values(cost, _COST_CHECKS, "cost")
-
-    try:
-        experiment = ExperimentConfig(
-            spec=spec,
-            psi=psi,
-            psi_final=psi_final,
-            tau=float(algo["tau"]),
-            h=float(algo["h"]),
-            t_max=float(algo["t_max"]),
-            order=int(algo.get("order", 2)),
-            rule=str(algo.get("rule", "simpson")),
-            ite_mode=str(algo.get("ite_mode", "tfim_closed_form")),
-            backend=str(algo.get("backend", "statevector_trotter")),
-            shots=int(algo["shots"]) if algo.get("shots") is not None else None,
-            zero_correction=algo.get("zero_correction", True),
-            threshold=(
-                float(algo["threshold"]) if algo.get("threshold") is not None else None
-            ),
-            anchor=float(algo["anchor"]) if algo.get("anchor") is not None else None,
-            noise=noise,
-            seed=seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"algorithm block: {exc}") from exc
+        _checked_block(sweep, "sweep", _keys(_SWEEP_CHECKS), {"kind", "n_values", "values"},
+                       _SWEEP_CHECKS)
+    experiment = ExperimentConfig(
+        spec=spec, psi=psi, psi_final=psi_final, noise=noise, seed=seed, **algo
+    )
     return RunDocument(
         experiment=experiment,
         raw=doc,
         operator_a=operator_a,
-        t_prime=t_prime,
+        t_prime=states.get("t_prime") or 0.0,
         sweep=sweep,
-        spectral=spectral,
-        baseline=baseline,
-        cost=cost,
+        spectral=_optional_block(doc, "spectral", _SPECTRAL_CHECKS),
+        baseline=_optional_block(doc, "baseline", _baseline_checks(n_sites)),
+        cost=_optional_block(doc, "cost", _COST_CHECKS),
     )
 
 

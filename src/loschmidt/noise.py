@@ -27,10 +27,10 @@ Determinism contract, stream version 2:
 The draws do not depend on which errors fire or on the chunking, and the
 average is a fixed-order reduction over the trajectory index, so results
 are bit-identical at any chunk size.
-Version 1 drew 2N variates per trajectory and layer (``apply_noise_layer``)
-and one shot generator per grid point; noisy and shot-sampled outputs differ
-between the versions.  ``apply_noise_layer`` keeps its version 1 draws as
-the public one-state round of the channel.
+Version 1 drew 2N variates per trajectory and layer and one shot generator
+per grid point; noisy and shot-sampled outputs differ between the versions.
+``apply_noise_layer``, the public one-state round of the channel, draws one
+layer of a version 2 trajectory.
 
 Rescaling mitigation divides a survival probability by (1-gamma)^(N*D), the
 probability that no error occurred anywhere in a depth-D circuit on N
@@ -39,10 +39,9 @@ qubits, and clamps the result to [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import NoiseConfig  # noqa: F401  (the noise block; config owns its checks)
 from .exceptions import NumericsError
 from .statevector import StateVector
 # perfbench/tracer.py counts gates and noise rounds by patching
@@ -58,24 +57,6 @@ from .statevector import apply_layer  # noqa: F401
 #: of 2^14 to 2^18 amplitudes ran equally fast; 2^20 and 2^22 ran slower at
 #: N = 14.
 _CHUNK_AMPS = 1 << 16
-
-
-@dataclass
-class NoiseConfig:
-    """Depolarizing rate, trajectory count, shot budget and master seed."""
-
-    gamma: float
-    n_trajectories: int = 1000
-    shots: int | None = None
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must satisfy 0 <= gamma < 1")
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1 when given")
 
 
 def _apply_errors(amps: np.ndarray, errors: np.ndarray) -> None:
@@ -102,19 +83,19 @@ def apply_noise_layer(state: StateVector, gamma: float, rng) -> StateVector:
     """One round of the depolarizing channel: per qubit, with probability
     gamma apply a uniformly chosen Pauli.
 
-    Always draws 2 variates per qubit so the consumed stream length does not
-    depend on which errors fire.  Returns ``state`` itself when none fires.
+    The one-layer, one-trajectory case of the circuit runner: its Paulis are
+    ``_draw_errors(rng, 1, N, gamma)``, so the consumed stream length does
+    not depend on which errors fire.  Returns ``state`` itself when none
+    fires.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must satisfy 0 <= gamma < 1")
-    n = state.n_qubits
-    hits = rng.random(n) < gamma
-    picks = rng.integers(0, 3, size=n)
-    if not np.any(hits):
+    errors = _draw_errors(rng, 1, state.n_qubits, gamma)
+    if not errors.any():
         return state
     amps = state.amplitudes.copy()
-    _apply_errors(amps[None], np.where(hits, picks + 1, 0)[None])
-    return StateVector(n, amps)
+    _apply_errors(amps[None], errors)
+    return StateVector(state.n_qubits, amps)
 
 
 def _draw_errors(rng, n_layers: int, n_qubits: int, gamma: float) -> np.ndarray:

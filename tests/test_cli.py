@@ -2,12 +2,13 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from loschmidt.cli import cmd_two_sided, main, write_csv
-from loschmidt.config import parse_document
+from loschmidt.config import ExperimentConfig, parse_document
 from loschmidt.exceptions import ConfigError
 from loschmidt.model import expectation
 from loschmidt.spectral import ldos_dft
@@ -196,6 +197,14 @@ class TestCliCommands:
         main(["phase", "--config", cfg, "--out", str(out2), "--seed", "2"])
         assert (out1 / "phase.csv").read_bytes() != (out2 / "phase.csv").read_bytes()
 
+    def test_seed_flag_meets_the_seed_check(self, tmp_path, capsys):
+        # a snapshot with seed -1 would not load again
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["phase", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed must be")
+        assert not out.exists()
+
     def test_runinfo_carries_version(self, tmp_path):
         import loschmidt
 
@@ -308,63 +317,123 @@ class TestTwoSided:
         assert main(["two-sided", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-#: (command, block, bad values) of the CLI-level blocks checked at load
+#: (command, block, key, bad value) of values checked at load; a key of
+#: None replaces the whole block
 _SWEEP = {"kind": "h", "n_values": [4], "values": [0.1]}
+_SX = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
 _BAD_BLOCK_VALUES = [
-    ("cost", "cost", {"t": None}),
-    ("cost", "cost", {"t": "4.0"}),
-    ("cost", "cost", {"t": True}),
-    ("cost", "cost", {"t": float("nan")}),
-    ("cost", "cost", {"t": -1.0}),
-    ("cost", "cost", {"epsilon": 0.0}),
-    ("cost", "cost", {"epsilon": float("inf")}),
-    ("cost", "cost", {"p": 3}),
-    ("cost", "cost", {"p": 2.0}),
-    ("cost", "cost", {"d": 0}),
-    ("cost", "cost", {"n": []}),
-    ("cost", "cost", {"n": [8, 2.5]}),
-    ("cost", "cost", {"n": 0}),
-    ("cost", "cost", {"n": True}),
-    ("cost", "cost", {"r": -1.0}),
-    ("cost", "cost", {"i_factor": None}),
-    ("scaling", "sweep", {**_SWEEP, "kind": "beta"}),
-    ("scaling", "sweep", {**_SWEEP, "values": None}),
-    ("scaling", "sweep", {**_SWEEP, "values": []}),
-    ("scaling", "sweep", {**_SWEEP, "values": [0.1, -0.1]}),
-    ("scaling", "sweep", {**_SWEEP, "n_values": None}),
-    ("scaling", "sweep", {**_SWEEP, "n_values": [4, 1]}),
-    ("scaling", "sweep", {**_SWEEP, "n_values": [4.0]}),
-    ("scaling", "sweep", {**_SWEEP, "t_max": "2"}),
-    ("sequential", "baseline", {"flip_sites": [0, 4]}),
-    ("sequential", "baseline", {"flip_sites": "0"}),
-    ("sequential", "baseline", {"flip_sites": [0, 1], "thetas": [0.0]}),
-    ("sequential", "baseline", {"flip_sites": [0, 1], "thetas": [0.0, "pi"]}),
-    ("sequential", "baseline", {"flip_sites": [0, 1], "fallback_threshold": None}),
-    ("sequential", "baseline", {"flip_sites": [0, 1], "shots": 0}),
-    ("hadamard", "baseline", {"part": "both"}),
-    ("hadamard", "baseline", {"shots": 1.5}),
-    ("phase", "zero_correction", "no"),
-    ("phase", "zero_correction", 1),
+    ("cost", "cost", None, {"t": None}),
+    ("cost", "cost", None, {"t": "4.0"}),
+    ("cost", "cost", None, {"t": True}),
+    ("cost", "cost", None, {"t": float("nan")}),
+    ("cost", "cost", None, {"t": -1.0}),
+    ("cost", "cost", None, {"epsilon": 0.0}),
+    ("cost", "cost", None, {"epsilon": float("inf")}),
+    ("cost", "cost", None, {"p": 3}),
+    ("cost", "cost", None, {"p": 2.0}),
+    ("cost", "cost", None, {"d": 0}),
+    ("cost", "cost", None, {"n": []}),
+    ("cost", "cost", None, {"n": [8, 2.5]}),
+    ("cost", "cost", None, {"n": 0}),
+    ("cost", "cost", None, {"n": True}),
+    ("cost", "cost", None, {"r": -1.0}),
+    ("cost", "cost", None, {"i_factor": None}),
+    ("scaling", "sweep", None, {**_SWEEP, "kind": "beta"}),
+    ("scaling", "sweep", None, {**_SWEEP, "values": None}),
+    ("scaling", "sweep", None, {**_SWEEP, "values": []}),
+    ("scaling", "sweep", None, {**_SWEEP, "values": [0.1, -0.1]}),
+    ("scaling", "sweep", None, {**_SWEEP, "n_values": None}),
+    ("scaling", "sweep", None, {**_SWEEP, "n_values": [4, 1]}),
+    ("scaling", "sweep", None, {**_SWEEP, "n_values": [4.0]}),
+    ("scaling", "sweep", None, {**_SWEEP, "t_max": "2"}),
+    ("sequential", "baseline", None, {"flip_sites": [0, 4]}),
+    ("sequential", "baseline", None, {"flip_sites": "0"}),
+    ("sequential", "baseline", None, {"flip_sites": [0, 1], "thetas": [0.0]}),
+    ("sequential", "baseline", None, {"flip_sites": [0, 1], "thetas": [0.0, "pi"]}),
+    ("sequential", "baseline", None, {"flip_sites": [0, 1], "fallback_threshold": None}),
+    ("sequential", "baseline", None, {"flip_sites": [0, 1], "shots": 0}),
+    ("hadamard", "baseline", None, {"part": "both"}),
+    ("hadamard", "baseline", None, {"shots": 1.5}),
+    ("phase", "algorithm", "zero_correction", "no"),
+    ("phase", "algorithm", "zero_correction", 1),
+    # non-integers where an integer is required
+    ("phase", "algorithm", "order", 2.9),
+    ("phase", "algorithm", "shots", 1.5),
+    ("phase", "config", "seed", 1.7),
+    ("phase", "model", "n", 4.5),
+    ("noise", "noise", "n_trajectories", 2.5),
+    ("noise", "noise", "seed", 1.5),
+    ("two-sided", "operator_a", "sites", [0.7]),
+    ("phase", "model", None, {"model": "terms", "n": 2,
+                              "terms": [{"support": [0.9], "matrix": _SX}]}),
+    # strings and bools where a number is required
+    ("phase", "algorithm", "tau", "0.05"),
+    ("phase", "algorithm", "threshold", "0.01"),
+    ("phase", "model", "J", "1"),
+    ("noise", "noise", "gamma", "0.01"),
+    ("two-sided", "states", "t_prime", "0.5"),
+    ("phase", "model", None, {"model": "terms", "n": 2, "terms": [{
+        "support": [0], "matrix": [[[0.0, 0.0], ["1", 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}]}),
+    ("phase", "algorithm", "h", True),
+    ("phase", "algorithm", "anchor", True),
+    ("phase", "states", "psi", ["up", "up", "up", [[True, 0.0], [0.0, 0.0]]]),
 ]
 
 
+def command_config(command):
+    """A config the command runs on, with the blocks it reads."""
+    doc = base_config()
+    if command == "noise":
+        doc["noise"] = {"gamma": 0.01, "n_trajectories": 2}
+    if command == "two-sided":
+        doc["states"].update(operator_a={"sites": [0], "name": "x"}, t_prime=0.1)
+    return doc
+
+
+def command_argv(command, cfg, out):
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command in ("hadamard", "sequential"):
+        argv = ["baseline", "--method", command] + argv[1:]
+    return argv
+
+
 class TestBadConfigWritesNothing:
-    @pytest.mark.parametrize("command, block, value", _BAD_BLOCK_VALUES)
-    def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, capsys, command, block, value):
-        doc = base_config()
-        if block == "zero_correction":
-            doc["algorithm"]["zero_correction"] = value
-        else:
+    @pytest.mark.parametrize("command", ["phase", "noise", "two-sided"])
+    def test_command_config_runs(self, tmp_path, command):
+        cfg = write_config(tmp_path, command_config(command))
+        assert main(command_argv(command, cfg, tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("command, block, key, value", _BAD_BLOCK_VALUES)
+    def test_bad_value_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, command, block, key, value
+    ):
+        doc = command_config(command)
+        if key is None:
             doc[block] = value
+        elif block == "config":
+            doc[key] = value
+        elif block == "operator_a":
+            doc["states"]["operator_a"][key] = value
+        else:
+            doc[block][key] = value
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        argv = [command, "--config", cfg, "--out", str(out)]
-        if command in ("hadamard", "sequential"):
-            argv = ["baseline", "--method", command] + argv[1:]
-        assert main(argv) == 2
+        assert main(command_argv(command, cfg, out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_algorithm_shots_next_to_noise_names_noise_shots(self, tmp_path, capsys):
+        # the noisy backend samples noise.shots; algorithm.shots was ignored
+        doc = command_config("noise")
+        doc["algorithm"]["shots"] = 100
+        out = tmp_path / "out"
+        assert main(command_argv("noise", write_config(tmp_path, doc), out)) == 2
+        assert "noise.shots" in capsys.readouterr().err
+        assert not out.exists()
+        # null is the resolved snapshot's spelling of "not set" and replays
+        doc["algorithm"]["shots"] = None
+        assert main(command_argv("noise", write_config(tmp_path, doc), out)) == 0
 
     @pytest.mark.parametrize("argv", [
         ["scaling"],  # no sweep block
@@ -385,8 +454,24 @@ class TestBadConfigWritesNothing:
                       "fallback_threshold": 0},
         )
         doc["algorithm"]["zero_correction"] = False
+        doc["algorithm"]["tau"] = 1
+        doc["model"]["J"] = 1
         parsed = parse_document(doc)
         assert parsed.experiment.zero_correction is False
+        assert parsed.experiment.tau == 1 and parsed.experiment.spec.n_sites == 4
+        # numpy scalars from Python callers are numbers of the right kind
+        cfg = replace(parsed.experiment, order=np.int64(4), tau=np.float64(0.1))
+        assert cfg.order == 4 and cfg.tau == 0.1
+
+    def test_experiment_config_checks_python_callers(self):
+        cfg = parse_document(base_config()).experiment
+        # the messages name the JSON path, as for a config file
+        order = r"^algorithm\.order must be one of 1, 2, 4, got 2\.5$"
+        with pytest.raises(ConfigError, match=order):
+            ExperimentConfig(cfg.spec, cfg.psi, tau=0.1, h=0.1, t_max=0.2, order=2.5)
+        tau = r"^algorithm\.tau must be a positive number, got '0\.1'$"
+        with pytest.raises(ConfigError, match=tau):
+            replace(cfg, tau="0.1")
 
 
 class TestScalingLdosCost:

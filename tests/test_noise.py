@@ -81,8 +81,9 @@ class TestApplyNoiseLayer:
             def __init__(self, qubit):
                 self.qubit = qubit
 
-            def random(self, n):
-                return np.where(np.arange(n) == self.qubit, 0.0, 1.0)
+            def random(self, shape):
+                # (layers, qubits), as _draw_errors asks for it
+                return np.where(np.arange(shape[-1]) == self.qubit, 0.0, np.ones(shape))
 
             def integers(self, low, high, size):
                 return np.full(size, pick)
