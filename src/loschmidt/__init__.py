@@ -60,7 +60,6 @@ from .statevector import (
     apply_matrix,
     compile_layers,
     inner_product,
-    pack_layers,
     product_state,
 )
 from .trotter import TrotterPlan, build_plan, evolve

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import CostInput, hadamard_test, resource_cost, sequential_interferometry
-from .config import ExperimentConfig, RunDocument, load_config
+from .config import _ALGORITHM_CHECKS, ExperimentConfig, RunDocument, load_config
 from .exceptions import ConfigError, LoschmidtError
 from .model import (
     ORACLE_MAX_SITES,
@@ -39,6 +39,7 @@ from .model import (
     expectation,
     oracle_evolve,
     oracle_phase_series,
+    tfim,
 )
 from .reconstruct import PhaseTrace, run_phase_experiment
 from .spectral import exact_ldos, ldos_dft
@@ -115,19 +116,7 @@ def _resolved_document(doc: RunDocument) -> dict:
     """Config snapshot with every algorithm default made explicit."""
     exp = doc.experiment
     resolved = json.loads(json.dumps(doc.raw))  # deep copy
-    resolved["algorithm"] = {
-        "tau": exp.tau,
-        "h": exp.h,
-        "t_max": exp.t_max,
-        "order": exp.order,
-        "rule": exp.rule,
-        "ite_mode": exp.ite_mode,
-        "backend": exp.backend,
-        "shots": exp.shots,
-        "zero_correction": exp.zero_correction,
-        "threshold": exp.threshold,
-        "anchor": exp.anchor,
-    }
+    resolved["algorithm"] = {key: getattr(exp, key) for key, _, _ in _ALGORITHM_CHECKS}
     resolved["seed"] = exp.seed
     if exp.noise is not None:
         resolved["noise"] = {
@@ -232,15 +221,13 @@ def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
     n_values = doc.sweep["n_values"]
     values = doc.sweep["values"]
     t_max = doc.sweep.get("t_max", exp.t_max)
+    model_block = doc.raw["model"]
+    if model_block.get("model") != "tfim":
+        raise ConfigError("scaling sweeps support the built-in tfim model only")
 
     rows = []
     exponents = []
     for n in n_values:
-        from .model import tfim
-
-        model_block = doc.raw["model"]
-        if model_block.get("model") != "tfim":
-            raise ConfigError("scaling sweeps support the built-in tfim model only")
         spec = tfim(n, model_block["J"], model_block["g"])
         psi = product_state(["up"] * n)
         errs = []

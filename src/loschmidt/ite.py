@@ -57,10 +57,11 @@ from .statevector import (
     _compile_stack,
     _layer_index,
     _local_gates,
+    _run_layers,
 )
 # perfbench/tracer.py counts gates by patching ``apply_layer`` here;
-# ``apply_ite`` runs the compiled ops itself, so the gates it applies are
-# not counted.
+# ``apply_ite`` calls the runner directly, so the gates it applies are not
+# counted.
 from .statevector import apply_layer  # noqa: F401
 from .trotter import _exp_gates, _stack_in_term_order, _stacks_by_width
 
@@ -101,7 +102,7 @@ class ItePlan:
         return self.build_gates()
 
     @cached_property
-    def layer_index(self) -> list[list[int]]:
+    def layer_index(self) -> list[tuple[int, ...]]:
         # gates keep their term order; on the 1-site gates of the closed
         # form this is the same packing as for commuting gates
         return _layer_index(self.gate_stack.supports, ordered=True)
@@ -162,11 +163,7 @@ def apply_ite(plan: ItePlan, state: StateVector) -> StateVector:
     amplitudes."""
     if not _is_product_of(plan.site_vectors, state):
         raise ValueError("ITE plan applied to a different state than it was built for")
-    amps = state.amplitudes.copy()
-    for layer in plan.compiled:
-        for op in layer:
-            op.apply(amps)
-    return StateVector(state.n_qubits, amps)
+    return _run_layers(state, plan.compiled)
 
 
 def _check_sign(sign: int) -> int:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import NumericsError
-from .statevector import StateVector, _lsb_first
+from .statevector import StateVector, _lsb_first, _site_indices
 
 ORACLE_MAX_SITES = 12
 
@@ -52,7 +52,7 @@ class LocalTerm:
     group: str = ""
 
     def __post_init__(self):
-        self.support = tuple(int(s) for s in self.support)
+        self.support = _site_indices(self.support)
         if len(self.support) not in (1, 2):
             raise ValueError("term support must be 1 or 2 sites")
         mat = np.asarray(self.matrix, dtype=complex)

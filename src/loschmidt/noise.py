@@ -113,7 +113,7 @@ def circuit_survivals(
     """|<psi_final|row>|^2 of a layered circuit at its record points, one
     row of the result per trajectory.
 
-    ``layers`` are compiled layers (``compile_layers``); ``record_after``
+    ``layers`` are compiled layers (a plan's ``compiled``); ``record_after``
     lists ascending layer counts (0 <= k <= len(layers)) after which the
     overlap is recorded, so an entry 0 records the bare initial state.
     ``errors`` is a (B, len(layers), N) array of the Paulis that act after

@@ -9,20 +9,22 @@ least significant bit of the local matrix index.  ``|up>`` is the basis
 vector ``(1, 0)`` (eigenvalue +1 of sigma^z).
 
 Every plan runs on one kernel path: each layer of gates on adjacent sites
-becomes a short tuple of ops, and the plan runners (``evolve``,
-``apply_ite``, ``circuit_survivals``) apply them in place to one contiguous
-copy of the amplitudes, as ``apply_layer`` does for one layer.  One compile
-core, ``_compile_placed``, builds a layer's ops from its (lowest site,
-matrix) pairs.  Plans reach it from their checked ``GateStack`` (supports in
-term order, one matrix each) and a layer index over the supports
-(``_layer_index``, which also serves ``pack_layers``); ``compile_layers`` is
-the adapter for layers of ``LocalGate`` objects.  An all-diagonal layer
-becomes one elementwise multiply by a 2^N phase vector, built as an
-outer-product chain: the gate diagonals, lowest site first, each multiply
-the vector of the sites below them, and ``np.tile`` repeats it over sites no
-gate covers.  The other layers fuse their disjoint gates into blocks of at
-most ``_FUSE_SITES`` adjacent sites, each one matrix applied along axis 1 of
-the amplitudes viewed as ``(2^(N-lo-w), 2^w, 2^lo)``, without transposes.
+becomes a short tuple of ops, and one runner applies them in place to one
+contiguous copy of the amplitudes for ``apply_layer``, ``evolve`` and
+``apply_ite`` (``circuit_survivals`` keeps its own loop, since it records
+overlaps and applies errors between layers).  Every plan compiles through
+one entry, ``_compile_stack``: its checked ``GateStack`` (supports in term
+order, one matrix each) and a layer index over the supports
+(``_layer_index``), each distinct layer of the index compiled once by the
+core ``_compile_placed`` from its (lowest site, matrix) pairs.
+``compile_layers`` does the same for layers of ``LocalGate`` objects, which
+no plan holds.  An all-diagonal layer becomes one elementwise multiply by a
+2^N phase vector, built as an outer-product chain: the gate diagonals,
+lowest site first, each multiply the vector of the sites below them, and
+``np.tile`` repeats it over sites no gate covers.  The other layers fuse
+their disjoint gates into blocks of at most ``_FUSE_SITES`` adjacent sites,
+each one matrix applied along axis 1 of the amplitudes viewed as
+``(2^(N-lo-w), 2^w, 2^lo)``, without transposes.
 
 An op acts on any C-contiguous array whose last axis holds 2^N amplitudes:
 a single state of shape ``(2^N,)`` or a batch of states as the rows of a
@@ -41,6 +43,7 @@ for a fixed input regardless of how callers dispatch work.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,7 +107,7 @@ class LocalGate:
     unitary: bool = True
 
     def __post_init__(self):
-        support = tuple(int(s) for s in self.support)
+        support = _site_indices(self.support)
         if len(support) not in (1, 2):
             raise ValueError("gate support must be 1 or 2 sites")
         if len(set(support)) != len(support):
@@ -119,6 +122,15 @@ class LocalGate:
         object.__setattr__(self, "matrix", mat)
 
 
+def _site_indices(sites) -> tuple[int, ...]:
+    """``sites`` as a tuple of ints; a site that is not an integer, or is a
+    bool, raises ``ValueError`` rather than being truncated."""
+    sites = tuple(sites)
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in sites):
+        raise ValueError(f"site indices must be integers, got {sites}")
+    return tuple([int(s) for s in sites])
+
+
 def _check_unitary(mats: np.ndarray) -> None:
     """Raise unless every matrix of a stack (or one matrix) is unitary."""
     gram = mats.conj().swapaxes(-1, -2) @ mats
@@ -129,10 +141,11 @@ def _check_unitary(mats: np.ndarray) -> None:
 
 
 class GateStack(NamedTuple):
-    """The checked gates of a plan: ``supports`` in term order and one
-    matrix per support, after gates equal to the identity were dropped and
-    the rest passed one batched unitarity check.  A plan's layer index, its
-    compiled ops and its ``LocalGate`` views are derived from it."""
+    """The checked gates of a plan: ``supports`` in term order (group by
+    group, for a Trotter step) and one matrix per support, after gates equal
+    to the identity were dropped and the rest passed one batched unitarity
+    check.  A plan's compiled ops and ``LocalGate`` views are derived from
+    it and its layer index."""
 
     supports: tuple[tuple[int, ...], ...]
     matrices: tuple[np.ndarray, ...]
@@ -198,7 +211,7 @@ def apply_matrix(state: StateVector, matrix: np.ndarray, sites) -> StateVector:
     index.  Sites must be distinct and in range; ``k`` is not restricted to
     2, so a user ``operator_a`` may act on more than two sites.
     """
-    sites = [int(s) for s in sites]
+    sites = _site_indices(sites)
     n = state.n_qubits
     if len(set(sites)) != len(sites):
         raise ValueError("duplicate sites in gate support")
@@ -234,9 +247,9 @@ def inner_product(bra: StateVector, ket: StateVector) -> complex:
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
-def _layer_index(supports, ordered: bool = False) -> list[list[int]]:
-    """Indices of ``supports`` grouped into layers of pairwise-disjoint
-    supports, in input order within a layer.
+def _layer_index(supports, ordered: bool = False, start: int = 0) -> list[tuple[int, ...]]:
+    """Indices of ``supports``, counted from ``start``, grouped into layers
+    of pairwise-disjoint supports, in input order within a layer.
 
     With ``ordered=False`` (commuting gates) each support goes into the
     earliest layer that has no site conflict, which packs a nearest-neighbour
@@ -247,7 +260,7 @@ def _layer_index(supports, ordered: bool = False) -> list[list[int]]:
     layers: list[list[int]] = []
     occupied: list[set[int]] = []  # the sites of each layer, for brickwork
     free: dict[int, int] = {}  # per site, the layer after the last touching it
-    for k, support in enumerate(supports):
+    for k, support in enumerate(supports, start):
         if ordered:
             idx = max([free.get(s, 0) for s in support])
             for s in support:
@@ -262,17 +275,7 @@ def _layer_index(supports, ordered: bool = False) -> list[list[int]]:
         if idx == len(layers):
             layers.append([])
         layers[idx].append(k)
-    return layers
-
-
-def pack_layers(gates, ordered: bool = False) -> list[list[LocalGate]]:
-    """Group gates into layers of pairwise-disjoint supports (see
-    ``_layer_index`` for the two packings)."""
-    gates = list(gates)
-    return [
-        [gates[k] for k in layer]
-        for layer in _layer_index([g.support for g in gates], ordered)
-    ]
+    return [tuple(layer) for layer in layers]
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,34 +411,36 @@ def _compile_placed(n_qubits: int, placed) -> tuple:
 
 
 def _compile_stack(n_qubits: int, stack: GateStack, index) -> tuple[tuple, ...]:
-    """The ops of a checked stack's layers, one entry per layer of
-    ``index`` (lists of gate indices, as ``_layer_index`` returns)."""
+    """The ops of a checked stack's layers, one entry per layer of ``index``
+    (tuples of gate indices, as ``_layer_index`` returns).  A layer that
+    recurs in ``index`` (the mirrored tail of a symmetric Trotter step) is
+    compiled once, and its ops are shared."""
     placed = list(map(_lsb_first, stack.supports, stack.matrices))
-    return tuple(
-        [_compile_placed(n_qubits, sorted([placed[k] for k in layer], key=_lo)) for layer in index]
-    )
+    ops = {
+        layer: _compile_placed(n_qubits, sorted([placed[k] for k in layer], key=_lo))
+        for layer in dict.fromkeys(index)
+    }
+    return tuple([ops[layer] for layer in index])
 
 
 def compile_layers(n_qubits: int, layers) -> tuple[tuple, ...]:
-    """Execution form of gate layers for ``apply_layer``, one entry per layer.
+    """Execution form of layers of ``LocalGate`` objects for ``apply_layer``,
+    one entry per layer.  Gates must act on one site or two adjacent sites,
+    with pairwise-disjoint supports within a layer."""
+    placed = [sorted([_lsb_first(g.support, g.matrix) for g in layer], key=_lo) for layer in layers]
+    return tuple([_compile_placed(n_qubits, layer) for layer in placed])
 
-    Gates must act on one site or two adjacent sites, with pairwise-disjoint
-    supports within a layer.  A layer object that recurs in ``layers`` (the
-    mirrored tail of a symmetric Trotter step) is compiled once and shared.
-    """
-    compiled: dict[int, tuple] = {}
-    out = []
+
+def _run_layers(state: StateVector, layers) -> StateVector:
+    """Apply compiled layers in order: one copy of the amplitudes, ops in
+    place."""
+    amps = state.amplitudes.copy()
     for layer in layers:
-        if id(layer) not in compiled:
-            placed = sorted([_lsb_first(g.support, g.matrix) for g in layer], key=_lo)
-            compiled[id(layer)] = _compile_placed(n_qubits, placed)
-        out.append(compiled[id(layer)])
-    return tuple(out)
+        for op in layer:
+            op.apply(amps)
+    return StateVector(state.n_qubits, amps)
 
 
 def apply_layer(state: StateVector, layer) -> StateVector:
-    """Apply one compiled layer: one copy of the amplitudes, ops in place."""
-    amps = state.amplitudes.copy()
-    for op in layer:
-        op.apply(amps)
-    return StateVector(state.n_qubits, amps)
+    """Apply one compiled layer."""
+    return _run_layers(state, (layer,))

@@ -8,16 +8,19 @@ mitigation exponent count, so it is fixed at plan build time and never
 re-derived.
 
 Order 2 is the symmetric splitting A/2 B A/2; order 4 is the Suzuki
-recursion on the order-2 step.  A plan compiles its step once, layer for
-layer, into the form ``apply_layer`` runs (see ``compile_layers``), so noise
-still has one insertion point per physical layer.  The mirrored tail of a
-symmetric step holds the head's layer objects, and so shares their compiled
-form, including each folded diagonal layer's phase vector.
+recursion on the order-2 step.  A plan holds the step's distinct checked
+gates as one ``GateStack`` and one tuple of gate indices per physical layer,
+compiled once at construction through ``_compile_stack``, so noise still
+has one insertion point per physical layer.  The mirrored tail of a
+symmetric step and the repeated outer steps of order 4 repeat the index
+tuples of their first occurrence, and so share its compiled ops, including
+each folded diagonal layer's phase vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,12 +30,13 @@ from .statevector import (
     LocalGate,
     StateVector,
     _check_unitary,
+    _compile_stack,
+    _layer_index,
     _local_gates,
-    compile_layers,
-    pack_layers,
+    _run_layers,
 )
 # perfbench/tracer.py counts gates by patching ``apply_layer`` here; ``evolve``
-# runs the compiled ops itself, so the gates it applies are not counted.
+# calls the runner directly, so the gates it applies are not counted.
 from .statevector import apply_layer  # noqa: F401
 
 #: coefficient of the Suzuki order-4 recursion U2(a t)^2 U2((1-4a) t) U2(a t)^2
@@ -72,41 +76,39 @@ def _stack_in_term_order(terms, parts) -> GateStack:
     return GateStack(tuple(terms[k].support for k in order), tuple(kept[k] for k in order))
 
 
-def _gates_in_term_order(terms, parts) -> list[LocalGate]:
-    """``LocalGate`` views of ``_stack_in_term_order``."""
-    return _local_gates(_stack_in_term_order(terms, parts))
-
-
-def _group_layers(spec: HamiltonianSpec, label: str, dt: float) -> list[list[LocalGate]]:
-    """Brickwork layers of exp(-i dt H_j) for all terms of one group.
+def _group_layers(spec: HamiltonianSpec, label: str, dt: float, gates: GateStack):
+    """Brickwork layers of exp(-i dt H_j) for all terms of one group, as
+    tuples of indices into ``gates`` (a ``GateStack`` of lists), which gets
+    the group's checked gates appended.
 
     Gates that equal the identity (zero-coefficient terms) are dropped, so
     they neither cost work nor count as noise locations.
     """
     terms = [term for term in spec.terms if term.group == label]
     parts = [(idx, _exp_gates(mats, dt)) for idx, mats in _stacks_by_width(terms)]
-    return pack_layers(_gates_in_term_order(terms, parts))
+    group = _stack_in_term_order(terms, parts)
+    start = len(gates.supports)
+    gates.supports.extend(group.supports)
+    gates.matrices.extend(group.matrices)
+    return _layer_index(group.supports, start=start)
 
 
-def _step_layers(spec: HamiltonianSpec, dt: float, order: int) -> list[list[LocalGate]]:
+def _step_layers(spec: HamiltonianSpec, dt: float, order: int, gates: GateStack):
+    """The layer index of one step; its gates are appended to ``gates``."""
     labels = spec.group_labels()
     if order == 1:
-        layers = []
-        for label in labels:
-            layers.extend(_group_layers(spec, label, dt))
-        return layers
+        return [layer for label in labels for layer in _group_layers(spec, label, dt, gates)]
     if order == 2:
         if len(labels) == 1:
-            return _group_layers(spec, labels[0], dt)
-        head = []
-        for label in labels[:-1]:
-            head.extend(_group_layers(spec, label, dt / 2))
-        middle = _group_layers(spec, labels[-1], dt)
-        tail = head[::-1]
-        return head + middle + tail
+            return _group_layers(spec, labels[0], dt, gates)
+        head = [
+            layer for label in labels[:-1] for layer in _group_layers(spec, label, dt / 2, gates)
+        ]
+        middle = _group_layers(spec, labels[-1], dt, gates)
+        return head + middle + head[::-1]
     if order == 4:
-        outer = _step_layers(spec, _SUZUKI_A * dt, 2)
-        inner = _step_layers(spec, (1 - 4 * _SUZUKI_A) * dt, 2)
+        outer = _step_layers(spec, _SUZUKI_A * dt, 2, gates)
+        inner = _step_layers(spec, (1 - 4 * _SUZUKI_A) * dt, 2, gates)
         return outer + outer + inner + outer + outer
     raise ValueError(f"unsupported Trotter order {order}; choose 1, 2 or 4")
 
@@ -115,29 +117,34 @@ def _step_layers(spec: HamiltonianSpec, dt: float, order: int) -> list[list[Loca
 class TrotterPlan:
     """Gate layers of one Trotter step, repeated ``n_steps``.
 
-    ``step_layers`` is the census of physical layers; ``compiled`` holds
-    their execution form, built once at construction.
+    ``gate_stack`` holds the step's distinct checked gates and
+    ``layer_index`` one tuple of gate indices per physical layer, the census
+    of the step.  ``compiled`` holds their execution form, built once at
+    construction; ``step_layers``, the layers as ``LocalGate`` views, is
+    built only when read.
     """
 
     order: int
     tau: float
     n_steps: int
     n_sites: int
-    step_layers: tuple[tuple[LocalGate, ...], ...] = field(repr=False)
+    gate_stack: GateStack = field(repr=False)
+    layer_index: tuple[tuple[int, ...], ...] = field(repr=False)
     compiled: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # compile before copying, so layers shared by the mirrored tail
-        # are still the same objects
-        object.__setattr__(self, "compiled", compile_layers(self.n_sites, self.step_layers))
-        object.__setattr__(
-            self, "step_layers", tuple(tuple(layer) for layer in self.step_layers)
-        )
+        compiled = _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
+        object.__setattr__(self, "compiled", compiled)
+
+    @cached_property
+    def step_layers(self) -> tuple[tuple[LocalGate, ...], ...]:
+        gates = _local_gates(self.gate_stack)
+        return tuple([tuple([gates[k] for k in layer]) for layer in self.layer_index])
 
     @property
     def layers_per_step(self) -> int:
         """Physical layer count of one step (the noise-insertion census)."""
-        return len(self.step_layers)
+        return len(self.layer_index)
 
 
 def build_plan(spec: HamiltonianSpec, t: float, tau: float, order: int = 2) -> TrotterPlan:
@@ -154,8 +161,10 @@ def build_plan(spec: HamiltonianSpec, t: float, tau: float, order: int = 2) -> T
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > 4 * np.finfo(float).eps * max(1.0, abs(ratio)):
         raise ValueError(f"incommensurate step: t/tau = {ratio} is not an integer")
-    layers = _step_layers(spec, tau, order) if n_steps > 0 else []
-    return TrotterPlan(order, tau, n_steps, spec.n_sites, layers)
+    gates = GateStack([], [])
+    index = _step_layers(spec, tau, order, gates) if n_steps > 0 else []
+    stack = GateStack(tuple(gates.supports), tuple(gates.matrices))
+    return TrotterPlan(order, tau, n_steps, spec.n_sites, stack, tuple(index))
 
 
 def evolve(state: StateVector, plan: TrotterPlan, n_steps: int | None = None) -> StateVector:
@@ -169,9 +178,4 @@ def evolve(state: StateVector, plan: TrotterPlan, n_steps: int | None = None) ->
         raise ValueError(f"n_steps must be nonnegative, got {k}")
     if k == 0:
         return state
-    amps = state.amplitudes.copy()
-    for _ in range(k):
-        for layer in plan.compiled:
-            for op in layer:
-                op.apply(amps)
-    return StateVector(state.n_qubits, amps)
+    return _run_layers(state, plan.compiled * k)

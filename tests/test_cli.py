@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from loschmidt.cli import cmd_two_sided, main, write_csv
-from loschmidt.config import ExperimentConfig, parse_document
+from loschmidt.config import _ALGORITHM_CHECKS, ExperimentConfig, parse_document
 from loschmidt.exceptions import ConfigError
 from loschmidt.model import expectation
 from loschmidt.spectral import ldos_dft
@@ -187,6 +187,13 @@ class TestCliCommands:
         out2 = tmp_path / "b"
         assert main(["phase", "--config", str(resolved), "--out", str(out2)]) == 0
         assert (out1 / "phase.csv").read_bytes() == (out2 / "phase.csv").read_bytes()
+
+    def test_resolved_algorithm_block_has_the_checked_keys(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["phase", "--config", cfg, "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert set(resolved["algorithm"]) == {key for key, _, _ in _ALGORITHM_CHECKS}
 
     def test_seed_flag_overrides(self, tmp_path):
         doc = base_config()
@@ -499,6 +506,18 @@ class TestScalingLdosCost:
         fits = read_rows(out / "scaling_summary.csv")
         exponents = [float(r["value"]) for r in fits if r["metric"] == "exponent"]
         assert len(exponents) == 1 and np.isfinite(exponents[0])
+
+    def test_scaling_terms_model_writes_nothing(self, tmp_path, capsys):
+        doc = base_config()
+        sx = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+        doc["model"] = {"model": "terms", "n": 2,
+                        "terms": [{"support": [0], "matrix": sx, "group": "x"}]}
+        doc["sweep"] = {"kind": "h", "n_values": [2, 3], "values": [0.1]}
+        out = tmp_path / "out"
+        assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "tfim" in err
+        assert not out.exists()
 
     def test_scaling_empty_sweep_rejected(self, tmp_path):
         doc = base_config()

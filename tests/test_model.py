@@ -122,6 +122,15 @@ class TestDenseMatrix:
         with pytest.raises(ValueError, match="adjacent"):
             HamiltonianSpec(4, (LocalTerm((0, 2), random_hermitian(4)),))
 
+    @pytest.mark.parametrize("support", [(0.7,), (True,), (0, 1.0), (np.float64(1.0),)])
+    def test_term_site_must_be_an_integer(self, support):
+        with pytest.raises(ValueError, match="site indices must be integers"):
+            LocalTerm(support, np.eye(2 ** len(support)))
+
+    def test_numpy_integer_support_stays_valid(self):
+        term = LocalTerm((np.int64(1), np.int64(0)), np.eye(4))
+        assert term.support == (1, 0) and all(type(s) is int for s in term.support)
+
 
 class TestExactAmplitude:
     def test_z_zero_is_overlap(self):

@@ -7,12 +7,12 @@ from loschmidt.statevector import (
     AXIS_STATES,
     LocalGate,
     StateVector,
+    _layer_index,
     apply_gate,
     apply_layer,
     apply_matrix,
     compile_layers,
     inner_product,
-    pack_layers,
     product_state,
 )
 
@@ -168,6 +168,22 @@ class TestApplyGate:
         # allowed when flagged non-unitary
         LocalGate((0,), np.array([[1, 0], [0, 2.0]]), unitary=False)
 
+    @pytest.mark.parametrize("site", [1.9, 0.7, True, np.float64(1.0), "1"])
+    def test_gate_site_must_be_an_integer(self, site):
+        with pytest.raises(ValueError, match="site indices must be integers"):
+            LocalGate((site,), np.eye(2))
+
+    @pytest.mark.parametrize("site", [1.9, 0.7, True, np.float64(1.0)])
+    def test_apply_matrix_site_must_be_an_integer(self, site):
+        with pytest.raises(ValueError, match="site indices must be integers"):
+            apply_matrix(product_state(["up", "up"]), X, [site])
+
+    def test_numpy_integer_sites_stay_valid(self):
+        state = product_state(["up", "up"])
+        out = apply_gate(state, LocalGate((np.int64(1),), X))
+        assert out.amplitudes[2] == 1
+        assert np.array_equal(apply_matrix(state, X, [np.int32(1)]).amplitudes, out.amplitudes)
+
     def test_nan_matrix_fails_the_unitarity_check(self):
         with pytest.raises(ValueError, match="unitar"):
             LocalGate((0,), np.array([[1.0, 0.0], [0.0, np.nan]]))
@@ -194,15 +210,16 @@ class TestInnerProduct:
 
 
 class TestLayers:
-    def test_pack_layers_brickwork(self):
-        gates = [LocalGate((i, i + 1), np.eye(4)) for i in range(5)]
-        layers = pack_layers(gates)
-        assert [len(l) for l in layers] == [3, 2]
+    def test_layer_index_brickwork(self):
+        layers = _layer_index([(i, i + 1) for i in range(5)])
+        assert layers == [(0, 2, 4), (1, 3)]
 
-    def test_pack_layers_ordered_preserves_overlap_order(self):
-        gates = [LocalGate((i, i + 1), np.eye(4)) for i in range(3)]
-        layers = pack_layers(gates, ordered=True)
-        assert [len(l) for l in layers] == [1, 1, 1]
+    def test_layer_index_ordered_preserves_overlap_order(self):
+        layers = _layer_index([(i, i + 1) for i in range(3)], ordered=True)
+        assert layers == [(0,), (1,), (2,)]
+
+    def test_layer_index_counts_from_start(self):
+        assert _layer_index([(0, 1), (1, 2), (2, 3)], start=7) == [(7, 9), (8,)]
 
     def test_layer_disjointness_enforced(self):
         g = LocalGate((0, 1), np.eye(4))

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import loschmidt.reconstruct as reconstruct_module
+from loschmidt.config import ExperimentConfig, NoiseConfig
 from loschmidt.model import dense_matrix, tfim
-from loschmidt.statevector import StateVector, product_state
-from loschmidt.trotter import TrotterPlan, _gates_in_term_order, build_plan, evolve
+from loschmidt.reconstruct import run_phase_experiment
+from loschmidt.statevector import GateStack, LocalGate, StateVector, product_state
+from loschmidt.trotter import TrotterPlan, _stack_in_term_order, build_plan, evolve
 
 RNG = np.random.default_rng(31)
 
@@ -81,11 +84,57 @@ class TestBuildPlan:
         spec = tfim(3, 1.0, 0.5)
         stack = np.stack([np.eye(2), np.diag([1.0, 1j]), np.diag([1.0, 1.001])]).astype(complex)
         with pytest.raises(ValueError, match="deviates from unitarity by 2.00e-03"):
-            _gates_in_term_order(spec.terms, [([2, 3, 4], stack)])
+            _stack_in_term_order(spec.terms, [([2, 3, 4], stack)])
         # the identity is dropped, the rest keep term order
-        gates = _gates_in_term_order(spec.terms, [([4, 3], stack[:2])])
-        assert [g.support for g in gates] == [spec.terms[3].support]
-        assert np.array_equal(gates[0].matrix, stack[1])
+        gates = _stack_in_term_order(spec.terms, [([4, 3], stack[:2])])
+        assert gates.supports == (spec.terms[3].support,)
+        assert len(gates.matrices) == 1 and np.array_equal(gates.matrices[0], stack[1])
+
+
+class TestPlanForm:
+    def test_untraced_phase_run_builds_no_step_layers(self, monkeypatch):
+        plans = []
+
+        def capture(*args, **kwargs):
+            plans.append(build_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(reconstruct_module, "build_plan", capture)
+        run_phase_experiment(ExperimentConfig(
+            spec=tfim(4, 1.0, 0.5), psi=product_state(["up"] * 4), tau=0.1, h=0.1,
+            t_max=0.3, backend="statevector_trotter",
+        ))
+        assert len(plans) == 1 and "step_layers" not in vars(plans[0])
+        # the census view is still there for readers that ask for it
+        assert len(plans[0].step_layers) == plans[0].layers_per_step
+
+    @pytest.mark.parametrize("backend, ite_mode", [
+        ("statevector_trotter", "general_bj"),
+        ("statevector_trotter", "tfim_closed_form"),
+        ("noisy", "general_bj"),
+        ("exact_oracle", "general_bj"),
+    ])
+    def test_solve_path_constructs_no_local_gate(self, monkeypatch, backend, ite_mode):
+        def refuse(self):
+            raise AssertionError("a LocalGate was constructed on the solve path")
+
+        monkeypatch.setattr(LocalGate, "__post_init__", refuse)
+        spec, psi = tfim(4, 1.0, 0.5), product_state(["up"] * 4)
+        for order in (1, 2, 4):
+            evolve(psi, build_plan(spec, 0.2, 0.1, order))
+        noise = NoiseConfig(gamma=0.05, n_trajectories=2) if backend == "noisy" else None
+        run_phase_experiment(ExperimentConfig(
+            spec=spec, psi=psi, tau=0.1, h=0.1, t_max=0.3, backend=backend,
+            ite_mode=ite_mode, noise=noise,
+        ))
+
+    def test_mirrored_tail_repeats_the_head_index(self):
+        plan = build_plan(tfim(6, 1.0, 0.5), 0.1, 0.1, 2)
+        index = plan.layer_index
+        assert index[:2] == index[3:][::-1] and plan.compiled[:2] == plan.compiled[3:][::-1]
+        # each distinct gate is stored once
+        used = sorted({k for layer in index for k in layer})
+        assert used == list(range(len(plan.gate_stack.supports)))
 
 
 class TestEvolve:
@@ -104,15 +153,14 @@ class TestEvolve:
         spec = tfim(5, 1.0, 0.5)
         state = random_state(5)
         forward = build_plan(spec, 1.0, 0.05, 2)
+        stack = forward.gate_stack
         backward = TrotterPlan(
             forward.order,
             forward.tau,
             forward.n_steps,
             forward.n_sites,
-            [
-                [type(g)(g.support, g.matrix.conj().T) for g in layer]
-                for layer in reversed(forward.step_layers)
-            ],
+            GateStack(stack.supports, tuple(m.conj().T for m in stack.matrices)),
+            forward.layer_index[::-1],
         )
         out = evolve(evolve(state, forward), backward)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 20 * 1e-10
