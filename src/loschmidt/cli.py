@@ -31,10 +31,11 @@ import numpy as np
 
 from . import __version__
 from .baselines import CostInput, hadamard_test, resource_cost, sequential_interferometry
-from .config import _ALGORITHM_CHECKS, ExperimentConfig, RunDocument, load_config
+from .config import _ALGORITHM_CHECKS, _NOISE_CHECKS, ExperimentConfig, RunDocument, load_config
 from .exceptions import ConfigError, LoschmidtError
 from .model import (
     ORACLE_MAX_SITES,
+    _eigensystem,
     exact_amplitude,
     expectation,
     oracle_evolve,
@@ -119,13 +120,18 @@ def _resolved_document(doc: RunDocument) -> dict:
     resolved["algorithm"] = {key: getattr(exp, key) for key, _, _ in _ALGORITHM_CHECKS}
     resolved["seed"] = exp.seed
     if exp.noise is not None:
-        resolved["noise"] = {
-            "gamma": exp.noise.gamma,
-            "n_trajectories": exp.noise.n_trajectories,
-            "shots": exp.noise.shots,
-            "seed": exp.noise.master_seed,
-        }
+        noise = {**vars(exp.noise), "seed": exp.noise.master_seed}
+        resolved["noise"] = {key: noise[key] for key, _, _ in _NOISE_CHECKS}
     return resolved
+
+
+def _oracle_record(exp: ExperimentConfig) -> dict:
+    """``oracle_sectors`` of a run on the ``exact_oracle`` backend: how many
+    flip sectors the dense H was solved in (1 or 2), read from the
+    eigensystem the run cached; empty for the other backends."""
+    if exp.backend != "exact_oracle":
+        return {}
+    return {"oracle_sectors": _eigensystem(exp.spec).sectors}
 
 
 def _emit_run_records(outdir: Path, doc: RunDocument, command: str, extra=None):
@@ -148,7 +154,7 @@ def cmd_amplitude(doc: RunDocument, outdir: Path) -> int:
         ["t", "r", "p_plus", "p_minus"],
         [trace.times, trace.r, trace.p_plus, trace.p_minus],
     )
-    _emit_run_records(outdir, doc, "amplitude")
+    _emit_run_records(outdir, doc, "amplitude", _oracle_record(doc.experiment))
     return 0
 
 
@@ -159,7 +165,7 @@ def cmd_phase(doc: RunDocument, outdir: Path, command="phase") -> int:
     trace = run_phase_experiment(exp)
     header, cols = _trace_columns(trace, with_noise=exp.backend == "noisy")
     write_csv(outdir / "phase.csv", header, cols)
-    _emit_run_records(outdir, doc, command, _trace_health(trace))
+    _emit_run_records(outdir, doc, command, {**_trace_health(trace), **_oracle_record(exp)})
     return 0
 
 
@@ -208,7 +214,8 @@ def cmd_two_sided(doc: RunDocument, outdir: Path) -> int:
     write_csv(outdir / "two_sided.csv", header, cols)
     # the snapshot records the anchor the run used, so a replay reproduces it
     _emit_run_records(outdir, replace(doc, experiment=exp), "two-sided",
-                      {"t_prime": doc.t_prime, "anchor": anchor, **_trace_health(trace)})
+                      {"t_prime": doc.t_prime, "anchor": anchor, **_trace_health(trace),
+                       **_oracle_record(exp)})
     return 0
 
 
@@ -298,6 +305,7 @@ def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
             [reference.energies, reference.densities],
         )
         extra["reference_width"] = width
+        extra["oracle_sectors"] = _eigensystem(exp.spec).sectors
     _emit_run_records(outdir, doc, "ldos", extra)
     return 0
 

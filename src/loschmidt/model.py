@@ -12,13 +12,19 @@ need no special cases.
 ``exact_amplitude`` evaluates <psi'| exp(-i H z) |psi> at complex time
 ``z = t - i*beta`` by eigendecomposition of the dense matrix.  It is the
 project-wide ground truth that every approximate pipeline is tested against,
-and is capped at 12 sites.
+and is capped at 12 sites.  When the dense H is exactly invariant under the
+global spin flip prod X (the TFIM, any chain of XX, YY, ZZ, YZ bonds and X
+fields), it is diagonalised as two half-size blocks, one per flip sector;
+any other H takes one full ``eigh``.  Either way the cached eigensystem
+holds ascending energies and full-space orthonormal eigenvectors, and
+records which path ran in its ``sectors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,16 +135,58 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
     return full
 
 
+class Eigensystem(NamedTuple):
+    """Ascending energies and full-space orthonormal eigenvectors (columns)
+    of a dense H, with the number of flip sectors they were found in."""
+
+    energies: np.ndarray
+    vectors: np.ndarray
+    sectors: int
+
+
 @lru_cache(maxsize=8)
-def _eigensystem(spec: HamiltonianSpec):
+def _eigensystem(spec: HamiltonianSpec) -> Eigensystem:
     """Eigenpairs of ``dense_matrix(spec)``, cached per spec object.  A real
     H (the TFIM, any chain of real terms) goes through the real-symmetric
-    solver and has real eigenvectors."""
+    solver and has real eigenvectors.
+
+    When H commutes with the global spin flip P = prod X, it is solved in
+    the two flip sectors (``sectors`` 2; Sandvik, arXiv:1101.3281, sec. 4).
+    P maps the index a to 2^N - 1 - a, so P H P is ``full[::-1, ::-1]`` and
+    the test is exact equality; every other H (``sectors`` 1) takes one full
+    ``eigh``, as before.  With h = 2^(N-1), the sector blocks are
+    H+- = H[:h, :h] +- H[:h, h:][:, ::-1], and an eigenvector u of H+- is
+    (u, +-u[::-1]) / sqrt(2) in the full space.  Each sector's columns are
+    written straight into their places in the ascending order, so either
+    way the energies ascend and the vectors are orthonormal full-space
+    columns in their order, and the peak memory stays that of the full
+    solve: H and one output matrix."""
     full = dense_matrix(spec)
     if not full.imag.any():
         full = full.real
-    energies, vectors = np.linalg.eigh(full)
-    return energies, vectors
+    if spec.n_sites == 0 or not np.array_equal(full, full[::-1, ::-1]):
+        energies, vectors = np.linalg.eigh(full)
+        return Eigensystem(energies, vectors, 1)
+    h = full.shape[0] // 2
+    # H+- = top +- cross are staged in contiguous quarters of the output,
+    # which eigh reads before the eigenvectors fill it
+    vectors = np.empty(full.shape, full.dtype)
+    top, cross, plus, minus = vectors.reshape(4, h, h)
+    np.copyto(top, full[:h, :h])
+    np.copyto(cross, full[:h, h:][:, ::-1])
+    del full
+    np.add(top, cross, out=plus)
+    np.subtract(top, cross, out=minus)
+    (e_plus, u_plus), (e_minus, u_minus) = np.linalg.eigh(plus), np.linalg.eigh(minus)
+    energies = np.concatenate([e_plus, e_minus])
+    order = np.argsort(energies, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    for u, columns, sign in ((u_plus, position[:h], 1.0), (u_minus, position[h:], -1.0)):
+        u /= np.sqrt(2.0)
+        vectors[:h, columns] = u
+        vectors[h:, columns] = sign * u[::-1]
+    return Eigensystem(energies[order], vectors, 2)
 
 
 def exact_amplitude(
@@ -152,7 +200,7 @@ def exact_amplitude(
     Positive imaginary part of ``z`` inserts exp(+Im(z) H), i.e.
     ``z = t + i*h`` corresponds to exp(-iHt) exp(+hH).
     """
-    energies, vectors = _eigensystem(spec)
+    energies, vectors, _ = _eigensystem(spec)
     c_final = vectors.conj().T @ psi_final.amplitudes
     c_init = vectors.conj().T @ psi_init.amplitudes
     return complex(np.sum(np.conj(c_final) * c_init * np.exp(-1j * energies * z)))
@@ -174,7 +222,7 @@ def amplitude_series(
     the weights scaled by its exp(-i d_r E).  The table is built in blocks of
     at most ``_SERIES_BLOCK`` entries, so memory stays bounded in the grid.
     Raises ``ValueError`` when the column offsets are not constant."""
-    energies, vectors = _eigensystem(spec)
+    energies, vectors, _ = _eigensystem(spec)
     c_final = vectors.conj().T @ psi_final.amplitudes
     c_init = vectors.conj().T @ psi_init.amplitudes
     z_values = np.asarray(z_values, dtype=complex)
@@ -195,7 +243,7 @@ def amplitude_series(
 
 def oracle_evolve(spec: HamiltonianSpec, state: StateVector, t: float) -> StateVector:
     """exp(-iHt) |state> from the dense eigendecomposition."""
-    energies, vectors = _eigensystem(spec)
+    energies, vectors, _ = _eigensystem(spec)
     coeffs = vectors.conj().T @ state.amplitudes
     return StateVector(spec.n_sites, vectors @ (np.exp(-1j * energies * t) * coeffs))
 

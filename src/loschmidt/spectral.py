@@ -121,7 +121,7 @@ def exact_ldos(spec: HamiltonianSpec, psi: StateVector, width: float) -> LdosSpe
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    energies, vectors = _eigensystem(spec)
+    energies, vectors, _ = _eigensystem(spec)
     weights = np.abs(vectors.conj().T @ psi.amplitudes) ** 2
     lo = energies[0] - 6 * width
     hi = energies[-1] + 6 * width

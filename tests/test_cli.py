@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from loschmidt.cli import cmd_two_sided, main, write_csv
-from loschmidt.config import _ALGORITHM_CHECKS, ExperimentConfig, parse_document
+from loschmidt.config import _ALGORITHM_CHECKS, _NOISE_CHECKS, ExperimentConfig, parse_document
 from loschmidt.exceptions import ConfigError
 from loschmidt.model import expectation
 from loschmidt.spectral import ldos_dft
@@ -195,6 +195,16 @@ class TestCliCommands:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert set(resolved["algorithm"]) == {key for key, _, _ in _ALGORITHM_CHECKS}
 
+    def test_resolved_noise_block_has_the_checked_keys(self, tmp_path):
+        doc = command_config("noise")
+        doc["noise"]["seed"] = 5
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["noise", "--config", cfg, "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert set(resolved["noise"]) == {key for key, _, _ in _NOISE_CHECKS}
+        assert resolved["noise"] == {"gamma": 0.01, "n_trajectories": 2, "shots": None, "seed": 5}
+
     def test_seed_flag_overrides(self, tmp_path):
         doc = base_config()
         doc["algorithm"]["shots"] = 100
@@ -249,6 +259,48 @@ class TestCliCommands:
             center_energy=expectation(experiment.spec, experiment.psi),
         )
         assert info["imag_residue"] == spectrum.max_imag_residue
+
+
+class TestOracleSectors:
+    """``oracle_sectors`` in runinfo.json: the flip sectors the dense oracle
+    was solved in, on every exact_oracle run and on ldos."""
+
+    @staticmethod
+    def _sectors(tmp_path, command, doc):
+        out = tmp_path / command
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        return json.loads((out / "runinfo.json").read_text()).get("oracle_sectors")
+
+    def _oracle_config(self, model=None):
+        doc = base_config(**({"model": model} if model else {}))
+        doc["algorithm"]["backend"] = "exact_oracle"
+        doc["states"].update(operator_a={"sites": [0], "name": "x"}, t_prime=0.1)
+        return doc
+
+    @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided", "ldos"])
+    def test_tfim_on_the_oracle_backend_records_two(self, tmp_path, command):
+        assert self._sectors(tmp_path, command, self._oracle_config()) == 2
+
+    @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided", "ldos"])
+    def test_a_z_field_records_one(self, tmp_path, command):
+        sx = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+        sz = [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.3, 0.0]]]
+        model = {"model": "terms", "n": 3, "terms": [
+            {"support": [site], "matrix": sx} for site in range(3)
+        ] + [{"support": [1], "matrix": sz}]}
+        doc = self._oracle_config(model)
+        # product dynamics: the oracle anchor of an x insertion vanishes
+        doc["algorithm"]["anchor"] = 0.0
+        assert self._sectors(tmp_path, command, doc) == 1
+
+    def test_ldos_records_the_reference_oracle_on_any_backend(self, tmp_path):
+        assert self._sectors(tmp_path, "ldos", base_config()) == 2
+
+    @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided"])
+    def test_absent_off_the_oracle_backend(self, tmp_path, command):
+        doc = self._oracle_config()
+        doc["algorithm"]["backend"] = "statevector_trotter"
+        assert self._sectors(tmp_path, command, doc) is None
 
 
 class TestTwoSided:

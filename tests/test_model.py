@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given
-from test_compiled_plans import PROPERTY, chains
+from hypothesis import strategies as st
+from test_compiled_plans import PROPERTY, SEEDS, chains
 
 from loschmidt.exceptions import NumericsError
 from loschmidt.model import (
@@ -13,12 +14,14 @@ from loschmidt.model import (
     LocalTerm,
     SIGMA_X,
     SIGMA_Y,
+    SIGMA_Z,
     _eigensystem,
     _embed,
     amplitude_series,
     dense_matrix,
     exact_amplitude,
     expectation,
+    oracle_evolve,
     oracle_phase_series,
     tfim,
 )
@@ -332,3 +335,136 @@ class TestAmplitudeSeries:
             tracemalloc.stop()
         assert series.shape == (20000,)
         assert peak < 100e6
+
+
+#: 2-site terms that commute with X (x) X: real ones, and Y (x) Z, which is
+#: imaginary, so a chain holding it takes the complex solver
+_FLIP_BONDS_REAL = (np.kron(SIGMA_X, SIGMA_X), np.kron(SIGMA_Y, SIGMA_Y),
+                    np.kron(SIGMA_Z, SIGMA_Z))
+_FLIP_BONDS_COMPLEX = (np.kron(SIGMA_Y, SIGMA_Z), np.kron(SIGMA_Z, SIGMA_Y))
+
+
+@st.composite
+def flip_chains(draw, complex_bonds, z_field=False, max_sites=8):
+    """A chain on 1..max_sites sites that commutes with the global flip
+    prod X: random XX, YY, ZZ (and with ``complex_bonds`` YZ, ZY) bonds,
+    some with reversed supports, and X fields; with ``z_field`` one Z field
+    breaks the symmetry."""
+    n = draw(st.integers(1, max_sites))
+    rng = np.random.default_rng(draw(SEEDS))
+    bonds = _FLIP_BONDS_REAL + (_FLIP_BONDS_COMPLEX if complex_bonds else ())
+    terms = []
+    for i in range(n - 1):
+        support = (i + 1, i) if draw(st.booleans()) else (i, i + 1)
+        for matrix in bonds:
+            terms.append(LocalTerm(support, rng.uniform(-1, 1) * matrix))
+        if complex_bonds:
+            # at least one imaginary bond on every chain of two or more sites
+            terms.append(LocalTerm(support, rng.uniform(0.5, 1) * _FLIP_BONDS_COMPLEX[0]))
+    terms += [LocalTerm((i,), rng.uniform(-1, 1) * SIGMA_X) for i in range(n)]
+    if z_field:
+        site = draw(st.integers(0, n - 1))
+        terms.append(LocalTerm((site,), rng.uniform(0.5, 1) * SIGMA_Z))
+    rng.shuffle(terms)
+    return HamiltonianSpec(n, tuple(terms))
+
+
+def _reference_eigh(spec):
+    """One full eigh of the dense H, on the real solver when H is real: the
+    oracle before its sector split."""
+    full = dense_matrix(spec)
+    return np.linalg.eigh(full if full.imag.any() else full.real)
+
+
+class TestFlipSectors:
+    """The oracle's two flip sectors against one full eigh of H."""
+
+    #: a (K, 3) strip t, t + 0.05i, t - 0.05i, and the same times flat
+    Z_GRID = np.linspace(0.0, 6.0, 13)[:, None] + 0.05j * np.array([0.0, 1.0, -1.0])
+    Z_VALUES = Z_GRID.T.ravel()
+
+    @staticmethod
+    def _check_eigensystem(spec, energies, vectors):
+        """Ascending energies of H, and orthonormal eigenvectors."""
+        full = dense_matrix(spec)
+        assert np.all(np.diff(energies) >= 0)
+        np.testing.assert_allclose(energies, np.linalg.eigvalsh(full), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vectors.T.conj() @ vectors, np.eye(len(energies)),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(full @ vectors, vectors * energies, rtol=0, atol=1e-12)
+
+    def _check_oracle(self, spec, seed):
+        """Amplitudes and evolution of the oracle against the complex
+        solver on the full H."""
+        rng = np.random.default_rng(seed)
+        bra, ket = _random_unit_state(rng, spec.n_sites), _random_unit_state(rng, spec.n_sites)
+        want = _complex_eigh_series(spec, bra, ket, self.Z_VALUES)
+        np.testing.assert_allclose(amplitude_series(spec, bra, ket, self.Z_VALUES), want,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(amplitude_series(spec, bra, ket, self.Z_GRID),
+                                   want.reshape(3, -1).T, rtol=0, atol=1e-12)
+        energies, vectors = np.linalg.eigh(dense_matrix(spec))
+        evolved = vectors @ (np.exp(-1.3j * energies) * (vectors.conj().T @ ket.amplitudes))
+        np.testing.assert_allclose(oracle_evolve(spec, ket, 1.3).amplitudes, evolved,
+                                   rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(spec=flip_chains(complex_bonds=False), seed=SEEDS)
+    def test_real_symmetric_chain_in_two_real_sectors(self, spec, seed):
+        energies, vectors, sectors = _eigensystem(spec)
+        assert sectors == 2
+        assert vectors.dtype == np.float64
+        self._check_eigensystem(spec, energies, vectors)
+        self._check_oracle(spec, seed)
+
+    @PROPERTY
+    @given(spec=flip_chains(complex_bonds=True), seed=SEEDS)
+    def test_complex_symmetric_chain_in_two_complex_sectors(self, spec, seed):
+        energies, vectors, sectors = _eigensystem(spec)
+        assert sectors == 2
+        assert vectors.dtype == (np.complex128 if spec.n_sites > 1 else np.float64)
+        self._check_eigensystem(spec, energies, vectors)
+        self._check_oracle(spec, seed)
+
+    @PROPERTY
+    @given(spec=st.one_of(flip_chains(complex_bonds=False, z_field=True),
+                          flip_chains(complex_bonds=True, z_field=True), chains()),
+           seed=SEEDS)
+    def test_without_the_symmetry_one_full_eigh_as_before(self, spec, seed):
+        energies, vectors, sectors = _eigensystem(spec)
+        want_energies, want_vectors = _reference_eigh(spec)
+        assert sectors == 1
+        assert vectors.dtype == want_vectors.dtype
+        assert energies.tobytes() == want_energies.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+        self._check_eigensystem(spec, energies, vectors)
+        self._check_oracle(spec, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 8])
+    def test_tfim_takes_two_sectors(self, n):
+        spec = tfim(n, 1.0, 0.5)
+        energies, vectors, sectors = _eigensystem(spec)
+        assert sectors == 2
+        self._check_eigensystem(spec, energies, vectors)
+        self._check_oracle(spec, n)
+
+    def test_single_site(self):
+        # H = g X: the sectors are the 1x1 blocks +g and -g, with X
+        # eigenvectors (1, +-1) / sqrt(2)
+        g = 0.7
+        spec = HamiltonianSpec(1, (LocalTerm((0,), g * SIGMA_X),))
+        energies, vectors, sectors = _eigensystem(spec)
+        assert sectors == 2
+        np.testing.assert_allclose(energies, [-g, g], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(vectors.T @ [1.0, -1.0]), [np.sqrt(2.0), 0.0],
+                                   rtol=0, atol=1e-15)
+        self._check_eigensystem(spec, energies, vectors)
+        self._check_oracle(spec, 1)
+        z_field = HamiltonianSpec(1, (LocalTerm((0,), g * SIGMA_X + 0.2 * SIGMA_Z),))
+        assert _eigensystem(z_field).sectors == 1
+        self._check_oracle(z_field, 2)
+
+    def test_zero_sites_keep_their_one_state(self):
+        # the 1x1 H of no sites has no flip sectors to split into
+        energies, vectors, sectors = _eigensystem(HamiltonianSpec(0, ()))
+        assert (energies.tolist(), vectors.tolist(), sectors) == ([0.0], [[1.0]], 1)
