@@ -14,7 +14,8 @@ Subcommands::
 Every run writes a resolved-config snapshot (re-ingestable) and a run-info
 record with the library version next to its data files.  Numbers are
 emitted with 17 significant digits and LF line endings; identical configs
-and seeds reproduce byte-identical files at any thread count.
+and seeds reproduce byte-identical files at any ``--threads``, while values
+from the dense oracle can move at rounding level with the BLAS thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -35,6 +36,7 @@ from .config import _ALGORITHM_CHECKS, _NOISE_CHECKS, ExperimentConfig, RunDocum
 from .exceptions import ConfigError, LoschmidtError
 from .model import (
     ORACLE_MAX_SITES,
+    SIGMA_X,
     _eigensystem,
     exact_amplitude,
     expectation,
@@ -44,7 +46,7 @@ from .model import (
 )
 from .reconstruct import PhaseTrace, run_phase_experiment
 from .spectral import exact_ldos, ldos_dft
-from .statevector import StateVector, apply_matrix, product_state
+from .statevector import apply_matrix, product_state
 from .trotter import build_plan, evolve
 
 PHASE_HEADER = ["t", "r", "p_plus", "p_minus", "dphi_dt", "phi", "re_g", "im_g"]
@@ -169,9 +171,22 @@ def cmd_phase(doc: RunDocument, outdir: Path, command="phase") -> int:
     return 0
 
 
+def _anchor(exp: ExperimentConfig, reference) -> float:
+    """The config's anchor, else the angle of the oracle amplitude ``reference()``;
+    ConfigError beyond ORACLE_MAX_SITES or when |G| < 1e-12 (rounding noise)."""
+    if exp.anchor is not None:
+        return exp.anchor
+    if exp.spec.n_sites > ORACLE_MAX_SITES:
+        raise ConfigError(f"the anchor must be supplied beyond {ORACLE_MAX_SITES} sites")
+    g = reference()
+    if abs(g) < 1e-12:
+        raise ConfigError("the oracle anchor amplitude vanishes; supply an anchor")
+    return float(np.angle(g))
+
+
 def _two_sided_states(doc: RunDocument):
     """Measurement-side state A^dag exp(-iHt') psi' per backend fidelity,
-    plus the oracle anchor phase."""
+    plus the anchor phase."""
     exp = doc.experiment
     if doc.operator_a is None:
         raise ConfigError("two-sided runs need states.operator_a")
@@ -190,20 +205,12 @@ def _two_sided_states(doc: RunDocument):
         evolved = evolve(psi_ref, plan)
     bra = apply_matrix(evolved, matrix.conj().T, sites)
 
-    if exp.anchor is not None:
-        anchor = exp.anchor
-    elif exp.spec.n_sites <= ORACLE_MAX_SITES:
-        oracle_bra = apply_matrix(oracle_evolve(exp.spec, psi_ref, t_prime), matrix.conj().T, sites)
-        reference = exact_amplitude(exp.spec, oracle_bra, exp.psi, t_prime)
-        if abs(reference) < 1e-12:
-            raise ConfigError(
-                "two-sided anchor amplitude vanishes at t'; supply an anchor "
-                "or choose a different t'"
-            )
-        anchor = float(np.angle(reference))
-    else:
-        raise ConfigError("two-sided anchor must be supplied beyond the oracle size limit")
-    return bra, prefix_steps, anchor
+    def reference():  # on the oracle backend, bra already is the oracle bra
+        oracle_bra = bra if exp.backend == "exact_oracle" else apply_matrix(
+            oracle_evolve(exp.spec, psi_ref, t_prime), matrix.conj().T, sites)
+        return exact_amplitude(exp.spec, oracle_bra, exp.psi, t_prime)
+
+    return bra, prefix_steps, _anchor(exp, reference)
 
 
 def cmd_two_sided(doc: RunDocument, outdir: Path) -> int:
@@ -337,15 +344,8 @@ def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
             raise ConfigError("baseline.flip_sites is required for the sequential method")
         chain = [exp.psi]
         for site in flip_sites:
-            prev = chain[-1]
-            amps = apply_matrix(prev, np.array([[0, 1], [1, 0]], dtype=complex), (site,))
-            chain.append(StateVector(exp.spec.n_sites, amps.amplitudes))
-        if exp.anchor is not None:
-            anchor = exp.anchor
-        elif exp.spec.n_sites <= ORACLE_MAX_SITES:
-            anchor = float(np.angle(exact_amplitude(exp.spec, exp.psi, exp.psi, exp.t_max)))
-        else:
-            raise ConfigError("sequential anchor must be supplied beyond the oracle size")
+            chain.append(apply_matrix(chain[-1], SIGMA_X, (site,)))
+        anchor = _anchor(exp, lambda: exact_amplitude(exp.spec, exp.psi, exp.psi, exp.t_max))
         thetas = doc.baseline.get("thetas", (0.0, np.pi / 2))
         result = sequential_interferometry(
             exp.spec, chain, exp.t_max, exp.tau, exp.order,
@@ -455,11 +455,8 @@ def main(argv=None) -> int:
         if args.command == "cost":
             return cmd_cost(doc, outdir)
         raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # precondition violations surfacing from library calls on bad inputs
+    except (ConfigError, ValueError) as exc:
+        # a ValueError is a precondition of a library call failing on bad inputs
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LoschmidtError as exc:

@@ -9,15 +9,15 @@ with open boundaries is the built-in model; arbitrary chains of Hermitian
 Coefficients are folded into the term matrices, so user-defined Hamiltonians
 need no special cases.
 
-``exact_amplitude`` evaluates <psi'| exp(-i H z) |psi> at complex time
-``z = t - i*beta`` by eigendecomposition of the dense matrix.  It is the
-project-wide ground truth that every approximate pipeline is tested against,
-and is capped at 12 sites.  When the dense H is exactly invariant under the
-global spin flip prod X (the TFIM, any chain of XX, YY, ZZ, YZ bonds and X
-fields), it is diagonalised as two half-size blocks, one per flip sector;
-any other H takes one full ``eigh``.  Either way the cached eigensystem
-holds ascending energies and full-space orthonormal eigenvectors, and
-records which path ran in its ``sectors``.
+``amplitude_series`` evaluates <psi'| exp(-i H z) |psi> at complex times
+``z = t - i*beta`` (``exact_amplitude`` at one) by eigendecomposition of
+the dense matrix: the project-wide ground truth for every approximate
+pipeline, capped at 12 sites.  A dense H exactly invariant under the global
+spin flip prod X (the TFIM, any chain of XX, YY, ZZ, YZ bonds and X fields)
+is diagonalised as two half-size blocks, one per flip sector, any other H
+by one full ``eigh``; either way the cached eigensystem holds ascending
+energies and full-space orthonormal eigenvectors, records which path ran in
+its ``sectors``, and meets states only in ``_eigen_product``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NumericsError
-from .statevector import StateVector, _lsb_first, _site_indices
+from .statevector import StateVector, _lsb_first, _site_indices, apply_matrix
 
 ORACLE_MAX_SITES = 12
 
@@ -189,21 +189,23 @@ def _eigensystem(spec: HamiltonianSpec) -> Eigensystem:
     return Eigensystem(energies[order], vectors, 2)
 
 
+def _eigen_product(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``states @ matrix`` for V.conj() (V^dag a) or V.T (V a), as rows, on the
+    real and imaginary parts in one product: numpy would cast a real V to complex."""
+    parts = np.stack([states.real, states.imag])
+    real, imag = (parts.reshape(-1, len(matrix)) @ matrix).reshape(parts.shape)
+    return real + 1j * imag
+
+
 def exact_amplitude(
     spec: HamiltonianSpec,
     psi_final: StateVector,
     psi_init: StateVector,
     z: complex,
 ) -> complex:
-    """<psi_final| exp(-i H z) |psi_init> at complex time z = t - i*beta.
-
-    Positive imaginary part of ``z`` inserts exp(+Im(z) H), i.e.
-    ``z = t + i*h`` corresponds to exp(-iHt) exp(+hH).
-    """
-    energies, vectors, _ = _eigensystem(spec)
-    c_final = vectors.conj().T @ psi_final.amplitudes
-    c_init = vectors.conj().T @ psi_init.amplitudes
-    return complex(np.sum(np.conj(c_final) * c_init * np.exp(-1j * energies * z)))
+    """``amplitude_series`` at one complex time z = t - i*beta; a positive
+    imaginary part inserts exp(+Im(z) H), so z = t + ih gives exp(-iHt) exp(+hH)."""
+    return complex(amplitude_series(spec, psi_final, psi_init, [z])[0])
 
 
 def amplitude_series(
@@ -212,7 +214,7 @@ def amplitude_series(
     psi_init: StateVector,
     z_values,
 ) -> np.ndarray:
-    """``exact_amplitude`` over complex times (one shared eigendecomposition).
+    """<psi_final| exp(-i H z) |psi_init> over complex times.
 
     ``z_values`` is a flat array of K times, or a (K, R) grid whose columns
     differ from the first by constants, z[:, r] = z[:, 0] + d_r, such as the
@@ -223,8 +225,8 @@ def amplitude_series(
     at most ``_SERIES_BLOCK`` entries, so memory stays bounded in the grid.
     Raises ``ValueError`` when the column offsets are not constant."""
     energies, vectors, _ = _eigensystem(spec)
-    c_final = vectors.conj().T @ psi_final.amplitudes
-    c_init = vectors.conj().T @ psi_init.amplitudes
+    states = np.stack([psi_final.amplitudes, psi_init.amplitudes])
+    c_final, c_init = _eigen_product(states, vectors.conj())
     z_values = np.asarray(z_values, dtype=complex)
     grid = z_values if z_values.ndim == 2 else z_values.reshape(-1, 1)
     offsets = grid - grid[:, :1]
@@ -244,8 +246,8 @@ def amplitude_series(
 def oracle_evolve(spec: HamiltonianSpec, state: StateVector, t: float) -> StateVector:
     """exp(-iHt) |state> from the dense eigendecomposition."""
     energies, vectors, _ = _eigensystem(spec)
-    coeffs = vectors.conj().T @ state.amplitudes
-    return StateVector(spec.n_sites, vectors @ (np.exp(-1j * energies * t) * coeffs))
+    coeffs = np.exp(-1j * energies * t) * _eigen_product(state.amplitudes, vectors.conj())
+    return StateVector(spec.n_sites, _eigen_product(coeffs, vectors.T))
 
 
 def oracle_phase_series(
@@ -275,8 +277,6 @@ def expectation(spec: HamiltonianSpec, state: StateVector) -> float:
     tiny."""
     if 2**spec.n_sites != state.amplitudes.shape[0]:
         raise ValueError("state size does not match Hamiltonian")
-    from .statevector import apply_matrix
-
     acc = 0.0 + 0.0j
     for term in spec.terms:
         h_psi = apply_matrix(state, term.matrix, term.support)

@@ -236,9 +236,9 @@ def _running_i_factor(times, p_plus, p_minus) -> np.ndarray:
     out = np.empty_like(integrand)
     out[0] = integrand[0]
     if len(times) > 1:
-        steps = np.diff(times)
-        cum = np.cumsum(steps * (integrand[1:] + integrand[:-1]) / 2.0)
-        out[1:] = cum / times[1:]
+        # the running mean over the elapsed time, so grids may start anywhere
+        cum = np.cumsum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0)
+        out[1:] = cum / (times[1:] - times[0])
     return out
 
 

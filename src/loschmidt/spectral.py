@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HamiltonianSpec, _eigensystem
+from .model import HamiltonianSpec, _eigen_product, _eigensystem
 from .model import dense_matrix  # noqa: F401  (perfbench/tracer.py patches it here)
 from .statevector import StateVector
 
@@ -122,7 +122,7 @@ def exact_ldos(spec: HamiltonianSpec, psi: StateVector, width: float) -> LdosSpe
     if width <= 0:
         raise ValueError("width must be positive")
     energies, vectors, _ = _eigensystem(spec)
-    weights = np.abs(vectors.conj().T @ psi.amplitudes) ** 2
+    weights = np.abs(_eigen_product(psi.amplitudes, vectors.conj())) ** 2
     lo = energies[0] - 6 * width
     hi = energies[-1] + 6 * width
     step = width / 8.0

@@ -376,6 +376,71 @@ class TestTwoSided:
         assert main(["two-sided", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def _anchor_case(case):
+    """argv and config of a run whose anchor the oracle cannot supply."""
+    doc = base_config()
+    if case.startswith("two-sided"):
+        argv = ["two-sided"]
+        doc["states"].update(operator_a={"sites": [0], "name": "x"}, t_prime=0.05)
+    else:
+        argv = ["baseline", "--method", "sequential"]
+        doc["baseline"] = {"flip_sites": [0]}
+    if case.endswith("beyond the oracle"):
+        doc["model"]["n"] = 13
+    elif case == "two-sided vanishing":
+        # <up| x |up> = 0 at t' = 0
+        doc["states"]["t_prime"] = 0.0
+    else:
+        # free spins, H = (pi / 2)(X_0 + X_1): G(t_max = 1) = cos(pi / 2)^2
+        # vanishes, and its oracle value is rounding noise, whose angle was
+        # once taken as the anchor
+        doc["model"].update(n=2, J=0.0, g=float(np.pi))
+        doc["algorithm"]["t_max"] = 1.0
+    return argv, doc
+
+
+class TestAnchorRule:
+    """two-sided and baseline --method sequential resolve their anchor by one
+    rule: the config's, else the oracle amplitude's angle at N <= 12."""
+
+    @pytest.mark.parametrize("case", [
+        "two-sided beyond the oracle", "two-sided vanishing",
+        "sequential beyond the oracle", "sequential vanishing",
+    ])
+    def test_unavailable_anchor_exits_2_and_writes_nothing(self, tmp_path, capsys, case):
+        argv, doc = _anchor_case(case)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "anchor" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["two-sided beyond the oracle",
+                                      "sequential beyond the oracle"])
+    def test_a_supplied_anchor_is_used(self, tmp_path, case):
+        argv, doc = _anchor_case(case)
+        doc["algorithm"]["anchor"] = 0.25
+        out = tmp_path / "out"
+        assert main(argv + ["--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert json.loads((out / "runinfo.json").read_text())["anchor"] == 0.25
+
+    def test_oracle_backend_evolves_its_bra_once(self, tmp_path, monkeypatch):
+        # the oracle backend's bra is the oracle bra the anchor needs
+        import loschmidt.cli as cli_module
+
+        calls = []
+        evolve_once = cli_module.oracle_evolve
+        monkeypatch.setattr(cli_module, "oracle_evolve",
+                            lambda *args: calls.append(args) or evolve_once(*args))
+        doc = base_config()
+        doc["algorithm"]["backend"] = "exact_oracle"
+        doc["states"].update(operator_a={"sites": [0], "name": "x"}, t_prime=0.1)
+        out = tmp_path / "out"
+        assert main(["two-sided", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(calls) == 1
+
+
 #: (command, block, key, bad value) of values checked at load; a key of
 #: None replaces the whole block
 _SWEEP = {"kind": "h", "n_values": [4], "values": [0.1]}

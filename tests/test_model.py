@@ -25,6 +25,7 @@ from loschmidt.model import (
     oracle_phase_series,
     tfim,
 )
+from loschmidt.spectral import exact_ldos
 from loschmidt.statevector import StateVector, product_state
 
 RNG = np.random.default_rng(7)
@@ -241,8 +242,8 @@ class TestOraclePhaseSeries:
         psi = product_state(["up"] * 4)
         times = np.linspace(0, 2, 41)
         r, phi = oracle_phase_series(spec, psi, psi, times)
-        for k in (0, 10, 25):
-            g = exact_amplitude(spec, psi, psi, times[k])
+        points = [0, 10, 25]
+        for k, g in zip(points, _complex_eigh_series(spec, psi, psi, times[points])):
             assert abs(r[k] - abs(g)) < 1e-12
             # phases agree modulo 2 pi
             assert abs(np.exp(1j * phi[k]) - np.exp(1j * np.angle(g))) < 1e-10
@@ -254,6 +255,20 @@ def _complex_eigh_series(spec, bra, ket, z_values):
     energies, vectors = np.linalg.eigh(dense_matrix(spec))
     weights = np.conj(vectors.conj().T @ bra.amplitudes) * (vectors.conj().T @ ket.amplitudes)
     return np.array([np.sum(weights * np.exp(-1j * energies * z)) for z in z_values])
+
+
+def _check_points_and_ldos(spec, bra, ket, z_values, width=0.08):
+    """``exact_amplitude`` at each z, and the ``exact_ldos`` densities of
+    ket, against the complex solver."""
+    points = [exact_amplitude(spec, bra, ket, z) for z in z_values]
+    np.testing.assert_allclose(points, _complex_eigh_series(spec, bra, ket, z_values),
+                               rtol=0, atol=1e-12)
+    energies, vectors = np.linalg.eigh(dense_matrix(spec))
+    spectrum = exact_ldos(spec, ket, width)
+    gauss = np.exp(-0.5 * (np.subtract.outer(spectrum.energies, energies) / width) ** 2)
+    weights = np.abs(vectors.conj().T @ ket.amplitudes) ** 2
+    np.testing.assert_allclose(spectrum.densities, gauss @ weights / (width * np.sqrt(2.0 * np.pi)),
+                               rtol=0, atol=1e-12)
 
 
 def _random_unit_state(rng, n):
@@ -278,6 +293,7 @@ class TestAmplitudeSeries:
         grid = amplitude_series(spec, bra, ket, self.Z_GRID)
         assert grid.shape == (25, 3)
         np.testing.assert_allclose(grid, got.reshape(3, 25).T, rtol=0, atol=1e-12)
+        _check_points_and_ldos(spec, bra, ket, self.Z_VALUES[::7])
 
     def test_real_tfim_uses_real_eigenvectors_and_matches(self):
         rng = np.random.default_rng(41)
@@ -305,7 +321,7 @@ class TestAmplitudeSeries:
         with pytest.raises(ValueError, match="differ by constants"):
             amplitude_series(spec, psi, psi, np.stack([t, 2.0 * t], axis=1))
 
-    def test_blocks_agree_with_pointwise_amplitude(self, monkeypatch):
+    def test_blocks_agree_with_the_complex_solver(self, monkeypatch):
         # blocks of 7 rows: a ragged last block and several full ones
         import loschmidt.model as model_module
 
@@ -314,13 +330,28 @@ class TestAmplitudeSeries:
         monkeypatch.setattr(model_module, "_SERIES_BLOCK", 7 * 16)
         z_values = np.linspace(0.0, 3.0, 30) + 0.02j
         got = amplitude_series(spec, psi, psi, z_values)
-        want = [exact_amplitude(spec, psi, psi, z) for z in z_values]
+        want = _complex_eigh_series(spec, psi, psi, z_values)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         # the (K, 3) strip goes through the same blocks of its first column
         strip = z_values[:, None] + 0.03j * np.array([0.0, 1.0, -1.0])
         got = amplitude_series(spec, psi, psi, strip)
-        want = [[exact_amplitude(spec, psi, psi, z) for z in row] for row in strip]
+        want = _complex_eigh_series(spec, psi, psi, strip.ravel()).reshape(strip.shape)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_real_h_makes_no_complex_copy_of_the_eigenvectors(self):
+        # a complex copy of the real 1024 x 1024 eigenvectors would be 16 MiB
+        spec = tfim(10, 1.0, 0.5)
+        psi = product_state(["up"] * 10)
+        assert _eigensystem(spec).vectors.dtype == np.float64
+        tracemalloc.start()
+        try:
+            series = amplitude_series(spec, psi, psi, np.arange(64) * 0.1)
+            evolved = oracle_evolve(spec, psi, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.shape == (64,) and evolved.n_qubits == 10
+        assert peak < 4 * 2**20
 
     def test_memory_bounded_in_grid_length(self):
         # one K x 2^N phase table would be 20000 * 1024 * 16 B = 328 MB
@@ -394,7 +425,7 @@ class TestFlipSectors:
         np.testing.assert_allclose(full @ vectors, vectors * energies, rtol=0, atol=1e-12)
 
     def _check_oracle(self, spec, seed):
-        """Amplitudes and evolution of the oracle against the complex
+        """Amplitudes, evolution and LDOS of the oracle against the complex
         solver on the full H."""
         rng = np.random.default_rng(seed)
         bra, ket = _random_unit_state(rng, spec.n_sites), _random_unit_state(rng, spec.n_sites)
@@ -407,6 +438,7 @@ class TestFlipSectors:
         evolved = vectors @ (np.exp(-1.3j * energies) * (vectors.conj().T @ ket.amplitudes))
         np.testing.assert_allclose(oracle_evolve(spec, ket, 1.3).amplitudes, evolved,
                                    rtol=0, atol=1e-12)
+        _check_points_and_ldos(spec, bra, ket, self.Z_VALUES[::5])
 
     @PROPERTY
     @given(spec=flip_chains(complex_bonds=False), seed=SEEDS)

@@ -272,6 +272,15 @@ class TestReconstructTrace:
         trace = reconstruct_trace(t, ones, ones, ones, 0.0, 0.0, 0.1)
         assert np.allclose(trace.i_factor, 2.0)
 
+    @pytest.mark.parametrize("t", [[5.0, 5.1, 5.2], [-0.1, 0.0, 0.1]])
+    def test_i_factor_averages_over_elapsed_time(self, t):
+        # an external grid that does not start at 0: the running mean is over
+        # t - t[0], so it neither shrinks with t nor divides by a zero t
+        ones = np.ones(3)
+        with np.errstate(all="raise"):
+            trace = reconstruct_trace(np.array(t), ones, ones, ones, 0.0, 0.0, 0.1)
+        np.testing.assert_allclose(trace.i_factor, 2.0, rtol=1e-12, atol=0)
+
     def test_zero_probability_without_correction_names_time(self):
         t = np.arange(3) * 0.1
         p = np.array([1.0, 0.0, 1.0])
