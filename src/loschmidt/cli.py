@@ -107,11 +107,13 @@ def _trace_columns(trace: PhaseTrace, with_noise: bool):
 
 
 def _trace_health(trace: PhaseTrace) -> dict:
-    """Floored points and repaired crossings of a trace, for runinfo.json."""
+    """Floored points, repaired crossings and crossings skipped at the series
+    boundary of a trace, for runinfo.json."""
     return {
         "floored": trace.floored,
         "crossings": trace.crossings,
         "correction_phases": trace.correction_phases,
+        "skipped_crossings": trace.skipped_crossings,
     }
 
 
@@ -129,8 +131,9 @@ def _resolved_document(doc: RunDocument) -> dict:
 
 def _oracle_record(exp: ExperimentConfig) -> dict:
     """``oracle_sectors`` of a run on the ``exact_oracle`` backend: how many
-    flip sectors the dense H was solved in (1 or 2), read from the
-    eigensystem the run cached; empty for the other backends."""
+    symmetry blocks the dense H was solved in (1, 2 or 4 for the shipped
+    models), read from the eigensystem the run cached; empty for the other
+    backends."""
     if exp.backend != "exact_oracle":
         return {}
     return {"oracle_sectors": _eigensystem(exp.spec).sectors}

@@ -12,12 +12,14 @@ need no special cases.
 ``amplitude_series`` evaluates <psi'| exp(-i H z) |psi> at complex times
 ``z = t - i*beta`` (``exact_amplitude`` at one) by eigendecomposition of
 the dense matrix: the project-wide ground truth for every approximate
-pipeline, capped at 12 sites.  A dense H exactly invariant under the global
-spin flip prod X (the TFIM, any chain of XX, YY, ZZ, YZ bonds and X fields)
-is diagonalised as two half-size blocks, one per flip sector, any other H
-by one full ``eigh``; either way the cached eigensystem holds ascending
-energies and full-space orthonormal eigenvectors, records which path ran in
-its ``sectors``, and meets states only in ``_eigen_product``.
+pipeline, capped at 12 sites.  The dense H is diagonalised in the symmetry
+blocks of whichever of the global spin flip prod X and the mirror
+i -> N-1-i leave it exactly invariant: 4 quarter-size blocks when both do,
+as for the shipped TFIM, 2 when one does, and one full ``eigh`` for any
+other H.  Either way the cached eigensystem holds ascending energies and
+full-space orthonormal eigenvectors, records the number of symmetry blocks
+(1, 2 or 4 for the shipped models) in its ``sectors``, and meets states
+only in ``_eigen_product``.
 """
 
 from __future__ import annotations
@@ -137,11 +139,26 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
 
 class Eigensystem(NamedTuple):
     """Ascending energies and full-space orthonormal eigenvectors (columns)
-    of a dense H, with the number of flip sectors they were found in."""
+    of a dense H, with the number of symmetry blocks they were found in
+    (1, 2 or 4 for the shipped models)."""
 
     energies: np.ndarray
     vectors: np.ndarray
     sectors: int
+
+
+def _symmetries(full: np.ndarray, n_sites: int) -> list[np.ndarray]:
+    """The basis permutations among the spin flip prod X (a -> 2^N - 1 - a)
+    and the mirror i -> N-1-i (bit reversal) that leave ``full`` exactly
+    invariant, H[p[i], p[j]] == H[i, j], identities dropped.  Comparing over
+    the nonzeros of H suffices: p is a bijection, so an invariant H has as
+    many nonzeros as its permuted copy."""
+    index = np.arange(len(full))
+    candidates = (index[::-1], index.reshape((2,) * n_sites).transpose().ravel())
+    rows, cols = np.divmod(np.flatnonzero(full != 0), len(full))
+    values = full[rows, cols]
+    return [p for p in candidates
+            if np.any(p != index) and np.array_equal(full[p[rows], p[cols]], values)]
 
 
 @lru_cache(maxsize=8)
@@ -150,43 +167,65 @@ def _eigensystem(spec: HamiltonianSpec) -> Eigensystem:
     H (the TFIM, any chain of real terms) goes through the real-symmetric
     solver and has real eigenvectors.
 
-    When H commutes with the global spin flip P = prod X, it is solved in
-    the two flip sectors (``sectors`` 2; Sandvik, arXiv:1101.3281, sec. 4).
-    P maps the index a to 2^N - 1 - a, so P H P is ``full[::-1, ::-1]`` and
-    the test is exact equality; every other H (``sectors`` 1) takes one full
-    ``eigh``, as before.  With h = 2^(N-1), the sector blocks are
-    H+- = H[:h, :h] +- H[:h, h:][:, ::-1], and an eigenvector u of H+- is
-    (u, +-u[::-1]) / sqrt(2) in the full space.  Each sector's columns are
-    written straight into their places in the ascending order, so either
-    way the energies ascend and the vectors are orthonormal full-space
-    columns in their order, and the peak memory stays that of the full
-    solve: H and one output matrix."""
+    H is solved in the symmetry blocks (Sandvik, arXiv:1101.3281, sec. 4)
+    of the group G generated by what ``_symmetries`` finds.  The flip and
+    the mirror are commuting involutions, so G is Z2^m with m <= 2, and
+    ``sectors`` counts the non-empty blocks: 1, 2 or 4 for the shipped
+    models, and 3 at N=2 with both symmetries, whose fourth block is empty.
+    Without either symmetry H takes one full ``eigh``.
+
+    In the block of a character chi of G, the orbit O of a representative
+    r (its least index) gives the orbit-basis column b -> chi(g_b) / sqrt(|O|)
+    on b in O, where g_b maps r to b; the column vanishes when chi is -1 on
+    an element fixing r.  As H commutes with G, the block B^T H B is
+    [i, j] -> sum_g chi(g) H[r_i, g(r_j)] / sqrt(s_i s_j), with s the
+    stabiliser sizes, gathered from the rows of H at the representatives.
+    Each eigenvector B u is written as one whole row of a single 2^N x 2^N
+    matrix, at the place of its energy in ascending order, and the vectors
+    are that matrix's transpose: orthonormal full-space columns in the
+    order of the energies."""
     full = dense_matrix(spec)
     if not full.imag.any():
         full = full.real
-    if spec.n_sites == 0 or not np.array_equal(full, full[::-1, ::-1]):
+    symmetries = _symmetries(full, spec.n_sites)
+    if not symmetries:
         energies, vectors = np.linalg.eigh(full)
         return Eigensystem(energies, vectors, 1)
-    h = full.shape[0] // 2
-    # H+- = top +- cross are staged in contiguous quarters of the output,
-    # which eigh reads before the eigenvectors fill it
-    vectors = np.empty(full.shape, full.dtype)
-    top, cross, plus, minus = vectors.reshape(4, h, h)
-    np.copyto(top, full[:h, :h])
-    np.copyto(cross, full[:h, h:][:, ::-1])
+    # images[g, a] = g(a), the element g composing the symmetries whose
+    # bits it sets, and chi_c(g) = (-1)^|c & g| for the characters of Z2^m
+    images = np.arange(len(full))[None, :]
+    for p in symmetries:
+        images = np.concatenate([images, p[images]])
+    group = np.arange(len(images))
+    characters = np.where(np.bitwise_count(group[:, None] & group) % 2, -1.0, 1.0)
+    reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    fixed = images[:, reps] == reps
+    stabiliser = fixed.sum(axis=0)
+    kept = characters @ fixed > 0
+    # row b of a block's B U is amplitude[c, b] U[slot[c, b]]: chi(g_b) with
+    # g_b(b) = r, as G is involutive; zero, at any valid slot, off kept orbits
+    slot = (np.cumsum(kept, axis=1) - 1)[:, orbit]
+    amplitude = (characters[:, images.argmin(axis=0)] * kept[:, orbit]
+                 * np.sqrt(stabiliser / len(group))[orbit])
+    blocks = characters @ np.take(full[reps], images[:, reps], axis=1)  # [i, c, j]
     del full
-    np.add(top, cross, out=plus)
-    np.subtract(top, cross, out=minus)
-    (e_plus, u_plus), (e_minus, u_minus) = np.linalg.eigh(plus), np.linalg.eigh(minus)
-    energies = np.concatenate([e_plus, e_minus])
+    weight = 1.0 / np.sqrt(stabiliser)
+    blocks *= np.outer(weight, weight)[:, None, :]
+    solved = [(c, np.linalg.eigh(blocks[:, c].take(index, 0).take(index, 1)))
+              for c, index in enumerate(map(np.flatnonzero, kept)) if index.size]
+    # freed before the output matrix is allocated, like H above
+    dtype = blocks.dtype
+    del blocks
+    energies = np.concatenate([e for _, (e, _) in solved])
     order = np.argsort(energies, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    for u, columns, sign in ((u_plus, position[:h], 1.0), (u_minus, position[h:], -1.0)):
-        u /= np.sqrt(2.0)
-        vectors[:h, columns] = u
-        vectors[h:, columns] = sign * u[::-1]
-    return Eigensystem(energies[order], vectors, 2)
+    position = np.argsort(order)
+    transposed = np.empty((len(orbit),) * 2, dtype)
+    start = 0
+    for c, (_, u) in solved:
+        stop = start + u.shape[1]
+        transposed[position[start:stop]] = np.take(u.T, slot[c], axis=1) * amplitude[c]
+        start = stop
+    return Eigensystem(energies[order], transposed.T, len(solved))
 
 
 def _eigen_product(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -58,7 +58,9 @@ class PhaseTrace:
     The noisy backend additionally fills the ``*_raw`` fields (pre-
     mitigation) and ``clamped`` flags.  ``floored`` lists the indices where
     p+ or p- was not positive and was raised to ``_P_FLOOR``; ``crossings``
-    and ``correction_phases`` record the repaired near-zeros.
+    and ``correction_phases`` record the repaired near-zeros, and
+    ``skipped_crossings`` those left unrepaired because a derivative
+    stencil would leave the series.
     """
 
     times: np.ndarray
@@ -75,6 +77,7 @@ class PhaseTrace:
     zero_threshold: float | None = None
     crossings: list[int] = field(default_factory=list)
     correction_phases: list[float] = field(default_factory=list)
+    skipped_crossings: list[int] = field(default_factory=list)
     floored: list[int] = field(default_factory=list)
     r_squared_raw: np.ndarray | None = None
     p_plus_raw: np.ndarray | None = None
@@ -200,6 +203,7 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
     dphi = trace.dphi_dt
     applied: list[float] = []
     kept: list[int] = []
+    skipped: list[int] = []
     for k in sorted(crossings):
         omega_l = float(dphi[max(k - 2, 0)])
         omega_r = float(dphi[min(k + 2, len(g) - 1)])
@@ -207,12 +211,14 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
         d_plus = _one_sided_derivative(g, tau, 1, k, +1, omega_r)
         if d_minus is None or d_plus is None:
             warnings.warn(f"skipping zero crossing at boundary index {k}", stacklevel=2)
+            skipped.append(int(k))
             continue
         if abs(d_minus) < derivative_threshold and abs(d_plus) < derivative_threshold:
             d_minus = _one_sided_derivative(g, tau, 2, k, -1, omega_l)
             d_plus = _one_sided_derivative(g, tau, 2, k, +1, omega_r)
             if d_minus is None or d_plus is None:
                 warnings.warn(f"skipping zero crossing at boundary index {k}", stacklevel=2)
+                skipped.append(int(k))
                 continue
             if abs(d_minus) < derivative_threshold and abs(d_plus) < derivative_threshold:
                 raise NumericsError(
@@ -227,7 +233,8 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
         applied.append(float(shift))
         kept.append(int(k))
     return replace(
-        trace, phi=phi, g_complex=g, crossings=kept, correction_phases=applied
+        trace, phi=phi, g_complex=g, crossings=kept, correction_phases=applied,
+        skipped_crossings=skipped,
     )
 
 

@@ -253,6 +253,7 @@ class TestCliCommands:
             info = json.loads((out / "runinfo.json").read_text())
             assert info["floored"] == []
             assert info["crossings"] == trace.crossings
+            assert info["skipped_crossings"] == trace.skipped_crossings == []
             assert np.allclose(info["correction_phases"], trace.correction_phases, atol=1e-12)
         spectrum = ldos_dft(
             trace.g_complex, 0.05, times=trace.times,
@@ -262,8 +263,8 @@ class TestCliCommands:
 
 
 class TestOracleSectors:
-    """``oracle_sectors`` in runinfo.json: the flip sectors the dense oracle
-    was solved in, on every exact_oracle run and on ldos."""
+    """``oracle_sectors`` in runinfo.json: the symmetry blocks the dense
+    oracle was solved in, on every exact_oracle run and on ldos."""
 
     @staticmethod
     def _sectors(tmp_path, command, doc):
@@ -277,24 +278,34 @@ class TestOracleSectors:
         doc["states"].update(operator_a={"sites": [0], "name": "x"}, t_prime=0.1)
         return doc
 
-    @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided", "ldos"])
-    def test_tfim_on_the_oracle_backend_records_two(self, tmp_path, command):
-        assert self._sectors(tmp_path, command, self._oracle_config()) == 2
-
-    @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided", "ldos"])
-    def test_a_z_field_records_one(self, tmp_path, command):
+    def _z_field_config(self, site):
+        # X fields on 3 sites and one Z field, which breaks the flip
         sx = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
         sz = [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.3, 0.0]]]
         model = {"model": "terms", "n": 3, "terms": [
-            {"support": [site], "matrix": sx} for site in range(3)
-        ] + [{"support": [1], "matrix": sz}]}
+            {"support": [i], "matrix": sx} for i in range(3)
+        ] + [{"support": [site], "matrix": sz}]}
         doc = self._oracle_config(model)
         # product dynamics: the oracle anchor of an x insertion vanishes
         doc["algorithm"]["anchor"] = 0.0
-        assert self._sectors(tmp_path, command, doc) == 1
+        return doc
+
+    @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided", "ldos"])
+    def test_tfim_on_the_oracle_backend_records_four(self, tmp_path, command):
+        # the flip and the mirror: four blocks at N=4
+        assert self._sectors(tmp_path, command, self._oracle_config()) == 4
+
+    @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided", "ldos"])
+    def test_a_z_field_records_one(self, tmp_path, command):
+        # off-centre, the field breaks the mirror as well
+        assert self._sectors(tmp_path, command, self._z_field_config(0)) == 1
+
+    @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided", "ldos"])
+    def test_a_centred_z_field_keeps_the_mirror_and_records_two(self, tmp_path, command):
+        assert self._sectors(tmp_path, command, self._z_field_config(1)) == 2
 
     def test_ldos_records_the_reference_oracle_on_any_backend(self, tmp_path):
-        assert self._sectors(tmp_path, "ldos", base_config()) == 2
+        assert self._sectors(tmp_path, "ldos", base_config()) == 4
 
     @pytest.mark.parametrize("command", ["amplitude", "phase", "two-sided"])
     def test_absent_off_the_oracle_backend(self, tmp_path, command):

@@ -376,39 +376,59 @@ _FLIP_BONDS_COMPLEX = (np.kron(SIGMA_Y, SIGMA_Z), np.kron(SIGMA_Z, SIGMA_Y))
 
 
 @st.composite
-def flip_chains(draw, complex_bonds, z_field=False, max_sites=8):
+def flip_chains(draw, complex_bonds, z_field=False, palindromic=False, max_sites=8):
     """A chain on 1..max_sites sites that commutes with the global flip
     prod X: random XX, YY, ZZ (and with ``complex_bonds`` YZ, ZY) bonds,
     some with reversed supports, and X fields; with ``z_field`` one Z field
-    breaks the symmetry."""
+    breaks the flip.  Random bonds break the mirror i -> n-1-i; with
+    ``palindromic`` every term also appears mirrored, with dyadic
+    coefficients, which add exactly, so the dense H is bitwise invariant
+    under the mirror."""
     n = draw(st.integers(1, max_sites))
     rng = np.random.default_rng(draw(SEEDS))
-    bonds = _FLIP_BONDS_REAL + (_FLIP_BONDS_COMPLEX if complex_bonds else ())
+
+    def coefficient(low, high):
+        return rng.integers(8 * low, 8 * high + 1) / 8 if palindromic else rng.uniform(low, high)
+
     terms = []
     for i in range(n - 1):
         support = (i + 1, i) if draw(st.booleans()) else (i, i + 1)
-        for matrix in bonds:
-            terms.append(LocalTerm(support, rng.uniform(-1, 1) * matrix))
+        for matrix in _FLIP_BONDS_REAL:
+            terms.append(LocalTerm(support, coefficient(-1, 1) * matrix))
         if complex_bonds:
-            # at least one imaginary bond on every chain of two or more sites
-            terms.append(LocalTerm(support, rng.uniform(0.5, 1) * _FLIP_BONDS_COMPLEX[0]))
-    terms += [LocalTerm((i,), rng.uniform(-1, 1) * SIGMA_X) for i in range(n)]
+            # positive, so that no sum of mirrored terms cancels the
+            # imaginary part of a chain of two or more sites
+            for matrix in _FLIP_BONDS_COMPLEX:
+                terms.append(LocalTerm(support, coefficient(0.5, 1) * matrix))
+    terms += [LocalTerm((i,), coefficient(-1, 1) * SIGMA_X) for i in range(n)]
     if z_field:
         site = draw(st.integers(0, n - 1))
-        terms.append(LocalTerm((site,), rng.uniform(0.5, 1) * SIGMA_Z))
+        terms.append(LocalTerm((site,), coefficient(0.5, 1) * SIGMA_Z))
+    if palindromic:
+        terms += [LocalTerm(tuple(n - 1 - i for i in term.support), term.matrix)
+                  for term in terms]
     rng.shuffle(terms)
     return HamiltonianSpec(n, tuple(terms))
 
 
+def _group_blocks(n, flip, mirror):
+    """Non-empty symmetry blocks of an n-site H that keeps the flip and/or
+    the mirror.  Each of them that is not the identity (the flip from one
+    site, the mirror from two) doubles the count, but at two sites the
+    block even under the flip and odd under the mirror is empty."""
+    flip, mirror = flip and n >= 1, mirror and n >= 2
+    return 2 ** (flip + mirror) - (flip and mirror and n == 2)
+
+
 def _reference_eigh(spec):
     """One full eigh of the dense H, on the real solver when H is real: the
-    oracle before its sector split."""
+    oracle without symmetry blocks."""
     full = dense_matrix(spec)
     return np.linalg.eigh(full if full.imag.any() else full.real)
 
 
-class TestFlipSectors:
-    """The oracle's two flip sectors against one full eigh of H."""
+class TestSymmetryBlocks:
+    """The oracle's flip x mirror symmetry blocks against one full eigh of H."""
 
     #: a (K, 3) strip t, t + 0.05i, t - 0.05i, and the same times flat
     Z_GRID = np.linspace(0.0, 6.0, 13)[:, None] + 0.05j * np.array([0.0, 1.0, -1.0])
@@ -440,21 +460,42 @@ class TestFlipSectors:
                                    rtol=0, atol=1e-12)
         _check_points_and_ldos(spec, bra, ket, self.Z_VALUES[::5])
 
-    @PROPERTY
-    @given(spec=flip_chains(complex_bonds=False), seed=SEEDS)
-    def test_real_symmetric_chain_in_two_real_sectors(self, spec, seed):
-        energies, vectors, sectors = _eigensystem(spec)
-        assert sectors == 2
-        assert vectors.dtype == np.float64
+    def _check_blocks(self, spec, seed, sectors, dtype):
+        energies, vectors, got = _eigensystem(spec)
+        assert got == sectors
+        assert vectors.dtype == dtype
         self._check_eigensystem(spec, energies, vectors)
         self._check_oracle(spec, seed)
 
     @PROPERTY
+    @given(spec=flip_chains(complex_bonds=False), seed=SEEDS)
+    def test_real_flip_chain_in_two_real_blocks(self, spec, seed):
+        self._check_blocks(spec, seed, 2, np.float64)
+
+    @PROPERTY
     @given(spec=flip_chains(complex_bonds=True), seed=SEEDS)
-    def test_complex_symmetric_chain_in_two_complex_sectors(self, spec, seed):
+    def test_complex_flip_chain_in_two_complex_blocks(self, spec, seed):
+        dtype = np.complex128 if spec.n_sites > 1 else np.float64
+        self._check_blocks(spec, seed, 2, dtype)
+
+    @PROPERTY
+    @given(spec=flip_chains(complex_bonds=False, palindromic=True), seed=SEEDS)
+    def test_real_palindromic_chain_in_the_blocks_of_both(self, spec, seed):
+        self._check_blocks(spec, seed, _group_blocks(spec.n_sites, True, True), np.float64)
+
+    @PROPERTY
+    @given(spec=flip_chains(complex_bonds=True, palindromic=True), seed=SEEDS)
+    def test_complex_palindromic_chain_in_the_blocks_of_both(self, spec, seed):
+        dtype = np.complex128 if spec.n_sites > 1 else np.float64
+        self._check_blocks(spec, seed, _group_blocks(spec.n_sites, True, True), dtype)
+
+    @PROPERTY
+    @given(spec=st.one_of(flip_chains(complex_bonds=False, z_field=True, palindromic=True),
+                          flip_chains(complex_bonds=True, z_field=True, palindromic=True)),
+           seed=SEEDS)
+    def test_mirror_without_the_flip_in_its_two_blocks(self, spec, seed):
         energies, vectors, sectors = _eigensystem(spec)
-        assert sectors == 2
-        assert vectors.dtype == (np.complex128 if spec.n_sites > 1 else np.float64)
+        assert sectors == _group_blocks(spec.n_sites, False, True)
         self._check_eigensystem(spec, energies, vectors)
         self._check_oracle(spec, seed)
 
@@ -472,17 +513,16 @@ class TestFlipSectors:
         self._check_eigensystem(spec, energies, vectors)
         self._check_oracle(spec, seed)
 
-    @pytest.mark.parametrize("n", [2, 3, 6, 8])
-    def test_tfim_takes_two_sectors(self, n):
-        spec = tfim(n, 1.0, 0.5)
-        energies, vectors, sectors = _eigensystem(spec)
-        assert sectors == 2
-        self._check_eigensystem(spec, energies, vectors)
-        self._check_oracle(spec, n)
+    @pytest.mark.parametrize("n, sectors", [(2, 3), (3, 4), (6, 4), (7, 4), (8, 4)])
+    def test_tfim_takes_the_blocks_of_flip_and_mirror(self, n, sectors):
+        # at N=2 the states |01> +- |10> and |00> +- |11> leave the block
+        # even under the flip and odd under the mirror empty
+        assert _group_blocks(n, True, True) == sectors
+        self._check_blocks(tfim(n, 1.0, 0.5), n, sectors, np.float64)
 
     def test_single_site(self):
-        # H = g X: the sectors are the 1x1 blocks +g and -g, with X
-        # eigenvectors (1, +-1) / sqrt(2)
+        # H = g X: the mirror is the identity and the flip blocks are the
+        # 1x1 blocks +g and -g, with X eigenvectors (1, +-1) / sqrt(2)
         g = 0.7
         spec = HamiltonianSpec(1, (LocalTerm((0,), g * SIGMA_X),))
         energies, vectors, sectors = _eigensystem(spec)
@@ -497,6 +537,7 @@ class TestFlipSectors:
         self._check_oracle(z_field, 2)
 
     def test_zero_sites_keep_their_one_state(self):
-        # the 1x1 H of no sites has no flip sectors to split into
+        # the 1x1 H of no sites: flip and mirror are the identity there
         energies, vectors, sectors = _eigensystem(HamiltonianSpec(0, ()))
         assert (energies.tolist(), vectors.tolist(), sectors) == ([0.0], [[1.0]], 1)
+        self._check_oracle(HamiltonianSpec(0, ()), 0)

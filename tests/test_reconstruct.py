@@ -250,6 +250,17 @@ class TestCorrectPhaseJumps:
             out = correct_phase_jumps(trace, [0])
         assert np.allclose(out.phi, trace.phi)
 
+    def test_boundary_crossings_are_recorded(self):
+        trace, _ = synthetic_zero_trace(zero_correction=False)
+        last = len(trace) - 1
+        with pytest.warns(UserWarning, match="boundary"):
+            out = correct_phase_jumps(trace, [0, 20, last])
+        assert (out.crossings, out.skipped_crossings) == ([20], [0, last])
+        # a second-order stencil at index 1 leaves the series too
+        with pytest.warns(UserWarning, match="boundary"):
+            out = correct_phase_jumps(trace, [1], derivative_threshold=1e9)
+        assert (out.crossings, out.skipped_crossings) == ([], [1])
+
 
 class TestReconstructTrace:
     def test_phase_ignores_magnitude_channel(self):
