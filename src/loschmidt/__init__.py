@@ -52,16 +52,7 @@ from .reconstruct import (
     run_phase_experiment,
 )
 from .spectral import LdosSpectrum, exact_ldos, ldos_dft
-from .statevector import (
-    LocalGate,
-    StateVector,
-    apply_gate,
-    apply_layer,
-    apply_matrix,
-    compile_layers,
-    inner_product,
-    product_state,
-)
+from .statevector import StateVector, apply_layer, apply_matrix, inner_product, product_state
 from .trotter import TrotterPlan, build_plan, evolve
 
 __version__ = "0.1.0"

@@ -218,7 +218,7 @@ def _two_sided_states(doc: RunDocument):
 
 def cmd_two_sided(doc: RunDocument, outdir: Path) -> int:
     bra, prefix_steps, anchor = _two_sided_states(doc)
-    exp = replace(doc.experiment, bra_state=bra, prefix_steps=prefix_steps, anchor=anchor)
+    exp = replace(doc.experiment, psi_final=bra, prefix_steps=prefix_steps, anchor=anchor)
     trace = run_phase_experiment(exp)
     header, cols = _trace_columns(trace, with_noise=exp.backend == "noisy")
     write_csv(outdir / "two_sided.csv", header, cols)
@@ -230,6 +230,13 @@ def cmd_two_sided(doc: RunDocument, outdir: Path) -> int:
 
 
 def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
+    """Phase error against the oracle over the sweep's sizes and h or tau
+    values: each point is the config's experiment with the tfim chain of
+    that size, the named ``psi`` on every site, and the swept value.  What
+    cannot carry over to another size is refused: a per-site ``psi`` list,
+    ``psi_final``, a noise block, a backend other than
+    ``statevector_trotter``; so is an anchor, which would shift every
+    phase error by its distance from arg G(0) = 0."""
     exp = doc.experiment
     if doc.sweep is None:
         raise ConfigError("scaling runs need a sweep block")
@@ -241,21 +248,30 @@ def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
     model_block = doc.raw["model"]
     if model_block.get("model") != "tfim":
         raise ConfigError("scaling sweeps support the built-in tfim model only")
+    psi_name = doc.raw["states"]["psi"]
+    if not isinstance(psi_name, str):
+        raise ConfigError("scaling sweeps need a named states.psi, not a per-site list")
+    if exp.psi_final is not None:
+        raise ConfigError("scaling sweeps compare psi with itself; remove states.psi_final")
+    if exp.noise is not None:
+        raise ConfigError("scaling sweeps run noiseless circuits; remove the noise block")
+    if exp.backend != "statevector_trotter":
+        raise ConfigError(
+            f"scaling sweeps run the statevector_trotter backend, not {exp.backend!r}"
+        )
+    if exp.anchor is not None:
+        raise ConfigError("scaling sweeps anchor at arg G(0) = 0; remove algorithm.anchor")
 
     rows = []
     exponents = []
     for n in n_values:
         spec = tfim(n, model_block["J"], model_block["g"])
-        psi = product_state(["up"] * n)
+        psi = product_state([psi_name] * n)
         errs = []
         for value in values:
             tau = value if kind == "tau" else exp.tau
             h = value if kind == "h" else exp.h
-            cfg = ExperimentConfig(
-                spec=spec, psi=psi, tau=tau, h=h, t_max=t_max,
-                order=exp.order, rule=exp.rule, ite_mode=exp.ite_mode,
-                backend="statevector_trotter", seed=exp.seed,
-            )
+            cfg = replace(exp, spec=spec, psi=psi, tau=tau, h=h, t_max=t_max)
             trace = run_phase_experiment(cfg)
             _, phi_or = oracle_phase_series(spec, psi, psi, trace.times)
             err = float(np.max(np.abs(trace.phi - phi_or)))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .model import ORACLE_MAX_SITES, SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec, LocalTerm, tfim
-from .statevector import StateVector, product_state
+from .statevector import StateVector, _check_unitary, product_state
 
 _RULES = ("simpson", "trapezoid")
 _ITE_MODES = ("tfim_closed_form", "general_bj")
@@ -163,7 +163,6 @@ class ExperimentConfig:
     h: float
     t_max: float
     psi_final: StateVector | None = None
-    bra_state: StateVector | None = None
     prefix_steps: int = 0
     order: int = 2
     rule: str = "simpson"
@@ -303,9 +302,10 @@ def parse_operator(block: Any, n_sites: int):
     mat = _complex(block["matrix"])
     if mat.shape != (2 ** len(sites),) * 2:
         raise ConfigError("operator_a matrix does not match its sites")
-    dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if dev > 1e-10:
-        raise ConfigError("operator_a must be unitary")
+    try:
+        _check_unitary(mat)
+    except ValueError as exc:
+        raise ConfigError(f"operator_a must be unitary: {exc}") from exc
     return sites, mat
 
 

@@ -32,11 +32,11 @@ state whose overlap with their product does not have modulus one: the gates
 are only meaningful for the state the plan was built for, up to a global
 phase.  A plan computes its constant at construction.  Its canonical form
 is the checked gate stack (supports in term order, one matrix each, after
-the identity drop and one batched unitarity check), built on first use;
-the ordered layer index over the supports, the layer census and the
-compiled ops are derived from the stack on first use, and ``LocalGate``
-views only when something reads them.  A caller that reads only
-``log_c_total`` (the dense oracle) builds no gates.
+the identity drop and one batched unitarity check), built on first use by
+the same constructor as a Trotter plan's; the ordered layer index over the
+supports, the layer census and the compiled ops are derived from the stack
+on first use.  A caller that reads only ``log_c_total`` (the dense oracle)
+builds no gates.
 """
 
 from __future__ import annotations
@@ -51,12 +51,9 @@ from .exceptions import NumericsError
 from .model import HamiltonianSpec, SIGMA_X
 from .statevector import (
     GateStack,
-    LocalGate,
     StateVector,
-    _checked_stack,
     _compile_stack,
     _layer_index,
-    _local_gates,
     _run_layers,
 )
 # perfbench/tracer.py counts gates by patching ``apply_layer`` here;
@@ -83,11 +80,9 @@ class ItePlan:
     is its checked ``gate_stack`` (supports in term order, one matrix each),
     built on first use by ``build_gates``; the layer census
     (``layer_index``, ``n_layers``) and the execution form ``compiled`` are
-    derived from it on first use, and so are the ``LocalGate`` views
-    ``gates`` and ``layers``, which only readers such as tests and tracers
-    ask for.  A caller that reads only ``log_c_total`` (the dense oracle)
-    builds no gates.  ``site_vectors`` are the (N, 2) factors of the product
-    state the plan was built for.
+    derived from it on first use.  A caller that reads only ``log_c_total``
+    (the dense oracle) builds no gates.  ``site_vectors`` are the (N, 2)
+    factors of the product state the plan was built for.
     """
 
     sign: int
@@ -111,13 +106,10 @@ class ItePlan:
     def compiled(self) -> tuple[tuple, ...]:
         return _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
 
-    @cached_property
-    def gates(self) -> list[LocalGate]:
-        return _local_gates(self.gate_stack)
-
-    @cached_property
-    def layers(self) -> list[list[LocalGate]]:
-        return [[self.gates[k] for k in layer] for layer in self.layer_index]
+    # perfbench/tracer.py counts the plan's gates through this name
+    @property
+    def gates(self) -> tuple[tuple[int, ...], ...]:
+        return self.gate_stack.supports
 
     @property
     def c_total(self) -> float:
@@ -190,8 +182,8 @@ def build_ite_plan_tfim(
         raise ValueError("requires computational-basis product state")
     bits = mags.argmax(axis=1).tolist()
     log_c = 0.0
-    sites, rotations = [], []
-    for term in spec.terms:
+    idx, rotations = [], []
+    for k, term in enumerate(spec.terms):
         mat = term.matrix
         if np.max(np.abs(mat - np.diag(np.diagonal(mat)))) < 1e-12:
             # diagonal term: basis state is an eigenstate
@@ -202,21 +194,20 @@ def build_ite_plan_tfim(
             a = float(mat[0, 1].real)  # term = a * sigma^x
             theta = sign * ite_angle(h, 2.0 * a)
             log_c += 0.5 * np.log(np.cosh(2.0 * a * h))
-            site = term.support[0]
             c, s = np.cos(theta), np.sin(theta)
-            if bits[site] == 0:
-                rot = np.array([[c, -s], [s, c]])
+            if bits[term.support[0]] == 0:
+                rotations.append([[c, -s], [s, c]])
             else:
-                rot = np.array([[c, s], [-s, c]])
-            if abs(theta) > 0:
-                sites.append((site,))
-                rotations.append(rot)
+                rotations.append([[c, s], [-s, c]])
+            idx.append(k)
             continue
         raise ValueError(
             "requires a transverse-field Ising structure "
             "(diagonal bonds plus sigma^x site terms)"
         )
-    gates = partial(_checked_stack, sites, np.array(rotations, dtype=complex).reshape(-1, 2, 2))
+    # a theta = 0 rotation is the identity, which the stack drops
+    stack = np.array(rotations, dtype=complex).reshape(-1, 2, 2)
+    gates = partial(_stack_in_term_order, spec.terms, [(idx, stack)])
     return ItePlan(sign, h, psi.n_qubits, log_c, vecs, gates)
 
 

@@ -207,23 +207,21 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
     for k in sorted(crossings):
         omega_l = float(dphi[max(k - 2, 0)])
         omega_r = float(dphi[min(k + 2, len(g) - 1)])
-        d_minus = _one_sided_derivative(g, tau, 1, k, -1, omega_l)
-        d_plus = _one_sided_derivative(g, tau, 1, k, +1, omega_r)
+        for n0 in (1, 2):
+            d_minus = _one_sided_derivative(g, tau, n0, k, -1, omega_l)
+            d_plus = _one_sided_derivative(g, tau, n0, k, +1, omega_r)
+            # a stencil past the boundary, or one derivative at or above the
+            # threshold, settles the order
+            if d_minus is None or d_plus is None or not (
+                abs(d_minus) < derivative_threshold and abs(d_plus) < derivative_threshold
+            ):
+                break
+        else:
+            raise NumericsError(f"zero of order > 2 at index {k}: correction unsupported")
         if d_minus is None or d_plus is None:
             warnings.warn(f"skipping zero crossing at boundary index {k}", stacklevel=2)
             skipped.append(int(k))
             continue
-        if abs(d_minus) < derivative_threshold and abs(d_plus) < derivative_threshold:
-            d_minus = _one_sided_derivative(g, tau, 2, k, -1, omega_l)
-            d_plus = _one_sided_derivative(g, tau, 2, k, +1, omega_r)
-            if d_minus is None or d_plus is None:
-                warnings.warn(f"skipping zero crossing at boundary index {k}", stacklevel=2)
-                skipped.append(int(k))
-                continue
-            if abs(d_minus) < derivative_threshold and abs(d_plus) < derivative_threshold:
-                raise NumericsError(
-                    f"zero of order > 2 at index {k}: correction unsupported"
-                )
         if d_minus == 0:
             raise NumericsError(f"vanishing pre-crossing derivative at index {k}")
         ratio = d_plus / d_minus
@@ -359,9 +357,7 @@ def run_phase_experiment(config) -> PhaseTrace:
     """
     spec = config.spec
     psi = config.psi
-    bra = config.bra_state if config.bra_state is not None else (
-        config.psi_final if config.psi_final is not None else psi
-    )
+    bra = config.psi_final if config.psi_final is not None else psi
     n_points = int(np.floor(config.t_max / config.tau + 1e-9)) + 1
     times = np.arange(n_points) * config.tau
 

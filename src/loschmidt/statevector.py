@@ -3,7 +3,7 @@
 Conventions
 -----------
 Qubit ``i`` maps to bit ``i`` of the amplitude index, i.e. qubit 0 is the
-*least significant* bit.  A ``LocalGate`` or local matrix acting on sites
+*least significant* bit.  A gate or local matrix acting on sites
 ``(a, b)`` uses the same convention internally: the first listed site is the
 least significant bit of the local matrix index.  ``|up>`` is the basis
 vector ``(1, 0)`` (eigenvalue +1 of sigma^z).
@@ -16,15 +16,14 @@ overlaps and applies errors between layers).  Every plan compiles through
 one entry, ``_compile_stack``: its checked ``GateStack`` (supports in term
 order, one matrix each) and a layer index over the supports
 (``_layer_index``), each distinct layer of the index compiled once by the
-core ``_compile_placed`` from its (lowest site, matrix) pairs.
-``compile_layers`` does the same for layers of ``LocalGate`` objects, which
-no plan holds.  An all-diagonal layer becomes one elementwise multiply by a
-2^N phase vector, built as an outer-product chain: the gate diagonals,
-lowest site first, each multiply the vector of the sites below them, and
-``np.tile`` repeats it over sites no gate covers.  The other layers fuse
-their disjoint gates into blocks of at most ``_FUSE_SITES`` adjacent sites,
-each one matrix applied along axis 1 of the amplitudes viewed as
-``(2^(N-lo-w), 2^w, 2^lo)``, without transposes.
+core ``_compile_placed`` from its (lowest site, matrix) pairs.  An
+all-diagonal layer becomes one elementwise multiply by a 2^N phase vector,
+built as an outer-product chain: the gate diagonals, lowest site first,
+each multiply the vector of the sites below them, and ``np.tile`` repeats
+it over sites no gate covers.  The other layers fuse their disjoint gates
+into blocks of at most ``_FUSE_SITES`` adjacent sites, each one matrix
+applied along axis 1 of the amplitudes viewed as ``(2^(N-lo-w), 2^w,
+2^lo)``, without transposes.
 
 An op acts on any C-contiguous array whose last axis holds 2^N amplitudes:
 a single state of shape ``(2^N,)`` or a batch of states as the rows of a
@@ -33,8 +32,9 @@ the same arithmetic as a lone state.
 
 ``apply_matrix`` is the general kernel for one-off operators outside any
 plan: any 2^k x 2^k matrix on any distinct sites, through a transpose of
-the full state.  It serves ``apply_gate``, the two-sided ``operator_a``,
-expectation values and the spin flips of the sequential baseline's chain.
+the full state.  It serves the two-sided ``operator_a``, expectation
+values and the spin flips of the sequential baseline's chain, and it is
+the per-gate reference the compiled ops are tested against.
 
 Every operation on a ``StateVector`` returns a new state and never mutates
 its inputs; ops mutate the array they are given.  Results are deterministic
@@ -93,35 +93,6 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class LocalGate:
-    """A 1- or 2-site matrix with the sites it acts on.
-
-    The first support site corresponds to the least significant bit of the
-    local matrix index.  When ``unitary`` is set (the default) the matrix is
-    checked against U^dag U = 1 at construction.
-    """
-
-    support: tuple[int, ...]
-    matrix: np.ndarray
-    unitary: bool = True
-
-    def __post_init__(self):
-        support = _site_indices(self.support)
-        if len(support) not in (1, 2):
-            raise ValueError("gate support must be 1 or 2 sites")
-        if len(set(support)) != len(support):
-            raise ValueError("gate support sites must be distinct")
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** len(support)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"gate matrix shape {mat.shape} does not match support {support}")
-        if self.unitary:
-            _check_unitary(mat)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "matrix", mat)
-
-
 def _site_indices(sites) -> tuple[int, ...]:
     """``sites`` as a tuple of ints; a site that is not an integer, or is a
     bool, raises ``ValueError`` rather than being truncated."""
@@ -137,31 +108,18 @@ def _check_unitary(mats: np.ndarray) -> None:
     dev = np.abs(gram - np.eye(mats.shape[-1])).max(initial=0.0)
     # written so that a nan entry fails
     if not dev <= _ATOL_UNITARY:
-        raise ValueError(f"matrix flagged unitary deviates from unitarity by {dev:.2e}")
+        raise ValueError(f"matrix deviates from unitarity by {dev:.2e}")
 
 
 class GateStack(NamedTuple):
     """The checked gates of a plan: ``supports`` in term order (group by
     group, for a Trotter step) and one matrix per support, after gates equal
     to the identity were dropped and the rest passed one batched unitarity
-    check.  A plan's compiled ops and ``LocalGate`` views are derived from
-    it and its layer index."""
+    check.  A plan's compiled ops are derived from it and its layer
+    index."""
 
     supports: tuple[tuple[int, ...], ...]
     matrices: tuple[np.ndarray, ...]
-
-
-def _checked_stack(supports, mats: np.ndarray) -> GateStack:
-    """The ``GateStack`` of a stack of matrices, one per support, after one
-    batched unitarity check."""
-    _check_unitary(mats)
-    return GateStack(tuple(supports), tuple(mats))
-
-
-def _local_gates(stack: GateStack) -> list[LocalGate]:
-    """One ``LocalGate`` per gate of a checked stack; the gates skip their
-    own unitarity check."""
-    return [LocalGate(s, m, unitary=False) for s, m in zip(stack.supports, stack.matrices)]
 
 
 def _resolve_orientation(spec) -> np.ndarray:
@@ -233,11 +191,6 @@ def apply_matrix(state: StateVector, matrix: np.ndarray, sites) -> StateVector:
     psi = psi @ mat.T
     psi = np.transpose(psi.reshape([2] * n), np.argsort(perm))
     return StateVector(n, np.ascontiguousarray(psi.reshape(-1)))
-
-
-def apply_gate(state: StateVector, gate: LocalGate) -> StateVector:
-    """Apply a local gate; all sites outside its support are untouched."""
-    return apply_matrix(state, gate.matrix, gate.support)
 
 
 def inner_product(bra: StateVector, ket: StateVector) -> complex:
@@ -421,14 +374,6 @@ def _compile_stack(n_qubits: int, stack: GateStack, index) -> tuple[tuple, ...]:
         for layer in dict.fromkeys(index)
     }
     return tuple([ops[layer] for layer in index])
-
-
-def compile_layers(n_qubits: int, layers) -> tuple[tuple, ...]:
-    """Execution form of layers of ``LocalGate`` objects for ``apply_layer``,
-    one entry per layer.  Gates must act on one site or two adjacent sites,
-    with pairwise-disjoint supports within a layer."""
-    placed = [sorted([_lsb_first(g.support, g.matrix) for g in layer], key=_lo) for layer in layers]
-    return tuple([_compile_placed(n_qubits, layer) for layer in placed])
 
 
 def _run_layers(state: StateVector, layers) -> StateVector:

@@ -10,8 +10,10 @@ import pytest
 from loschmidt.cli import cmd_two_sided, main, write_csv
 from loschmidt.config import _ALGORITHM_CHECKS, _NOISE_CHECKS, ExperimentConfig, parse_document
 from loschmidt.exceptions import ConfigError
-from loschmidt.model import expectation
+from loschmidt.model import expectation, oracle_phase_series, tfim
+from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.spectral import ldos_dft
+from loschmidt.statevector import product_state
 
 
 def base_config(**overrides):
@@ -52,6 +54,14 @@ class TestConfigParsing:
         doc = base_config()
         doc["algorithm"]["merge_half_layers"] = True
         with pytest.raises(ConfigError, match="unknown keys"):
+            parse_document(doc)
+
+    def test_nonunitary_operator_rejected(self):
+        doc = base_config()
+        doc["states"]["operator_a"] = {
+            "sites": [0], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+        }
+        with pytest.raises(ConfigError, match="operator_a must be unitary: .* by 3.00e"):
             parse_document(doc)
 
     def test_output_block_rejected(self):
@@ -370,10 +380,10 @@ class TestTwoSided:
         doc["states"]["t_prime"] = 0.1
         run_doc = parse_document(doc)
         exp = run_doc.experiment
-        before = (exp.bra_state, exp.prefix_steps, exp.anchor)
+        before = (exp.psi_final, exp.prefix_steps, exp.anchor)
         assert cmd_two_sided(run_doc, tmp_path) == 0
         assert run_doc.experiment is exp
-        assert (exp.bra_state, exp.prefix_steps, exp.anchor) == before == (None, 0, None)
+        assert (exp.psi_final, exp.prefix_steps, exp.anchor) == before == (None, 0, None)
         # the snapshot still records the anchor the run used
         resolved = json.loads((tmp_path / "resolved_config.json").read_text())
         info = json.loads((tmp_path / "runinfo.json").read_text())
@@ -645,6 +655,44 @@ class TestScalingLdosCost:
         assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "tfim" in err
+        assert not out.exists()
+
+    def test_scaling_runs_the_named_state_at_every_size(self, tmp_path):
+        # each point is the config's experiment at that size, the named psi
+        # on every site: "x+" does not run as "up"
+        doc = base_config(sweep={"kind": "h", "n_values": [3, 4], "values": [0.1], "t_max": 0.5})
+        doc["algorithm"]["ite_mode"] = "general_bj"
+        rows = {}
+        for name in ("x+", "up"):
+            doc["states"]["psi"] = name
+            out, cfg = tmp_path / name, write_config(tmp_path, doc)
+            assert main(["scaling", "--config", cfg, "--out", str(out)]) == 0
+            rows[name] = read_rows(out / "scaling_points.csv")
+        exp = parse_document(doc).experiment
+        for row, up_row, n in zip(rows["x+"], rows["up"], (3, 4)):
+            spec, psi = tfim(n, 1.0, 0.5), product_state(["x+"] * n)
+            trace = run_phase_experiment(replace(exp, spec=spec, psi=psi, h=0.1, t_max=0.5))
+            _, phi_or = oracle_phase_series(spec, psi, psi, trace.times)
+            assert float(row["max_abs_dphi"]) == float(np.max(np.abs(trace.phi - phi_or)))
+            assert row["max_abs_dphi"] != up_row["max_abs_dphi"]
+
+    @pytest.mark.parametrize("states, algorithm, noise, what", [
+        ({"psi": ["up", "down", "up", "down"]}, {}, None, "named states.psi"),
+        ({"psi": "up", "psi_final": "down"}, {}, None, "psi_final"),
+        ({"psi": "up"}, {}, {"gamma": 0.01, "n_trajectories": 2}, "noise block"),
+        ({"psi": "up"}, {"backend": "exact_oracle"}, None, "statevector_trotter"),
+        ({"psi": "up"}, {"anchor": 0.3}, None, "algorithm.anchor"),
+    ])
+    def test_scaling_refuses_what_cannot_apply_across_sizes(
+        self, tmp_path, capsys, states, algorithm, noise, what
+    ):
+        doc = base_config(states=states, noise=noise,
+                          sweep={"kind": "h", "n_values": [3, 4], "values": [0.1]})
+        doc["algorithm"].update(algorithm)
+        out = tmp_path / "out"
+        assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and what in err and "Traceback" not in err
         assert not out.exists()
 
     def test_scaling_empty_sweep_rejected(self, tmp_path):

@@ -27,15 +27,14 @@ from loschmidt.noise import NoiseConfig
 from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.statevector import (
     BlockOp,
-    LocalGate,
+    GateStack,
     PhaseOp,
     StateVector,
+    _compile_stack,
     _layer_index,
-    apply_gate,
     apply_layer,
     apply_matrix,
     basis_state,
-    compile_layers,
     product_state,
 )
 from loschmidt.trotter import _SUZUKI_A, build_plan, evolve
@@ -127,7 +126,8 @@ def chain_and_product_state(draw):
 
 @st.composite
 def disjoint_layers(draw, diagonal=None):
-    """(n, gates) with pairwise-disjoint adjacent supports, some reversed."""
+    """(n, gates): (support, matrix) pairs on pairwise-disjoint adjacent
+    supports, some reversed."""
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(SEEDS))
     gates, site = [], 0
@@ -141,16 +141,27 @@ def disjoint_layers(draw, diagonal=None):
             support = support[::-1]
         is_diag = draw(st.booleans()) if diagonal is None else diagonal
         herm = _random_hermitian(rng, 2**width, is_diag)
-        gates.append(LocalGate(support, _exp_gate(herm, float(rng.uniform(0.1, 2.0)))))
+        gates.append((support, _exp_gate(herm, float(rng.uniform(0.1, 2.0)))))
         site += width
     return n, gates
+
+
+def _compile_layer(n, gates):
+    """The compiled ops of (support, matrix) pairs as one layer."""
+    stack = GateStack(tuple([s for s, _ in gates]), tuple([m for _, m in gates]))
+    return _compile_stack(n, stack, [tuple(range(len(gates)))])
+
+
+def _plan_layers(stack, index):
+    """The (support, matrix) pairs of each layer of a stack's layer index."""
+    return [[(stack.supports[k], stack.matrices[k]) for k in layer] for layer in index]
 
 
 def _embedded_product(layers, n, state):
     amps = state.amplitudes
     for layer in layers:
-        for gate in layer:
-            amps = _embed(SimpleNamespace(support=gate.support, matrix=gate.matrix), n) @ amps
+        for support, matrix in layer:
+            amps = _embed(SimpleNamespace(support=support, matrix=matrix), n) @ amps
     return amps
 
 
@@ -160,9 +171,11 @@ def reference_step_layers(spec, dt, order):
     U2(a dt)^2 U2((1-4a) dt) U2(a dt)^2 (order 4)."""
 
     def group(label, t):
-        gates = [LocalGate(term.support, _exp_gate(term.matrix, t))
+        gates = [(term.support, _exp_gate(term.matrix, t))
                  for term in spec.terms if term.group == label]
-        return _reference_pack([g for g in gates if not _is_identity(g.matrix)], ordered=False)
+        gates = [(s, m) for s, m in gates if not _is_identity(m)]
+        index = _reference_pack([s for s, _ in gates], ordered=False)
+        return [[gates[k] for k in layer] for layer in index]
 
     labels = spec.group_labels()
     if order == 1:
@@ -242,9 +255,10 @@ class TestItePlanBuilders:
         spec, psi = case
         plan = build_ite_plan_general(spec, psi, h, sign)
         ref_gates, ref_log_c = reference_ite_plan(spec, psi, h, sign)
-        assert [g.support for g in plan.gates] == [support for support, _ in ref_gates]
-        for gate, (_, ref) in zip(plan.gates, ref_gates):
-            assert np.max(np.abs(gate.matrix - ref)) < 1e-12
+        stack = plan.gate_stack
+        assert list(stack.supports) == [support for support, _ in ref_gates]
+        for matrix, (_, ref) in zip(stack.matrices, ref_gates):
+            assert np.max(np.abs(matrix - ref)) < 1e-12
         assert abs(plan.log_c_total - ref_log_c) < 1e-12
 
     @PROPERTY
@@ -261,16 +275,16 @@ class TestItePlanBuilders:
         plan = build_ite_plan_tfim(spec, psi, 0.1, sign)
         # each field gate turns its site's basis vector towards the flipped one
         theta = sign * ite_angle(0.1, g)
-        assert len(plan.gates) == n
-        for gate in plan.gates:
-            (site,) = gate.support
-            column = gate.matrix[:, bits[site]]
+        stack = plan.gate_stack
+        assert len(stack.supports) == n
+        for (site,), matrix in zip(*stack):
+            column = matrix[:, bits[site]]
             assert abs(column[bits[site]] - np.cos(theta)) < 1e-12
             assert abs(column[1 - bits[site]] - np.sin(theta)) < 1e-12
         ref = build_ite_plan_tfim(spec, basis_state(n, index), 0.1, sign)
         assert plan.log_c_total == ref.log_c_total
-        assert [g.support for g in plan.gates] == [g.support for g in ref.gates]
-        assert all(np.array_equal(g.matrix, r.matrix) for g, r in zip(plan.gates, ref.gates))
+        assert stack.supports == ref.gate_stack.supports
+        assert all(map(np.array_equal, stack.matrices, ref.gate_stack.matrices))
 
     @pytest.mark.parametrize("builder", [build_ite_plan_general, build_ite_plan_tfim])
     @pytest.mark.parametrize("kind", sorted(_non_product_states()))
@@ -297,7 +311,8 @@ class TestCompiledKernel:
     def test_evolve_matches_embedded_gate_product(self, case, order, tau, steps):
         spec, psi = case
         plan = build_plan(spec, steps * tau, tau, order)
-        expected = _embedded_product(plan.step_layers * steps, spec.n_sites, psi)
+        layers = _plan_layers(plan.gate_stack, plan.layer_index)
+        expected = _embedded_product(layers * steps, spec.n_sites, psi)
         out = evolve(psi, plan)
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
@@ -305,8 +320,8 @@ class TestCompiledKernel:
     def _check_against_gates(n, gates, compiled, seed, product):
         state = _random_state(np.random.default_rng(seed), n, product)
         expected = state
-        for gate in gates:
-            expected = apply_gate(expected, gate)
+        for support, matrix in gates:
+            expected = apply_matrix(expected, matrix, support)
         out = apply_layer(state, compiled)
         assert np.max(np.abs(out.amplitudes - expected.amplitudes)) < 1e-12
 
@@ -314,14 +329,14 @@ class TestCompiledKernel:
     @given(layer=disjoint_layers(), seed=SEEDS, product=st.booleans())
     def test_compiled_layer_equals_gates_one_by_one(self, layer, seed, product):
         n, gates = layer
-        (compiled,) = compile_layers(n, [gates])
+        (compiled,) = _compile_layer(n, gates)
         self._check_against_gates(n, gates, compiled, seed, product)
 
     @PROPERTY
     @given(layer=disjoint_layers(diagonal=True), seed=SEEDS, product=st.booleans())
     def test_folded_diagonal_layer_equals_gates_one_by_one(self, layer, seed, product):
         n, gates = layer
-        (compiled,) = compile_layers(n, [gates])
+        (compiled,) = _compile_layer(n, gates)
         if gates:
             assert len(compiled) == 1 and isinstance(compiled[0], PhaseOp)
         self._check_against_gates(n, gates, compiled, seed, product)
@@ -332,13 +347,15 @@ class TestCompiledKernel:
         spec, psi = case
         plan = build_ite_plan_general(spec, psi, 0.05, sign)
         assert len(plan.compiled) == plan.n_layers
-        expected = _embedded_product(plan.layers, spec.n_sites, psi)
+        expected = _embedded_product(
+            _plan_layers(plan.gate_stack, plan.layer_index), spec.n_sites, psi
+        )
         out = apply_ite(plan, psi)
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
     def test_non_adjacent_gate_rejected(self):
         with pytest.raises(ValueError, match="adjacent"):
-            compile_layers(4, [[LocalGate((0, 2), np.eye(4))]])
+            _compile_stack(4, GateStack(((0, 2),), (np.eye(4),)), [(0,)])
 
 
 class TestPlanCensus:
@@ -348,9 +365,9 @@ class TestPlanCensus:
         plan = build_plan(spec, 0.1, 0.1, order)
         reference = reference_step_layers(spec, 0.1, order)
         assert plan.layers_per_step == len(reference) == len(plan.compiled)
-        for layer, ref in zip(plan.step_layers, reference):
-            assert [g.support for g in layer] == [g.support for g in ref]
-            assert all(np.array_equal(g.matrix, r.matrix) for g, r in zip(layer, ref))
+        for layer, ref in zip(_plan_layers(plan.gate_stack, plan.layer_index), reference):
+            assert [s for s, _ in layer] == [s for s, _ in ref]
+            assert all(np.array_equal(m, r) for (_, m), (_, r) in zip(layer, ref))
 
     @pytest.mark.parametrize("order, layers_per_step", [(1, 3), (2, 5), (4, 25)])
     def test_mirrored_tail_shares_phase_vectors(self, order, layers_per_step):
@@ -385,26 +402,26 @@ class TestPlanCensus:
         assert len(calls) == n_traj * (3 * trotter_layers + 2 * ite_layers)
 
 
-def _reference_pack(gates, ordered):
-    """Layering as a per-gate scan of site sets: the earliest layer without a
-    conflict (brickwork), or the layer after the last one touching a site of
-    the gate (ordered)."""
+def _reference_pack(supports, ordered):
+    """Layering as a per-gate scan of site sets, as tuples of indices into
+    ``supports``: the earliest layer without a conflict (brickwork), or the
+    layer after the last one touching a site of the gate (ordered)."""
     layers, last_touch = [], {}
-    for gate in gates:
+    for k, support in enumerate(supports):
         if ordered:
-            idx = 1 + max(last_touch.get(s, -1) for s in gate.support)
+            idx = 1 + max(last_touch.get(s, -1) for s in support)
         else:
             idx = 0
             while idx < len(layers) and any(
-                s in g.support for g in layers[idx] for s in gate.support
+                s in supports[j] for j in layers[idx] for s in support
             ):
                 idx += 1
         if idx == len(layers):
             layers.append([])
-        layers[idx].append(gate)
-        for s in gate.support:
+        layers[idx].append(k)
+        for s in support:
             last_touch[s] = idx
-    return layers
+    return [tuple(layer) for layer in layers]
 
 
 def _reference_compile_layer(n, gates):
@@ -412,8 +429,7 @@ def _reference_compile_layer(n, gates):
     diagonal layer multiplies a 2^N vector of ones by each gate's diagonal
     in place, a block is an np.kron chain over np.eye gaps."""
     placed = []
-    for gate in gates:
-        mat, support = gate.matrix, gate.support
+    for support, mat in gates:
         if len(support) == 2 and support[0] > support[1]:
             mat = mat[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
         placed.append((min(support), mat))
@@ -470,9 +486,10 @@ class TestCompileEquivalence:
     @given(spec=chains(), order=st.sampled_from([1, 2, 4]), tau=st.sampled_from([0.05, 0.7]))
     def test_trotter_plan_ops(self, spec, order, tau):
         plan = build_plan(spec, tau, tau, order)
-        _assert_same_ops(plan.compiled, plan.step_layers, spec.n_sites)
-        for layer, ref in zip(plan.step_layers, reference_step_layers(spec, tau, order)):
-            assert [g.support for g in layer] == [g.support for g in ref]
+        layers = _plan_layers(plan.gate_stack, plan.layer_index)
+        _assert_same_ops(plan.compiled, layers, spec.n_sites)
+        for layer, ref in zip(layers, reference_step_layers(spec, tau, order)):
+            assert [s for s, _ in layer] == [s for s, _ in ref]
 
     @PROPERTY
     @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
@@ -480,10 +497,10 @@ class TestCompileEquivalence:
     def test_general_ite_plan_ops(self, case, sign, h):
         spec, psi = case
         plan = build_ite_plan_general(spec, psi, h, sign)
-        layers = _reference_pack(plan.gates, ordered=True)
-        _assert_same_ops(plan.compiled, layers, spec.n_sites)
-        assert plan.n_layers == len(plan.layers) == len(layers)
-        assert plan.layers == layers
+        index = _reference_pack(plan.gate_stack.supports, ordered=True)
+        _assert_same_ops(plan.compiled, _plan_layers(plan.gate_stack, index), spec.n_sites)
+        assert plan.n_layers == len(index)
+        assert plan.layer_index == index
 
     @PROPERTY
     @given(n=st.integers(2, 8), seed=SEEDS, sign=st.sampled_from([1, -1]))
@@ -492,29 +509,26 @@ class TestCompileEquivalence:
         psi = basis_state(n, int(rng.integers(0, 2**n)))
         spec = tfim(n, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.2, 1.5)))
         plan = build_ite_plan_tfim(spec, psi, 0.1, sign)
-        layers = _reference_pack(plan.gates, ordered=True)
-        _assert_same_ops(plan.compiled, layers, n)
-        assert plan.n_layers == len(plan.layers) == len(layers)
-        assert plan.layers == layers
+        index = _reference_pack(plan.gate_stack.supports, ordered=True)
+        _assert_same_ops(plan.compiled, _plan_layers(plan.gate_stack, index), n)
+        assert plan.n_layers == len(index)
+        assert plan.layer_index == index
 
     @PROPERTY
     @given(layer=disjoint_layers(), seed=SEEDS)
-    def test_compile_layers_ops(self, layer, seed):
+    def test_single_layer_stack_ops(self, layer, seed):
         n, gates = layer
-        _assert_same_ops(compile_layers(n, [gates]), [gates], n)
+        _assert_same_ops(_compile_layer(n, gates), [gates], n)
         # the brickwork packing agrees with the reference on a shuffled list
-        shuffled = [gates[k] for k in np.random.default_rng(seed).permutation(len(gates))]
-        index = _layer_index([g.support for g in shuffled])
-        packed = [[shuffled[k] for k in layer] for layer in index]
-        assert packed == _reference_pack(shuffled, ordered=False)
+        shuffled = [gates[k][0] for k in np.random.default_rng(seed).permutation(len(gates))]
+        assert _layer_index(shuffled) == _reference_pack(shuffled, ordered=False)
 
     def test_diagonal_layer_with_uncovered_sites(self):
         rng = np.random.default_rng(3)
         phases = [np.diag(np.exp(1j * rng.uniform(0, 6, 2**w))) for w in (2, 1, 2)]
         # sites 0, 3, 4 and 8 carry no gate; (6, 5) is a reversed support
-        gates = [LocalGate((1, 2), phases[0]), LocalGate((6, 5), phases[2]),
-                 LocalGate((7,), phases[1])]
-        (ops,) = compile_layers(9, [gates])
+        gates = [((1, 2), phases[0]), ((6, 5), phases[2]), ((7,), phases[1])]
+        (ops,) = _compile_layer(9, gates)
         assert len(ops) == 1 and isinstance(ops[0], PhaseOp)
         _assert_same_ops((ops,), [gates], 9)
 
@@ -524,9 +538,9 @@ class TestCompileEquivalence:
         zero = complex(-0.0, -0.0)
         first = np.array([[1.0, zero], [zero, -1j]])
         dense = _exp_gate(_random_hermitian(np.random.default_rng(4), 4, False), 0.3)
-        for n, gates in ((3, [LocalGate((0,), first), LocalGate((1, 2), dense)]),
-                         (9, [LocalGate((6,), first), LocalGate((7, 8), dense)])):
-            _assert_same_ops(compile_layers(n, [gates]), [gates], n)
+        for n, gates in ((3, [((0,), first), ((1, 2), dense)]),
+                         (9, [((6,), first), ((7, 8), dense)])):
+            _assert_same_ops(_compile_layer(n, gates), [gates], n)
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -541,12 +555,12 @@ def reference_hadamard_test(spec, psi, t, tau, order, part, shots=None, rng=None
     if part == "imag":
         full = apply_matrix(full, _S_DAGGER, (n,))
     plan = build_plan(spec, t, tau, order)
-    for layer in plan.step_layers * plan.n_steps:
-        for gate in layer:
-            dim = gate.matrix.shape[0]
+    for layer in _plan_layers(plan.gate_stack, plan.layer_index) * plan.n_steps:
+        for support, matrix in layer:
+            dim = matrix.shape[0]
             controlled = np.eye(2 * dim, dtype=complex)
-            controlled[dim:, dim:] = gate.matrix
-            full = apply_matrix(full, controlled, (*gate.support, n))
+            controlled[dim:, dim:] = matrix
+            full = apply_matrix(full, controlled, (*support, n))
     full = apply_matrix(full, _HADAMARD, (n,))
     p_zero = float(np.sum(np.abs(full.amplitudes[: 2**n]) ** 2))
     if shots is not None:

@@ -279,11 +279,10 @@ class TestLazyCompile:
         def refuse(*_args):
             raise RuntimeError("ITE gates built")
 
-        # the general stack goes through _exp_gates and _stack_in_term_order,
-        # the closed-form rotation stack through _checked_stack
+        # both stacks go through _stack_in_term_order, the general one also
+        # through _exp_gates
         monkeypatch.setattr(ite_module, "_exp_gates", refuse)
         monkeypatch.setattr(ite_module, "_stack_in_term_order", refuse)
-        monkeypatch.setattr(ite_module, "_checked_stack", refuse)
         trace = run_phase_experiment(self._mode_config(ite_mode, "exact_oracle"))
         assert np.all(np.isfinite(trace.phi))
 

@@ -20,11 +20,11 @@ from loschmidt.noise import (
 )
 from loschmidt.model import SIGMA_X, SIGMA_Y, SIGMA_Z, tfim
 from loschmidt.statevector import (
-    LocalGate,
+    GateStack,
     StateVector,
+    _compile_stack,
     apply_layer,
     apply_matrix,
-    compile_layers,
     product_state,
 )
 from loschmidt.trotter import build_plan
@@ -111,7 +111,7 @@ class TestRunNoisyProbability:
     def test_gamma_zero_exact(self):
         psi = product_state(["up", "up"])
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        layers = compile_layers(2, [[LocalGate((0,), h)], [LocalGate((1,), h)]])
+        layers = _compile_stack(2, GateStack(((0,), (1,)), (h, h)), [(0,), (1,)])
         assert len(layers) == 2
         noise = NoiseConfig(gamma=0.0, n_trajectories=3, master_seed=7)
         p = noisy_probability(psi, layers, psi, noise)
@@ -121,7 +121,7 @@ class TestRunNoisyProbability:
         # X and Y errors kill the overlap with |up>, Z keeps it: 1 - 2g/3
         gamma = 0.3
         psi = product_state(["up"])
-        layers = compile_layers(1, [[]])
+        layers = [()]  # one layer without gates
         assert len(layers) == 1
         noise = NoiseConfig(gamma=gamma, n_trajectories=20000, master_seed=11)
         p = noisy_probability(psi, layers, psi, noise)
@@ -132,7 +132,7 @@ class TestRunNoisyProbability:
     def test_doubling_trajectories_halves_variance(self):
         gamma = 0.2
         psi = product_state(["up", "down"])
-        layers = compile_layers(2, [[], [], []])
+        layers = [()] * 3
         estimates = {n: [] for n in (64, 128)}
         for n in estimates:
             for seed in range(150):
@@ -144,7 +144,7 @@ class TestRunNoisyProbability:
 
     def test_bit_identical_reruns(self):
         psi = product_state(["x+", "up"])
-        layers = compile_layers(2, [[], []])
+        layers = [()] * 2
         noise = NoiseConfig(gamma=0.4, n_trajectories=50, master_seed=3)
         p1 = noisy_probability(psi, layers, psi, noise)
         p2 = noisy_probability(psi, layers, psi, noise)

@@ -470,7 +470,7 @@ class TestRunPhaseExperiment:
         else:
             psi = product_state(["x+", "y-", "up", "x-"])
             kwargs = dict(spec=spec, psi=psi, ite_mode="general_bj",
-                          bra_state=product_state(["up", "x+", "y+", "up"]),
+                          psi_final=product_state(["up", "x+", "y+", "up"]),
                           prefix_steps=3, anchor=0.3)
         kwargs.update(tau=0.05, h=0.05, t_max=0.5)
         sv = run_phase_experiment(ExperimentConfig(backend="statevector_trotter", **kwargs))

@@ -5,13 +5,14 @@ import pytest
 
 from loschmidt.statevector import (
     AXIS_STATES,
-    LocalGate,
+    GateStack,
     StateVector,
+    _check_unitary,
+    _compile_stack,
     _layer_index,
-    apply_gate,
+    _site_indices,
     apply_layer,
     apply_matrix,
-    compile_layers,
     inner_product,
     product_state,
 )
@@ -102,34 +103,33 @@ class TestProductState:
 class TestApplyGate:
     def test_identity(self):
         state = random_state(3)
-        gate = LocalGate((1,), np.eye(2))
-        out = apply_gate(state, gate)
+        out = apply_matrix(state, np.eye(2), (1,))
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_pauli_x_site0(self):
         state = product_state(["up", "up"])
-        out = apply_gate(state, LocalGate((0,), X))
+        out = apply_matrix(state, X, (0,))
         expected = np.zeros(4)
         expected[1] = 1
         assert np.allclose(out.amplitudes, expected)
 
     def test_hadamard_involution(self):
         state = random_state(4)
-        gate = LocalGate((0,), H)
-        out = apply_gate(apply_gate(state, gate), gate)
+        out = apply_matrix(apply_matrix(state, H, (0,)), H, (0,))
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
     def test_out_of_range(self):
         state = random_state(2)
         with pytest.raises(ValueError, match="out of range"):
-            apply_gate(state, LocalGate((2,), X))
+            apply_matrix(state, X, (2,))
 
     def test_duplicate_sites(self):
         state = random_state(2)
-        with pytest.raises(ValueError, match="distinct"):
-            LocalGate((1, 1), np.eye(4))
         with pytest.raises(ValueError, match="duplicate"):
             apply_matrix(state, np.eye(4), (1, 1))
+        # a compiled gate needs two adjacent, hence distinct, sites
+        with pytest.raises(ValueError, match="adjacent"):
+            _compile_stack(2, GateStack(((1, 1),), (np.eye(4),)), [(0,)])
 
     def test_matches_dense_embedding(self):
         # locality oracle: gate application == dense 2^N x 2^N matrix action
@@ -149,29 +149,30 @@ class TestApplyGate:
             state = random_state(n)
             k = min(n, int(RNG.integers(1, 3)))
             sites = tuple(RNG.choice(n, size=k, replace=False))
-            gate = LocalGate(sites, random_unitary(2**k))
-            out = apply_gate(state, gate)
+            out = apply_matrix(state, random_unitary(2**k), sites)
             assert abs(out.norm() - 1.0) < 1e-10
 
     def test_disjoint_supports_commute(self):
         for n in (4, 6):
             state = random_state(n)
-            g1 = LocalGate((0, 1), random_unitary(4))
-            g2 = LocalGate((n - 2, n - 1), random_unitary(4))
-            ab = apply_gate(apply_gate(state, g1), g2)
-            ba = apply_gate(apply_gate(state, g2), g1)
+            g1, s1 = random_unitary(4), (0, 1)
+            g2, s2 = random_unitary(4), (n - 2, n - 1)
+            ab = apply_matrix(apply_matrix(state, g1, s1), g2, s2)
+            ba = apply_matrix(apply_matrix(state, g2, s2), g1, s1)
             assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) < 1e-12
 
-    def test_nonunitary_flag_enforced(self):
+    def test_nonunitary_matrix_fails_the_unitarity_check(self):
         with pytest.raises(ValueError, match="unitar"):
-            LocalGate((0,), np.array([[1, 0], [0, 2.0]]))
-        # allowed when flagged non-unitary
-        LocalGate((0,), np.array([[1, 0], [0, 2.0]]), unitary=False)
+            _check_unitary(np.array([[1, 0], [0, 2.0]]))
+        # one bad matrix fails the batched check of a stack
+        with pytest.raises(ValueError, match="unitar"):
+            _check_unitary(np.stack([H, np.array([[1, 0], [0, 2.0]]), X]))
+        _check_unitary(np.stack([H, X]))
 
     @pytest.mark.parametrize("site", [1.9, 0.7, True, np.float64(1.0), "1"])
     def test_gate_site_must_be_an_integer(self, site):
         with pytest.raises(ValueError, match="site indices must be integers"):
-            LocalGate((site,), np.eye(2))
+            _site_indices((site,))
 
     @pytest.mark.parametrize("site", [1.9, 0.7, True, np.float64(1.0)])
     def test_apply_matrix_site_must_be_an_integer(self, site):
@@ -180,13 +181,13 @@ class TestApplyGate:
 
     def test_numpy_integer_sites_stay_valid(self):
         state = product_state(["up", "up"])
-        out = apply_gate(state, LocalGate((np.int64(1),), X))
+        out = apply_matrix(state, X, (np.int64(1),))
         assert out.amplitudes[2] == 1
         assert np.array_equal(apply_matrix(state, X, [np.int32(1)]).amplitudes, out.amplitudes)
 
     def test_nan_matrix_fails_the_unitarity_check(self):
         with pytest.raises(ValueError, match="unitar"):
-            LocalGate((0,), np.array([[1.0, 0.0], [0.0, np.nan]]))
+            _check_unitary(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 class TestInnerProduct:
@@ -222,14 +223,16 @@ class TestLayers:
         assert _layer_index([(0, 1), (1, 2), (2, 3)], start=7) == [(7, 9), (8,)]
 
     def test_layer_disjointness_enforced(self):
-        g = LocalGate((0, 1), np.eye(4))
+        stack = GateStack(((0, 1), (1,)), (np.eye(4), np.eye(2)))
         with pytest.raises(ValueError, match="overlapping"):
-            compile_layers(3, [[g, LocalGate((1,), np.eye(2))]])
+            _compile_stack(3, stack, [(0, 1)])
 
     def test_apply_layer_equals_sequential(self):
         state = random_state(4)
-        layer = [LocalGate((0, 1), random_unitary(4)), LocalGate((2, 3), random_unitary(4))]
-        (compiled,) = compile_layers(4, [layer])
+        stack = GateStack(((0, 1), (2, 3)), (random_unitary(4), random_unitary(4)))
+        (compiled,) = _compile_stack(4, stack, [(0, 1)])
         out = apply_layer(state, compiled)
-        seq = apply_gate(apply_gate(state, layer[0]), layer[1])
+        seq = state
+        for support, matrix in zip(*stack):
+            seq = apply_matrix(seq, matrix, support)
         assert np.allclose(out.amplitudes, seq.amplitudes)

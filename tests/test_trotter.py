@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-import loschmidt.reconstruct as reconstruct_module
-from loschmidt.config import ExperimentConfig, NoiseConfig
+from loschmidt.ite import build_ite_plan_general, build_ite_plan_tfim
 from loschmidt.model import dense_matrix, tfim
-from loschmidt.reconstruct import run_phase_experiment
-from loschmidt.statevector import GateStack, LocalGate, StateVector, product_state
+from loschmidt.statevector import GateStack, StateVector, product_state
 from loschmidt.trotter import TrotterPlan, _stack_in_term_order, build_plan, evolve
 
 RNG = np.random.default_rng(31)
@@ -46,8 +44,8 @@ class TestBuildPlan:
 
     def test_zero_coefficient_gates_dropped(self):
         plan = build_plan(tfim(4, 1.0, 0.0), 0.1, 0.1, 1)
-        labels = {g.support for layer in plan.step_layers for g in layer}
-        assert all(len(s) == 2 for s in labels)  # no x gates present
+        supports = plan.gate_stack.supports
+        assert supports and all(len(s) == 2 for s in supports)  # no x gates present
 
     def test_one_step_order_scaling(self):
         spec = tfim(4, 1.0, 0.5)
@@ -75,8 +73,8 @@ class TestBuildPlan:
     def test_layers_have_disjoint_supports(self):
         for order in (1, 2, 4):
             plan = build_plan(tfim(7, 1.0, 0.5), 0.2, 0.2, order)
-            for layer in plan.step_layers:
-                sites = [s for g in layer for s in g.support]
+            for layer in plan.layer_index:
+                sites = [s for k in layer for s in plan.gate_stack.supports[k]]
                 assert len(sites) == len(set(sites))
 
 
@@ -92,41 +90,17 @@ class TestBuildPlan:
 
 
 class TestPlanForm:
-    def test_untraced_phase_run_builds_no_step_layers(self, monkeypatch):
-        plans = []
+    # step_layers and ItePlan.gates are the names the benchmark tracer reads
 
-        def capture(*args, **kwargs):
-            plans.append(build_plan(*args, **kwargs))
-            return plans[-1]
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_step_layers_are_the_layer_census(self, order):
+        plan = build_plan(tfim(5, 1.0, 0.5), 0.2, 0.1, order)
+        assert plan.step_layers is plan.layer_index
 
-        monkeypatch.setattr(reconstruct_module, "build_plan", capture)
-        run_phase_experiment(ExperimentConfig(
-            spec=tfim(4, 1.0, 0.5), psi=product_state(["up"] * 4), tau=0.1, h=0.1,
-            t_max=0.3, backend="statevector_trotter",
-        ))
-        assert len(plans) == 1 and "step_layers" not in vars(plans[0])
-        # the census view is still there for readers that ask for it
-        assert len(plans[0].step_layers) == plans[0].layers_per_step
-
-    @pytest.mark.parametrize("backend, ite_mode", [
-        ("statevector_trotter", "general_bj"),
-        ("statevector_trotter", "tfim_closed_form"),
-        ("noisy", "general_bj"),
-        ("exact_oracle", "general_bj"),
-    ])
-    def test_solve_path_constructs_no_local_gate(self, monkeypatch, backend, ite_mode):
-        def refuse(self):
-            raise AssertionError("a LocalGate was constructed on the solve path")
-
-        monkeypatch.setattr(LocalGate, "__post_init__", refuse)
-        spec, psi = tfim(4, 1.0, 0.5), product_state(["up"] * 4)
-        for order in (1, 2, 4):
-            evolve(psi, build_plan(spec, 0.2, 0.1, order))
-        noise = NoiseConfig(gamma=0.05, n_trajectories=2) if backend == "noisy" else None
-        run_phase_experiment(ExperimentConfig(
-            spec=spec, psi=psi, tau=0.1, h=0.1, t_max=0.3, backend=backend,
-            ite_mode=ite_mode, noise=noise,
-        ))
+    @pytest.mark.parametrize("builder", [build_ite_plan_general, build_ite_plan_tfim])
+    def test_ite_gates_are_the_stack_supports(self, builder):
+        plan = builder(tfim(5, 1.0, 0.5), product_state(["up"] * 5), 0.1, -1)
+        assert plan.gates == plan.gate_stack.supports == ((0,), (1,), (2,), (3,), (4,))
 
     def test_mirrored_tail_repeats_the_head_index(self):
         plan = build_plan(tfim(6, 1.0, 0.5), 0.1, 0.1, 2)
