@@ -118,7 +118,8 @@ def _trace_health(trace: PhaseTrace) -> dict:
 
 
 def _resolved_document(doc: RunDocument) -> dict:
-    """Config snapshot with every algorithm default made explicit."""
+    """Config snapshot with every default made explicit: the algorithm,
+    noise and seed values the run used, and the resolved command blocks."""
     exp = doc.experiment
     resolved = json.loads(json.dumps(doc.raw))  # deep copy
     resolved["algorithm"] = {key: getattr(exp, key) for key, _, _ in _ALGORITHM_CHECKS}
@@ -126,6 +127,9 @@ def _resolved_document(doc: RunDocument) -> dict:
     if exp.noise is not None:
         noise = {**vars(exp.noise), "seed": exp.noise.master_seed}
         resolved["noise"] = {key: noise[key] for key, _, _ in _NOISE_CHECKS}
+    resolved.update(spectral=doc.spectral, baseline=doc.baseline, cost=doc.cost)
+    if doc.sweep is not None:
+        resolved["sweep"] = doc.sweep
     return resolved
 
 
@@ -244,7 +248,7 @@ def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
     kind = doc.sweep["kind"]
     n_values = doc.sweep["n_values"]
     values = doc.sweep["values"]
-    t_max = doc.sweep.get("t_max", exp.t_max)
+    t_max = doc.sweep["t_max"]
     model_block = doc.raw["model"]
     if model_block.get("model") != "tfim":
         raise ConfigError("scaling sweeps support the built-in tfim model only")
@@ -305,7 +309,7 @@ def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
 
 def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
     exp = doc.experiment
-    hermitian = doc.spectral.get("hermitian_extend", True)
+    hermitian = doc.spectral["hermitian_extend"]
     if hermitian and exp.psi_final is not None:
         raise ConfigError("hermitian_extend requires psi_final = psi")
     trace = run_phase_experiment(exp)
@@ -315,7 +319,7 @@ def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
         hermitian_extend=hermitian,
         center_energy=center,
         times=trace.times,
-        taper_width=doc.spectral.get("taper_width"),
+        taper_width=doc.spectral["taper_width"],
     )
     write_csv(outdir / "ldos.csv", ["E", "d"], [spectrum.energies, spectrum.densities])
     extra = {
@@ -323,7 +327,7 @@ def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
         "imag_residue": spectrum.max_imag_residue, **_trace_health(trace),
     }
     if exp.spec.n_sites <= ORACLE_MAX_SITES:
-        width = doc.spectral.get("width", 0.08)
+        width = doc.spectral["width"]
         reference = exact_ldos(exp.spec, exp.psi, width)
         write_csv(
             outdir / "ldos_reference.csv",
@@ -339,7 +343,7 @@ def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
 def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
     exp = doc.experiment
     rng = np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(17,)))
-    shots = doc.baseline.get("shots")
+    shots = doc.baseline["shots"]
     if method == "hadamard":
         parts = [doc.baseline["part"]] if "part" in doc.baseline else ["real", "imag"]
         estimates = [
@@ -365,14 +369,14 @@ def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
         for site in flip_sites:
             chain.append(apply_matrix(chain[-1], SIGMA_X, (site,)))
         anchor = _anchor(exp, lambda: exact_amplitude(exp.spec, exp.psi, exp.psi, exp.t_max))
-        thetas = doc.baseline.get("thetas", (0.0, np.pi / 2))
+        thetas = doc.baseline["thetas"]
         result = sequential_interferometry(
             exp.spec, chain, exp.t_max, exp.tau, exp.order,
             anchor_phase=anchor,
             thetas=tuple(thetas),
             shots=shots,
             rng=rng,
-            fallback_threshold=doc.baseline.get("fallback_threshold", 1e-3),
+            fallback_threshold=doc.baseline["fallback_threshold"],
         )
         steps = list(range(len(result.step_phases)))
         write_csv(
@@ -399,14 +403,9 @@ def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
 
 def cmd_cost(doc: RunDocument, outdir: Path) -> int:
     block = doc.cost
-    n_list = block.get("n", [8, 16, 32, 64])
-    n_list = n_list if isinstance(n_list, list) else [n_list]
-    t = block.get("t", 4.0)
-    eps = block.get("epsilon", 0.01)
-    order = block.get("p", 2)
-    dim = block.get("d", 1)
-    r = block.get("r", 1.0)
-    i_factor = block.get("i_factor", 1.0)
+    n_list = block["n"] if isinstance(block["n"], list) else [block["n"]]
+    t, eps, order, dim = block["t"], block["epsilon"], block["p"], block["d"]
+    r, i_factor = block["r"], block["i_factor"]
     rows = []
     for n in n_list:
         for method in ("hadamard", "sequential", "this_work"):

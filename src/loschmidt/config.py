@@ -19,12 +19,18 @@ Each value is checked once, by type and range, in the table of its block
 (``_check_values``), and then used as given: it is never coerced, so
 ``"order": 2.9`` or ``"tau": "0.05"`` is an error.  ``ExperimentConfig`` and
 ``NoiseConfig`` run their blocks' tables, for Python callers as for JSON.
+The tables of the command blocks (``spectral``, ``baseline``, ``cost``,
+``sweep``) also hold each key's default, after its check; those blocks are
+resolved at load, so the commands and the resolved-config snapshot read
+one set of values.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral, Real
 from typing import Any
 
@@ -104,9 +110,10 @@ def _complex(pairs) -> np.ndarray:
 
 def _check_values(block: dict, checks, where: str) -> None:
     """Raise unless each key of ``block`` named in ``checks`` (key,
-    predicate, description) holds a value the predicate accepts.  ``where``
-    is the block's JSON path, empty for the top level."""
-    for key, accepts, what in checks:
+    predicate, description, and for a command block's key with a default
+    that default) holds a value the predicate accepts.  ``where`` is the
+    block's JSON path, empty for the top level."""
+    for key, accepts, what, *_ in checks:
         if key in block and not accepts(block[key]):
             path = f"{where}.{key}" if where else key
             raise ConfigError(f"{path} must be {what}, got {block[key]!r}")
@@ -191,7 +198,14 @@ class ExperimentConfig:
 
 def _keys(checks) -> set[str]:
     """The keys a table checks: the keys its block may hold."""
-    return {key for key, _, _ in checks}
+    return {key for key, *_ in checks}
+
+
+def _with_defaults(block: dict, checks) -> dict:
+    """A copy of a checked block with each absent key that has a default in
+    ``checks`` set to it."""
+    defaults = {key: copy.deepcopy(rest[0]) for key, _, _, *rest in checks if rest}
+    return {**defaults, **block}
 
 
 def _checked_block(block: Any, where: str, allowed, required=frozenset(), checks=()) -> dict:
@@ -323,26 +337,27 @@ _TOP_KEYS = {
     "baseline", "cost",
 }
 
-#: ``hermitian_extend`` a JSON bool, ``width`` a positive number and
-#: ``taper_width`` a positive number or null (no taper)
+#: ``hermitian_extend`` a JSON bool, ``width`` (of the oracle reference)
+#: a positive number and ``taper_width`` a positive number or null (no taper)
 _SPECTRAL_CHECKS = (
-    ("hermitian_extend", lambda v: isinstance(v, bool), "true or false"),
-    ("width", _positive, "a positive number"),
-    ("taper_width", _optional(_positive), "a positive number or null"),
+    ("hermitian_extend", lambda v: isinstance(v, bool), "true or false", True),
+    ("width", _positive, "a positive number", 0.08),
+    ("taper_width", _optional(_positive), "a positive number or null", None),
 )
 
 #: the cost block's keys: N is one count or a list of them, the rest numbers
 _COST_CHECKS = (
     ("n", lambda v: _count(v) or _list_of(_count)(v),
-     "a positive integer or a non-empty list of them"),
-    ("t", _nonnegative, "a nonnegative number"),
-    ("epsilon", _positive, "a positive number"),
-    ("p", lambda v: _integer(v) and v in _ORDERS, "one of 1, 2, 4"),
-    ("d", _count, "a positive integer"),
-    ("r", _nonnegative, "a nonnegative number"),
-    ("i_factor", _finite, "a finite number"),
+     "a positive integer or a non-empty list of them", [8, 16, 32, 64]),
+    ("t", _nonnegative, "a nonnegative number", 4.0),
+    ("epsilon", _positive, "a positive number", 0.01),
+    ("p", lambda v: _integer(v) and v in _ORDERS, "one of 1, 2, 4", 2),
+    ("d", _count, "a positive integer", 1),
+    ("r", _nonnegative, "a nonnegative number", 1.0),
+    ("i_factor", _finite, "a finite number", 1.0),
 )
 
+#: ``t_max`` defaults to the algorithm block's, which ``parse_document`` sets
 _SWEEP_CHECKS = (
     ("kind", _one_of(("h", "tau")), "'h' or 'tau'"),
     # the scaling sweep runs the built-in chain, which needs two sites
@@ -354,14 +369,16 @@ _SWEEP_CHECKS = (
 
 
 def _baseline_checks(n_sites: int):
+    # without ``part`` the Hadamard test estimates both parts; the
+    # sequential method requires ``flip_sites``
     return (
         ("flip_sites", lambda v: isinstance(v, list) and all(
             _integer(s) and 0 <= s < n_sites for s in v),
          f"a list of sites in [0, {n_sites})"),
-        ("thetas", _list(2, _finite), "a list of two finite numbers"),
-        ("fallback_threshold", _nonnegative, "a nonnegative number"),
+        ("thetas", _list(2, _finite), "a list of two finite numbers", [0.0, float(np.pi / 2)]),
+        ("fallback_threshold", _nonnegative, "a nonnegative number", 1e-3),
         ("part", _one_of(("real", "imag")), "'real' or 'imag'"),
-        ("shots", _optional(_count), "a positive integer or null"),
+        ("shots", _optional(_count), "a positive integer or null", None),
     )
 
 
@@ -369,22 +386,27 @@ def _baseline_checks(n_sites: int):
 class RunDocument:
     """Fully parsed config file: the experiment config plus CLI-level blocks
     (two-sided operator, sweep description, spectral / baseline / cost
-    options) that individual subcommands interpret."""
+    options) that individual subcommands interpret, each with its defaults
+    filled in."""
 
     experiment: ExperimentConfig
     raw: dict = field(repr=False, default_factory=dict)
     operator_a: tuple | None = None
     t_prime: float = 0.0
     sweep: dict | None = None
-    spectral: dict = field(default_factory=dict)
-    baseline: dict = field(default_factory=dict)
-    cost: dict = field(default_factory=dict)
+    spectral: dict = field(default_factory=partial(_with_defaults, {}, _SPECTRAL_CHECKS))
+    # the defaults of the baseline block do not depend on the size
+    baseline: dict = field(default_factory=partial(_with_defaults, {}, _baseline_checks(0)))
+    cost: dict = field(default_factory=partial(_with_defaults, {}, _COST_CHECKS))
 
 
 def _optional_block(doc: dict, name: str, checks) -> dict:
-    """A command-level block, empty when absent or null."""
+    """A command-level block with its defaults, which are all it holds when
+    the block is absent or null."""
     block = doc.get(name)
-    return {} if block is None else _checked_block(block, name, _keys(checks), checks=checks)
+    if block is not None:
+        _checked_block(block, name, _keys(checks), checks=checks)
+    return _with_defaults(block or {}, checks)
 
 
 def parse_document(doc: Any) -> RunDocument:
@@ -420,6 +442,7 @@ def parse_document(doc: Any) -> RunDocument:
     if sweep is not None:
         _checked_block(sweep, "sweep", _keys(_SWEEP_CHECKS), {"kind", "n_values", "values"},
                        _SWEEP_CHECKS)
+        sweep = {"t_max": algo["t_max"], **sweep}
     experiment = ExperimentConfig(
         spec=spec, psi=psi, psi_final=psi_final, noise=noise, seed=seed, **algo
     )

@@ -34,9 +34,12 @@ phase.  A plan computes its constant at construction.  Its canonical form
 is the checked gate stack (supports in term order, one matrix each, after
 the identity drop and one batched unitarity check), built on first use by
 the same constructor as a Trotter plan's; the ordered layer index over the
-supports, the layer census and the compiled ops are derived from the stack
-on first use.  A caller that reads only ``log_c_total`` (the dense oracle)
-builds no gates.
+supports, the layer census and two execution forms are derived from the
+stack on first use.  ``compiled`` runs layer by layer, so errors can act
+between layers, and ``apply_ite`` runs it; ``fused`` runs the same ordered
+product in blocks of up to five sites, for circuits where no error can act
+between the ITE layers.  A caller that reads only ``log_c_total`` (the
+dense oracle) builds no gates.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .statevector import (
     GateStack,
     StateVector,
     _compile_stack,
+    _fused_ops,
     _layer_index,
     _run_layers,
 )
@@ -79,10 +83,14 @@ class ItePlan:
     ``log_c_total`` is computed at construction.  The plan's canonical form
     is its checked ``gate_stack`` (supports in term order, one matrix each),
     built on first use by ``build_gates``; the layer census
-    (``layer_index``, ``n_layers``) and the execution form ``compiled`` are
-    derived from it on first use.  A caller that reads only ``log_c_total``
-    (the dense oracle) builds no gates.  ``site_vectors`` are the (N, 2)
-    factors of the product state the plan was built for.
+    (``layer_index``, ``n_layers``) and two execution forms are derived from
+    it on first use.  ``compiled`` has the ops of each layer, for circuits
+    with errors between layers.  ``fused`` is the whole ordered product as
+    the ops of the first layer, the other layers empty, so it aligns with
+    the census; a plan of at most one layer (every closed-form plan) has
+    ``fused is compiled``.  A caller that reads only ``log_c_total`` (the
+    dense oracle) builds no gates.  ``site_vectors`` are the (N, 2) factors
+    of the product state the plan was built for.
     """
 
     sign: int
@@ -105,6 +113,14 @@ class ItePlan:
     @cached_property
     def compiled(self) -> tuple[tuple, ...]:
         return _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
+
+    @cached_property
+    def fused(self) -> tuple[tuple, ...]:
+        # the whole ordered product as the first layer's ops and the other
+        # layers empty, so record points and depths count as in ``compiled``
+        if self.n_layers <= 1:
+            return self.compiled
+        return (_fused_ops(self.n_sites, self.gate_stack),) + ((),) * (self.n_layers - 1)
 
     # perfbench/tracer.py counts the plan's gates through this name
     @property

@@ -15,11 +15,11 @@ the dense matrix: the project-wide ground truth for every approximate
 pipeline, capped at 12 sites.  The dense H is diagonalised in the symmetry
 blocks of whichever of the global spin flip prod X and the mirror
 i -> N-1-i leave it exactly invariant: 4 quarter-size blocks when both do,
-as for the shipped TFIM, 2 when one does, and one full ``eigh`` for any
-other H.  Either way the cached eigensystem holds ascending energies and
-full-space orthonormal eigenvectors, records the number of symmetry blocks
-(1, 2 or 4 for the shipped models) in its ``sectors``, and meets states
-only in ``_eigen_product``.
+as for the TFIM at any couplings, 2 when one does, and one full ``eigh``
+for any other H.  Either way the cached eigensystem holds ascending
+energies and full-space orthonormal eigenvectors, records the number of
+symmetry blocks (1, 2 or 4 for the shipped models) in its ``sectors``, and
+meets states only in ``_eigen_product``.
 """
 
 from __future__ import annotations
@@ -122,18 +122,27 @@ def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
 
     Each term is added into a strided view of the output that is diagonal in
     the sites above and below its support: O(2^N 4^k) work per k-site term
-    and no 4^N temporary.
+    and no 4^N temporary.  Each diagonal entry is then the sum of its terms'
+    contributions in sorted order, so it depends only on their multiset: a
+    symmetry that permutes the terms, as the mirror permutes the bonds,
+    leaves H bitwise invariant for any couplings.
     """
     if spec.n_sites > ORACLE_MAX_SITES:
         raise ValueError(f"oracle size limit: n_sites {spec.n_sites} > {ORACLE_MAX_SITES}")
     n = spec.n_sites
     full = np.zeros((2**n, 2**n), dtype=complex)
-    for term in spec.terms:
+    diagonals = np.zeros((len(spec.terms), 2**n), dtype=complex)
+    for term, diagonal in zip(spec.terms, diagonals):
         lo, matrix = _lsb_first(term.support, term.matrix)
         width = len(term.support)
         shape = (2 ** (n - lo - width), 2**width, 2**lo)
         block = np.einsum("aibajb->aijb", full.reshape(shape + shape))  # view of full
         block += matrix[None, :, :, None]
+        diagonal.reshape(shape)[:] = np.diagonal(matrix)[None, :, None]
+    total = np.zeros(2**n, dtype=complex)
+    for contributions in np.sort(diagonals, axis=0):
+        total += contributions
+    np.fill_diagonal(full, total)
     return full
 
 

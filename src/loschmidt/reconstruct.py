@@ -342,12 +342,16 @@ def run_phase_experiment(config) -> PhaseTrace:
       (imaginary-time constants still come from the configured ITE plan so
       the recorded probabilities match what an experiment would see),
     * ``statevector_trotter`` — one circuit per family (r: the Trotter
-      steps; p+-: the ITE plan's layers, then the same steps), each run once
-      through ``circuit_survivals`` as one row, with exact overlap
+      steps; p+-: the ITE plan's fused product, then the same steps), each
+      run once through ``circuit_survivals`` as one row, with exact overlap
       probabilities,
     * ``noisy`` — the same circuits as depolarizing trajectories
       (``trajectory_survivals``), then rescaling mitigation at each record
-      point's layer depth.
+      point's layer depth.  At gamma > 0 the ITE prefix runs layer by layer
+      (``plan.compiled``), so the Paulis act between its layers; at
+      gamma = 0 none can fire, and it runs fused as on
+      ``statevector_trotter``.  Both forms count the same layers, so record
+      points, error draws and mitigation depths do not depend on the form.
 
     Shots and their seed come from the noise block on ``noisy`` and from
     ``config.shots``/``config.seed`` otherwise; each family is sampled from
@@ -397,8 +401,11 @@ def run_phase_experiment(config) -> PhaseTrace:
         step = build_plan(spec, config.tau, config.tau, config.order)
         trotter_layers = step.compiled * (config.prefix_steps + n_points - 1)
         record_r = [(config.prefix_steps + k) * step.layers_per_step for k in range(n_points)]
+        # the ITE prefix runs fused where no Pauli can fire between its layers
+        fused = not noisy or config.noise.gamma == 0
         circuits = [(trotter_layers, record_r)] + [
-            (plan.compiled + trotter_layers, [plan.n_layers + d for d in record_r])
+            ((plan.fused if fused else plan.compiled) + trotter_layers,
+             [plan.n_layers + d for d in record_r])
             for plan in (plan_plus, plan_minus)
         ]
         if noisy:

@@ -25,6 +25,15 @@ into blocks of at most ``_FUSE_SITES`` adjacent sites, each one matrix
 applied along axis 1 of the amplitudes viewed as ``(2^(N-lo-w), 2^w,
 2^lo)``, without transposes.
 
+A stack whose gates run with nothing between them has a second compiled
+form, ``_fused_ops``: the exact ordered product of all its gates as blocks
+of at most ``_FUSE_SITES`` adjacent sites, with no layer boundaries.  The
+general ITE plan's staircase of N ordered layers on a chain of N sites
+becomes ceil((N-1)/4) such blocks.  The per-layer form stays the
+noise-insertion census: a plan's fused form
+puts all its ops in the first layer and leaves the others empty, so record
+points and circuit depths count the same layers in either form.
+
 An op acts on any C-contiguous array whose last axis holds 2^N amplitudes:
 a single state of shape ``(2^N,)`` or a batch of states as the rows of a
 ``(B, 2^N)`` array, which the Monte Carlo trajectories use.  Each row gets
@@ -374,6 +383,49 @@ def _compile_stack(n_qubits: int, stack: GateStack, index) -> tuple[tuple, ...]:
         for layer in dict.fromkeys(index)
     }
     return tuple([ops[layer] for layer in index])
+
+
+def _fused_ops(n_qubits: int, stack: GateStack) -> tuple:
+    """The ordered product of a checked stack's gates, in term order, as
+    ``BlockOp``s on blocks of at most ``_FUSE_SITES`` adjacent sites.
+
+    A gate may move back past the blocks after the last one that touches
+    its sites, since it commutes with them, and join any block among those
+    and that last one whose span, united with the gate's sites, still fits.
+    It joins the one it widens least (the latest of equals), since an op's
+    cost grows as 2^width, or else opens a block at the end.  Each block's
+    matrix is the ordered product of its gates on the block span, the
+    identity on the span's sites no gate of the block covers, built by
+    multiplying an identity by the gates in turn."""
+    blocks: list[list] = []  # [start, stop, [(lo, matrix), ...]], in run order
+    for lo, mat in map(_lsb_first, stack.supports, stack.matrices):
+        hi = lo + _width(mat)
+        best, growth = None, _FUSE_SITES
+        for block in reversed(blocks):
+            start, stop, _ = block
+            first, last = min(start, lo), max(stop, hi)
+            widened = (last - first) - (stop - start)
+            if last - first <= _FUSE_SITES and widened < growth:
+                best, growth = block, widened
+            if lo < stop and start < hi:
+                break  # the gate does not commute back past this block
+        if best is None:
+            best = [lo, hi, []]
+            blocks.append(best)
+        best[:2] = min(best[0], lo), max(best[1], hi)
+        best[2].append((lo, mat))
+    ops = []
+    for start, stop, members in blocks:
+        dim = 1 << (stop - start)
+        matrix = np.eye(dim, dtype=complex)
+        for lo, mat in members:
+            # the gate times ``matrix``: on the row bits lo.. of the block,
+            # above the column bits in the flat index
+            view = matrix.reshape(1 << (stop - lo - _width(mat)), len(mat), -1)
+            matrix = np.matmul(mat, view).reshape(dim, dim)
+        shape = (1 << (n_qubits - stop), dim)
+        ops.append(BlockOp(shape if start == 0 else shape + (1 << start,), matrix))
+    return tuple(ops)
 
 
 def _run_layers(state: StateVector, layers) -> StateVector:

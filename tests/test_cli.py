@@ -3,11 +3,13 @@
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from loschmidt.cli import cmd_two_sided, main, write_csv
+import loschmidt.config as config_module
+from loschmidt.cli import _resolved_document, cmd_two_sided, main, write_csv
 from loschmidt.config import _ALGORITHM_CHECKS, _NOISE_CHECKS, ExperimentConfig, parse_document
 from loschmidt.exceptions import ConfigError
 from loschmidt.model import expectation, oracle_phase_series, tfim
@@ -197,6 +199,51 @@ class TestCliCommands:
         out2 = tmp_path / "b"
         assert main(["phase", "--config", str(resolved), "--out", str(out2)]) == 0
         assert (out1 / "phase.csv").read_bytes() == (out2 / "phase.csv").read_bytes()
+
+    #: every shipped config with a command it is shipped for
+    SHIPPED = [
+        ("phase", ["phase"]), ("phase", ["amplitude"]), ("two_sided", ["two-sided"]),
+        ("ldos", ["ldos"]), ("scaling", ["scaling"]), ("cost", ["cost"]),
+        ("noise", ["noise"]), ("baseline", ["baseline", "--method", "hadamard"]),
+        ("baseline", ["baseline", "--method", "sequential"]),
+    ]
+
+    @pytest.mark.parametrize("name, command", SHIPPED)
+    def test_shipped_config_replays_from_its_snapshot(self, tmp_path, name, command):
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(command + ["--config", str(config), "--out", str(first)]) == 0
+        snapshot = first / "resolved_config.json"
+        assert main(command + ["--config", str(snapshot), "--out", str(second)]) == 0
+        outputs = sorted(path.name for path in first.glob("*.csv"))
+        assert outputs and outputs == sorted(path.name for path in second.glob("*.csv"))
+        for output in outputs:
+            assert (first / output).read_bytes() == (second / output).read_bytes()
+        # the snapshot of the replay is the snapshot it replayed
+        assert (second / "resolved_config.json").read_bytes() == snapshot.read_bytes()
+
+    def test_snapshot_keeps_the_command_defaults_of_its_run(self, tmp_path, monkeypatch):
+        # a replay reads the defaults the run used, not the current ones
+        cfg = write_config(tmp_path, base_config())
+        first, second, fresh = tmp_path / "first", tmp_path / "second", tmp_path / "fresh"
+        assert main(["cost", "--config", cfg, "--out", str(first)]) == 0
+        resolved = json.loads((first / "resolved_config.json").read_text())
+        assert resolved["cost"] == {"n": [8, 16, 32, 64], "t": 4.0, "epsilon": 0.01, "p": 2,
+                                    "d": 1, "r": 1.0, "i_factor": 1.0}
+        assert set(resolved) >= {"spectral", "baseline", "cost"}
+        monkeypatch.setattr(config_module, "_COST_CHECKS", tuple(
+            (*check[:3], 0.02) if check[0] == "epsilon" else check
+            for check in config_module._COST_CHECKS))
+        snapshot = str(first / "resolved_config.json")
+        assert main(["cost", "--config", snapshot, "--out", str(second)]) == 0
+        assert main(["cost", "--config", cfg, "--out", str(fresh)]) == 0
+        assert (second / "cost.csv").read_bytes() == (first / "cost.csv").read_bytes()
+        assert (fresh / "cost.csv").read_bytes() != (first / "cost.csv").read_bytes()
+
+    def test_snapshot_resolves_the_sweep_t_max(self):
+        doc = base_config(sweep={"kind": "h", "n_values": [2], "values": [0.05]})
+        resolved = _resolved_document(parse_document(doc))
+        assert resolved["sweep"] == {**doc["sweep"], "t_max": doc["algorithm"]["t_max"]}
 
     def test_resolved_algorithm_block_has_the_checked_keys(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

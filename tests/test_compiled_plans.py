@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loschmidt.noise as noise_module
@@ -31,7 +31,9 @@ from loschmidt.statevector import (
     PhaseOp,
     StateVector,
     _compile_stack,
+    _fused_ops,
     _layer_index,
+    _run_layers,
     apply_layer,
     apply_matrix,
     basis_state,
@@ -672,3 +674,98 @@ class TestPlanRunners:
         for layer in plan.compiled:
             expected = apply_layer(expected, layer)
         assert apply_ite(plan, psi).amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+@st.composite
+def ordered_stacks(draw):
+    """(n, GateStack) of random unitaries on adjacent 1- and 2-site supports
+    in any order, some reversed; a support may repeat the one before it or
+    sit one site from it, so staircases that overflow a block are common."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(SEEDS))
+    supports = []
+    for _ in range(draw(st.integers(1, 40))):
+        move = draw(st.sampled_from(["repeat", "step", "any"])) if supports else "any"
+        if move == "repeat":
+            supports.append(supports[-1])
+            continue
+        width = draw(st.integers(1, min(2, n)))
+        if move == "step":
+            lo = min(max(min(supports[-1]) + draw(st.sampled_from([-1, 1])), 0), n - width)
+        else:
+            lo = draw(st.integers(0, n - width))
+        support = tuple(range(lo, lo + width))
+        if width == 2 and draw(st.booleans()):
+            support = support[::-1]
+        supports.append(support)
+    mats = [_exp_gate(_random_hermitian(rng, 2 ** len(s), False), float(rng.uniform(0.1, 2.0)))
+            for s in supports]
+    return n, GateStack(tuple(supports), tuple(mats))
+
+
+def _tilted_tfim_plan(n, sign):
+    """The general ITE plan (h = 0.05) of the TFIM on a product state whose
+    sites tilt by up to 0.3 rad from up, with a random azimuth."""
+    rng = np.random.default_rng(3)
+    theta, azimuth = rng.uniform(0.0, 0.3, n), rng.uniform(0.0, 2 * np.pi, n)
+    psi = product_state([[np.cos(a / 2), np.sin(a / 2) * np.exp(1j * b)]
+                         for a, b in zip(theta, azimuth)])
+    return build_ite_plan_general(tfim(n, 1.0, 0.5), psi, 0.05, sign)
+
+
+class TestFusedIte:
+    """The fused ITE product against the per-layer form and the gates one by
+    one, and the block layout of the TFIM staircase."""
+
+    @PROPERTY
+    @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
+           h=st.sampled_from([0.05, 0.4]), seed=SEEDS)
+    def test_fused_equals_compiled(self, case, sign, h, seed):
+        spec, psi = case
+        plan = build_ite_plan_general(spec, psi, h, sign)
+        assert len(plan.fused) == plan.n_layers
+        other = _random_state(np.random.default_rng(seed), spec.n_sites, product=False)
+        for state in (psi, other):
+            fused = _run_layers(state, plan.fused).amplitudes
+            assert np.max(np.abs(fused - _run_layers(state, plan.compiled).amplitudes)) < 1e-12
+
+    #: a staircase that overflows its first block: (4, 3) may join that
+    #: block, which covers it, only by moving back past the block of (4, 5)
+    OVERFLOW = (6, GateStack(
+        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 3)),
+        tuple(_exp_gate(_random_hermitian(np.random.default_rng(k), 4, False), 1.0)
+              for k in range(6)),
+    ))
+
+    @settings(PROPERTY, max_examples=150)
+    @given(case=ordered_stacks(), seed=SEEDS)
+    @example(case=OVERFLOW, seed=0)
+    def test_fused_ops_equal_gates_one_by_one(self, case, seed):
+        n, stack = case
+        state = _random_state(np.random.default_rng(seed), n, product=False)
+        expected = state
+        for support, matrix in zip(stack.supports, stack.matrices):
+            expected = apply_matrix(expected, matrix, support)
+        fused = _run_layers(state, (_fused_ops(n, stack),)).amplitudes
+        assert np.max(np.abs(fused - expected.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("n, shapes", [
+        (8, [(8, 32), (1, 16, 16)]),
+        (14, [(512, 32), (32, 32, 16), (2, 32, 256), (1, 4, 4096)]),
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tfim_staircase_blocks(self, n, shapes, sign):
+        # bonds (0, 1), (1, 2), ... then the fields: blocks of five sites
+        # overlapping by one, each field joining the block that covers it
+        plan = _tilted_tfim_plan(n, sign)
+        assert plan.n_layers == n
+        (ops, *rest) = plan.fused
+        assert [op.shape for op in ops] == shapes
+        assert all(isinstance(op, BlockOp) for op in ops) and rest == [()] * (n - 1)
+
+    def test_one_layer_plans_keep_their_compile(self):
+        psi = basis_state(6, 0b010011)
+        closed = build_ite_plan_tfim(tfim(6, 1.0, 0.5), psi, 0.1, 1)
+        empty = build_ite_plan_general(tfim(6, 1.0, 0.5), psi, 0.0, 1)
+        assert (closed.n_layers, empty.n_layers) == (1, 0)
+        assert closed.fused is closed.compiled and empty.fused is empty.compiled

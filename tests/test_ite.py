@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import loschmidt.ite as ite_module
-from loschmidt.config import ExperimentConfig
+from loschmidt.config import ExperimentConfig, NoiseConfig
 from loschmidt.ite import (
     apply_ite,
     build_ite_plan_general,
@@ -239,10 +239,10 @@ class TestGeneralPlan:
 
 class TestLazyCompile:
     @staticmethod
-    def _config(backend):
+    def _config(backend, **kwargs):
         return ExperimentConfig(
             spec=tfim(4, 1.0, 0.5), psi=product_state(["x+", "up", "y-", "down"]),
-            tau=0.05, h=0.05, t_max=0.2, ite_mode="general_bj", backend=backend,
+            tau=0.05, h=0.05, t_max=0.2, ite_mode="general_bj", backend=backend, **kwargs,
         )
 
     def test_oracle_backend_compiles_no_ite_layers(self, monkeypatch):
@@ -253,17 +253,26 @@ class TestLazyCompile:
         trace = run_phase_experiment(self._config("exact_oracle"))
         assert np.all(np.isfinite(trace.phi))
 
-    def test_statevector_backend_compiles_both_plans(self, monkeypatch):
-        calls = []
-        original = ite_module._compile_stack
+    @pytest.mark.parametrize("backend, gamma, form", [
+        ("statevector_trotter", None, "_fused_ops"),
+        ("noisy", 0.0, "_fused_ops"),
+        ("noisy", 0.1, "_compile_stack"),
+    ])
+    def test_backend_builds_one_form_of_both_plans(self, monkeypatch, backend, gamma, form):
+        # noiseless circuits run the fused product, circuits where a Pauli
+        # can fire between ITE layers the per-layer compile; neither builds
+        # the other form
+        calls = {"_fused_ops": [], "_compile_stack": []}
+        for name, calls_of in calls.items():
+            def counted(*args, _original=getattr(ite_module, name), _calls=calls_of):
+                _calls.append(args[1])
+                return _original(*args)
 
-        def counted(n_qubits, stack, layers):
-            calls.append(len(layers))
-            return original(n_qubits, stack, layers)
-
-        monkeypatch.setattr(ite_module, "_compile_stack", counted)
-        run_phase_experiment(self._config("statevector_trotter"))
-        assert len(calls) == 2 and all(calls)
+            monkeypatch.setattr(ite_module, name, counted)
+        noise = None if gamma is None else NoiseConfig(gamma=gamma, n_trajectories=2)
+        run_phase_experiment(self._config(backend, noise=noise))
+        assert len(calls[form]) == 2 and all(stack.supports for stack in calls[form])
+        assert all(not other for name, other in calls.items() if name != form)
 
     #: a product state each ITE construction accepts
     STATES = {"general_bj": ["x+", "up", "y-", "down"], "tfim_closed_form": ["up"] * 4}

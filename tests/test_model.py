@@ -110,10 +110,18 @@ class TestDenseMatrix:
     @PROPERTY
     @given(chains())
     def test_equals_sum_of_kron_embedded_terms(self, spec):
-        # random 1- and 2-site terms at N <= 8, reversed supports included
+        # random 1- and 2-site terms at N <= 8, reversed supports included;
+        # off the diagonal the terms add in term order, on it in sorted order
         expected = np.zeros((2**spec.n_sites,) * 2, dtype=complex)
+        diagonals = []
         for term in spec.terms:
             expected += _embed(term, spec.n_sites)
+            diagonals.append(np.diagonal(_embed(term, spec.n_sites)))
+        if diagonals:
+            np.fill_diagonal(expected, [
+                sum(sorted(entry, key=lambda z: (z.real, z.imag)), 0j)
+                for entry in zip(*diagonals)
+            ])
         built = dense_matrix(spec)
         assert built.dtype == complex
         np.testing.assert_array_equal(built, expected)
@@ -519,6 +527,19 @@ class TestSymmetryBlocks:
         # even under the flip and odd under the mirror empty
         assert _group_blocks(n, True, True) == sectors
         self._check_blocks(tfim(n, 1.0, 0.5), n, sectors, np.float64)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("J", [0.1, 0.3, 0.7, 1.3])
+    def test_tfim_keeps_the_mirror_at_any_coupling(self, n, J):
+        # the mirror reverses the order of the bonds; each diagonal entry
+        # sums its bond terms in sorted order, so H stays bitwise invariant
+        spec = tfim(n, J, 0.5)
+        full = dense_matrix(spec)
+        mirror = np.arange(2**n).reshape((2,) * n).transpose().ravel()
+        assert full[np.ix_(mirror, mirror)].tobytes() == full.tobytes()
+        energies, vectors, sectors = _eigensystem(spec)
+        assert sectors == 4
+        self._check_eigensystem(spec, energies, vectors)
 
     def test_single_site(self):
         # H = g X: the mirror is the identity and the flip blocks are the
