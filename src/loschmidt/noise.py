@@ -4,12 +4,13 @@ The depolarizing channel of rate gamma applies one of X, Y, Z (probability
 gamma/3 each) independently to every qubit after every circuit layer.  It is
 unraveled exactly by discrete Pauli insertion into Monte Carlo wavefunction
 trajectories; survival probabilities are the trajectory average of
-|<psi_final|state>|^2.  ``circuit_survivals`` runs one layered circuit on
-states held as the rows of one (B, 2^N) array, in place: noiselessly as one
-row, or as B trajectories with their own Paulis after every layer, so the
-noiseless and the noisy backends share it.  ``trajectory_survivals`` runs
-the trajectories through it one chunk of at most ``_CHUNK_AMPS`` amplitudes
-after another.
+|<psi_final|state>|^2.  ``circuit_survivals`` runs one layered circuit as B
+trajectories, held as the rows of one (B, 2^N) array and run in place, each
+with its own Paulis after every layer.  ``trajectory_survivals`` runs the
+trajectories through it one chunk of at most ``_CHUNK_AMPS`` amplitudes
+after another.  It serves the noisy backend at gamma > 0 only: where no
+Pauli can fire, ``run_phase_experiment`` reads all three families off one
+evolution of the bra (``reconstruct._noiseless_series``).
 
 Determinism contract, stream version 2:
 
@@ -108,7 +109,7 @@ def _draw_errors(rng, n_layers: int, n_qubits: int, gamma: float) -> np.ndarray:
 
 
 def circuit_survivals(
-    state: StateVector, layers, record_after, psi_final: StateVector, errors=None
+    state: StateVector, layers, record_after, psi_final: StateVector, errors: np.ndarray
 ) -> np.ndarray:
     """|<psi_final|row>|^2 of a layered circuit at its record points, one
     row of the result per trajectory.
@@ -118,16 +119,15 @@ def circuit_survivals(
     overlap is recorded, so an entry 0 records the bare initial state.
     ``errors`` is a (B, len(layers), N) array of the Paulis that act after
     each layer of B trajectories (0 none, 1 X, 2 Y, 3 Z).  All B rows start
-    as ``state`` and run in place in one (B, 2^N) buffer.  Without
-    ``errors`` the circuit runs noiselessly as one row.  Returns a
+    as ``state`` and run in place in one (B, 2^N) buffer.  Returns a
     (B, len(record_after)) array.
     """
     if any(k < 0 or k > len(layers) for k in record_after):
         raise ValueError("record_after entries must lie within the layer range")
-    n_rows = 1 if errors is None else len(errors)
+    n_rows = len(errors)
     amps = np.empty((n_rows, len(state.amplitudes)), dtype=complex)
     amps[:] = state.amplitudes
-    fired = [False] * len(layers) if errors is None else errors.any(axis=(0, 2)).tolist()
+    fired = errors.any(axis=(0, 2)).tolist()
     final = psi_final.amplitudes
     out = np.empty((n_rows, len(record_after)))
 

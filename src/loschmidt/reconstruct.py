@@ -37,8 +37,8 @@ from .exceptions import ConfigError, NumericsError
 from .ite import apply_ite  # noqa: F401  (perfbench/tracer.py patches it here)
 from .ite import build_ite_plan_general, build_ite_plan_tfim
 from .model import amplitude_series
-from .noise import circuit_survivals, mitigate_rescale, sample_shots, trajectory_survivals
-from .statevector import inner_product
+from .noise import mitigate_rescale, sample_shots, trajectory_survivals
+from .statevector import _run_layers, _transposed, inner_product
 from .trotter import build_plan
 from .trotter import evolve  # noqa: F401  (perfbench/tracer.py patches it here)
 
@@ -326,6 +326,34 @@ def reconstruct_trace(
     return trace
 
 
+def _noiseless_series(psi, bra, step, ite_plans, prefix_steps: int, n_points: int) -> np.ndarray:
+    """The exact r^2, p+ and p- series of a noiseless run, as the rows of a
+    (3, n_points) array, from one Trotter evolution.
+
+    Row x holds |<bra| U^(prefix_steps + k) x>|^2 at grid point k, for the
+    kets x = psi, V+ psi and V- psi, where U is one step of ``step`` and V+-
+    the fused product of ``ite_plans``.  Since <bra|U^k x> = ((U^T)^k
+    conj(bra)) . x, one vector w = conj(bra) runs the transposed step: first
+    ``prefix_steps`` times, then once between grid points, and each point
+    reads three plain dot products with the fixed kets.  That is
+    prefix_steps + n_points - 1 steps for all three families, and memory of
+    the two held kets plus w.
+    """
+    kets = [psi.amplitudes] + [_run_layers(psi, plan.fused).amplitudes for plan in ite_plans]
+    back = _transposed(step.compiled)
+    w = bra.amplitudes.conj()
+    out = np.empty((len(kets), n_points))
+    for k in range(-prefix_steps, n_points):
+        if k > -prefix_steps:
+            for layer in back:
+                for op in layer:
+                    op.apply(w)
+        if k >= 0:
+            for row, ket in enumerate(kets):
+                out[row, k] = abs(np.dot(ket, w)) ** 2
+    return out
+
+
 def _sample_series(p, shots, seed, family) -> np.ndarray:
     """Shot-sampled copy of one family's series, from the family's own
     generator (stream version 2, see ``loschmidt.noise``)."""
@@ -341,17 +369,17 @@ def run_phase_experiment(config) -> PhaseTrace:
     * ``exact_oracle`` — amplitudes from the dense eigendecomposition
       (imaginary-time constants still come from the configured ITE plan so
       the recorded probabilities match what an experiment would see),
-    * ``statevector_trotter`` — one circuit per family (r: the Trotter
-      steps; p+-: the ITE plan's fused product, then the same steps), each
-      run once through ``circuit_survivals`` as one row, with exact overlap
-      probabilities,
-    * ``noisy`` — the same circuits as depolarizing trajectories
-      (``trajectory_survivals``), then rescaling mitigation at each record
-      point's layer depth.  At gamma > 0 the ITE prefix runs layer by layer
-      (``plan.compiled``), so the Paulis act between its layers; at
-      gamma = 0 none can fire, and it runs fused as on
-      ``statevector_trotter``.  Both forms count the same layers, so record
-      points, error draws and mitigation depths do not depend on the form.
+    * ``statevector_trotter`` — exact overlap probabilities of the three
+      families (r: the Trotter steps; p+-: the ITE plan's fused product,
+      then the same steps), all read off one evolution of the bra under the
+      transposed step (``_noiseless_series``),
+    * ``noisy`` — at gamma > 0, the same circuits as depolarizing
+      trajectories (``trajectory_survivals``), with the ITE prefix run layer
+      by layer (``plan.compiled``) so the Paulis act between its layers,
+      then rescaling mitigation at each record point's layer depth.  At
+      gamma = 0 no Pauli can fire and the rescaling factor is 1: the series
+      are those of ``statevector_trotter``, the mitigated columns equal the
+      raw ones and no point is clamped.
 
     Shots and their seed come from the noise block on ``noisy`` and from
     ``config.shots``/``config.seed`` otherwise; each family is sampled from
@@ -385,6 +413,8 @@ def run_phase_experiment(config) -> PhaseTrace:
         anchor = float(np.angle(overlap))
 
     noisy = config.backend == "noisy"
+    # the rescaling factor (1 - gamma)^(N D) is 1 at gamma = 0: no mitigation
+    mitigate = noisy and config.noise.gamma > 0
     if config.backend == "exact_oracle":
         t_eval = times + config.prefix_steps * config.tau
         # the strip t, t + ih, t - ih in one call: one phase table of t
@@ -395,26 +425,26 @@ def run_phase_experiment(config) -> PhaseTrace:
             np.exp(2.0 * (np.log(np.abs(g_plus)) - plan_plus.log_c_total)),
             np.exp(2.0 * (np.log(np.abs(g_minus)) - plan_minus.log_c_total)),
         ]
-    else:
+    elif mitigate:
         # one circuit per family, r / + / -: the ITE layers (none for r),
-        # then the Trotter steps, recorded once per grid point
+        # then the Trotter steps, recorded once per grid point; the Paulis
+        # act between layers, so the ITE prefix runs layer by layer
         step = build_plan(spec, config.tau, config.tau, config.order)
         trotter_layers = step.compiled * (config.prefix_steps + n_points - 1)
         record_r = [(config.prefix_steps + k) * step.layers_per_step for k in range(n_points)]
-        # the ITE prefix runs fused where no Pauli can fire between its layers
-        fused = not noisy or config.noise.gamma == 0
         circuits = [(trotter_layers, record_r)] + [
-            ((plan.fused if fused else plan.compiled) + trotter_layers,
-             [plan.n_layers + d for d in record_r])
+            (plan.compiled + trotter_layers, [plan.n_layers + d for d in record_r])
             for plan in (plan_plus, plan_minus)
         ]
-        if noisy:
-            series = [
-                trajectory_survivals(psi, layers, record, bra, config.noise)
-                for layers, record in circuits
-            ]
-        else:
-            series = [circuit_survivals(psi, layers, record, bra)[0] for layers, record in circuits]
+        series = [
+            trajectory_survivals(psi, layers, record, bra, config.noise)
+            for layers, record in circuits
+        ]
+    else:
+        step = build_plan(spec, config.tau, config.tau, config.order)
+        series = list(_noiseless_series(
+            psi, bra, step, (plan_plus, plan_minus), config.prefix_steps, n_points
+        ))
 
     if noisy:
         shots, seed = config.noise.shots, config.noise.master_seed
@@ -428,23 +458,24 @@ def run_phase_experiment(config) -> PhaseTrace:
     extras: dict = {}
     if noisy:
         extras.update(r_squared_raw=series[0], p_plus_raw=series[1], p_minus_raw=series[2])
-        gamma, n_sites = config.noise.gamma, spec.n_sites
         clamp_flags = np.zeros(n_points, dtype=bool)
-        mitigated = []
-        for probs, (_, record) in zip(series, circuits):
-            out = np.empty(n_points)
-            for k, depth in enumerate(record):
-                out[k], clamped = mitigate_rescale(float(probs[k]), gamma, n_sites, depth)
-                clamp_flags[k] |= clamped
-            mitigated.append(out)
-        series = mitigated
+        if mitigate:
+            gamma, n_sites = config.noise.gamma, spec.n_sites
+            mitigated = []
+            for probs, (_, record) in zip(series, circuits):
+                out = np.empty(n_points)
+                for k, depth in enumerate(record):
+                    out[k], clamped = mitigate_rescale(float(probs[k]), gamma, n_sites, depth)
+                    clamp_flags[k] |= clamped
+                mitigated.append(out)
+            series = mitigated
         extras.update(
             p_plus_mitigated=series[1].copy(), p_minus_mitigated=series[2].copy(),
             clamped=clamp_flags,
         )
     p_r, p_plus, p_minus = series
 
-    if shots is not None or noisy:
+    if shots is not None or mitigate:
         # probabilities are physical after sampling / mitigation clamping
         for name, probs in (("p_plus", p_plus), ("p_minus", p_minus)):
             if not np.all((probs >= 0) & (probs <= 1)):

@@ -11,12 +11,13 @@ vector ``(1, 0)`` (eigenvalue +1 of sigma^z).
 Every plan runs on one kernel path: each layer of gates on adjacent sites
 becomes a short tuple of ops, and one runner applies them in place to one
 contiguous copy of the amplitudes for ``apply_layer``, ``evolve`` and
-``apply_ite`` (``circuit_survivals`` keeps its own loop, since it records
-overlaps and applies errors between layers).  Every plan compiles through
-one entry, ``_compile_stack``: its checked ``GateStack`` (supports in term
-order, one matrix each) and a layer index over the supports
-(``_layer_index``), each distinct layer of the index compiled once by the
-core ``_compile_placed`` from its (lowest site, matrix) pairs.  An
+``apply_ite`` (the trajectory runner ``circuit_survivals`` and the noiseless
+series keep their own loops, since they record overlaps between layers or
+steps).  Every plan compiles through one entry, ``_compile_stack``: its
+checked ``GateStack`` (supports in term order, one matrix each) and a
+layer index over the supports (``_layer_index``), each distinct layer of
+the index compiled once by the core ``_compile_placed`` from its (lowest
+site, matrix) pairs.  An
 all-diagonal layer becomes one elementwise multiply by a 2^N phase vector,
 built as an outer-product chain: the gate diagonals, lowest site first,
 each multiply the vector of the sites below them, and ``np.tile`` repeats
@@ -33,6 +34,12 @@ becomes ceil((N-1)/4) such blocks.  The per-layer form stays the
 noise-insertion census: a plan's fused form
 puts all its ops in the first layer and leaves the others empty, so record
 points and circuit depths count the same layers in either form.
+
+``_transposed`` turns compiled layers into those of the transposed circuit
+U^T: the layers in reverse order, each ``BlockOp`` matrix transposed once
+and each ``PhaseOp`` shared as it is.  Noiseless runs use it to evolve the
+conjugated bra once instead of three kets, since <bra|U^k x> =
+((U^T)^k conj(bra)) . x.
 
 An op acts on any C-contiguous array whose last axis holds 2^N amplitudes:
 a single state of shape ``(2^N,)`` or a batch of states as the rows of a
@@ -426,6 +433,26 @@ def _fused_ops(n_qubits: int, stack: GateStack) -> tuple:
         shape = (1 << (n_qubits - stop), dim)
         ops.append(BlockOp(shape if start == 0 else shape + (1 << start,), matrix))
     return tuple(ops)
+
+
+def _transposed(layers) -> tuple[tuple, ...]:
+    """The compiled layers of the transposed circuit: the layers in reverse
+    order, each ``BlockOp`` with its matrix transposed (stored C-contiguous)
+    and each ``PhaseOp`` shared as it is, since a diagonal is its own
+    transpose.  The ops of one layer act on disjoint sites, so their order
+    within it does not matter.  An op that several layers share (the
+    mirrored tail of a symmetric step) is transposed once and stays
+    shared."""
+    flipped: dict = {}
+
+    def flip(op):
+        if isinstance(op, PhaseOp):
+            return op
+        if op not in flipped:
+            flipped[op] = BlockOp(op.shape, np.ascontiguousarray(op.matrix.T))
+        return flipped[op]
+
+    return tuple([tuple(map(flip, layer)) for layer in reversed(layers)])
 
 
 def _run_layers(state: StateVector, layers) -> StateVector:

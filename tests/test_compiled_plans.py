@@ -24,7 +24,7 @@ from loschmidt.config import ExperimentConfig
 from loschmidt.ite import apply_ite, build_ite_plan_general, build_ite_plan_tfim, ite_angle
 from loschmidt.model import HamiltonianSpec, LocalTerm, _embed, tfim
 from loschmidt.noise import NoiseConfig
-from loschmidt.reconstruct import run_phase_experiment
+from loschmidt.reconstruct import _noiseless_series, run_phase_experiment
 from loschmidt.statevector import (
     BlockOp,
     GateStack,
@@ -34,6 +34,7 @@ from loschmidt.statevector import (
     _fused_ops,
     _layer_index,
     _run_layers,
+    _transposed,
     apply_layer,
     apply_matrix,
     basis_state,
@@ -769,3 +770,84 @@ class TestFusedIte:
         empty = build_ite_plan_general(tfim(6, 1.0, 0.5), psi, 0.0, 1)
         assert (closed.n_layers, empty.n_layers) == (1, 0)
         assert closed.fused is closed.compiled and empty.fused is empty.compiled
+
+
+def _gates_one_by_one(state, gates):
+    """``state`` after the (support, matrix) pairs, in order, each through
+    ``apply_matrix``."""
+    for support, matrix in gates:
+        state = apply_matrix(state, matrix, support)
+    return state
+
+
+def reference_series(spec, psi, bra, tau, order, h, prefix_steps, n_points):
+    """|<bra| U^(prefix_steps + k) x>|^2 for x = psi, V+ psi, V- psi as three
+    forward circuits, each gate of the ITE plans and of the step applied one
+    by one."""
+    step = build_plan(spec, tau, tau, order)
+    step_gates = [g for layer in _plan_layers(step.gate_stack, step.layer_index) for g in layer]
+    kets = [psi] + [
+        _gates_one_by_one(psi, zip(*build_ite_plan_general(spec, psi, h, sign).gate_stack))
+        for sign in (1, -1)
+    ]
+    out = np.empty((3, n_points))
+    for row, ket in enumerate(kets):
+        for _ in range(prefix_steps):
+            ket = _gates_one_by_one(ket, step_gates)
+        for k in range(n_points):
+            if k:
+                ket = _gates_one_by_one(ket, step_gates)
+            out[row, k] = abs(np.vdot(bra.amplitudes, ket.amplitudes)) ** 2
+    return out
+
+
+#: five sites of dense random terms in two groups, one support reversed, so
+#: no gate is symmetric and the step's layers are not a palindrome at order 1
+RANDOM_CHAIN = HamiltonianSpec(5, tuple(
+    LocalTerm(support, _random_hermitian(np.random.default_rng(k), 2 ** len(support), False), group)
+    for k, (support, group) in enumerate(
+        [((0, 1), "a"), ((2, 1), "a"), ((3, 4), "a"), ((1,), "b"), ((4,), "b"), ((2, 3), "b")])
+))
+
+
+class TestTransposedEvaluation:
+    """The noiseless series read off the bra evolved under the transposed
+    step, against forward circuits, and the transposed ops themselves."""
+
+    @PROPERTY
+    @given(spec=chains(max_sites=6), order=st.sampled_from([1, 2, 4]),
+           prefix_steps=st.sampled_from([0, 3]), n_points=st.sampled_from([1, 2, 7]),
+           seed=SEEDS)
+    def test_series_match_forward_circuits(self, spec, order, prefix_steps, n_points, seed):
+        rng = np.random.default_rng(seed)
+        psi, bra = (_random_state(rng, spec.n_sites, product=True) for _ in range(2))
+        tau, h = 0.2, 0.1
+        step = build_plan(spec, tau, tau, order)
+        plans = tuple(build_ite_plan_general(spec, psi, h, sign) for sign in (1, -1))
+        series = _noiseless_series(psi, bra, step, plans, prefix_steps, n_points)
+        expected = reference_series(spec, psi, bra, tau, order, h, prefix_steps, n_points)
+        assert series.shape == (3, n_points)
+        assert np.max(np.abs(series - expected)) < 1e-12
+
+    @pytest.mark.parametrize("spec", [tfim(6, 1.0, 0.5), RANDOM_CHAIN])
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_transposed_step_is_the_adjoint_pairing(self, spec, order):
+        # (U^T conj(a)) . b = <a|U b> for the step U, with every phase
+        # vector shared and every op of the step transposed once
+        step = build_plan(spec, 0.3, 0.3, order)
+        back = _transposed(step.compiled)
+        rng = np.random.default_rng(order)
+        a, b = (_random_state(rng, spec.n_sites, product=False) for _ in range(2))
+        w = _run_layers(StateVector(spec.n_sites, a.amplitudes.conj()), back).amplitudes
+        forward = np.vdot(a.amplitudes, _run_layers(b, step.compiled).amplitudes)
+        assert abs(np.dot(w, b.amplitudes) - forward) < 1e-13
+        ops = [op for layer in step.compiled[::-1] for op in layer]
+        flipped = [op for layer in back for op in layer]
+        assert [type(op) for op in flipped] == [type(op) for op in ops]
+        for op, new in zip(ops, flipped):
+            if isinstance(op, PhaseOp):
+                assert new is op
+            else:
+                assert new.shape == op.shape and new.matrix.flags.c_contiguous
+                assert np.array_equal(new.matrix, op.matrix.T)
+        assert len({id(op) for op in flipped}) == len({id(op) for op in ops})

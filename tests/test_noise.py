@@ -19,6 +19,7 @@ from loschmidt.noise import (
     trajectory_survivals,
 )
 from loschmidt.model import SIGMA_X, SIGMA_Y, SIGMA_Z, tfim
+from loschmidt.reconstruct import _noiseless_series
 from loschmidt.statevector import (
     GateStack,
     StateVector,
@@ -263,13 +264,18 @@ class TestBatchedTrajectories:
         assert peak <= chunk + draws + results + 64 * 1024
 
     def test_gamma_zero_rows_equal_noiseless_run(self):
+        # the rows of a zero-error batch get the same arithmetic, bit for
+        # bit; the noiseless backend reads the same overlaps off one
+        # evolution of the bra under the transposed step, in another order
         psi = product_state(["x+", "up", "down"])
-        layers = build_plan(tfim(3, 1.0, 0.5), 0.1, 0.1, 2).compiled * 3
-        record = [0, 5, len(layers)]
-        noiseless = circuit_survivals(psi, layers, record, psi)
+        step = build_plan(tfim(3, 1.0, 0.5), 0.1, 0.1, 2)
+        layers = step.compiled * 3
+        record = [k * step.layers_per_step for k in range(4)]
         batched = circuit_survivals(psi, layers, record, psi, np.zeros((4, len(layers), 3)))
-        assert noiseless.shape == (1, 3)
-        assert batched.tobytes() == np.repeat(noiseless, 4, axis=0).tobytes()
+        assert batched.tobytes() == np.repeat(batched[:1], 4, axis=0).tobytes()
+        noiseless = _noiseless_series(psi, psi, step, (), 0, len(record))
+        assert noiseless.shape == (1, 4)
+        assert np.max(np.abs(batched - noiseless)) < 1e-12
 
 
 class TestSampleShots:

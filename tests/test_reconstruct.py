@@ -1,5 +1,7 @@
 """Tests for the phase reconstruction pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -482,6 +484,56 @@ class TestRunPhaseExperiment:
             assert np.array_equal(getattr(noisy, name), getattr(sv, name))
             assert np.array_equal(getattr(noisy, f"{name}_raw"), getattr(sv, name))
         assert np.array_equal(noisy.phi, sv.phi)
+
+    @pytest.mark.parametrize("n_trajectories", [1, 3])
+    def test_gamma_zero_is_the_noiseless_run_unmitigated(self, n_trajectories):
+        # at gamma = 0 the rescaling factor is 1: the noise backend returns
+        # the statevector series, mitigated columns equal to the raw ones
+        # and nothing clamped, although r^2 rounds above 1 at t = 0 here
+        from loschmidt.noise import NoiseConfig
+
+        n = 6
+        psi = product_state([
+            [np.cos(0.05 * (k + 1)), np.sin(0.05 * (k + 1)) * np.exp(0.7j * k)]
+            for k in range(n)
+        ])
+        kwargs = dict(spec=tfim(n, 1.0, 0.5), psi=psi, ite_mode="general_bj",
+                      tau=0.01, h=0.01, t_max=0.3)
+        sv = run_phase_experiment(ExperimentConfig(backend="statevector_trotter", **kwargs))
+        noisy = run_phase_experiment(ExperimentConfig(
+            backend="noisy", noise=NoiseConfig(gamma=0.0, n_trajectories=n_trajectories),
+            **kwargs,
+        ))
+        assert sv.r[0] > 1.0
+        for name in ("r", "p_plus", "p_minus", "dphi_dt", "phi", "g_complex"):
+            assert getattr(noisy, name).tobytes() == getattr(sv, name).tobytes()
+        for name in ("p_plus", "p_minus"):
+            for column in (f"{name}_raw", f"{name}_mitigated"):
+                assert getattr(noisy, column).tobytes() == getattr(sv, name).tobytes()
+        assert not noisy.clamped.any()
+
+    def test_noiseless_memory_does_not_grow_with_the_grid(self):
+        # one evolved bra and two held kets, whatever the grid: K = 5 and
+        # K = 81 differ by O(K) floats, not by K states (64 KiB at N = 12)
+        n = 12
+        rng = np.random.default_rng(3)
+        theta, azimuth = rng.uniform(0.0, 0.3, n), rng.uniform(0.0, 2 * np.pi, n)
+        psi = product_state([[np.cos(a / 2), np.sin(a / 2) * np.exp(1j * b)]
+                             for a, b in zip(theta, azimuth)])
+        peaks = []
+        for t_max in (0.2, 4.0):
+            cfg = ExperimentConfig(spec=tfim(n, 1.0, 0.5), psi=psi, ite_mode="general_bj",
+                                   tau=0.05, h=0.05, t_max=t_max,
+                                   backend="statevector_trotter")
+            tracemalloc.start()
+            try:
+                trace = run_phase_experiment(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert len(trace) == 81
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
     def test_mitigation_exponent_matches_plan_census(self):
         # cross-module consistency: the depth used by the rescaling at grid

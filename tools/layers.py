@@ -10,7 +10,10 @@ tilt by up to 0.3 rad from up, as in the ``trotter_n14`` benchmark workload.
 
 Per size N: one order-2 Trotter step (``evolve``), the general ITE plan's
 build (the constant and the gates), its per-layer compile and apply, its
-fused compile and apply, one round of the depolarizing channel, and, for
+fused compile and apply, the whole noiseless three-family evaluation of
+r^2, p+ and p- at K = 11 grid points (``noiseless_series``: both fused ITE
+prefixes, then the bra under the transposed step), one round of the
+depolarizing channel, and, for
 N <= 12, the dense-oracle eigensystem and an ``amplitude_series`` strip on
 the cached eigensystem.  Once, independent of N: shot sampling,
 ``reconstruct_trace`` and ``ldos_dft`` on a K-point series.
@@ -38,7 +41,7 @@ import numpy as np  # noqa: E402
 from loschmidt.ite import build_ite_plan_general  # noqa: E402
 from loschmidt.model import ORACLE_MAX_SITES, _eigensystem, amplitude_series, tfim  # noqa: E402
 from loschmidt.noise import apply_noise_layer, sample_shots  # noqa: E402
-from loschmidt.reconstruct import reconstruct_trace  # noqa: E402
+from loschmidt.reconstruct import _noiseless_series, reconstruct_trace  # noqa: E402
 from loschmidt.spectral import ldos_dft  # noqa: E402
 from loschmidt.statevector import (  # noqa: E402
     _compile_stack,
@@ -75,6 +78,7 @@ def size_layers(n: int, seed: int, repeats: int) -> dict:
     spec, psi = tfim(n, 1.0, 0.5), tilted_state(n, seed)
     step = build_plan(spec, TAU, TAU, 2)
     plan = build_ite_plan_general(spec, psi, H, +1)
+    plans = (plan, build_ite_plan_general(spec, psi, H, -1))
     stack, index = plan.gate_stack, plan.layer_index
     rng = np.random.default_rng(seed)
     out = {
@@ -87,6 +91,8 @@ def size_layers(n: int, seed: int, repeats: int) -> dict:
         "ite_apply_layers": timed(lambda: _run_layers(psi, plan.compiled), repeats),
         "ite_compile_fused": timed(lambda: _fused_ops(n, stack), repeats),
         "ite_apply_fused": timed(lambda: _run_layers(psi, plan.fused), repeats),
+        "noiseless_series": timed(lambda: _noiseless_series(psi, psi, step, plans, 0, 11),
+                                  repeats),
         "noise_layer": timed(lambda: apply_noise_layer(psi, 0.05, rng), repeats),
     }
     if n <= ORACLE_MAX_SITES:
