@@ -145,15 +145,14 @@ def _oracle_record(exp: ExperimentConfig) -> dict:
 
 def _emit_run_records(outdir: Path, doc: RunDocument, command: str, extra=None):
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "resolved_config.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_resolved_document(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     info = {"version": __version__, "command": command}
     if extra:
         info.update(extra)
-    with open(outdir / "runinfo.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, record in (("resolved_config.json", _resolved_document(doc)), ("runinfo.json", info)):
+        # one write of the whole text, not json.dump's stream of chunks
+        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def cmd_amplitude(doc: RunDocument, outdir: Path) -> int:

@@ -34,12 +34,14 @@ phase.  A plan computes its constant at construction.  Its canonical form
 is the checked gate stack (supports in term order, one matrix each, after
 the identity drop and one batched unitarity check), built on first use by
 the same constructor as a Trotter plan's; the ordered layer index over the
-supports, the layer census and two execution forms are derived from the
-stack on first use.  ``compiled`` runs layer by layer, so errors can act
-between layers, and ``apply_ite`` runs it; ``fused`` runs the same ordered
-product in blocks of up to five sites, for circuits where no error can act
-between the ITE layers.  A caller that reads only ``log_c_total`` (the
-dense oracle) builds no gates.
+supports and the layer census are derived from the stack on first use.
+There are two ways to run it.  ``compiled`` runs layer by layer, so errors
+can act between layers, and ``apply_ite`` runs it.  ``ket()`` builds V psi
+for circuits where no error can act between the ITE layers: the same
+ordered product, in blocks of up to five sites, on a state grown from the
+site vectors, which is psi up to a global phase (the construction checks
+that the overlap of psi with their product has modulus one).  A caller
+that reads only ``log_c_total`` (the dense oracle) builds no gates.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .statevector import (
     GateStack,
     StateVector,
     _compile_stack,
-    _fused_ops,
     _layer_index,
+    _product_ket,
     _run_layers,
 )
 # perfbench/tracer.py counts gates by patching ``apply_layer`` here;
@@ -83,14 +85,12 @@ class ItePlan:
     ``log_c_total`` is computed at construction.  The plan's canonical form
     is its checked ``gate_stack`` (supports in term order, one matrix each),
     built on first use by ``build_gates``; the layer census
-    (``layer_index``, ``n_layers``) and two execution forms are derived from
-    it on first use.  ``compiled`` has the ops of each layer, for circuits
-    with errors between layers.  ``fused`` is the whole ordered product as
-    the ops of the first layer, the other layers empty, so it aligns with
-    the census; a plan of at most one layer (every closed-form plan) has
-    ``fused is compiled``.  A caller that reads only ``log_c_total`` (the
-    dense oracle) builds no gates.  ``site_vectors`` are the (N, 2) factors
-    of the product state the plan was built for.
+    (``layer_index``, ``n_layers``) and ``compiled``, the ops of each layer
+    for circuits with errors between layers, are derived from it on first
+    use.  ``ket()`` builds the gates' product on the product of the
+    ``site_vectors``, the (N, 2) factors of the product state the plan was
+    built for, for circuits with no error between the ITE layers.  A caller
+    that reads only ``log_c_total`` (the dense oracle) builds no gates.
     """
 
     sign: int
@@ -114,13 +114,12 @@ class ItePlan:
     def compiled(self) -> tuple[tuple, ...]:
         return _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
 
-    @cached_property
-    def fused(self) -> tuple[tuple, ...]:
-        # the whole ordered product as the first layer's ops and the other
-        # layers empty, so record points and depths count as in ``compiled``
-        if self.n_layers <= 1:
-            return self.compiled
-        return (_fused_ops(self.n_sites, self.gate_stack),) + ((),) * (self.n_layers - 1)
+    def ket(self) -> np.ndarray:
+        """The amplitudes of the gates applied to the product of the site
+        vectors, grown from site 0 (``_product_ket``): the state the plan
+        was built for, up to a global phase, with no error between its
+        layers."""
+        return _product_ket(self.site_vectors, self.gate_stack)
 
     # perfbench/tracer.py counts the plan's gates through this name
     @property

@@ -24,6 +24,7 @@ meets states only in ``_eigen_product``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -71,6 +72,15 @@ class LocalTerm:
             raise ValueError("term matrix is not Hermitian")
         self.matrix = mat
 
+    def _moved(self, support: tuple[int, ...]) -> LocalTerm:
+        """The term on ``support``, a tuple of ints as wide as its own,
+        sharing its matrix, which is not checked again."""
+        if len(support) != len(self.support):
+            raise ValueError("a moved term keeps the width of its support")
+        term = copy.copy(self)
+        term.support = support
+        return term
+
 
 @dataclass(eq=False)
 class HamiltonianSpec:
@@ -104,10 +114,11 @@ def tfim(n_sites: int, J: float, g: float) -> HamiltonianSpec:
     """
     if n_sites < 2:
         raise ValueError("tfim requires n_sites >= 2")
-    zz = -J / 4.0 * np.kron(SIGMA_Z, SIGMA_Z)
-    x = g / 2.0 * SIGMA_X
-    terms = [LocalTerm((i, i + 1), zz, "zz") for i in range(n_sites - 1)]
-    terms += [LocalTerm((i,), x, "x") for i in range(n_sites)]
+    # each of the two matrices is checked once, on its first term
+    zz = LocalTerm((0, 1), -J / 4.0 * np.kron(SIGMA_Z, SIGMA_Z), "zz")
+    x = LocalTerm((0,), g / 2.0 * SIGMA_X, "x")
+    terms = [zz._moved((i, i + 1)) for i in range(n_sites - 1)]
+    terms += [x._moved((i,)) for i in range(n_sites)]
     return HamiltonianSpec(n_sites, tuple(terms))
 
 

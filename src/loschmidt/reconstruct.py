@@ -38,7 +38,7 @@ from .ite import apply_ite  # noqa: F401  (perfbench/tracer.py patches it here)
 from .ite import build_ite_plan_general, build_ite_plan_tfim
 from .model import amplitude_series
 from .noise import mitigate_rescale, sample_shots, trajectory_survivals
-from .statevector import _run_layers, _transposed, inner_product
+from .statevector import _transposed, inner_product
 from .trotter import build_plan
 from .trotter import evolve  # noqa: F401  (perfbench/tracer.py patches it here)
 
@@ -332,14 +332,15 @@ def _noiseless_series(psi, bra, step, ite_plans, prefix_steps: int, n_points: in
 
     Row x holds |<bra| U^(prefix_steps + k) x>|^2 at grid point k, for the
     kets x = psi, V+ psi and V- psi, where U is one step of ``step`` and V+-
-    the fused product of ``ite_plans``.  Since <bra|U^k x> = ((U^T)^k
+    psi the kets of ``ite_plans``, grown from their site vectors (psi up to
+    a global phase, which no modulus reads).  Since <bra|U^k x> = ((U^T)^k
     conj(bra)) . x, one vector w = conj(bra) runs the transposed step: first
     ``prefix_steps`` times, then once between grid points, and each point
     reads three plain dot products with the fixed kets.  That is
     prefix_steps + n_points - 1 steps for all three families, and memory of
     the two held kets plus w.
     """
-    kets = [psi.amplitudes] + [_run_layers(psi, plan.fused).amplitudes for plan in ite_plans]
+    kets = [psi.amplitudes] + [plan.ket() for plan in ite_plans]
     back = _transposed(step.compiled)
     w = bra.amplitudes.conj()
     out = np.empty((len(kets), n_points))
@@ -370,9 +371,9 @@ def run_phase_experiment(config) -> PhaseTrace:
       (imaginary-time constants still come from the configured ITE plan so
       the recorded probabilities match what an experiment would see),
     * ``statevector_trotter`` — exact overlap probabilities of the three
-      families (r: the Trotter steps; p+-: the ITE plan's fused product,
-      then the same steps), all read off one evolution of the bra under the
-      transposed step (``_noiseless_series``),
+      families (r: the Trotter steps; p+-: the ITE plan's ket, grown from
+      the site vectors, then the same steps), all read off one evolution of
+      the bra under the transposed step (``_noiseless_series``),
     * ``noisy`` — at gamma > 0, the same circuits as depolarizing
       trajectories (``trajectory_survivals``), with the ITE prefix run layer
       by layer (``plan.compiled``) so the Paulis act between its layers,

@@ -26,14 +26,17 @@ into blocks of at most ``_FUSE_SITES`` adjacent sites, each one matrix
 applied along axis 1 of the amplitudes viewed as ``(2^(N-lo-w), 2^w,
 2^lo)``, without transposes.
 
-A stack whose gates run with nothing between them has a second compiled
-form, ``_fused_ops``: the exact ordered product of all its gates as blocks
-of at most ``_FUSE_SITES`` adjacent sites, with no layer boundaries.  The
-general ITE plan's staircase of N ordered layers on a chain of N sites
-becomes ceil((N-1)/4) such blocks.  The per-layer form stays the
-noise-insertion census: a plan's fused form
-puts all its ops in the first layer and leaves the others empty, so record
-points and circuit depths count the same layers in either form.
+A stack whose gates run with nothing between them on a product state has
+a second form, ``_product_ket``: the ordered product of its gates applied
+to v_{N-1} x ... x v_0, computed from the (N, 2) site vectors on a state
+that grows from site 0.  ``_block_schedule`` groups the gates into blocks
+of at most ``_FUSE_SITES`` adjacent sites, with no layer boundaries (the
+general ITE staircase of N ordered layers becomes ceil((N-1)/4) blocks).
+A block reaching above the sites the state holds so far builds its matrix
+only on the columns of the sites it holds, its new sites entering as their
+site vectors, and one matmul writes the larger state; a block inside them
+runs in place.  For the ITE staircase every block grows the state, so the
+ket costs about one write of the full state.
 
 ``_transposed`` turns compiled layers into those of the transposed circuit
 U^T: the layers in reverse order, each ``BlockOp`` matrix transposed once
@@ -163,12 +166,7 @@ def product_state(orientations) -> StateVector:
     if len(orientations) == 0:
         raise ValueError("zero qubits")
     vecs = [_resolve_orientation(o) for o in orientations]
-    amps = vecs[0]
-    for vec in vecs[1:]:
-        # site k is the high factor of the outer product, the operands and
-        # their order those of np.kron(vec, amps)
-        amps = (vec[:, None] * amps[None, :]).reshape(-1)
-    return StateVector(len(vecs), amps)
+    return StateVector(len(vecs), _grow(vecs[0], vecs[1:]))
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -392,19 +390,18 @@ def _compile_stack(n_qubits: int, stack: GateStack, index) -> tuple[tuple, ...]:
     return tuple([ops[layer] for layer in index])
 
 
-def _fused_ops(n_qubits: int, stack: GateStack) -> tuple:
+def _block_schedule(stack: GateStack) -> list[list]:
     """The ordered product of a checked stack's gates, in term order, as
-    ``BlockOp``s on blocks of at most ``_FUSE_SITES`` adjacent sites.
+    blocks of at most ``_FUSE_SITES`` adjacent sites: ``[start, stop,
+    members]`` in run order, ``members`` the block's (lo, matrix) pairs in
+    term order.
 
     A gate may move back past the blocks after the last one that touches
     its sites, since it commutes with them, and join any block among those
     and that last one whose span, united with the gate's sites, still fits.
     It joins the one it widens least (the latest of equals), since an op's
-    cost grows as 2^width, or else opens a block at the end.  Each block's
-    matrix is the ordered product of its gates on the block span, the
-    identity on the span's sites no gate of the block covers, built by
-    multiplying an identity by the gates in turn."""
-    blocks: list[list] = []  # [start, stop, [(lo, matrix), ...]], in run order
+    cost grows as 2^width, or else opens a block at the end."""
+    blocks: list[list] = []
     for lo, mat in map(_lsb_first, stack.supports, stack.matrices):
         hi = lo + _width(mat)
         best, growth = None, _FUSE_SITES
@@ -421,18 +418,65 @@ def _fused_ops(n_qubits: int, stack: GateStack) -> tuple:
             blocks.append(best)
         best[:2] = min(best[0], lo), max(best[1], hi)
         best[2].append((lo, mat))
-    ops = []
-    for start, stop, members in blocks:
-        dim = 1 << (stop - start)
-        matrix = np.eye(dim, dtype=complex)
-        for lo, mat in members:
-            # the gate times ``matrix``: on the row bits lo.. of the block,
-            # above the column bits in the flat index
-            view = matrix.reshape(1 << (stop - lo - _width(mat)), len(mat), -1)
-            matrix = np.matmul(mat, view).reshape(dim, dim)
-        shape = (1 << (n_qubits - stop), dim)
-        ops.append(BlockOp(shape if start == 0 else shape + (1 << start,), matrix))
-    return tuple(ops)
+    return blocks
+
+
+def _grow(amps: np.ndarray, vecs) -> np.ndarray:
+    """The amplitudes with the sites of ``vecs`` added above them: each
+    vector in turn is the high factor of an outer product, the operands and
+    their order those of ``np.kron(vec, amps)``."""
+    for vec in vecs:
+        amps = (vec[:, None] * amps[None, :]).reshape(-1)
+    return amps
+
+
+def _product_ket(site_vectors: np.ndarray, stack: GateStack) -> np.ndarray:
+    """The amplitudes of a checked stack's ordered product applied to the
+    product state v_{N-1} x ... x v_0 of the (N, 2) ``site_vectors``,
+    computed on a state that grows from site 0.
+
+    The state holds the sites below ``held``.  Each block of
+    ``_block_schedule``, in run order:
+
+    * inside the held sites, runs in place as a ``BlockOp``;
+    * reaching above them, first adds the sites below its start that no
+      block touched, then builds its matrix only on the columns of the sites
+      it already holds, with its new sites entering as their site vectors,
+      and one matmul writes the larger state.
+
+    Sites that no block reaches are multiplied in at the end.  The result is
+    the gates applied to ``product_state(site_vectors)`` with the same
+    global phase."""
+    n_qubits = len(site_vectors)
+    amps, held = _ONE[0], 0
+    for start, stop, members in _block_schedule(stack):
+        if stop > n_qubits:
+            raise ValueError(f"gate support out of range for {n_qubits} qubits")
+        if stop <= held:
+            dim = 1 << (stop - start)
+            shape = (1 << (held - stop), dim) + ((1 << start,) if start else ())
+            BlockOp(shape, _gates_times(np.eye(dim, dtype=complex), stop, members)).apply(amps)
+            continue
+        if start > held:
+            amps, held = _grow(amps, site_vectors[held:start]), start
+        # columns: the held sites start..held-1 of the block; rows: all of
+        # its sites, the new ones in their site vectors
+        new = _grow(_ONE[0], site_vectors[held:stop])
+        matrix = _gates_times(_kron(new[:, None], _EYES[held - start]), stop, members)
+        amps = (matrix @ amps.reshape(-1, 1 << start)).reshape(-1)
+        held = stop
+    return _grow(amps, site_vectors[held:])
+
+
+def _gates_times(matrix: np.ndarray, stop: int, members) -> np.ndarray:
+    """The (lo, matrix) gates of a block ending below site ``stop``, in
+    turn, times ``matrix``, whose rows are the block's sites, the first as
+    the LSB: each gate acts on the row bits lo.., above the column bits in
+    the flat index."""
+    for lo, mat in members:
+        view = matrix.reshape(1 << (stop - lo - _width(mat)), len(mat), -1)
+        matrix = np.matmul(mat, view).reshape(matrix.shape)
+    return matrix
 
 
 def _transposed(layers) -> tuple[tuple, ...]:

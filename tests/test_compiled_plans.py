@@ -31,8 +31,9 @@ from loschmidt.statevector import (
     PhaseOp,
     StateVector,
     _compile_stack,
-    _fused_ops,
+    _block_schedule,
     _layer_index,
+    _product_ket,
     _run_layers,
     _transposed,
     apply_layer,
@@ -714,62 +715,93 @@ def _tilted_tfim_plan(n, sign):
     return build_ite_plan_general(tfim(n, 1.0, 0.5), psi, 0.05, sign)
 
 
-class TestFusedIte:
-    """The fused ITE product against the per-layer form and the gates one by
-    one, and the block layout of the TFIM staircase."""
+def _random_site_vectors(rng, n):
+    return np.array([_unit(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(n)])
+
+
+def _stack_of(supports, seed=0):
+    """A GateStack of random unitaries on ``supports``."""
+    rng = np.random.default_rng(seed)
+    return GateStack(tuple(supports), tuple(
+        _exp_gate(_random_hermitian(rng, 2 ** len(s), False), 1.0) for s in supports))
+
+
+class TestProductKet:
+    """The ITE ket grown from the site vectors against the gates applied one
+    by one and the per-layer form, and the block schedule of the TFIM
+    staircase."""
 
     @PROPERTY
     @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
-           h=st.sampled_from([0.05, 0.4]), seed=SEEDS)
-    def test_fused_equals_compiled(self, case, sign, h, seed):
+           h=st.sampled_from([0.05, 0.4]))
+    def test_ket_equals_compiled(self, case, sign, h):
         spec, psi = case
         plan = build_ite_plan_general(spec, psi, h, sign)
-        assert len(plan.fused) == plan.n_layers
-        other = _random_state(np.random.default_rng(seed), spec.n_sites, product=False)
-        for state in (psi, other):
-            fused = _run_layers(state, plan.fused).amplitudes
-            assert np.max(np.abs(fused - _run_layers(state, plan.compiled).amplitudes)) < 1e-12
+        expected = _run_layers(product_state(plan.site_vectors), plan.compiled).amplitudes
+        assert np.max(np.abs(plan.ket() - expected)) < 1e-12
 
     #: a staircase that overflows its first block: (4, 3) may join that
     #: block, which covers it, only by moving back past the block of (4, 5)
-    OVERFLOW = (6, GateStack(
-        ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 3)),
-        tuple(_exp_gate(_random_hermitian(np.random.default_rng(k), 4, False), 1.0)
-              for k in range(6)),
-    ))
+    OVERFLOW = (6, _stack_of(((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 3))))
+    #: the first gate sits above site 0, so sites 0..2 are added untouched
+    #: before its block
+    ABOVE_ZERO = (6, _stack_of(((3, 4), (5, 4), (4,))))
+    #: (4, 3) overlaps the block (4, 9) and cannot join it, so its block
+    #: (3, 5) runs in place on nine held sites; site 9, which no gate
+    #: touches, is multiplied in at the end
+    IN_PLACE = (10, _stack_of(((0, 1), (1, 2), (2, 3), (3, 4),
+                              (4, 5), (5, 6), (6, 7), (7, 8), (4, 3))))
+    #: no gate: the ket is the plain product
+    EMPTY = (4, GateStack((), ()))
 
     @settings(PROPERTY, max_examples=150)
     @given(case=ordered_stacks(), seed=SEEDS)
     @example(case=OVERFLOW, seed=0)
-    def test_fused_ops_equal_gates_one_by_one(self, case, seed):
+    @example(case=ABOVE_ZERO, seed=1)
+    @example(case=IN_PLACE, seed=2)
+    @example(case=EMPTY, seed=3)
+    def test_ket_equals_gates_one_by_one(self, case, seed):
         n, stack = case
-        state = _random_state(np.random.default_rng(seed), n, product=False)
-        expected = state
-        for support, matrix in zip(stack.supports, stack.matrices):
-            expected = apply_matrix(expected, matrix, support)
-        fused = _run_layers(state, (_fused_ops(n, stack),)).amplitudes
-        assert np.max(np.abs(fused - expected.amplitudes)) < 1e-12
+        vecs = _random_site_vectors(np.random.default_rng(seed), n)
+        expected = _gates_one_by_one(product_state(vecs), zip(*stack))
+        assert np.max(np.abs(_product_ket(vecs, stack) - expected.amplitudes)) < 1e-12
 
-    @pytest.mark.parametrize("n, shapes", [
-        (8, [(8, 32), (1, 16, 16)]),
-        (14, [(512, 32), (32, 32, 16), (2, 32, 256), (1, 4, 4096)]),
+    @pytest.mark.parametrize("case, spans", [
+        (ABOVE_ZERO, [(3, 6)]),
+        (IN_PLACE, [(0, 5), (4, 9), (3, 5)]),
+        (EMPTY, []),
+    ])
+    def test_examples_reach_their_paths(self, case, spans):
+        assert [(start, stop) for start, stop, _ in _block_schedule(case[1])] == spans
+
+    @pytest.mark.parametrize("n, spans", [
+        (8, [(0, 5), (4, 8)]),
+        (14, [(0, 5), (4, 9), (8, 13), (12, 14)]),
     ])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_tfim_staircase_blocks(self, n, shapes, sign):
+    def test_tfim_staircase_blocks(self, n, spans, sign):
         # bonds (0, 1), (1, 2), ... then the fields: blocks of five sites
-        # overlapping by one, each field joining the block that covers it
+        # overlapping by one, each field joining the block that covers it,
+        # so every block grows the state
         plan = _tilted_tfim_plan(n, sign)
         assert plan.n_layers == n
-        (ops, *rest) = plan.fused
-        assert [op.shape for op in ops] == shapes
-        assert all(isinstance(op, BlockOp) for op in ops) and rest == [()] * (n - 1)
+        blocks = _block_schedule(plan.gate_stack)
+        assert [(start, stop) for start, stop, _ in blocks] == spans
+        assert sum(len(members) for _, _, members in blocks) == 2 * n - 1
 
     def test_one_layer_plans_keep_their_compile(self):
         psi = basis_state(6, 0b010011)
         closed = build_ite_plan_tfim(tfim(6, 1.0, 0.5), psi, 0.1, 1)
         empty = build_ite_plan_general(tfim(6, 1.0, 0.5), psi, 0.0, 1)
         assert (closed.n_layers, empty.n_layers) == (1, 0)
-        assert closed.fused is closed.compiled and empty.fused is empty.compiled
+        for plan in (closed, empty):
+            expected = _run_layers(product_state(plan.site_vectors), plan.compiled).amplitudes
+            assert np.max(np.abs(plan.ket() - expected)) < 1e-12
+        assert np.array_equal(empty.ket(), product_state(empty.site_vectors).amplitudes)
+
+    def test_out_of_range_gate_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            _product_ket(_random_site_vectors(np.random.default_rng(0), 3), _stack_of([(2, 3)]))
 
 
 def _gates_one_by_one(state, gates):

@@ -254,15 +254,15 @@ class TestLazyCompile:
         assert np.all(np.isfinite(trace.phi))
 
     @pytest.mark.parametrize("backend, gamma, form", [
-        ("statevector_trotter", None, "_fused_ops"),
-        ("noisy", 0.0, "_fused_ops"),
+        ("statevector_trotter", None, "_product_ket"),
+        ("noisy", 0.0, "_product_ket"),
         ("noisy", 0.1, "_compile_stack"),
     ])
     def test_backend_builds_one_form_of_both_plans(self, monkeypatch, backend, gamma, form):
-        # noiseless circuits run the fused product, circuits where a Pauli
-        # can fire between ITE layers the per-layer compile; neither builds
-        # the other form
-        calls = {"_fused_ops": [], "_compile_stack": []}
+        # noiseless circuits grow the ket from the site vectors, circuits
+        # where a Pauli can fire between ITE layers run the per-layer
+        # compile; neither builds the other form
+        calls = {"_product_ket": [], "_compile_stack": []}
         for name, calls_of in calls.items():
             def counted(*args, _original=getattr(ite_module, name), _calls=calls_of):
                 _calls.append(args[1])

@@ -63,6 +63,27 @@ class TestTfim:
         # open boundary: no (4, 0) bond
         assert all(abs(t.support[0] - t.support[1]) == 1 for t in zz)
 
+    def test_each_matrix_checked_once(self, monkeypatch):
+        # 27 terms share two matrices: each is checked on its first term only
+        checked = []
+        original = LocalTerm.__post_init__
+
+        def counted(term):
+            checked.append(term.support)
+            original(term)
+
+        monkeypatch.setattr(LocalTerm, "__post_init__", counted)
+        spec = tfim(14, 1.0, 0.5)
+        assert checked == [(0, 1), (0,)]
+        assert [t.support for t in spec.terms] == (
+            [(i, i + 1) for i in range(13)] + [(i,) for i in range(14)])
+        assert len({id(t.matrix) for t in spec.terms}) == 2
+        assert [t.group for t in spec.terms] == ["zz"] * 13 + ["x"] * 14
+
+    def test_moved_term_keeps_its_width(self):
+        with pytest.raises(ValueError, match="width"):
+            LocalTerm((0,), SIGMA_X)._moved((0, 1))
+
     def test_large_chain_constructs_without_dense(self):
         # the N=24 instance of the applications section is representable;
         # only the dense oracle is capped

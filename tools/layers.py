@@ -10,10 +10,11 @@ tilt by up to 0.3 rad from up, as in the ``trotter_n14`` benchmark workload.
 
 Per size N: one order-2 Trotter step (``evolve``), the general ITE plan's
 build (the constant and the gates), its per-layer compile and apply, its
-fused compile and apply, the whole noiseless three-family evaluation of
-r^2, p+ and p- at K = 11 grid points (``noiseless_series``: both fused ITE
-prefixes, then the bra under the transposed step), one round of the
-depolarizing channel, and, for
+ket grown from the site vectors (``ite_ket``: the plan's ``ket()``, as
+noiseless runs call it), the whole noiseless three-family evaluation of
+r^2, p+ and p- at K = 11 grid points (``noiseless_series``: both ITE kets,
+then the bra under the transposed step), one round of the depolarizing
+channel, and, for
 N <= 12, the dense-oracle eigensystem and an ``amplitude_series`` strip on
 the cached eigensystem.  Once, independent of N: shot sampling,
 ``reconstruct_trace`` and ``ldos_dft`` on a K-point series.
@@ -43,12 +44,7 @@ from loschmidt.model import ORACLE_MAX_SITES, _eigensystem, amplitude_series, tf
 from loschmidt.noise import apply_noise_layer, sample_shots  # noqa: E402
 from loschmidt.reconstruct import _noiseless_series, reconstruct_trace  # noqa: E402
 from loschmidt.spectral import ldos_dft  # noqa: E402
-from loschmidt.statevector import (  # noqa: E402
-    _compile_stack,
-    _fused_ops,
-    _run_layers,
-    product_state,
-)
+from loschmidt.statevector import _compile_stack, _run_layers, product_state  # noqa: E402
 from loschmidt.trotter import build_plan, evolve  # noqa: E402
 
 #: the step and shift of the trotter_n14 workload
@@ -84,13 +80,11 @@ def size_layers(n: int, seed: int, repeats: int) -> dict:
     out = {
         "ite_gates": len(stack.supports),
         "ite_layers": plan.n_layers,
-        "ite_fused_ops": len(plan.fused[0]),
         "trotter_step": timed(lambda: evolve(psi, step), repeats),
         "ite_build": timed(lambda: build_ite_plan_general(spec, psi, H, +1).gate_stack, repeats),
         "ite_compile_layers": timed(lambda: _compile_stack(n, stack, index), repeats),
         "ite_apply_layers": timed(lambda: _run_layers(psi, plan.compiled), repeats),
-        "ite_compile_fused": timed(lambda: _fused_ops(n, stack), repeats),
-        "ite_apply_fused": timed(lambda: _run_layers(psi, plan.fused), repeats),
+        "ite_ket": timed(plan.ket, repeats),
         "noiseless_series": timed(lambda: _noiseless_series(psi, psi, step, plans, 0, 11),
                                   repeats),
         "noise_layer": timed(lambda: apply_noise_layer(psi, 0.05, rng), repeats),
