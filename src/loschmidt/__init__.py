@@ -22,7 +22,8 @@ from .baselines import (
 )
 from .config import ExperimentConfig, RunDocument, load_config, parse_document
 from .exceptions import ConfigError, LoschmidtError, NumericsError
-from .ite import ItePlan, apply_ite, build_ite_plan_general, build_ite_plan_tfim, ite_angle
+from .ite import ItePair, ItePlan, apply_ite, build_ite_plan_general, build_ite_plan_tfim
+from .ite import ite_angle
 from .model import (
     HamiltonianSpec,
     LocalTerm,
@@ -46,7 +47,6 @@ from .reconstruct import (
     PhaseTrace,
     correct_phase_jumps,
     detect_zeros,
-    finite_difference_log,
     integrate_phase,
     reconstruct_trace,
     run_phase_experiment,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from numbers import Integral, Real
 from typing import Any
 
@@ -390,14 +389,13 @@ class RunDocument:
     filled in."""
 
     experiment: ExperimentConfig
-    raw: dict = field(repr=False, default_factory=dict)
-    operator_a: tuple | None = None
-    t_prime: float = 0.0
-    sweep: dict | None = None
-    spectral: dict = field(default_factory=partial(_with_defaults, {}, _SPECTRAL_CHECKS))
-    # the defaults of the baseline block do not depend on the size
-    baseline: dict = field(default_factory=partial(_with_defaults, {}, _baseline_checks(0)))
-    cost: dict = field(default_factory=partial(_with_defaults, {}, _COST_CHECKS))
+    raw: dict = field(repr=False)
+    operator_a: tuple | None
+    t_prime: float
+    sweep: dict | None
+    spectral: dict
+    baseline: dict
+    cost: dict
 
 
 def _optional_block(doc: dict, name: str, checks) -> dict:

@@ -24,24 +24,23 @@ Two constructions are provided:
   the local support (minimal completion: everything outside the forced
   column/row is zero), and the gate is exp(-i * sign * B * h).
 
-Both start from the state's site vectors, factored in O(N + 2^N) from the
-amplitudes one bit flip away from the largest one; a state that the outer
-product of those vectors does not reproduce is rejected.  A plan keeps the
-(N, 2) site vectors, not the 2^N amplitudes, and refuses application to a
-state whose overlap with their product does not have modulus one: the gates
-are only meaningful for the state the plan was built for, up to a global
-phase.  A plan computes its constant at construction.  Its canonical form
-is the checked gate stack (supports in term order, one matrix each, after
-the identity drop and one batched unitarity check), built on first use by
-the same constructor as a Trotter plan's; the ordered layer index over the
-supports and the layer census are derived from the stack on first use.
-There are two ways to run it.  ``compiled`` runs layer by layer, so errors
-can act between layers, and ``apply_ite`` runs it.  ``ket()`` builds V psi
-for circuits where no error can act between the ITE layers: the same
-ordered product, in blocks of up to five sites, on a state grown from the
-site vectors, which is psi up to a global phase (the construction checks
-that the overlap of psi with their product has modulus one).  A caller
-that reads only ``log_c_total`` (the dense oracle) builds no gates.
+Each builder returns the plans of both signs as an ``ItePair`` (plus,
+minus) from one factorisation of the state into its (N, 2) site vectors,
+in O(N + 2^N) from the amplitudes one bit flip away from the largest one;
+a state that the outer product of those vectors does not reproduce is
+rejected.  Only the constants and the gates are computed per sign.  Both
+plans keep that one array, not the 2^N amplitudes, and refuse application
+to a state whose overlap with its product does not have modulus one: the
+gates are only meaningful for the state the plans were built for, up to a
+global phase.  A plan computes its constant at construction; its canonical
+form is the checked gate stack (supports in term order, after the identity
+drop and one batched unitarity check), built on first use by the same
+constructor as a Trotter plan's, and its layer index and census derive
+from the stack.  ``compiled`` runs it layer by layer, so errors can act
+between layers (``apply_ite``); ``ket()`` grows V psi from the site vectors
+in blocks of up to five sites, for circuits with no error between the ITE
+layers.  A caller that reads only ``log_c_total`` (the dense oracle) builds
+no gates.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,6 @@ class ItePlan:
     that reads only ``log_c_total`` (the dense oracle) builds no gates.
     """
 
-    sign: int
-    h: float
     n_sites: int
     log_c_total: float
     site_vectors: np.ndarray = field(repr=False)
@@ -121,11 +119,6 @@ class ItePlan:
         layers."""
         return _product_ket(self.site_vectors, self.gate_stack)
 
-    # perfbench/tracer.py counts the plan's gates through this name
-    @property
-    def gates(self) -> tuple[tuple[int, ...], ...]:
-        return self.gate_stack.supports
-
     @property
     def c_total(self) -> float:
         return float(np.exp(self.log_c_total))
@@ -133,6 +126,20 @@ class ItePlan:
     @property
     def n_layers(self) -> int:
         return len(self.layer_index)
+
+
+class ItePair(NamedTuple):
+    """The plans of exp(+hH) and exp(-hH) on one product state, built from
+    one factorisation of it: ``plus`` and ``minus`` share the same
+    ``site_vectors`` array, and each builds its own gates on first use."""
+
+    plus: ItePlan
+    minus: ItePlan
+
+    # perfbench/tracer.py counts the pair's gates through this name
+    @property
+    def gates(self) -> tuple[tuple[int, ...], ...]:
+        return self.plus.gate_stack.supports + self.minus.gate_stack.supports
 
 
 def _is_product_of(vecs: np.ndarray, state: StateVector) -> bool:
@@ -173,63 +180,59 @@ def apply_ite(plan: ItePlan, state: StateVector) -> StateVector:
     return _run_layers(state, plan.compiled)
 
 
-def _check_sign(sign: int) -> int:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return sign
-
-
-def build_ite_plan_tfim(
-    spec: HamiltonianSpec, psi: StateVector, h: float, sign: int
-) -> ItePlan:
-    """Closed-form plan for exp(sign*h*H) of the Ising chain on a basis
-    product state.
+def build_ite_plan_tfim(spec: HamiltonianSpec, psi: StateVector, h: float) -> ItePair:
+    """Closed-form plans for exp(+-h*H) of the Ising chain on a basis product
+    state.
 
     Diagonal ("zz") terms contribute only exp(sign*h*<H_zz>) to the constant.
     Each transverse-field term a*sigma^x rotates its site by sign*theta
     towards the flipped state and contributes sqrt(cosh(2 a h)) -- for the
     standard field term a = g/2 that is the usual sqrt(cosh(h g)).
     """
-    sign = _check_sign(sign)
     vecs = _site_vectors(psi)
     mags = np.abs(vecs)
     if np.any(mags.min(axis=1) >= 1e-12):
         raise ValueError("requires computational-basis product state")
     bits = mags.argmax(axis=1).tolist()
-    log_c = 0.0
-    idx, rotations = [], []
+    log_plus = log_minus = 0.0
+    idx, turns = [], []
     for k, term in enumerate(spec.terms):
         mat = term.matrix
         if np.max(np.abs(mat - np.diag(np.diagonal(mat)))) < 1e-12:
             # diagonal term: basis state is an eigenstate
             loc = sum(bits[s] << j for j, s in enumerate(term.support))
-            log_c += sign * h * float(mat[loc, loc].real)
+            energy = h * float(mat[loc, loc].real)
+            log_plus += energy
+            log_minus -= energy
             continue
         if len(term.support) == 1 and np.max(np.abs(mat - mat[0, 1].real * SIGMA_X)) < 1e-12:
             a = float(mat[0, 1].real)  # term = a * sigma^x
-            theta = sign * ite_angle(h, 2.0 * a)
-            log_c += 0.5 * np.log(np.cosh(2.0 * a * h))
-            c, s = np.cos(theta), np.sin(theta)
-            if bits[term.support[0]] == 0:
-                rotations.append([[c, -s], [s, c]])
-            else:
-                rotations.append([[c, s], [-s, c]])
+            log_cosh = 0.5 * np.log(np.cosh(2.0 * a * h))
+            log_plus += log_cosh
+            log_minus += log_cosh
             idx.append(k)
+            turns.append((ite_angle(h, 2.0 * a), bits[term.support[0]]))
             continue
         raise ValueError(
             "requires a transverse-field Ising structure "
             "(diagonal bonds plus sigma^x site terms)"
         )
-    # a theta = 0 rotation is the identity, which the stack drops
-    stack = np.array(rotations, dtype=complex).reshape(-1, 2, 2)
-    gates = partial(_stack_in_term_order, spec.terms, [(idx, stack)])
-    return ItePlan(sign, h, psi.n_qubits, log_c, vecs, gates)
+
+    def gates(sign: int) -> GateStack:
+        rotations = []
+        for angle, bit in turns:
+            c, s = np.cos(sign * angle), np.sin(sign * angle)
+            rotations.append([[c, -s], [s, c]] if bit == 0 else [[c, s], [-s, c]])
+        # a theta = 0 rotation is the identity, which the stack drops
+        stack = np.array(rotations, dtype=complex).reshape(-1, 2, 2)
+        return _stack_in_term_order(spec.terms, [(idx, stack)])
+
+    return ItePair(ItePlan(psi.n_qubits, log_plus, vecs, partial(gates, 1)),
+                   ItePlan(psi.n_qubits, log_minus, vecs, partial(gates, -1)))
 
 
-def build_ite_plan_general(
-    spec: HamiltonianSpec, psi: StateVector, h: float, sign: int
-) -> ItePlan:
-    """First-order plan for exp(sign*h*H) on an arbitrary product state.
+def build_ite_plan_general(spec: HamiltonianSpec, psi: StateVector, h: float) -> ItePair:
+    """First-order plans for exp(+-h*H) on an arbitrary product state.
 
     Per term: the constant is sqrt(<psi| exp(sign*2h*H_m) |psi>) evaluated on
     the 2- or 4-dimensional support, and the gate is exp(-i*sign*B*h) with
@@ -239,17 +242,17 @@ def build_ite_plan_general(
     B is forced; with v = i (H_m - <H_m>) phi (orthogonal to phi) the
     minimal completion is B = v phi^dag + phi v^dag.  Gates keep the term
     order of the spec.  The terms of one support width share one batched
-    eigendecomposition of their matrices (for every c^2) and one of their
-    generators B (for every gate).
+    eigendecomposition of their matrices (for both signs' c^2) and, per
+    sign, one of their generators B (for every gate).
     """
-    sign = _check_sign(sign)
     vecs = _site_vectors(psi)
     if h == 0.0:
-        return ItePlan(sign, 0.0, psi.n_qubits, 0.0, vecs, partial(GateStack, (), ()))
+        plan = partial(ItePlan, psi.n_qubits, 0.0, vecs, partial(GateStack, (), ()))
+        return ItePair(plan(), plan())
     terms = spec.terms
     if any(len(term.support) > 2 for term in terms):
         raise ValueError("term support larger than 2 sites is unsupported")
-    c_sq = np.empty(len(terms))
+    c_sq = np.empty((2, len(terms)))  # rows: plus, minus
     stacks = []
     for idx, mats in _stacks_by_width(terms):
         supports = np.array([terms[k].support for k in idx])
@@ -259,14 +262,13 @@ def build_ite_plan_general(
             phi = (vecs[supports[:, 1], :, None] * phi[:, None, :]).reshape(len(idx), 4)
         energies, vectors = np.linalg.eigh(mats)
         weights = np.abs((vectors.conj().swapaxes(1, 2) @ phi[:, :, None])[:, :, 0]) ** 2
-        c_sq[idx] = np.sum(weights * np.exp(sign * 2.0 * h * energies), axis=1)
+        for row, sign in zip(c_sq, (1, -1)):
+            row[idx] = np.sum(weights * np.exp(sign * 2.0 * h * energies), axis=1)
         stacks.append((idx, mats, phi))
     if np.any(c_sq <= 0):
         raise NumericsError("nonpositive rescaling constant")
-    # summed left to right in term order, as a term-by-term accumulation would
-    log_c = sum((0.5 * np.log(c_sq)).tolist(), 0.0)
 
-    def gates() -> GateStack:
+    def gates(sign: int) -> GateStack:
         parts = []
         for idx, mats, phi in stacks:
             h_phi = (mats @ phi[:, :, None])[:, :, 0]
@@ -276,4 +278,7 @@ def build_ite_plan_general(
             parts.append((idx, _exp_gates(b, sign * h)))
         return _stack_in_term_order(terms, parts)
 
-    return ItePlan(sign, h, psi.n_qubits, log_c, vecs, gates)
+    # summed left to right in term order, as a term-by-term accumulation would
+    log_plus, log_minus = (sum((0.5 * np.log(row)).tolist(), 0.0) for row in c_sq)
+    return ItePair(ItePlan(psi.n_qubits, log_plus, vecs, partial(gates, 1)),
+                   ItePlan(psi.n_qubits, log_minus, vecs, partial(gates, -1)))

@@ -90,15 +90,6 @@ class PhaseTrace:
         return len(self.times)
 
 
-def finite_difference_log(r_minus: float, r_plus: float, h: float) -> float:
-    """Mid-point estimate [ln r(t-ih) - ln r(t+ih)] / (2h) of d(phi)/dt."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if r_minus <= 0 or r_plus <= 0:
-        raise NumericsError("zero-region: use zero-correction path")
-    return (np.log(r_minus) - np.log(r_plus)) / (2.0 * h)
-
-
 def integrate_phase(derivatives, tau: float, rule: str = "simpson", anchor: float = 0.0):
     """Cumulative integral of uniformly spaced derivative samples.
 
@@ -398,8 +389,7 @@ def run_phase_experiment(config) -> PhaseTrace:
         "tfim_closed_form": build_ite_plan_tfim,
         "general_bj": build_ite_plan_general,
     }[config.ite_mode]
-    plan_plus = builder(spec, psi, config.h, +1)
-    plan_minus = builder(spec, psi, config.h, -1)
+    plan_plus, plan_minus = builder(spec, psi, config.h)
 
     if config.anchor is not None:
         anchor = config.anchor

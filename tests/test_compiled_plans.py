@@ -5,7 +5,8 @@ groups, with reversed supports and both diagonal and dense matrices.  The
 compiled kernels are checked against dense products of ``_embed``-ed gate
 matrices, folded diagonal layers against their gates applied one by one,
 the plan census against an independent statement of the step layout, the
-batched ITE plan builders against a term-by-term construction, every plan's
+batched ITE plan builders against a term-by-term construction (and each
+pair's minus gates against the adjoints of its plus gates), every plan's
 compiled ops against a gate-by-gate reference compile of its layers (bit for
 bit), and the baselines against circuits that evolve every state they
 interfere.
@@ -45,6 +46,12 @@ from loschmidt.trotter import _SUZUKI_A, build_plan, evolve
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _ite_plan(builder, spec, psi, h, sign):
+    """The plan of exp(sign*h*H) out of the builder's (plus, minus) pair."""
+    pair = builder(spec, psi, h)
+    return pair.plus if sign == 1 else pair.minus
 
 
 def _exp_gate(matrix, theta):
@@ -123,8 +130,8 @@ def product_states(draw, n):
 
 
 @st.composite
-def chain_and_product_state(draw):
-    spec = draw(chains())
+def chain_and_product_state(draw, max_sites=8):
+    spec = draw(chains(max_sites))
     return spec, draw(product_states(spec.n_sites))
 
 
@@ -251,13 +258,40 @@ def _non_product_states():
     }
 
 
+def _assert_adjoint_pair(pair):
+    """Both plans of a pair share one factorisation of the state and one
+    list of supports, and each minus gate is the adjoint of its plus gate."""
+    plus, minus = pair
+    assert plus.site_vectors is minus.site_vectors
+    assert plus.gate_stack.supports == minus.gate_stack.supports
+    for forward, backward in zip(plus.gate_stack.matrices, minus.gate_stack.matrices):
+        assert np.max(np.abs(backward - forward.conj().T)) < 1e-12
+
+
 class TestItePlanBuilders:
+    @PROPERTY
+    @given(case=chain_and_product_state(max_sites=6), h=st.sampled_from([0.05, 0.4]))
+    def test_general_pair_is_adjoint(self, case, h):
+        spec, psi = case
+        _assert_adjoint_pair(build_ite_plan_general(spec, psi, h))
+
+    @PROPERTY
+    @given(n=st.integers(2, 6), seed=SEEDS, h=st.sampled_from([0.05, 0.4]))
+    def test_closed_form_pair_is_adjoint(self, n, seed, h):
+        # the closed form applies to the Ising chain on a basis state
+        rng = np.random.default_rng(seed)
+        psi = basis_state(n, int(rng.integers(0, 2**n)))
+        spec = tfim(n, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.2, 1.5)))
+        pair = build_ite_plan_tfim(spec, psi, h)
+        assert len(pair.plus.gate_stack.supports) == n
+        _assert_adjoint_pair(pair)
+
     @PROPERTY
     @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
            h=st.sampled_from([0.02, 0.3]))
     def test_general_plan_matches_term_by_term_construction(self, case, sign, h):
         spec, psi = case
-        plan = build_ite_plan_general(spec, psi, h, sign)
+        plan = _ite_plan(build_ite_plan_general, spec, psi, h, sign)
         ref_gates, ref_log_c = reference_ite_plan(spec, psi, h, sign)
         stack = plan.gate_stack
         assert list(stack.supports) == [support for support, _ in ref_gates]
@@ -276,7 +310,7 @@ class TestItePlanBuilders:
         assert index == sum(int(b) << i for i, b in enumerate(bits))
         g = float(rng.uniform(0.2, 1.5))
         spec = tfim(n, float(rng.uniform(0.5, 1.5)), g)
-        plan = build_ite_plan_tfim(spec, psi, 0.1, sign)
+        plan = _ite_plan(build_ite_plan_tfim, spec, psi, 0.1, sign)
         # each field gate turns its site's basis vector towards the flipped one
         theta = sign * ite_angle(0.1, g)
         stack = plan.gate_stack
@@ -285,7 +319,7 @@ class TestItePlanBuilders:
             column = matrix[:, bits[site]]
             assert abs(column[bits[site]] - np.cos(theta)) < 1e-12
             assert abs(column[1 - bits[site]] - np.sin(theta)) < 1e-12
-        ref = build_ite_plan_tfim(spec, basis_state(n, index), 0.1, sign)
+        ref = _ite_plan(build_ite_plan_tfim, spec, basis_state(n, index), 0.1, sign)
         assert plan.log_c_total == ref.log_c_total
         assert stack.supports == ref.gate_stack.supports
         assert all(map(np.array_equal, stack.matrices, ref.gate_stack.matrices))
@@ -295,13 +329,13 @@ class TestItePlanBuilders:
     def test_rejects_non_product_input(self, builder, kind):
         psi = _non_product_states()[kind]
         with pytest.raises(ValueError, match="product state"):
-            builder(tfim(psi.n_qubits, 1.0, 0.5), psi, 0.1, 1)
+            builder(tfim(psi.n_qubits, 1.0, 0.5), psi, 0.1)
 
     @PROPERTY
     @given(case=chain_and_product_state(), phase=st.floats(0.0, 2 * np.pi))
     def test_apply_ite_accepts_state_and_global_phase_copy(self, case, phase):
         spec, psi = case
-        plan = build_ite_plan_general(spec, psi, 0.05, -1)
+        plan = build_ite_plan_general(spec, psi, 0.05).minus
         out = apply_ite(plan, psi).amplitudes
         turn = np.exp(1j * phase)
         rotated = apply_ite(plan, StateVector(psi.n_qubits, turn * psi.amplitudes)).amplitudes
@@ -349,7 +383,7 @@ class TestCompiledKernel:
     @given(case=chain_and_state(product=True), sign=st.sampled_from([1, -1]))
     def test_ite_plan_matches_embedded_gate_product(self, case, sign):
         spec, psi = case
-        plan = build_ite_plan_general(spec, psi, 0.05, sign)
+        plan = _ite_plan(build_ite_plan_general, spec, psi, 0.05, sign)
         assert len(plan.compiled) == plan.n_layers
         expected = _embedded_product(
             _plan_layers(plan.gate_stack, plan.layer_index), spec.n_sites, psi
@@ -402,7 +436,7 @@ class TestPlanCensus:
         ))
         steps = round(t_max / tau)
         trotter_layers = steps * build_plan(spec, tau, tau, order).layers_per_step
-        ite_layers = build_ite_plan_tfim(spec, psi, 0.1, +1).n_layers
+        ite_layers = build_ite_plan_tfim(spec, psi, 0.1).plus.n_layers
         assert len(calls) == n_traj * (3 * trotter_layers + 2 * ite_layers)
 
 
@@ -500,7 +534,7 @@ class TestCompileEquivalence:
            h=st.sampled_from([0.02, 0.3]))
     def test_general_ite_plan_ops(self, case, sign, h):
         spec, psi = case
-        plan = build_ite_plan_general(spec, psi, h, sign)
+        plan = _ite_plan(build_ite_plan_general, spec, psi, h, sign)
         index = _reference_pack(plan.gate_stack.supports, ordered=True)
         _assert_same_ops(plan.compiled, _plan_layers(plan.gate_stack, index), spec.n_sites)
         assert plan.n_layers == len(index)
@@ -512,7 +546,7 @@ class TestCompileEquivalence:
         rng = np.random.default_rng(seed)
         psi = basis_state(n, int(rng.integers(0, 2**n)))
         spec = tfim(n, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.2, 1.5)))
-        plan = build_ite_plan_tfim(spec, psi, 0.1, sign)
+        plan = _ite_plan(build_ite_plan_tfim, spec, psi, 0.1, sign)
         index = _reference_pack(plan.gate_stack.supports, ordered=True)
         _assert_same_ops(plan.compiled, _plan_layers(plan.gate_stack, index), n)
         assert plan.n_layers == len(index)
@@ -671,7 +705,7 @@ class TestPlanRunners:
            h=st.sampled_from([0.0, 0.05, 0.4]))
     def test_apply_ite_equals_layer_loop(self, case, sign, h):
         spec, psi = case
-        plan = build_ite_plan_general(spec, psi, h, sign)
+        plan = _ite_plan(build_ite_plan_general, spec, psi, h, sign)
         expected = psi
         for layer in plan.compiled:
             expected = apply_layer(expected, layer)
@@ -712,7 +746,7 @@ def _tilted_tfim_plan(n, sign):
     theta, azimuth = rng.uniform(0.0, 0.3, n), rng.uniform(0.0, 2 * np.pi, n)
     psi = product_state([[np.cos(a / 2), np.sin(a / 2) * np.exp(1j * b)]
                          for a, b in zip(theta, azimuth)])
-    return build_ite_plan_general(tfim(n, 1.0, 0.5), psi, 0.05, sign)
+    return _ite_plan(build_ite_plan_general, tfim(n, 1.0, 0.5), psi, 0.05, sign)
 
 
 def _random_site_vectors(rng, n):
@@ -736,7 +770,7 @@ class TestProductKet:
            h=st.sampled_from([0.05, 0.4]))
     def test_ket_equals_compiled(self, case, sign, h):
         spec, psi = case
-        plan = build_ite_plan_general(spec, psi, h, sign)
+        plan = _ite_plan(build_ite_plan_general, spec, psi, h, sign)
         expected = _run_layers(product_state(plan.site_vectors), plan.compiled).amplitudes
         assert np.max(np.abs(plan.ket() - expected)) < 1e-12
 
@@ -791,8 +825,8 @@ class TestProductKet:
 
     def test_one_layer_plans_keep_their_compile(self):
         psi = basis_state(6, 0b010011)
-        closed = build_ite_plan_tfim(tfim(6, 1.0, 0.5), psi, 0.1, 1)
-        empty = build_ite_plan_general(tfim(6, 1.0, 0.5), psi, 0.0, 1)
+        closed = build_ite_plan_tfim(tfim(6, 1.0, 0.5), psi, 0.1).plus
+        empty = build_ite_plan_general(tfim(6, 1.0, 0.5), psi, 0.0).plus
         assert (closed.n_layers, empty.n_layers) == (1, 0)
         for plan in (closed, empty):
             expected = _run_layers(product_state(plan.site_vectors), plan.compiled).amplitudes
@@ -819,8 +853,8 @@ def reference_series(spec, psi, bra, tau, order, h, prefix_steps, n_points):
     step = build_plan(spec, tau, tau, order)
     step_gates = [g for layer in _plan_layers(step.gate_stack, step.layer_index) for g in layer]
     kets = [psi] + [
-        _gates_one_by_one(psi, zip(*build_ite_plan_general(spec, psi, h, sign).gate_stack))
-        for sign in (1, -1)
+        _gates_one_by_one(psi, zip(*plan.gate_stack))
+        for plan in build_ite_plan_general(spec, psi, h)
     ]
     out = np.empty((3, n_points))
     for row, ket in enumerate(kets):
@@ -855,7 +889,7 @@ class TestTransposedEvaluation:
         psi, bra = (_random_state(rng, spec.n_sites, product=True) for _ in range(2))
         tau, h = 0.2, 0.1
         step = build_plan(spec, tau, tau, order)
-        plans = tuple(build_ite_plan_general(spec, psi, h, sign) for sign in (1, -1))
+        plans = build_ite_plan_general(spec, psi, h)
         series = _noiseless_series(psi, bra, step, plans, prefix_steps, n_points)
         expected = reference_series(spec, psi, bra, tau, order, h, prefix_steps, n_points)
         assert series.shape == (3, n_points)

@@ -14,6 +14,7 @@ from loschmidt.ite import (
 from loschmidt.model import HamiltonianSpec, LocalTerm, SIGMA_X, dense_matrix, tfim
 from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.statevector import StateVector, product_state
+from test_compiled_plans import _ite_plan
 
 RNG = np.random.default_rng(99)
 
@@ -45,16 +46,16 @@ class TestIteAngle:
 class TestTfimPlan:
     def test_h_zero(self):
         psi = product_state(["up"] * 3)
-        plan = build_ite_plan_tfim(tfim(3, 1.0, 0.5), psi, 0.0, 1)
-        assert plan.c_total == 1.0
-        assert not plan.gates
-        out = apply_ite(plan, psi)
+        pair = build_ite_plan_tfim(tfim(3, 1.0, 0.5), psi, 0.0)
+        assert pair.plus.c_total == pair.minus.c_total == 1.0
+        assert not pair.gates
+        out = apply_ite(pair.plus, psi)
         assert np.allclose(out.amplitudes, psi.amplitudes)
 
     def test_c_total_closed_form(self):
         # N=2, J=1, g=0.5, h=0.1, sign=+: exp(-0.025) * cosh(0.05)
         psi = product_state(["up", "up"])
-        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1, 1)
+        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1).plus
         assert abs(plan.c_total - np.exp(-0.025) * np.cosh(0.05)) < 1e-12
         assert abs(plan.c_total - 0.9765293034264908) < 1e-10
 
@@ -70,14 +71,13 @@ class TestTfimPlan:
             c_sq *= np.exp(2 * h * zz[0, 0].real)
         sx_exp = np.cosh(h * g)  # <up| e^{2h (g/2) sigma^x} |up>
         c_sq *= sx_exp**n
-        plan = build_ite_plan_tfim(spec, psi, h, 1)
+        plan = build_ite_plan_tfim(spec, psi, h).plus
         assert abs(plan.c_total - np.sqrt(c_sq)) < 1e-12
 
     def test_z_plus_closed_form_both_signs(self):
         n, J, g, h = 6, 1.0, 0.5, 0.1
         psi = product_state(["up"] * n)
-        for sign in (1, -1):
-            plan = build_ite_plan_tfim(tfim(n, J, g), psi, h, sign)
+        for sign, plan in zip((1, -1), build_ite_plan_tfim(tfim(n, J, g), psi, h)):
             expected = (
                 np.exp(-sign * h * J / 4 * (n - 1) / n) * np.sqrt(np.cosh(h * g))
             ) ** n
@@ -91,7 +91,7 @@ class TestTfimPlan:
             errs = []
             steps = [0.1, 0.05, 0.025]
             for h in steps:
-                plan = build_ite_plan_tfim(spec, psi, h, sign)
+                plan = _ite_plan(build_ite_plan_tfim, spec, psi, h, sign)
                 exact = dense_imaginary_step(spec, h, sign, psi)
                 errs.append(np.linalg.norm(plan_output(plan, psi) - exact))
             slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
@@ -101,7 +101,7 @@ class TestTfimPlan:
         spec = tfim(4, 1.0, 0.5)
         psi = product_state(["up", "down", "down", "up"])
         h = 0.05
-        plan = build_ite_plan_tfim(spec, psi, h, 1)
+        plan = build_ite_plan_tfim(spec, psi, h).plus
         exact = dense_imaginary_step(spec, h, 1, psi)
         assert np.linalg.norm(plan_output(plan, psi) - exact) < 5e-3
 
@@ -110,24 +110,23 @@ class TestTfimPlan:
         psi = product_state(["up"] * 5)
         spec = tfim(5, 1.0, 0.5)
         for h in (0.05, 0.1, 0.3):
-            cp = build_ite_plan_tfim(spec, psi, h, 1).c_total
-            cm = build_ite_plan_tfim(spec, psi, h, -1).c_total
-            assert cp * cm >= 1.0
+            plus, minus = build_ite_plan_tfim(spec, psi, h)
+            assert plus.c_total * minus.c_total >= 1.0
 
     def test_rejects_non_basis_state(self):
         psi = product_state(["x+", "up"])
         with pytest.raises(ValueError, match="computational-basis"):
-            build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1, 1)
+            build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1)
 
     def test_fingerprint_guard(self):
         psi = product_state(["up", "up"])
         other = product_state(["up", "down"])
-        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1, 1)
+        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1).plus
         with pytest.raises(ValueError, match="different state"):
             apply_ite(plan, other)
 
     def test_guard_rejects_other_qubit_count(self):
-        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), product_state(["up"] * 2), 0.1, 1)
+        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), product_state(["up"] * 2), 0.1).plus
         with pytest.raises(ValueError, match="different state"):
             apply_ite(plan, product_state(["up"] * 3))
 
@@ -135,16 +134,16 @@ class TestTfimPlan:
 class TestGeneralPlan:
     def test_h_zero(self):
         psi = product_state(["x+", "up", "y-"])
-        plan = build_ite_plan_general(tfim(3, 1.0, 0.5), psi, 0.0, 1)
-        assert plan.c_total == 1.0
-        assert not plan.gates
+        pair = build_ite_plan_general(tfim(3, 1.0, 0.5), psi, 0.0)
+        assert pair.plus.c_total == pair.minus.c_total == 1.0
+        assert not pair.gates
 
     def test_single_term_constant(self):
         # H = S^x on one site, psi = |up>, h = 0.1:
         # c = sqrt(<up| e^{2h S^x} |up>) = sqrt(cosh(0.1))
         spec = HamiltonianSpec(1, (LocalTerm((0,), SIGMA_X / 2),))
         psi = product_state(["up"])
-        plan = build_ite_plan_general(spec, psi, 0.1, 1)
+        plan = build_ite_plan_general(spec, psi, 0.1).plus
         assert abs(plan.c_total - np.sqrt(np.cosh(0.1))) < 1e-12
 
     def test_matches_tfim_plan_to_h_squared(self):
@@ -158,8 +157,8 @@ class TestGeneralPlan:
         dists = []
         steps = [0.1, 0.05, 0.025]
         for h in steps:
-            a = apply_ite(build_ite_plan_tfim(spec, psi, h, 1), psi).amplitudes
-            b = apply_ite(build_ite_plan_general(spec, psi, h, 1), psi).amplitudes
+            a = apply_ite(build_ite_plan_tfim(spec, psi, h).plus, psi).amplitudes
+            b = apply_ite(build_ite_plan_general(spec, psi, h).plus, psi).amplitudes
             phase = np.vdot(a, b)
             phase /= abs(phase)
             dists.append(np.linalg.norm(a * phase - b))
@@ -174,7 +173,7 @@ class TestGeneralPlan:
         errs = []
         steps = [0.1, 0.05, 0.025]
         for h in steps:
-            plan = build_ite_plan_general(spec, psi, h, -1)
+            plan = build_ite_plan_general(spec, psi, h).minus
             exact = dense_imaginary_step(spec, h, -1, psi)
             errs.append(np.linalg.norm(plan_output(plan, psi) - exact))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
@@ -188,8 +187,7 @@ class TestGeneralPlan:
         psi = product_state(["x+", "up", "down", "y-"])
         derivs = []
         for h in (0.05, 0.025):
-            plus = plan_output(build_ite_plan_general(spec, psi, h, 1), psi)
-            minus = plan_output(build_ite_plan_general(spec, psi, h, -1), psi)
+            plus, minus = (plan_output(plan, psi) for plan in build_ite_plan_general(spec, psi, h))
             fd_plan = (plus - minus) / (2 * h)
             exact_plus = dense_imaginary_step(spec, h, 1, psi)
             exact_minus = dense_imaginary_step(spec, h, -1, psi)
@@ -206,7 +204,7 @@ class TestGeneralPlan:
         spec = HamiltonianSpec(2, (LocalTerm((0, 1), m),))
         psi = product_state(["x+", "y-"])
         h = 0.02
-        plan = build_ite_plan_general(spec, psi, h, -1)
+        plan = build_ite_plan_general(spec, psi, h).minus
         out = plan_output(plan, psi)
         exact = dense_imaginary_step(spec, h, -1, psi)
         assert np.linalg.norm(out - exact) < 5 * h**2
@@ -216,7 +214,7 @@ class TestGeneralPlan:
         amps[0] = amps[3] = 1 / np.sqrt(2)
         bell = StateVector(2, amps)
         with pytest.raises(ValueError, match="product state"):
-            build_ite_plan_general(tfim(2, 1.0, 0.5), bell, 0.1, 1)
+            build_ite_plan_general(tfim(2, 1.0, 0.5), bell, 0.1)
 
     def test_rejects_wide_term(self):
         class FakeTerm:
@@ -229,12 +227,7 @@ class TestGeneralPlan:
 
         psi = product_state(["up"] * 3)
         with pytest.raises(ValueError, match="support larger"):
-            build_ite_plan_general(FakeSpec(), psi, 0.1, 1)
-
-    def test_invalid_sign(self):
-        psi = product_state(["up"] * 2)
-        with pytest.raises(ValueError, match="sign"):
-            build_ite_plan_tfim(tfim(2, 1, 0.5), psi, 0.1, 2)
+            build_ite_plan_general(FakeSpec(), psi, 0.1)
 
 
 class TestLazyCompile:
@@ -277,10 +270,10 @@ class TestLazyCompile:
     #: a product state each ITE construction accepts
     STATES = {"general_bj": ["x+", "up", "y-", "down"], "tfim_closed_form": ["up"] * 4}
 
-    def _mode_config(self, ite_mode, backend):
+    def _mode_config(self, ite_mode, backend, **kwargs):
         return ExperimentConfig(
             spec=tfim(4, 1.0, 0.5), psi=product_state(self.STATES[ite_mode]),
-            tau=0.05, h=0.05, t_max=0.2, ite_mode=ite_mode, backend=backend,
+            tau=0.05, h=0.05, t_max=0.2, ite_mode=ite_mode, backend=backend, **kwargs,
         )
 
     @pytest.mark.parametrize("ite_mode", sorted(STATES))
@@ -302,22 +295,40 @@ class TestLazyCompile:
         name = {"general_bj": "build_ite_plan_general",
                 "tfim_closed_form": "build_ite_plan_tfim"}[ite_mode]
         original = getattr(ite_module, name)
-        plans = []
+        pairs = []
 
         def kept(*args):
-            plans.append(original(*args))
-            return plans[-1]
+            pairs.append(original(*args))
+            return pairs[-1]
 
         monkeypatch.setattr(reconstruct_module, name, kept)
         run_phase_experiment(self._mode_config(ite_mode, "exact_oracle"))
-        oracle, plans[:] = plans[:], []
         run_phase_experiment(self._mode_config(ite_mode, "statevector_trotter"))
-        assert [p.sign for p in oracle] == [p.sign for p in plans] == [1, -1]
+        oracle, plans = pairs  # one build per run
         # bit for bit: the constant does not depend on whether gates are built
         assert [p.log_c_total for p in oracle] == [p.log_c_total for p in plans]
+        assert oracle.plus.log_c_total != oracle.minus.log_c_total
         assert all("gate_stack" not in vars(p) for p in oracle)
         assert all("gate_stack" in vars(p) and p.gate_stack.supports for p in plans)
 
+    @pytest.mark.parametrize("ite_mode", sorted(STATES))
+    @pytest.mark.parametrize("backend, gamma", [
+        ("exact_oracle", None), ("statevector_trotter", None), ("noisy", 0.0), ("noisy", 0.1),
+    ])
+    def test_state_factored_once_per_run(self, monkeypatch, ite_mode, backend, gamma):
+        calls = []
+
+        def counted(psi, _original=ite_module._site_vectors):
+            calls.append(psi)
+            return _original(psi)
+
+        monkeypatch.setattr(ite_module, "_site_vectors", counted)
+        noise = None if gamma is None else NoiseConfig(gamma=gamma, n_trajectories=2)
+        config = self._mode_config(ite_mode, backend, noise=noise)
+        run_phase_experiment(config)
+        assert calls == [config.psi]
+
     def test_compiled_once_per_plan(self):
-        plan = build_ite_plan_general(tfim(3, 1.0, 0.5), product_state(["x+", "up", "y-"]), 0.1, 1)
+        psi = product_state(["x+", "up", "y-"])
+        plan = build_ite_plan_general(tfim(3, 1.0, 0.5), psi, 0.1).plus
         assert plan.compiled is plan.compiled

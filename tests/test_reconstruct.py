@@ -12,11 +12,11 @@ from loschmidt.model import (
     oracle_phase_series,
     tfim,
 )
+from loschmidt.noise import NoiseConfig
 from loschmidt.reconstruct import (
     _P_FLOOR,
     correct_phase_jumps,
     detect_zeros,
-    finite_difference_log,
     integrate_phase,
     reconstruct_trace,
     run_phase_experiment,
@@ -38,14 +38,21 @@ def synthetic_zero_trace(h=0.02, tau=0.05, zero_correction=True, threshold=1e-3)
     return trace, g_true
 
 
+def midpoint_dphi(r_minus, r_plus, h):
+    """The d(phi)/dt that ``reconstruct_trace`` reads off one grid point with
+    magnitudes r(t -+ ih), measured with zero log constants."""
+    trace = reconstruct_trace([0.0], [1.0], [r_plus**2], [r_minus**2], 0.0, 0.0, h)
+    return trace.dphi_dt[0]
+
+
 class TestFiniteDifferenceLog:
     def test_symmetric_inputs(self):
-        assert finite_difference_log(0.7, 0.7, 0.1) == 0.0
+        assert midpoint_dphi(0.7, 0.7, 0.1) == 0.0
 
     def test_single_mode_exact(self):
         # G(z) = e^{-iEz} with E = 1: r(t -+ ih) = e^{-+h}, estimate -1 exactly
         h = 0.1
-        est = finite_difference_log(np.exp(-h), np.exp(h), h)
+        est = midpoint_dphi(np.exp(-h), np.exp(h), h)
         assert abs(est - (-1.0)) < 1e-14
 
     def test_oracle_h_squared_bias(self):
@@ -63,13 +70,9 @@ class TestFiniteDifferenceLog:
         for h in steps:
             r_minus = abs(exact_amplitude(spec, psi, psi, t0 - 1j * h))
             r_plus = abs(exact_amplitude(spec, psi, psi, t0 + 1j * h))
-            errs.append(abs(finite_difference_log(r_minus, r_plus, h) - dphi_true))
+            errs.append(abs(midpoint_dphi(r_minus, r_plus, h) - dphi_true))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.2
-
-    def test_zero_region_error(self):
-        with pytest.raises(NumericsError, match="zero-region"):
-            finite_difference_log(0.0, 0.5, 0.1)
 
 
 class TestIntegratePhase:
@@ -327,6 +330,25 @@ class TestRunPhaseExperiment:
         assert trace.phi[0] == 0.0
         assert abs(trace.g_complex[0] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("backend", ["exact_oracle", "statevector_trotter", "noisy"])
+    @pytest.mark.parametrize("tau, t_max, n_points", [
+        (0.1, 0.3, 4),  # t_max / tau = 2.9999999999999996
+        (0.3, 1.0, 4),  # a non-integer ratio
+        (0.1, 0.1, 2),
+        (0.1, 0.0, 1),
+    ])
+    def test_grid_edges(self, backend, tau, t_max, n_points):
+        noise = NoiseConfig(gamma=0.05, n_trajectories=2) if backend == "noisy" else None
+        cfg = ExperimentConfig(spec=tfim(3, 1.0, 0.5), psi=product_state(["x+", "up", "y-"]),
+                               tau=tau, h=0.05, t_max=t_max, ite_mode="general_bj",
+                               backend=backend, noise=noise)
+        trace = run_phase_experiment(cfg)
+        assert len(trace) == n_points
+        assert np.array_equal(trace.times, np.arange(n_points) * tau)
+        # 3 * 0.1 lies one ulp above 0.3: the grid keeps the point, within
+        # the 1e-9 steps it allows for rounding
+        assert trace.times[-1] <= t_max + 1e-9 * tau
+
     def test_initial_phase_slope_is_minus_energy(self):
         # phi'(0) = -<H> = +J(N-1)/4 for the all-up state, up to O(h^2)
         n = 5
@@ -554,7 +576,7 @@ class TestRunPhaseExperiment:
         )
         trace = run_phase_experiment(cfg)
         step = build_plan(spec, 0.2, 0.2, 1)
-        ite_layers = build_ite_plan_tfim(spec, psi, 0.2, +1).n_layers
+        ite_layers = build_ite_plan_tfim(spec, psi, 0.2).plus.n_layers
         for k in range(len(trace)):
             depth = ite_layers + k * step.layers_per_step
             expected = trace.p_plus_raw[k] / (1 - gamma) ** (n * depth)

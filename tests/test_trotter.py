@@ -90,7 +90,7 @@ class TestBuildPlan:
 
 
 class TestPlanForm:
-    # step_layers and ItePlan.gates are the names the benchmark tracer reads
+    # step_layers and ItePair.gates are the names the benchmark tracer reads
 
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_step_layers_are_the_layer_census(self, order):
@@ -99,8 +99,10 @@ class TestPlanForm:
 
     @pytest.mark.parametrize("builder", [build_ite_plan_general, build_ite_plan_tfim])
     def test_ite_gates_are_the_stack_supports(self, builder):
-        plan = builder(tfim(5, 1.0, 0.5), product_state(["up"] * 5), 0.1, -1)
-        assert plan.gates == plan.gate_stack.supports == ((0,), (1,), (2,), (3,), (4,))
+        pair = builder(tfim(5, 1.0, 0.5), product_state(["up"] * 5), 0.1)
+        sites = ((0,), (1,), (2,), (3,), (4,))
+        assert pair.plus.gate_stack.supports == pair.minus.gate_stack.supports == sites
+        assert pair.gates == sites + sites
 
     def test_mirrored_tail_repeats_the_head_index(self):
         plan = build_plan(tfim(6, 1.0, 0.5), 0.1, 0.1, 2)

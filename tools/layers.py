@@ -8,15 +8,15 @@ stdout gives, per layer, the best, median and worst wall time in ms.  The
 inputs are the TFIM (J = 1, g = 0.5) on a seeded product state whose sites
 tilt by up to 0.3 rad from up, as in the ``trotter_n14`` benchmark workload.
 
-Per size N: one order-2 Trotter step (``evolve``), the general ITE plan's
-build (the constant and the gates), its per-layer compile and apply, its
-ket grown from the site vectors (``ite_ket``: the plan's ``ket()``, as
-noiseless runs call it), the whole noiseless three-family evaluation of
-r^2, p+ and p- at K = 11 grid points (``noiseless_series``: both ITE kets,
-then the bra under the transposed step), one round of the depolarizing
-channel, and, for
-N <= 12, the dense-oracle eigensystem and an ``amplitude_series`` strip on
-the cached eigensystem.  Once, independent of N: shot sampling,
+Per size N: one order-2 Trotter step (``evolve``), the general ITE build
+(``ite_build``: both signs' constants and gates), the plus plan's per-layer
+compile and apply, its ket grown from the site vectors (``ite_ket``: the
+plan's ``ket()``, as noiseless runs call it), the whole noiseless
+three-family evaluation of r^2, p+ and p- at K = 11 grid points
+(``noiseless_series``: both ITE kets, then the bra under the transposed
+step), one round of the depolarizing channel, and, for N <= 12, the
+dense-oracle eigensystem and an ``amplitude_series`` strip on the cached
+eigensystem.  Once, independent of N: shot sampling,
 ``reconstruct_trace`` and ``ldos_dft`` on a K-point series.
 
 OpenBLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` is set, as in the
@@ -73,15 +73,16 @@ def timed(fn, repeats: int) -> dict:
 def size_layers(n: int, seed: int, repeats: int) -> dict:
     spec, psi = tfim(n, 1.0, 0.5), tilted_state(n, seed)
     step = build_plan(spec, TAU, TAU, 2)
-    plan = build_ite_plan_general(spec, psi, H, +1)
-    plans = (plan, build_ite_plan_general(spec, psi, H, -1))
+    plans = build_ite_plan_general(spec, psi, H)
+    plan = plans.plus
     stack, index = plan.gate_stack, plan.layer_index
     rng = np.random.default_rng(seed)
     out = {
         "ite_gates": len(stack.supports),
         "ite_layers": plan.n_layers,
         "trotter_step": timed(lambda: evolve(psi, step), repeats),
-        "ite_build": timed(lambda: build_ite_plan_general(spec, psi, H, +1).gate_stack, repeats),
+        "ite_build": timed(lambda: [p.gate_stack for p in build_ite_plan_general(spec, psi, H)],
+                           repeats),
         "ite_compile_layers": timed(lambda: _compile_stack(n, stack, index), repeats),
         "ite_apply_layers": timed(lambda: _run_layers(psi, plan.compiled), repeats),
         "ite_ket": timed(plan.ket, repeats),
