@@ -22,7 +22,7 @@ from .baselines import (
 )
 from .config import ExperimentConfig, RunDocument, load_config, parse_document
 from .exceptions import ConfigError, LoschmidtError, NumericsError
-from .ite import ItePair, ItePlan, apply_ite, build_ite_plan_general, build_ite_plan_tfim
+from .ite import ItePair, apply_ite, build_ite_plan_general, build_ite_plan_tfim
 from .ite import ite_angle
 from .model import (
     HamiltonianSpec,

@@ -135,13 +135,6 @@ def _estimate(p: float, shots, rng) -> float:
     return sample_shots(min(max(p, 0.0), 1.0), shots, rng)
 
 
-def _solve_two_angle(c0: float, c1: float, th0: float, th1: float) -> float:
-    """chi from cos(chi + th0) = c0, cos(chi + th1) = c1."""
-    a = np.array([[np.cos(th0), -np.sin(th0)], [np.cos(th1), -np.sin(th1)]])
-    cos_chi, sin_chi = np.linalg.solve(a, [c0, c1])
-    return float(np.arctan2(sin_chi, cos_chi))
-
-
 def sequential_interferometry(
     spec: HamiltonianSpec,
     psi_sequence,
@@ -173,6 +166,8 @@ def sequential_interferometry(
     th0, th1 = float(thetas[0]), float(thetas[1])
     if abs(np.sin(th1 - th0)) < 1e-9:
         raise ValueError("theta values must differ by a non-multiple of pi")
+    # cos(chi + th) = cos(th) cos(chi) - sin(th) sin(chi), at th0 and th1
+    solve_matrix = np.array([[np.cos(th0), -np.sin(th0)], [np.cos(th1), -np.sin(th1)]])
     states = list(psi_sequence)
     if len(states) == 0:
         raise ValueError("empty state sequence")
@@ -201,39 +196,32 @@ def sequential_interferometry(
             amps = evolved[idx].amplitudes + np.exp(1j * theta) * evolved[idx + 1].amplitudes
             return StateVector(spec.n_sites, amps / np.sqrt(2))
 
+        def two_angle_phase(bra, r_a, r_b, weight):
+            # chi from m = [r_a^2 + r_b^2 + 2 r_a r_b cos(chi + th)] / weight,
+            # the projection onto bra measured at th0 and th1
+            cs = []
+            for th in (th0, th1):
+                m = _estimate(_survival(bra, evolved_superposition(th)), shots, rng)
+                cs.append(np.clip((weight * m - r_a**2 - r_b**2) / (2 * r_a * r_b), -1, 1))
+            cos_chi, sin_chi = np.linalg.solve(solve_matrix, cs)
+            return float(np.arctan2(sin_chi, cos_chi))
+
         if r_ij > fallback_threshold and min(r_ii, r_jj) > fallback_threshold:
-            # step 1: project the evolved superposition onto psi_i;
-            # m = [r_ii^2 + r_ij^2 + 2 r_ii r_ij cos(phi_ij - phi_ii + th)]/2
-            cs = []
-            for th in (th0, th1):
-                m = _estimate(_survival(psi_i, evolved_superposition(th)), shots, rng)
-                cs.append(np.clip((2 * m - r_ii**2 - r_ij**2) / (2 * r_ii * r_ij), -1, 1))
-            chi_1 = _solve_two_angle(cs[0], cs[1], th0, th1)
-            # step 2: project onto psi_j;
-            # m = [r_jj^2 + r_ij^2 + 2 r_jj r_ij cos(phi_jj - phi_ij + th)]/2
-            cs = []
-            for th in (th0, th1):
-                m = _estimate(_survival(psi_j, evolved_superposition(th)), shots, rng)
-                cs.append(np.clip((2 * m - r_jj**2 - r_ij**2) / (2 * r_jj * r_ij), -1, 1))
-            chi_2 = _solve_two_angle(cs[0], cs[1], th0, th1)
-            step = chi_1 + chi_2
+            # step 1 projects onto psi_i (chi = phi_ij - phi_ii), step 2
+            # onto psi_j (chi = phi_jj - phi_ij)
+            step = two_angle_phase(psi_i, r_ii, r_ij, 2) + two_angle_phase(psi_j, r_jj, r_ij, 2)
             inv_r_tilde_sq_sum += 1.0 / (r_ii * r_ij) + 1.0 / (r_ij * r_jj)
         else:
             # r_ij ~ 0: project onto the theta = 0 superposition, which
-            # links phi_jj to phi_ii directly:
-            # m = [r_ii^2 + r_jj^2 + 2 r_ii r_jj cos(phi_jj - phi_ii + th)]/4
+            # links phi_jj to phi_ii directly (chi = phi_jj - phi_ii, with
+            # weight 4)
             if r_ii * r_jj < fallback_threshold**2:
                 raise NumericsError(
                     f"unresolvable step {idx}: fallback amplitudes vanish as well"
                 )
             fallbacks.append(idx)
-            bra_amps = (psi_i.amplitudes + psi_j.amplitudes) / np.sqrt(2)
-            bra = StateVector(spec.n_sites, bra_amps)
-            cs = []
-            for th in (th0, th1):
-                m = _estimate(_survival(bra, evolved_superposition(th)), shots, rng)
-                cs.append(np.clip((4 * m - r_ii**2 - r_jj**2) / (2 * r_ii * r_jj), -1, 1))
-            step = _solve_two_angle(cs[0], cs[1], th0, th1)
+            bra = StateVector(spec.n_sites, (psi_i.amplitudes + psi_j.amplitudes) / np.sqrt(2))
+            step = two_angle_phase(bra, r_ii, r_jj, 4)
             inv_r_tilde_sq_sum += 2.0 / (r_ii * r_jj)
         step_phases.append(float(step))
         phi += step

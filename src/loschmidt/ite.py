@@ -24,31 +24,32 @@ Two constructions are provided:
   the local support (minimal completion: everything outside the forced
   column/row is zero), and the gate is exp(-i * sign * B * h).
 
-Each builder returns the plans of both signs as an ``ItePair`` (plus,
-minus) from one factorisation of the state into its (N, 2) site vectors,
-in O(N + 2^N) from the amplitudes one bit flip away from the largest one;
-a state that the outer product of those vectors does not reproduce is
-rejected.  Only the constants and the gates are computed per sign.  Both
-plans keep that one array, not the 2^N amplitudes, and refuse application
-to a state whose overlap with its product does not have modulus one: the
-gates are only meaningful for the state the plans were built for, up to a
-global phase.  A plan computes its constant at construction; its canonical
-form is the checked gate stack (supports in term order, after the identity
-drop and one batched unitarity check), built on first use by the same
-constructor as a Trotter plan's, and its layer index and census derive
-from the stack.  ``compiled`` runs it layer by layer, so errors can act
-between layers (``apply_ite``); ``ket()`` grows V psi from the site vectors
-in blocks of up to five sites, for circuits with no error between the ITE
-layers.  A caller that reads only ``log_c_total`` (the dense oracle) builds
-no gates.
+Each builder returns one ``ItePair`` for both signs, from one
+factorisation of the state into its (N, 2) site vectors, in O(N + 2^N)
+from the amplitudes one bit flip away from the largest one; a state that
+the outer product of those vectors does not reproduce is rejected.  The
+pair computes both log constants at construction.  Its canonical form is
+one pair of checked gate stacks on one support tuple (term order, after
+the identity drop and one batched unitarity check), built on first use by
+the same constructor as a Trotter plan's; the general form takes one
+``eigh`` of the term matrices (for both constants) and one of the
+generators B (for both signs' gates) per support width.  The layer index,
+the census ``n_layers``, ``compiled`` (one layer tuple per sign, so errors
+can act between layers) and the block schedule of ``kets()`` (V+- psi
+grown from the site vectors in blocks of up to five sites, for circuits
+with no error between the ITE layers) are each derived once from the
+shared supports.  The pair keeps the site vectors, not the 2^N amplitudes,
+and ``apply_ite`` refuses a state whose overlap with their product does not
+have modulus one: the gates are only meaningful for the state the pair was
+built for, up to a global phase.  A caller that reads only ``log_c`` (the
+dense oracle) builds no gates.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .model import HamiltonianSpec, SIGMA_X
 from .statevector import (
     GateStack,
     StateVector,
+    _block_schedule,
     _compile_stack,
     _layer_index,
     _product_ket,
@@ -79,67 +81,64 @@ def ite_angle(h: float, g: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class ItePlan:
-    """Local unitaries plus the log of the total rescaling constant.
+class ItePair:
+    """The local unitaries of exp(+hH) and exp(-hH) on one product state,
+    with ``log_c``, the logs of their rescaling constants (plus, minus).
 
-    ``log_c_total`` is computed at construction.  The plan's canonical form
-    is its checked ``gate_stack`` (supports in term order, one matrix each),
-    built on first use by ``build_gates``; the layer census
-    (``layer_index``, ``n_layers``) and ``compiled``, the ops of each layer
-    for circuits with errors between layers, are derived from it on first
-    use.  ``ket()`` builds the gates' product on the product of the
-    ``site_vectors``, the (N, 2) factors of the product state the plan was
-    built for, for circuits with no error between the ITE layers.  A caller
-    that reads only ``log_c_total`` (the dense oracle) builds no gates.
+    ``stacks`` (plus, minus) is built on first use by ``build_stacks`` and
+    checked to put both signs' gates on one support tuple: the signs differ
+    only in the sign of h inside each gate.  The ordered ``layer_index``
+    and ``n_layers``, ``compiled`` (the ops of each layer, one tuple per
+    sign, for circuits with errors between layers) and the block schedule
+    of ``kets()`` are derived once from those supports.  ``kets()`` grows
+    both signs' gates on the product of the ``site_vectors``, the (N, 2)
+    factors of the state the pair was built for, for circuits with no error
+    between the ITE layers.  A caller that reads only ``log_c`` (the dense
+    oracle) builds no gates.
     """
 
     n_sites: int
-    log_c_total: float
+    log_c: tuple[float, float]
     site_vectors: np.ndarray = field(repr=False)
-    build_gates: Callable[[], GateStack] = field(repr=False)
+    build_stacks: Callable[[], tuple[GateStack, GateStack]] = field(repr=False)
 
     @cached_property
-    def gate_stack(self) -> GateStack:
-        return self.build_gates()
+    def stacks(self) -> tuple[GateStack, GateStack]:
+        plus, minus = self.build_stacks()
+        if plus.supports != minus.supports:
+            raise NumericsError("the plus and minus ITE gates act on different supports")
+        return plus, GateStack(plus.supports, minus.matrices)
+
+    @property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        return self.stacks[0].supports
 
     @cached_property
     def layer_index(self) -> list[tuple[int, ...]]:
         # gates keep their term order; on the 1-site gates of the closed
         # form this is the same packing as for commuting gates
-        return _layer_index(self.gate_stack.supports, ordered=True)
-
-    @cached_property
-    def compiled(self) -> tuple[tuple, ...]:
-        return _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
-
-    def ket(self) -> np.ndarray:
-        """The amplitudes of the gates applied to the product of the site
-        vectors, grown from site 0 (``_product_ket``): the state the plan
-        was built for, up to a global phase, with no error between its
-        layers."""
-        return _product_ket(self.site_vectors, self.gate_stack)
-
-    @property
-    def c_total(self) -> float:
-        return float(np.exp(self.log_c_total))
+        return _layer_index(self.supports, ordered=True)
 
     @property
     def n_layers(self) -> int:
         return len(self.layer_index)
 
+    @cached_property
+    def compiled(self) -> tuple[tuple[tuple, ...], ...]:
+        return tuple([_compile_stack(self.n_sites, s, self.layer_index) for s in self.stacks])
 
-class ItePair(NamedTuple):
-    """The plans of exp(+hH) and exp(-hH) on one product state, built from
-    one factorisation of it: ``plus`` and ``minus`` share the same
-    ``site_vectors`` array, and each builds its own gates on first use."""
-
-    plus: ItePlan
-    minus: ItePlan
+    def kets(self) -> tuple[np.ndarray, ...]:
+        """The amplitudes of each sign's gates applied to the product of the
+        site vectors, grown from site 0 (``_product_ket``) on one block
+        schedule: V+- psi, up to a global phase, with no error between the
+        layers."""
+        schedule = _block_schedule(self.supports)
+        return tuple([_product_ket(self.site_vectors, s, schedule) for s in self.stacks])
 
     # perfbench/tracer.py counts the pair's gates through this name
     @property
     def gates(self) -> tuple[tuple[int, ...], ...]:
-        return self.plus.gate_stack.supports + self.minus.gate_stack.supports
+        return self.supports + self.supports
 
 
 def _is_product_of(vecs: np.ndarray, state: StateVector) -> bool:
@@ -171,13 +170,13 @@ def _site_vectors(psi: StateVector) -> np.ndarray:
     return vecs
 
 
-def apply_ite(plan: ItePlan, state: StateVector) -> StateVector:
-    """Apply the plan's gates (not the scalar constant) to the state it was
-    built for, or to a global-phase copy of it, in place on one copy of the
-    amplitudes."""
-    if not _is_product_of(plan.site_vectors, state):
+def apply_ite(pair: ItePair, state: StateVector) -> tuple[StateVector, ...]:
+    """Apply each sign's gates (not the scalar constants) to the state the
+    pair was built for, or to a global-phase copy of it, each in place on
+    one copy of the amplitudes: (V+ state, V- state)."""
+    if not _is_product_of(pair.site_vectors, state):
         raise ValueError("ITE plan applied to a different state than it was built for")
-    return _run_layers(state, plan.compiled)
+    return tuple([_run_layers(state, layers) for layers in pair.compiled])
 
 
 def build_ite_plan_tfim(spec: HamiltonianSpec, psi: StateVector, h: float) -> ItePair:
@@ -218,17 +217,19 @@ def build_ite_plan_tfim(spec: HamiltonianSpec, psi: StateVector, h: float) -> It
             "(diagonal bonds plus sigma^x site terms)"
         )
 
-    def gates(sign: int) -> GateStack:
-        rotations = []
+    def rotations(sign: int) -> np.ndarray:
+        turned = []
         for angle, bit in turns:
             c, s = np.cos(sign * angle), np.sin(sign * angle)
-            rotations.append([[c, -s], [s, c]] if bit == 0 else [[c, s], [-s, c]])
+            turned.append([[c, -s], [s, c]] if bit == 0 else [[c, s], [-s, c]])
         # a theta = 0 rotation is the identity, which the stack drops
-        stack = np.array(rotations, dtype=complex).reshape(-1, 2, 2)
-        return _stack_in_term_order(spec.terms, [(idx, stack)])
+        return np.array(turned, dtype=complex).reshape(-1, 2, 2)
 
-    return ItePair(ItePlan(psi.n_qubits, log_plus, vecs, partial(gates, 1)),
-                   ItePlan(psi.n_qubits, log_minus, vecs, partial(gates, -1)))
+    def stacks() -> tuple[GateStack, ...]:
+        return tuple([_stack_in_term_order(spec.terms, [(idx, rotations(sign))])
+                      for sign in (1, -1)])
+
+    return ItePair(psi.n_qubits, (log_plus, log_minus), vecs, stacks)
 
 
 def build_ite_plan_general(spec: HamiltonianSpec, psi: StateVector, h: float) -> ItePair:
@@ -242,18 +243,18 @@ def build_ite_plan_general(spec: HamiltonianSpec, psi: StateVector, h: float) ->
     B is forced; with v = i (H_m - <H_m>) phi (orthogonal to phi) the
     minimal completion is B = v phi^dag + phi v^dag.  Gates keep the term
     order of the spec.  The terms of one support width share one batched
-    eigendecomposition of their matrices (for both signs' c^2) and, per
-    sign, one of their generators B (for every gate).
+    eigendecomposition of their matrices (for both signs' c^2) and one of
+    their generators B (for both signs' gates, which differ only in the
+    sign of h in the phases).
     """
     vecs = _site_vectors(psi)
     if h == 0.0:
-        plan = partial(ItePlan, psi.n_qubits, 0.0, vecs, partial(GateStack, (), ()))
-        return ItePair(plan(), plan())
+        return ItePair(psi.n_qubits, (0.0, 0.0), vecs, lambda: (GateStack((), ()),) * 2)
     terms = spec.terms
     if any(len(term.support) > 2 for term in terms):
         raise ValueError("term support larger than 2 sites is unsupported")
     c_sq = np.empty((2, len(terms)))  # rows: plus, minus
-    stacks = []
+    widths = []
     for idx, mats in _stacks_by_width(terms):
         supports = np.array([terms[k].support for k in idx])
         # phi = v[s_1] x v[s_0]: the first support site is the least significant
@@ -264,21 +265,21 @@ def build_ite_plan_general(spec: HamiltonianSpec, psi: StateVector, h: float) ->
         weights = np.abs((vectors.conj().swapaxes(1, 2) @ phi[:, :, None])[:, :, 0]) ** 2
         for row, sign in zip(c_sq, (1, -1)):
             row[idx] = np.sum(weights * np.exp(sign * 2.0 * h * energies), axis=1)
-        stacks.append((idx, mats, phi))
+        widths.append((idx, mats, phi))
     if np.any(c_sq <= 0):
         raise NumericsError("nonpositive rescaling constant")
 
-    def gates(sign: int) -> GateStack:
-        parts = []
-        for idx, mats, phi in stacks:
+    def stacks() -> tuple[GateStack, GateStack]:
+        parts = []  # (term indices, plus gates, minus gates) per width
+        for idx, mats, phi in widths:
             h_phi = (mats @ phi[:, :, None])[:, :, 0]
             mean = np.sum(phi.conj() * h_phi, axis=1).real
             v = 1j * (h_phi - mean[:, None] * phi)
             b = v[:, :, None] * phi.conj()[:, None, :] + phi[:, :, None] * v.conj()[:, None, :]
-            parts.append((idx, _exp_gates(b, sign * h)))
-        return _stack_in_term_order(terms, parts)
+            parts.append((idx, *_exp_gates(b, h, -h)))
+        return (_stack_in_term_order(terms, [(idx, plus) for idx, plus, _ in parts]),
+                _stack_in_term_order(terms, [(idx, minus) for idx, _, minus in parts]))
 
     # summed left to right in term order, as a term-by-term accumulation would
-    log_plus, log_minus = (sum((0.5 * np.log(row)).tolist(), 0.0) for row in c_sq)
-    return ItePair(ItePlan(psi.n_qubits, log_plus, vecs, partial(gates, 1)),
-                   ItePlan(psi.n_qubits, log_minus, vecs, partial(gates, -1)))
+    log_c = tuple(sum((0.5 * np.log(row)).tolist(), 0.0) for row in c_sq)
+    return ItePair(psi.n_qubits, log_c, vecs, stacks)

@@ -195,8 +195,7 @@ def sample_shots(p, shots: int, rng):
     outside = ~((values >= 0.0) & (values <= 1.0))
     if np.any(outside):
         raise ValueError(f"probability {values[outside].flat[0]} outside [0, 1]")
-    if values.ndim == 0:
-        return float(rng.binomial(shots, p)) / shots
+    # on a 0-d array the draw is a Python int, so one probability gives a float
     return rng.binomial(shots, values) / shots
 
 

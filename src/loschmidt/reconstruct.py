@@ -182,7 +182,10 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
     :func:`_one_sided_derivative`.
 
     n0 defaults to 1; n0 = 2 is selected when both one-sided first
-    derivatives fall below the detection threshold.  Higher orders raise.
+    derivatives fall below ``derivative_threshold``, by default the
+    trace's configured ``zero_threshold``, else 1e-3.  Under shots with no
+    configured threshold that is 1e-3, not the max(1e-3, 10/sqrt(shots))
+    with which ``detect_zeros`` finds the crossings.  Higher orders raise.
     """
     if len(crossings) == 0:
         return trace
@@ -317,21 +320,21 @@ def reconstruct_trace(
     return trace
 
 
-def _noiseless_series(psi, bra, step, ite_plans, prefix_steps: int, n_points: int) -> np.ndarray:
+def _noiseless_series(psi, bra, step, ite_pair, prefix_steps: int, n_points: int) -> np.ndarray:
     """The exact r^2, p+ and p- series of a noiseless run, as the rows of a
     (3, n_points) array, from one Trotter evolution.
 
     Row x holds |<bra| U^(prefix_steps + k) x>|^2 at grid point k, for the
     kets x = psi, V+ psi and V- psi, where U is one step of ``step`` and V+-
-    psi the kets of ``ite_plans``, grown from their site vectors (psi up to
-    a global phase, which no modulus reads).  Since <bra|U^k x> = ((U^T)^k
-    conj(bra)) . x, one vector w = conj(bra) runs the transposed step: first
-    ``prefix_steps`` times, then once between grid points, and each point
-    reads three plain dot products with the fixed kets.  That is
-    prefix_steps + n_points - 1 steps for all three families, and memory of
-    the two held kets plus w.
+    psi the kets of ``ite_pair``, grown from its site vectors on one block
+    schedule (psi up to a global phase, which no modulus reads).  Since
+    <bra|U^k x> = ((U^T)^k conj(bra)) . x, one vector w = conj(bra) runs the
+    transposed step: first ``prefix_steps`` times, then once between grid
+    points, and each point reads three plain dot products with the fixed
+    kets.  That is prefix_steps + n_points - 1 steps for all three
+    families, and memory of the two held kets plus w.
     """
-    kets = [psi.amplitudes] + [plan.ket() for plan in ite_plans]
+    kets = [psi.amplitudes, *ite_pair.kets()]
     back = _transposed(step.compiled)
     w = bra.amplitudes.conj()
     out = np.empty((len(kets), n_points))
@@ -359,15 +362,15 @@ def run_phase_experiment(config) -> PhaseTrace:
     Backends:
 
     * ``exact_oracle`` — amplitudes from the dense eigendecomposition
-      (imaginary-time constants still come from the configured ITE plan so
+      (imaginary-time constants still come from the configured ITE pair so
       the recorded probabilities match what an experiment would see),
     * ``statevector_trotter`` — exact overlap probabilities of the three
-      families (r: the Trotter steps; p+-: the ITE plan's ket, grown from
+      families (r: the Trotter steps; p+-: the ITE pair's kets, grown from
       the site vectors, then the same steps), all read off one evolution of
       the bra under the transposed step (``_noiseless_series``),
     * ``noisy`` — at gamma > 0, the same circuits as depolarizing
       trajectories (``trajectory_survivals``), with the ITE prefix run layer
-      by layer (``plan.compiled``) so the Paulis act between its layers,
+      by layer (``pair.compiled``) so the Paulis act between its layers,
       then rescaling mitigation at each record point's layer depth.  At
       gamma = 0 no Pauli can fire and the rescaling factor is 1: the series
       are those of ``statevector_trotter``, the mitigated columns equal the
@@ -375,8 +378,8 @@ def run_phase_experiment(config) -> PhaseTrace:
 
     Shots and their seed come from the noise block on ``noisy`` and from
     ``config.shots``/``config.seed`` otherwise; each family is sampled from
-    its own generator, with its own spawn key.  The ITE plans are built from
-    ``config.psi`` in this function, so their layers run without
+    its own generator, with its own spawn key.  The ITE pair is built from
+    ``config.psi`` in this function, so its layers run without
     ``apply_ite``'s state check.
     """
     spec = config.spec
@@ -389,7 +392,8 @@ def run_phase_experiment(config) -> PhaseTrace:
         "tfim_closed_form": build_ite_plan_tfim,
         "general_bj": build_ite_plan_general,
     }[config.ite_mode]
-    plan_plus, plan_minus = builder(spec, psi, config.h)
+    pair = builder(spec, psi, config.h)
+    log_c_plus, log_c_minus = pair.log_c
 
     if config.anchor is not None:
         anchor = config.anchor
@@ -413,8 +417,8 @@ def run_phase_experiment(config) -> PhaseTrace:
         g_real, g_plus, g_minus = amplitude_series(spec, bra, psi, strip).T
         series = [
             np.abs(g_real) ** 2,
-            np.exp(2.0 * (np.log(np.abs(g_plus)) - plan_plus.log_c_total)),
-            np.exp(2.0 * (np.log(np.abs(g_minus)) - plan_minus.log_c_total)),
+            np.exp(2.0 * (np.log(np.abs(g_plus)) - log_c_plus)),
+            np.exp(2.0 * (np.log(np.abs(g_minus)) - log_c_minus)),
         ]
     elif mitigate:
         # one circuit per family, r / + / -: the ITE layers (none for r),
@@ -424,8 +428,8 @@ def run_phase_experiment(config) -> PhaseTrace:
         trotter_layers = step.compiled * (config.prefix_steps + n_points - 1)
         record_r = [(config.prefix_steps + k) * step.layers_per_step for k in range(n_points)]
         circuits = [(trotter_layers, record_r)] + [
-            (plan.compiled + trotter_layers, [plan.n_layers + d for d in record_r])
-            for plan in (plan_plus, plan_minus)
+            (ite_layers + trotter_layers, [pair.n_layers + d for d in record_r])
+            for ite_layers in pair.compiled
         ]
         series = [
             trajectory_survivals(psi, layers, record, bra, config.noise)
@@ -433,9 +437,7 @@ def run_phase_experiment(config) -> PhaseTrace:
         ]
     else:
         step = build_plan(spec, config.tau, config.tau, config.order)
-        series = list(_noiseless_series(
-            psi, bra, step, (plan_plus, plan_minus), config.prefix_steps, n_points
-        ))
+        series = list(_noiseless_series(psi, bra, step, pair, config.prefix_steps, n_points))
 
     if noisy:
         shots, seed = config.noise.shots, config.noise.master_seed
@@ -477,8 +479,8 @@ def run_phase_experiment(config) -> PhaseTrace:
         np.sqrt(np.maximum(p_r, 0.0)),
         p_plus,
         p_minus,
-        plan_plus.log_c_total,
-        plan_minus.log_c_total,
+        log_c_plus,
+        log_c_minus,
         config.h,
         rule=config.rule,
         anchor=anchor,

@@ -29,9 +29,11 @@ applied along axis 1 of the amplitudes viewed as ``(2^(N-lo-w), 2^w,
 A stack whose gates run with nothing between them on a product state has
 a second form, ``_product_ket``: the ordered product of its gates applied
 to v_{N-1} x ... x v_0, computed from the (N, 2) site vectors on a state
-that grows from site 0.  ``_block_schedule`` groups the gates into blocks
-of at most ``_FUSE_SITES`` adjacent sites, with no layer boundaries (the
-general ITE staircase of N ordered layers becomes ceil((N-1)/4) blocks).
+that grows from site 0.  ``_block_schedule`` groups the gate indices of
+a support tuple into blocks of at most ``_FUSE_SITES`` adjacent sites, with
+no layer boundaries (the general ITE staircase of N ordered layers becomes
+ceil((N-1)/4) blocks); it reads only the supports, so the two ITE stacks
+of one pair share one schedule.
 A block reaching above the sites the state holds so far builds its matrix
 only on the columns of the sites it holds, its new sites entering as their
 site vectors, and one matmul writes the larger state; a block inside them
@@ -390,11 +392,12 @@ def _compile_stack(n_qubits: int, stack: GateStack, index) -> tuple[tuple, ...]:
     return tuple([ops[layer] for layer in index])
 
 
-def _block_schedule(stack: GateStack) -> list[list]:
-    """The ordered product of a checked stack's gates, in term order, as
-    blocks of at most ``_FUSE_SITES`` adjacent sites: ``[start, stop,
-    members]`` in run order, ``members`` the block's (lo, matrix) pairs in
-    term order.
+def _block_schedule(supports) -> list[list]:
+    """The ordered product of gates on adjacent-site ``supports``, in that
+    order, as blocks of at most ``_FUSE_SITES`` adjacent sites: ``[start,
+    stop, members]`` in run order, ``members`` the indices of the block's
+    gates in order.  It reads only the supports, so stacks on the same
+    supports share one schedule.
 
     A gate may move back past the blocks after the last one that touches
     its sites, since it commutes with them, and join any block among those
@@ -402,8 +405,8 @@ def _block_schedule(stack: GateStack) -> list[list]:
     It joins the one it widens least (the latest of equals), since an op's
     cost grows as 2^width, or else opens a block at the end."""
     blocks: list[list] = []
-    for lo, mat in map(_lsb_first, stack.supports, stack.matrices):
-        hi = lo + _width(mat)
+    for k, support in enumerate(supports):
+        lo, hi = min(support), max(support) + 1
         best, growth = None, _FUSE_SITES
         for block in reversed(blocks):
             start, stop, _ = block
@@ -417,7 +420,7 @@ def _block_schedule(stack: GateStack) -> list[list]:
             best = [lo, hi, []]
             blocks.append(best)
         best[:2] = min(best[0], lo), max(best[1], hi)
-        best[2].append((lo, mat))
+        best[2].append(k)
     return blocks
 
 
@@ -430,13 +433,13 @@ def _grow(amps: np.ndarray, vecs) -> np.ndarray:
     return amps
 
 
-def _product_ket(site_vectors: np.ndarray, stack: GateStack) -> np.ndarray:
+def _product_ket(site_vectors: np.ndarray, stack: GateStack, schedule) -> np.ndarray:
     """The amplitudes of a checked stack's ordered product applied to the
     product state v_{N-1} x ... x v_0 of the (N, 2) ``site_vectors``,
     computed on a state that grows from site 0.
 
-    The state holds the sites below ``held``.  Each block of
-    ``_block_schedule``, in run order:
+    The state holds the sites below ``held``.  Each block of ``schedule``
+    (``_block_schedule`` of the stack's supports), in run order:
 
     * inside the held sites, runs in place as a ``BlockOp``;
     * reaching above them, first adds the sites below its start that no
@@ -448,10 +451,12 @@ def _product_ket(site_vectors: np.ndarray, stack: GateStack) -> np.ndarray:
     the gates applied to ``product_state(site_vectors)`` with the same
     global phase."""
     n_qubits = len(site_vectors)
+    placed = list(map(_lsb_first, stack.supports, stack.matrices))
     amps, held = _ONE[0], 0
-    for start, stop, members in _block_schedule(stack):
+    for start, stop, indices in schedule:
         if stop > n_qubits:
             raise ValueError(f"gate support out of range for {n_qubits} qubits")
+        members = [placed[k] for k in indices]
         if stop <= held:
             dim = 1 << (stop - start)
             shape = (1 << (held - stop), dim) + ((1 << start,) if start else ())

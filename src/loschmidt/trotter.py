@@ -42,12 +42,12 @@ _SUZUKI_A = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 _IDENTITY_ATOL = 1e-12
 
 
-def _exp_gates(mats: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-i theta M) for each Hermitian matrix of a stack, by one batched
-    eigendecomposition."""
+def _exp_gates(mats: np.ndarray, *thetas: float) -> list[np.ndarray]:
+    """exp(-i theta M) for each Hermitian matrix of a stack, one stack per
+    theta, from one batched eigendecomposition."""
     energies, vectors = np.linalg.eigh(mats)
-    phases = np.exp(-1j * theta * energies)[:, None, :]
-    return (vectors * phases) @ vectors.conj().swapaxes(1, 2)
+    adjoint = vectors.conj().swapaxes(1, 2)
+    return [(vectors * np.exp(-1j * theta * energies)[:, None, :]) @ adjoint for theta in thetas]
 
 
 def _stacks_by_width(terms):
@@ -82,7 +82,7 @@ def _group_layers(spec: HamiltonianSpec, label: str, dt: float, gates: GateStack
     they neither cost work nor count as noise locations.
     """
     terms = [term for term in spec.terms if term.group == label]
-    parts = [(idx, _exp_gates(mats, dt)) for idx, mats in _stacks_by_width(terms)]
+    parts = [(idx, *_exp_gates(mats, dt)) for idx, mats in _stacks_by_width(terms)]
     group = _stack_in_term_order(terms, parts)
     start = len(gates.supports)
     gates.supports.extend(group.supports)

@@ -20,9 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loschmidt.noise as noise_module
-from loschmidt.baselines import _solve_two_angle, hadamard_test, sequential_interferometry
+from loschmidt.baselines import hadamard_test, sequential_interferometry
 from loschmidt.config import ExperimentConfig
-from loschmidt.ite import apply_ite, build_ite_plan_general, build_ite_plan_tfim, ite_angle
+from loschmidt.exceptions import NumericsError
+from loschmidt.ite import ItePair, apply_ite, build_ite_plan_general, build_ite_plan_tfim, ite_angle
 from loschmidt.model import HamiltonianSpec, LocalTerm, _embed, tfim
 from loschmidt.noise import NoiseConfig
 from loschmidt.reconstruct import _noiseless_series, run_phase_experiment
@@ -49,9 +50,13 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def _ite_plan(builder, spec, psi, h, sign):
-    """The plan of exp(sign*h*H) out of the builder's (plus, minus) pair."""
+    """The gate stack, log constant and compiled layers of exp(sign*h*H)
+    out of the builder's pair, which is ``pair``; ``index`` is the sign's
+    entry in the pair's (plus, minus) tuples."""
     pair = builder(spec, psi, h)
-    return pair.plus if sign == 1 else pair.minus
+    index = 0 if sign == 1 else 1
+    return SimpleNamespace(pair=pair, index=index, gate_stack=pair.stacks[index],
+                           log_c=pair.log_c[index], compiled=pair.compiled[index])
 
 
 def _exp_gate(matrix, theta):
@@ -204,7 +209,7 @@ def reference_step_layers(spec, dt, order):
 def reference_ite_plan(spec, psi, h, sign):
     """The term-by-term general ITE construction: site vectors from each
     site's reduced density matrix, then per term one dense exponential for
-    c^2 and one for the gate.  Returns ([(support, gate)], log_c_total)."""
+    c^2 and one for the gate.  Returns ([(support, gate)], log c)."""
     n = psi.n_qubits
     tensor = psi.amplitudes.reshape([2] * n)
     vecs = []
@@ -259,12 +264,12 @@ def _non_product_states():
 
 
 def _assert_adjoint_pair(pair):
-    """Both plans of a pair share one factorisation of the state and one
-    list of supports, and each minus gate is the adjoint of its plus gate."""
-    plus, minus = pair
-    assert plus.site_vectors is minus.site_vectors
-    assert plus.gate_stack.supports == minus.gate_stack.supports
-    for forward, backward in zip(plus.gate_stack.matrices, minus.gate_stack.matrices):
+    """Both stacks of a pair share one support tuple, and each minus gate is
+    the adjoint of its plus gate."""
+    plus, minus = pair.stacks
+    assert plus.supports is minus.supports is pair.supports
+    assert len(plus.matrices) == len(minus.matrices) == len(pair.supports)
+    for forward, backward in zip(plus.matrices, minus.matrices):
         assert np.max(np.abs(backward - forward.conj().T)) < 1e-12
 
 
@@ -283,8 +288,17 @@ class TestItePlanBuilders:
         psi = basis_state(n, int(rng.integers(0, 2**n)))
         spec = tfim(n, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.2, 1.5)))
         pair = build_ite_plan_tfim(spec, psi, h)
-        assert len(pair.plus.gate_stack.supports) == n
+        assert len(pair.supports) == n
         _assert_adjoint_pair(pair)
+
+    def test_stacks_on_different_supports_rejected(self):
+        # the two signs share one layer index and one block schedule, so
+        # their gates must act on one support tuple
+        gate = _exp_gate(_random_hermitian(np.random.default_rng(0), 2, False), 0.1)
+        stacks = (GateStack(((0,),), (gate,)), GateStack(((1,),), (gate.conj().T,)))
+        pair = ItePair(2, (0.0, 0.0), np.eye(2, dtype=complex), lambda: stacks)
+        with pytest.raises(NumericsError, match="different supports"):
+            pair.kets()
 
     @PROPERTY
     @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
@@ -297,7 +311,7 @@ class TestItePlanBuilders:
         assert list(stack.supports) == [support for support, _ in ref_gates]
         for matrix, (_, ref) in zip(stack.matrices, ref_gates):
             assert np.max(np.abs(matrix - ref)) < 1e-12
-        assert abs(plan.log_c_total - ref_log_c) < 1e-12
+        assert abs(plan.log_c - ref_log_c) < 1e-12
 
     @PROPERTY
     @given(n=st.integers(2, 8), seed=SEEDS, sign=st.sampled_from([1, -1]))
@@ -320,7 +334,7 @@ class TestItePlanBuilders:
             assert abs(column[bits[site]] - np.cos(theta)) < 1e-12
             assert abs(column[1 - bits[site]] - np.sin(theta)) < 1e-12
         ref = _ite_plan(build_ite_plan_tfim, spec, basis_state(n, index), 0.1, sign)
-        assert plan.log_c_total == ref.log_c_total
+        assert plan.log_c == ref.log_c
         assert stack.supports == ref.gate_stack.supports
         assert all(map(np.array_equal, stack.matrices, ref.gate_stack.matrices))
 
@@ -335,11 +349,11 @@ class TestItePlanBuilders:
     @given(case=chain_and_product_state(), phase=st.floats(0.0, 2 * np.pi))
     def test_apply_ite_accepts_state_and_global_phase_copy(self, case, phase):
         spec, psi = case
-        plan = build_ite_plan_general(spec, psi, 0.05).minus
-        out = apply_ite(plan, psi).amplitudes
+        pair = build_ite_plan_general(spec, psi, 0.05)
         turn = np.exp(1j * phase)
-        rotated = apply_ite(plan, StateVector(psi.n_qubits, turn * psi.amplitudes)).amplitudes
-        assert np.max(np.abs(rotated - turn * out)) < 1e-12
+        rotated = apply_ite(pair, StateVector(psi.n_qubits, turn * psi.amplitudes))
+        for out, new in zip(apply_ite(pair, psi), rotated):
+            assert np.max(np.abs(new.amplitudes - turn * out.amplitudes)) < 1e-12
 
 
 class TestCompiledKernel:
@@ -384,11 +398,11 @@ class TestCompiledKernel:
     def test_ite_plan_matches_embedded_gate_product(self, case, sign):
         spec, psi = case
         plan = _ite_plan(build_ite_plan_general, spec, psi, 0.05, sign)
-        assert len(plan.compiled) == plan.n_layers
+        assert len(plan.compiled) == plan.pair.n_layers
         expected = _embedded_product(
-            _plan_layers(plan.gate_stack, plan.layer_index), spec.n_sites, psi
+            _plan_layers(plan.gate_stack, plan.pair.layer_index), spec.n_sites, psi
         )
-        out = apply_ite(plan, psi)
+        out = apply_ite(plan.pair, psi)[plan.index]
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
     def test_non_adjacent_gate_rejected(self):
@@ -436,7 +450,7 @@ class TestPlanCensus:
         ))
         steps = round(t_max / tau)
         trotter_layers = steps * build_plan(spec, tau, tau, order).layers_per_step
-        ite_layers = build_ite_plan_tfim(spec, psi, 0.1).plus.n_layers
+        ite_layers = build_ite_plan_tfim(spec, psi, 0.1).n_layers
         assert len(calls) == n_traj * (3 * trotter_layers + 2 * ite_layers)
 
 
@@ -537,8 +551,8 @@ class TestCompileEquivalence:
         plan = _ite_plan(build_ite_plan_general, spec, psi, h, sign)
         index = _reference_pack(plan.gate_stack.supports, ordered=True)
         _assert_same_ops(plan.compiled, _plan_layers(plan.gate_stack, index), spec.n_sites)
-        assert plan.n_layers == len(index)
-        assert plan.layer_index == index
+        assert plan.pair.n_layers == len(index)
+        assert plan.pair.layer_index == index
 
     @PROPERTY
     @given(n=st.integers(2, 8), seed=SEEDS, sign=st.sampled_from([1, -1]))
@@ -549,8 +563,8 @@ class TestCompileEquivalence:
         plan = _ite_plan(build_ite_plan_tfim, spec, psi, 0.1, sign)
         index = _reference_pack(plan.gate_stack.supports, ordered=True)
         _assert_same_ops(plan.compiled, _plan_layers(plan.gate_stack, index), n)
-        assert plan.n_layers == len(index)
-        assert plan.layer_index == index
+        assert plan.pair.n_layers == len(index)
+        assert plan.pair.layer_index == index
 
     @PROPERTY
     @given(layer=disjoint_layers(), seed=SEEDS)
@@ -606,6 +620,13 @@ def reference_hadamard_test(spec, psi, t, tau, order, part, shots=None, rng=None
     return 2.0 * p_zero - 1.0
 
 
+def _two_angle_chi(cs, thetas):
+    """chi from cos(chi + th) = c at the two (th, c) pairs."""
+    a = np.array([[np.cos(th), -np.sin(th)] for th in thetas])
+    cos_chi, sin_chi = np.linalg.solve(a, cs)
+    return float(np.arctan2(sin_chi, cos_chi))
+
+
 def reference_sequential(spec, chain, t, tau, anchor, thetas, threshold, shots=None, rng=None):
     """(phase, step phases) of the interferometry chain, with every
     superposition prepared and evolved as a state of its own."""
@@ -629,12 +650,12 @@ def reference_sequential(spec, chain, t, tau, anchor, thetas, threshold, shots=N
             for bra, r_own in ((a, r_ii), (b, r_jj)):
                 cs = [np.clip((2 * measure(bra, ket) - r_own**2 - r_ij**2) / (2 * r_own * r_ij),
                               -1, 1) for ket in evolved]
-                step += _solve_two_angle(cs[0], cs[1], *thetas)
+                step += _two_angle_chi(cs, thetas)
         else:
             bra = superposition(a, b, 0.0)
             cs = [np.clip((4 * measure(bra, ket) - r_ii**2 - r_jj**2) / (2 * r_ii * r_jj), -1, 1)
                   for ket in evolved]
-            step = _solve_two_angle(cs[0], cs[1], *thetas)
+            step = _two_angle_chi(cs, thetas)
         steps.append(step)
         phi += step
     return phi, steps
@@ -701,15 +722,17 @@ class TestPlanRunners:
         assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
     @PROPERTY
-    @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
-           h=st.sampled_from([0.0, 0.05, 0.4]))
-    def test_apply_ite_equals_layer_loop(self, case, sign, h):
+    @given(case=chain_and_product_state(), h=st.sampled_from([0.0, 0.05, 0.4]))
+    def test_apply_ite_equals_layer_loop(self, case, h):
         spec, psi = case
-        plan = _ite_plan(build_ite_plan_general, spec, psi, h, sign)
-        expected = psi
-        for layer in plan.compiled:
-            expected = apply_layer(expected, layer)
-        assert apply_ite(plan, psi).amplitudes.tobytes() == expected.amplitudes.tobytes()
+        pair = build_ite_plan_general(spec, psi, h)
+        outs = apply_ite(pair, psi)
+        assert len(outs) == len(pair.compiled) == 2
+        for out, layers in zip(outs, pair.compiled):
+            expected = psi
+            for layer in layers:
+                expected = apply_layer(expected, layer)
+            assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
 @st.composite
@@ -739,14 +762,14 @@ def ordered_stacks(draw):
     return n, GateStack(tuple(supports), tuple(mats))
 
 
-def _tilted_tfim_plan(n, sign):
-    """The general ITE plan (h = 0.05) of the TFIM on a product state whose
+def _tilted_tfim_pair(n):
+    """The general ITE pair (h = 0.05) of the TFIM on a product state whose
     sites tilt by up to 0.3 rad from up, with a random azimuth."""
     rng = np.random.default_rng(3)
     theta, azimuth = rng.uniform(0.0, 0.3, n), rng.uniform(0.0, 2 * np.pi, n)
     psi = product_state([[np.cos(a / 2), np.sin(a / 2) * np.exp(1j * b)]
                          for a, b in zip(theta, azimuth)])
-    return _ite_plan(build_ite_plan_general, tfim(n, 1.0, 0.5), psi, 0.05, sign)
+    return build_ite_plan_general(tfim(n, 1.0, 0.5), psi, 0.05)
 
 
 def _random_site_vectors(rng, n):
@@ -761,18 +784,26 @@ def _stack_of(supports, seed=0):
 
 
 class TestProductKet:
-    """The ITE ket grown from the site vectors against the gates applied one
-    by one and the per-layer form, and the block schedule of the TFIM
+    """The ITE kets grown from the site vectors against the gates applied
+    one by one and the per-layer form, and the block schedule of the TFIM
     staircase."""
 
+    @staticmethod
+    def _assert_kets_equal_compiled(pair):
+        # kets() and compiled are both (plus, minus)
+        product = product_state(pair.site_vectors)
+        kets = pair.kets()
+        assert len(kets) == len(pair.compiled) == 2
+        for ket, layers in zip(kets, pair.compiled):
+            expected = _run_layers(product, layers).amplitudes
+            assert np.max(np.abs(ket - expected)) < 1e-12
+
     @PROPERTY
-    @given(case=chain_and_product_state(), sign=st.sampled_from([1, -1]),
-           h=st.sampled_from([0.05, 0.4]))
-    def test_ket_equals_compiled(self, case, sign, h):
+    @given(case=chain_and_product_state(), h=st.sampled_from([0.05, 0.4]))
+    def test_ket_equals_compiled(self, case, h):
         spec, psi = case
-        plan = _ite_plan(build_ite_plan_general, spec, psi, h, sign)
-        expected = _run_layers(product_state(plan.site_vectors), plan.compiled).amplitudes
-        assert np.max(np.abs(plan.ket() - expected)) < 1e-12
+        pair = build_ite_plan_general(spec, psi, h)
+        self._assert_kets_equal_compiled(pair)
 
     #: a staircase that overflows its first block: (4, 3) may join that
     #: block, which covers it, only by moving back past the block of (4, 5)
@@ -798,7 +829,8 @@ class TestProductKet:
         n, stack = case
         vecs = _random_site_vectors(np.random.default_rng(seed), n)
         expected = _gates_one_by_one(product_state(vecs), zip(*stack))
-        assert np.max(np.abs(_product_ket(vecs, stack) - expected.amplitudes)) < 1e-12
+        ket = _product_ket(vecs, stack, _block_schedule(stack.supports))
+        assert np.max(np.abs(ket - expected.amplitudes)) < 1e-12
 
     @pytest.mark.parametrize("case, spans", [
         (ABOVE_ZERO, [(3, 6)]),
@@ -806,7 +838,7 @@ class TestProductKet:
         (EMPTY, []),
     ])
     def test_examples_reach_their_paths(self, case, spans):
-        assert [(start, stop) for start, stop, _ in _block_schedule(case[1])] == spans
+        assert [(start, stop) for start, stop, _ in _block_schedule(case[1].supports)] == spans
 
     @pytest.mark.parametrize("n, spans", [
         (8, [(0, 5), (4, 8)]),
@@ -817,25 +849,30 @@ class TestProductKet:
         # bonds (0, 1), (1, 2), ... then the fields: blocks of five sites
         # overlapping by one, each field joining the block that covers it,
         # so every block grows the state
-        plan = _tilted_tfim_plan(n, sign)
-        assert plan.n_layers == n
-        blocks = _block_schedule(plan.gate_stack)
+        pair = _tilted_tfim_pair(n)
+        assert pair.n_layers == n
+        blocks = _block_schedule(pair.stacks[0 if sign == 1 else 1].supports)
         assert [(start, stop) for start, stop, _ in blocks] == spans
-        assert sum(len(members) for _, _, members in blocks) == 2 * n - 1
+        # every gate index once, in term order within a block
+        members = [k for _, _, indices in blocks for k in indices]
+        assert sorted(members) == list(range(2 * n - 1))
+        assert all(indices == sorted(indices) for _, _, indices in blocks)
 
     def test_one_layer_plans_keep_their_compile(self):
         psi = basis_state(6, 0b010011)
-        closed = build_ite_plan_tfim(tfim(6, 1.0, 0.5), psi, 0.1).plus
-        empty = build_ite_plan_general(tfim(6, 1.0, 0.5), psi, 0.0).plus
+        closed = build_ite_plan_tfim(tfim(6, 1.0, 0.5), psi, 0.1)
+        empty = build_ite_plan_general(tfim(6, 1.0, 0.5), psi, 0.0)
         assert (closed.n_layers, empty.n_layers) == (1, 0)
-        for plan in (closed, empty):
-            expected = _run_layers(product_state(plan.site_vectors), plan.compiled).amplitudes
-            assert np.max(np.abs(plan.ket() - expected)) < 1e-12
-        assert np.array_equal(empty.ket(), product_state(empty.site_vectors).amplitudes)
+        for pair in (closed, empty):
+            self._assert_kets_equal_compiled(pair)
+        for ket in empty.kets():
+            assert np.array_equal(ket, product_state(empty.site_vectors).amplitudes)
 
     def test_out_of_range_gate_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            _product_ket(_random_site_vectors(np.random.default_rng(0), 3), _stack_of([(2, 3)]))
+            stack = _stack_of([(2, 3)])
+            _product_ket(_random_site_vectors(np.random.default_rng(0), 3), stack,
+                         _block_schedule(stack.supports))
 
 
 def _gates_one_by_one(state, gates):
@@ -853,8 +890,7 @@ def reference_series(spec, psi, bra, tau, order, h, prefix_steps, n_points):
     step = build_plan(spec, tau, tau, order)
     step_gates = [g for layer in _plan_layers(step.gate_stack, step.layer_index) for g in layer]
     kets = [psi] + [
-        _gates_one_by_one(psi, zip(*plan.gate_stack))
-        for plan in build_ite_plan_general(spec, psi, h)
+        _gates_one_by_one(psi, zip(*stack)) for stack in build_ite_plan_general(spec, psi, h).stacks
     ]
     out = np.empty((3, n_points))
     for row, ket in enumerate(kets):
@@ -889,8 +925,8 @@ class TestTransposedEvaluation:
         psi, bra = (_random_state(rng, spec.n_sites, product=True) for _ in range(2))
         tau, h = 0.2, 0.1
         step = build_plan(spec, tau, tau, order)
-        plans = build_ite_plan_general(spec, psi, h)
-        series = _noiseless_series(psi, bra, step, plans, prefix_steps, n_points)
+        pair = build_ite_plan_general(spec, psi, h)
+        series = _noiseless_series(psi, bra, step, pair, prefix_steps, n_points)
         expected = reference_series(spec, psi, bra, tau, order, h, prefix_steps, n_points)
         assert series.shape == (3, n_points)
         assert np.max(np.abs(series - expected)) < 1e-12

@@ -14,7 +14,6 @@ from loschmidt.ite import (
 from loschmidt.model import HamiltonianSpec, LocalTerm, SIGMA_X, dense_matrix, tfim
 from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.statevector import StateVector, product_state
-from test_compiled_plans import _ite_plan
 
 RNG = np.random.default_rng(99)
 
@@ -26,8 +25,14 @@ def dense_imaginary_step(spec, h, sign, psi):
     return prop @ psi.amplitudes
 
 
-def plan_output(plan, psi):
-    return plan.c_total * apply_ite(plan, psi).amplitudes
+def pair_outputs(pair, psi):
+    """c+ V+ psi and c- V- psi."""
+    return [np.exp(log_c) * out.amplitudes for log_c, out in zip(pair.log_c, apply_ite(pair, psi))]
+
+
+def plan_output(pair, psi, sign):
+    """c V psi of exp(sign*h*H) out of the pair."""
+    return pair_outputs(pair, psi)[0 if sign == 1 else 1]
 
 
 class TestIteAngle:
@@ -47,17 +52,17 @@ class TestTfimPlan:
     def test_h_zero(self):
         psi = product_state(["up"] * 3)
         pair = build_ite_plan_tfim(tfim(3, 1.0, 0.5), psi, 0.0)
-        assert pair.plus.c_total == pair.minus.c_total == 1.0
+        assert pair.log_c == (0.0, 0.0)
         assert not pair.gates
-        out = apply_ite(pair.plus, psi)
-        assert np.allclose(out.amplitudes, psi.amplitudes)
+        for out in apply_ite(pair, psi):
+            assert np.allclose(out.amplitudes, psi.amplitudes)
 
     def test_c_total_closed_form(self):
         # N=2, J=1, g=0.5, h=0.1, sign=+: exp(-0.025) * cosh(0.05)
         psi = product_state(["up", "up"])
-        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1).plus
-        assert abs(plan.c_total - np.exp(-0.025) * np.cosh(0.05)) < 1e-12
-        assert abs(plan.c_total - 0.9765293034264908) < 1e-10
+        c_plus = np.exp(build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1).log_c[0])
+        assert abs(c_plus - np.exp(-0.025) * np.cosh(0.05)) < 1e-12
+        assert abs(c_plus - 0.9765293034264908) < 1e-10
 
     def test_c_total_brute_force_product(self):
         # c^2 = <psi|e^{2hH_zz}|psi> * prod_i <psi|e^{2hg S^x_i}|psi>,
@@ -71,17 +76,17 @@ class TestTfimPlan:
             c_sq *= np.exp(2 * h * zz[0, 0].real)
         sx_exp = np.cosh(h * g)  # <up| e^{2h (g/2) sigma^x} |up>
         c_sq *= sx_exp**n
-        plan = build_ite_plan_tfim(spec, psi, h).plus
-        assert abs(plan.c_total - np.sqrt(c_sq)) < 1e-12
+        c_plus = np.exp(build_ite_plan_tfim(spec, psi, h).log_c[0])
+        assert abs(c_plus - np.sqrt(c_sq)) < 1e-12
 
     def test_z_plus_closed_form_both_signs(self):
         n, J, g, h = 6, 1.0, 0.5, 0.1
         psi = product_state(["up"] * n)
-        for sign, plan in zip((1, -1), build_ite_plan_tfim(tfim(n, J, g), psi, h)):
+        for sign, log_c in zip((1, -1), build_ite_plan_tfim(tfim(n, J, g), psi, h).log_c):
             expected = (
                 np.exp(-sign * h * J / 4 * (n - 1) / n) * np.sqrt(np.cosh(h * g))
             ) ** n
-            assert abs(plan.c_total - expected) < 1e-12
+            assert abs(np.exp(log_c) - expected) < 1e-12
 
     def test_vector_error_order_h_squared(self):
         n = 6
@@ -91,9 +96,9 @@ class TestTfimPlan:
             errs = []
             steps = [0.1, 0.05, 0.025]
             for h in steps:
-                plan = _ite_plan(build_ite_plan_tfim, spec, psi, h, sign)
+                pair = build_ite_plan_tfim(spec, psi, h)
                 exact = dense_imaginary_step(spec, h, sign, psi)
-                errs.append(np.linalg.norm(plan_output(plan, psi) - exact))
+                errs.append(np.linalg.norm(plan_output(pair, psi, sign) - exact))
             slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
             assert abs(slope - 2.0) < 0.3
 
@@ -101,17 +106,17 @@ class TestTfimPlan:
         spec = tfim(4, 1.0, 0.5)
         psi = product_state(["up", "down", "down", "up"])
         h = 0.05
-        plan = build_ite_plan_tfim(spec, psi, h).plus
+        pair = build_ite_plan_tfim(spec, psi, h)
         exact = dense_imaginary_step(spec, h, 1, psi)
-        assert np.linalg.norm(plan_output(plan, psi) - exact) < 5e-3
+        assert np.linalg.norm(plan_output(pair, psi, 1) - exact) < 5e-3
 
     def test_c_product_bound(self):
         # c(+h) c(-h) >= 1 for the all-up state (cosh factors dominate)
         psi = product_state(["up"] * 5)
         spec = tfim(5, 1.0, 0.5)
         for h in (0.05, 0.1, 0.3):
-            plus, minus = build_ite_plan_tfim(spec, psi, h)
-            assert plus.c_total * minus.c_total >= 1.0
+            log_plus, log_minus = build_ite_plan_tfim(spec, psi, h).log_c
+            assert np.exp(log_plus) * np.exp(log_minus) >= 1.0
 
     def test_rejects_non_basis_state(self):
         psi = product_state(["x+", "up"])
@@ -121,21 +126,21 @@ class TestTfimPlan:
     def test_fingerprint_guard(self):
         psi = product_state(["up", "up"])
         other = product_state(["up", "down"])
-        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1).plus
+        pair = build_ite_plan_tfim(tfim(2, 1.0, 0.5), psi, 0.1)
         with pytest.raises(ValueError, match="different state"):
-            apply_ite(plan, other)
+            apply_ite(pair, other)
 
     def test_guard_rejects_other_qubit_count(self):
-        plan = build_ite_plan_tfim(tfim(2, 1.0, 0.5), product_state(["up"] * 2), 0.1).plus
+        pair = build_ite_plan_tfim(tfim(2, 1.0, 0.5), product_state(["up"] * 2), 0.1)
         with pytest.raises(ValueError, match="different state"):
-            apply_ite(plan, product_state(["up"] * 3))
+            apply_ite(pair, product_state(["up"] * 3))
 
 
 class TestGeneralPlan:
     def test_h_zero(self):
         psi = product_state(["x+", "up", "y-"])
         pair = build_ite_plan_general(tfim(3, 1.0, 0.5), psi, 0.0)
-        assert pair.plus.c_total == pair.minus.c_total == 1.0
+        assert pair.log_c == (0.0, 0.0)
         assert not pair.gates
 
     def test_single_term_constant(self):
@@ -143,8 +148,8 @@ class TestGeneralPlan:
         # c = sqrt(<up| e^{2h S^x} |up>) = sqrt(cosh(0.1))
         spec = HamiltonianSpec(1, (LocalTerm((0,), SIGMA_X / 2),))
         psi = product_state(["up"])
-        plan = build_ite_plan_general(spec, psi, 0.1).plus
-        assert abs(plan.c_total - np.sqrt(np.cosh(0.1))) < 1e-12
+        c_plus = np.exp(build_ite_plan_general(spec, psi, 0.1).log_c[0])
+        assert abs(c_plus - np.sqrt(np.cosh(0.1))) < 1e-12
 
     def test_matches_tfim_plan_to_h_squared(self):
         # the two constructions may not differ by more than O(h^2); on the
@@ -157,8 +162,8 @@ class TestGeneralPlan:
         dists = []
         steps = [0.1, 0.05, 0.025]
         for h in steps:
-            a = apply_ite(build_ite_plan_tfim(spec, psi, h).plus, psi).amplitudes
-            b = apply_ite(build_ite_plan_general(spec, psi, h).plus, psi).amplitudes
+            a = apply_ite(build_ite_plan_tfim(spec, psi, h), psi)[0].amplitudes
+            b = apply_ite(build_ite_plan_general(spec, psi, h), psi)[0].amplitudes
             phase = np.vdot(a, b)
             phase /= abs(phase)
             dists.append(np.linalg.norm(a * phase - b))
@@ -173,9 +178,9 @@ class TestGeneralPlan:
         errs = []
         steps = [0.1, 0.05, 0.025]
         for h in steps:
-            plan = build_ite_plan_general(spec, psi, h).minus
+            pair = build_ite_plan_general(spec, psi, h)
             exact = dense_imaginary_step(spec, h, -1, psi)
-            errs.append(np.linalg.norm(plan_output(plan, psi) - exact))
+            errs.append(np.linalg.norm(plan_output(pair, psi, -1) - exact))
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.3
 
@@ -187,7 +192,7 @@ class TestGeneralPlan:
         psi = product_state(["x+", "up", "down", "y-"])
         derivs = []
         for h in (0.05, 0.025):
-            plus, minus = (plan_output(plan, psi) for plan in build_ite_plan_general(spec, psi, h))
+            plus, minus = pair_outputs(build_ite_plan_general(spec, psi, h), psi)
             fd_plan = (plus - minus) / (2 * h)
             exact_plus = dense_imaginary_step(spec, h, 1, psi)
             exact_minus = dense_imaginary_step(spec, h, -1, psi)
@@ -204,8 +209,7 @@ class TestGeneralPlan:
         spec = HamiltonianSpec(2, (LocalTerm((0, 1), m),))
         psi = product_state(["x+", "y-"])
         h = 0.02
-        plan = build_ite_plan_general(spec, psi, h).minus
-        out = plan_output(plan, psi)
+        out = plan_output(build_ite_plan_general(spec, psi, h), psi, -1)
         exact = dense_imaginary_step(spec, h, -1, psi)
         assert np.linalg.norm(out - exact) < 5 * h**2
 
@@ -252,20 +256,25 @@ class TestLazyCompile:
         ("noisy", 0.1, "_compile_stack"),
     ])
     def test_backend_builds_one_form_of_both_plans(self, monkeypatch, backend, gamma, form):
-        # noiseless circuits grow the ket from the site vectors, circuits
+        # noiseless circuits grow the kets from the site vectors, circuits
         # where a Pauli can fire between ITE layers run the per-layer
         # compile; neither builds the other form
         calls = {"_product_ket": [], "_compile_stack": []}
         for name, calls_of in calls.items():
             def counted(*args, _original=getattr(ite_module, name), _calls=calls_of):
-                _calls.append(args[1])
+                _calls.append(args)
                 return _original(*args)
 
             monkeypatch.setattr(ite_module, name, counted)
         noise = None if gamma is None else NoiseConfig(gamma=gamma, n_trajectories=2)
         run_phase_experiment(self._config(backend, noise=noise))
-        assert len(calls[form]) == 2 and all(stack.supports for stack in calls[form])
+        assert len(calls[form]) == 2 and all(args[1].supports for args in calls[form])
         assert all(not other for name, other in calls.items() if name != form)
+        # both signs' stacks on one support tuple, with one block schedule
+        # (kets) or one layer index (compile)
+        (_, plus, plus_order), (_, minus, minus_order) = calls[form]
+        assert plus.supports is minus.supports and plus_order is minus_order
+        assert not any(np.array_equal(a, b) for a, b in zip(plus.matrices, minus.matrices))
 
     #: a product state each ITE construction accepts
     STATES = {"general_bj": ["x+", "up", "y-", "down"], "tfim_closed_form": ["up"] * 4}
@@ -305,30 +314,40 @@ class TestLazyCompile:
         run_phase_experiment(self._mode_config(ite_mode, "exact_oracle"))
         run_phase_experiment(self._mode_config(ite_mode, "statevector_trotter"))
         oracle, plans = pairs  # one build per run
-        # bit for bit: the constant does not depend on whether gates are built
-        assert [p.log_c_total for p in oracle] == [p.log_c_total for p in plans]
-        assert oracle.plus.log_c_total != oracle.minus.log_c_total
-        assert all("gate_stack" not in vars(p) for p in oracle)
-        assert all("gate_stack" in vars(p) and p.gate_stack.supports for p in plans)
+        # bit for bit: the constants do not depend on whether gates are built
+        assert oracle.log_c == plans.log_c
+        assert oracle.log_c[0] != oracle.log_c[1]
+        assert "stacks" not in vars(oracle)
+        assert "stacks" in vars(plans) and plans.supports
 
     @pytest.mark.parametrize("ite_mode", sorted(STATES))
     @pytest.mark.parametrize("backend, gamma", [
         ("exact_oracle", None), ("statevector_trotter", None), ("noisy", 0.0), ("noisy", 0.1),
     ])
     def test_state_factored_once_per_run(self, monkeypatch, ite_mode, backend, gamma):
-        calls = []
+        # the sign-independent work of the two ITE circuits runs once: the
+        # factorisation, the generators' eigh per support width (general
+        # form), the block schedule of the grown kets (noiseless) and the
+        # layer index (gamma > 0)
+        calls = {name: [] for name in
+                 ("_site_vectors", "_exp_gates", "_block_schedule", "_layer_index")}
+        for name, calls_of in calls.items():
+            def counted(*args, _original=getattr(ite_module, name), _calls=calls_of, **kwargs):
+                _calls.append(args)
+                return _original(*args, **kwargs)
 
-        def counted(psi, _original=ite_module._site_vectors):
-            calls.append(psi)
-            return _original(psi)
-
-        monkeypatch.setattr(ite_module, "_site_vectors", counted)
+            monkeypatch.setattr(ite_module, name, counted)
         noise = None if gamma is None else NoiseConfig(gamma=gamma, n_trajectories=2)
         config = self._mode_config(ite_mode, backend, noise=noise)
         run_phase_experiment(config)
-        assert calls == [config.psi]
+        assert calls["_site_vectors"] == [(config.psi,)]
+        gates = backend != "exact_oracle"
+        widths = {len(term.support) for term in config.spec.terms}
+        assert len(calls["_exp_gates"]) == (len(widths) if gates and ite_mode == "general_bj" else 0)
+        assert len(calls["_block_schedule"]) == (1 if gates and not gamma else 0)
+        assert len(calls["_layer_index"]) == (1 if gamma else 0)
 
     def test_compiled_once_per_plan(self):
         psi = product_state(["x+", "up", "y-"])
-        plan = build_ite_plan_general(tfim(3, 1.0, 0.5), psi, 0.1).plus
-        assert plan.compiled is plan.compiled
+        pair = build_ite_plan_general(tfim(3, 1.0, 0.5), psi, 0.1)
+        assert pair.compiled is pair.compiled

@@ -18,6 +18,7 @@ from loschmidt.noise import (
     statistical_error_model,
     trajectory_survivals,
 )
+from loschmidt.ite import build_ite_plan_general
 from loschmidt.model import SIGMA_X, SIGMA_Y, SIGMA_Z, tfim
 from loschmidt.reconstruct import _noiseless_series
 from loschmidt.statevector import (
@@ -266,16 +267,19 @@ class TestBatchedTrajectories:
     def test_gamma_zero_rows_equal_noiseless_run(self):
         # the rows of a zero-error batch get the same arithmetic, bit for
         # bit; the noiseless backend reads the same overlaps off one
-        # evolution of the bra under the transposed step, in another order
+        # evolution of the bra under the transposed step, in another order;
+        # at h = 0 the two ITE kets are psi as well
         psi = product_state(["x+", "up", "down"])
-        step = build_plan(tfim(3, 1.0, 0.5), 0.1, 0.1, 2)
+        spec = tfim(3, 1.0, 0.5)
+        step = build_plan(spec, 0.1, 0.1, 2)
         layers = step.compiled * 3
         record = [k * step.layers_per_step for k in range(4)]
         batched = circuit_survivals(psi, layers, record, psi, np.zeros((4, len(layers), 3)))
         assert batched.tobytes() == np.repeat(batched[:1], 4, axis=0).tobytes()
-        noiseless = _noiseless_series(psi, psi, step, (), 0, len(record))
-        assert noiseless.shape == (1, 4)
-        assert np.max(np.abs(batched - noiseless)) < 1e-12
+        pair = build_ite_plan_general(spec, psi, 0.0)
+        noiseless = _noiseless_series(psi, psi, step, pair, 0, len(record))
+        assert noiseless.shape == (3, 4)
+        assert np.max(np.abs(batched[0] - noiseless)) < 1e-12
 
 
 class TestSampleShots:

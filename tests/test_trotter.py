@@ -101,7 +101,7 @@ class TestPlanForm:
     def test_ite_gates_are_the_stack_supports(self, builder):
         pair = builder(tfim(5, 1.0, 0.5), product_state(["up"] * 5), 0.1)
         sites = ((0,), (1,), (2,), (3,), (4,))
-        assert pair.plus.gate_stack.supports == pair.minus.gate_stack.supports == sites
+        assert pair.stacks[0].supports == pair.stacks[1].supports == sites
         assert pair.gates == sites + sites
 
     def test_mirrored_tail_repeats_the_head_index(self):

@@ -9,9 +9,10 @@ inputs are the TFIM (J = 1, g = 0.5) on a seeded product state whose sites
 tilt by up to 0.3 rad from up, as in the ``trotter_n14`` benchmark workload.
 
 Per size N: one order-2 Trotter step (``evolve``), the general ITE build
-(``ite_build``: both signs' constants and gates), the plus plan's per-layer
-compile and apply, its ket grown from the site vectors (``ite_ket``: the
-plan's ``ket()``, as noiseless runs call it), the whole noiseless
+(``ite_build``: the pair, both signs' constants, and its stacks), the
+pair's per-layer compile and apply of the plus stack, both kets grown from
+the site vectors (``ite_ket``: the pair's ``kets()``, as noiseless runs
+call it), the whole noiseless
 three-family evaluation of r^2, p+ and p- at K = 11 grid points
 (``noiseless_series``: both ITE kets, then the bra under the transposed
 step), one round of the depolarizing channel, and, for N <= 12, the
@@ -73,20 +74,18 @@ def timed(fn, repeats: int) -> dict:
 def size_layers(n: int, seed: int, repeats: int) -> dict:
     spec, psi = tfim(n, 1.0, 0.5), tilted_state(n, seed)
     step = build_plan(spec, TAU, TAU, 2)
-    plans = build_ite_plan_general(spec, psi, H)
-    plan = plans.plus
-    stack, index = plan.gate_stack, plan.layer_index
+    pair = build_ite_plan_general(spec, psi, H)
+    stack, index = pair.stacks[0], pair.layer_index
     rng = np.random.default_rng(seed)
     out = {
         "ite_gates": len(stack.supports),
-        "ite_layers": plan.n_layers,
+        "ite_layers": pair.n_layers,
         "trotter_step": timed(lambda: evolve(psi, step), repeats),
-        "ite_build": timed(lambda: [p.gate_stack for p in build_ite_plan_general(spec, psi, H)],
-                           repeats),
+        "ite_build": timed(lambda: build_ite_plan_general(spec, psi, H).stacks, repeats),
         "ite_compile_layers": timed(lambda: _compile_stack(n, stack, index), repeats),
-        "ite_apply_layers": timed(lambda: _run_layers(psi, plan.compiled), repeats),
-        "ite_ket": timed(plan.ket, repeats),
-        "noiseless_series": timed(lambda: _noiseless_series(psi, psi, step, plans, 0, 11),
+        "ite_apply_layers": timed(lambda: _run_layers(psi, pair.compiled[0]), repeats),
+        "ite_ket": timed(pair.kets, repeats),
+        "noiseless_series": timed(lambda: _noiseless_series(psi, psi, step, pair, 0, 11),
                                   repeats),
         "noise_layer": timed(lambda: apply_noise_layer(psi, 0.05, rng), repeats),
     }
