@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _count, _finite, _nonnegative, _order, _positive
 from .exceptions import NumericsError
 from .model import HamiltonianSpec
 from .noise import sample_shots
@@ -53,12 +54,23 @@ class CostInput:
     def __post_init__(self):
         if self.method not in ("hadamard", "sequential", "this_work"):
             raise ValueError("method must be hadamard, sequential or this_work")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.order not in (1, 2, 4):
-            raise ValueError("order must be 1, 2 or 4")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        for name, accepts, what in _COST_INPUT_CHECKS:
+            value = getattr(self, name)
+            if not accepts(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+#: each number of CostInput, with the predicate of its key in the config's
+#: ``cost`` block: values the scaling laws can take
+_COST_INPUT_CHECKS = (
+    ("n_sites", _count, "a positive integer"),
+    ("t", _nonnegative, "a nonnegative number"),
+    ("epsilon", _positive, "a positive number"),
+    ("order", _order, "one of 1, 2, 4"),
+    ("dimension", _count, "a positive integer"),
+    ("r", _nonnegative, "a nonnegative number"),
+    ("i_factor", _finite, "a finite number"),
+)
 
 
 @dataclass

@@ -11,6 +11,12 @@ Subcommands::
     loschmidt baseline   --config cfg.json --out DIR --method hadamard|sequential
     loschmidt cost       --config cfg.json --out DIR   # resource-cost table
 
+``COMMANDS`` lists the commands once, for the parser and the dispatch.
+``--method`` belongs to ``baseline``, which requires it; every other
+command refuses it.  ``--seed`` replaces the config's seed as the config
+loads (``load_config``), so the noise block and the snapshot see it like a
+seed written in the file.
+
 Every run writes a resolved-config snapshot (re-ingestable) and a run-info
 record with the library version next to its data files.  Numbers are
 emitted with 17 significant digits and LF line endings; identical configs
@@ -26,13 +32,14 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import CostInput, hadamard_test, resource_cost, sequential_interferometry
-from .config import _ALGORITHM_CHECKS, _NOISE_CHECKS, ExperimentConfig, RunDocument, load_config
+from .config import ExperimentConfig, RunDocument, load_config
 from .exceptions import ConfigError, LoschmidtError
 from .model import (
     ORACLE_MAX_SITES,
@@ -90,47 +97,11 @@ def write_csv(path: Path, header, columns) -> None:
         handle.write("".join(row_format % row for row in rows))
 
 
-def _trace_columns(trace: PhaseTrace, with_noise: bool):
-    header = list(PHASE_HEADER)
-    cols = [
-        trace.times, trace.r, trace.p_plus, trace.p_minus,
-        trace.dphi_dt, trace.phi, trace.g_complex.real, trace.g_complex.imag,
-    ]
-    if with_noise:
-        header += NOISE_EXTRA_HEADER
-        cols += [
-            trace.p_plus_raw, trace.p_minus_raw,
-            trace.p_plus_mitigated, trace.p_minus_mitigated,
-            trace.clamped,
-        ]
-    return header, cols
-
-
 def _trace_health(trace: PhaseTrace) -> dict:
     """Floored points, repaired crossings and crossings skipped at the series
     boundary of a trace, for runinfo.json."""
-    return {
-        "floored": trace.floored,
-        "crossings": trace.crossings,
-        "correction_phases": trace.correction_phases,
-        "skipped_crossings": trace.skipped_crossings,
-    }
-
-
-def _resolved_document(doc: RunDocument) -> dict:
-    """Config snapshot with every default made explicit: the algorithm,
-    noise and seed values the run used, and the resolved command blocks."""
-    exp = doc.experiment
-    resolved = json.loads(json.dumps(doc.raw))  # deep copy
-    resolved["algorithm"] = {key: getattr(exp, key) for key, _, _ in _ALGORITHM_CHECKS}
-    resolved["seed"] = exp.seed
-    if exp.noise is not None:
-        noise = {**vars(exp.noise), "seed": exp.noise.master_seed}
-        resolved["noise"] = {key: noise[key] for key, _, _ in _NOISE_CHECKS}
-    resolved.update(spectral=doc.spectral, baseline=doc.baseline, cost=doc.cost)
-    if doc.sweep is not None:
-        resolved["sweep"] = doc.sweep
-    return resolved
+    keys = ("floored", "crossings", "correction_phases", "skipped_crossings")
+    return {key: getattr(trace, key) for key in keys}
 
 
 def _oracle_record(exp: ExperimentConfig) -> dict:
@@ -145,36 +116,11 @@ def _oracle_record(exp: ExperimentConfig) -> dict:
 
 def _emit_run_records(outdir: Path, doc: RunDocument, command: str, extra=None):
     outdir.mkdir(parents=True, exist_ok=True)
-    info = {"version": __version__, "command": command}
-    if extra:
-        info.update(extra)
-    for name, record in (("resolved_config.json", _resolved_document(doc)), ("runinfo.json", info)):
+    info = {"version": __version__, "command": command, **(extra or {})}
+    for name, record in (("resolved_config.json", doc.resolved()), ("runinfo.json", info)):
         # one write of the whole text, not json.dump's stream of chunks
         text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-        with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def cmd_amplitude(doc: RunDocument, outdir: Path) -> int:
-    trace = run_phase_experiment(doc.experiment)
-    write_csv(
-        outdir / "amplitude.csv",
-        ["t", "r", "p_plus", "p_minus"],
-        [trace.times, trace.r, trace.p_plus, trace.p_minus],
-    )
-    _emit_run_records(outdir, doc, "amplitude", _oracle_record(doc.experiment))
-    return 0
-
-
-def cmd_phase(doc: RunDocument, outdir: Path, command="phase") -> int:
-    exp = doc.experiment
-    if command == "noise" and exp.noise is None:
-        raise ConfigError("the noise command requires a noise block")
-    trace = run_phase_experiment(exp)
-    header, cols = _trace_columns(trace, with_noise=exp.backend == "noisy")
-    write_csv(outdir / "phase.csv", header, cols)
-    _emit_run_records(outdir, doc, command, {**_trace_health(trace), **_oracle_record(exp)})
-    return 0
+        (outdir / name).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _anchor(exp: ExperimentConfig, reference) -> float:
@@ -190,9 +136,9 @@ def _anchor(exp: ExperimentConfig, reference) -> float:
     return float(np.angle(g))
 
 
-def _two_sided_states(doc: RunDocument):
-    """Measurement-side state A^dag exp(-iHt') psi' per backend fidelity,
-    plus the anchor phase."""
+def _two_sided_experiment(doc: RunDocument) -> ExperimentConfig:
+    """The config's experiment measured against A^dag exp(-iHt') psi', per
+    backend fidelity, from t' on and with its anchor phase."""
     exp = doc.experiment
     if doc.operator_a is None:
         raise ConfigError("two-sided runs need states.operator_a")
@@ -216,23 +162,46 @@ def _two_sided_states(doc: RunDocument):
             oracle_evolve(exp.spec, psi_ref, t_prime), matrix.conj().T, sites)
         return exact_amplitude(exp.spec, oracle_bra, exp.psi, t_prime)
 
-    return bra, prefix_steps, _anchor(exp, reference)
+    return replace(exp, psi_final=bra, prefix_steps=prefix_steps, anchor=_anchor(exp, reference))
 
 
-def cmd_two_sided(doc: RunDocument, outdir: Path) -> int:
-    bra, prefix_steps, anchor = _two_sided_states(doc)
-    exp = replace(doc.experiment, psi_final=bra, prefix_steps=prefix_steps, anchor=anchor)
+def run_trace(csv_name: str, doc: RunDocument, outdir: Path, command: str) -> int:
+    """Run the experiment of ``doc`` for the amplitude, phase, noise or
+    two-sided command and write its trace to ``csv_name`` next to the run
+    records.  ``amplitude`` writes t, r and p+- alone; the others write the
+    whole trace, with the raw and mitigated columns on the noisy backend,
+    and record its health.  ``two-sided`` runs ``_two_sided_experiment``,
+    and its snapshot records the anchor the run used, so a replay
+    reproduces it."""
+    extra = {}
+    if command == "noise" and doc.experiment.noise is None:
+        raise ConfigError("the noise command requires a noise block")
+    if command == "two-sided":
+        doc = replace(doc, experiment=_two_sided_experiment(doc))
+        extra = {"t_prime": doc.t_prime, "anchor": doc.experiment.anchor}
+    exp = doc.experiment
     trace = run_phase_experiment(exp)
-    header, cols = _trace_columns(trace, with_noise=exp.backend == "noisy")
-    write_csv(outdir / "two_sided.csv", header, cols)
-    # the snapshot records the anchor the run used, so a replay reproduces it
-    _emit_run_records(outdir, replace(doc, experiment=exp), "two-sided",
-                      {"t_prime": doc.t_prime, "anchor": anchor, **_trace_health(trace),
-                       **_oracle_record(exp)})
+    header, columns = list(PHASE_HEADER), [
+        trace.times, trace.r, trace.p_plus, trace.p_minus,
+        trace.dphi_dt, trace.phi, trace.g_complex.real, trace.g_complex.imag,
+    ]
+    if exp.backend == "noisy":
+        header += NOISE_EXTRA_HEADER
+        columns += [
+            trace.p_plus_raw, trace.p_minus_raw,
+            trace.p_plus_mitigated, trace.p_minus_mitigated,
+            trace.clamped,
+        ]
+    if command == "amplitude":
+        del header[4:], columns[4:]
+    else:
+        extra.update(_trace_health(trace))
+    write_csv(outdir / csv_name, header, columns)
+    _emit_run_records(outdir, doc, command, {**extra, **_oracle_record(exp)})
     return 0
 
 
-def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
+def cmd_scaling(doc: RunDocument, outdir: Path, command: str) -> int:
     """Phase error against the oracle over the sweep's sizes and h or tau
     values: each point is the config's experiment with the tfim chain of
     that size, the named ``psi`` on every site, and the swept value.  What
@@ -302,11 +271,11 @@ def cmd_scaling(doc: RunDocument, outdir: Path) -> int:
         ["metric", "label", "value"],
         list(zip(*summary_rows)),
     )
-    _emit_run_records(outdir, doc, "scaling")
+    _emit_run_records(outdir, doc, command)
     return 0
 
 
-def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
+def cmd_ldos(doc: RunDocument, outdir: Path, command: str) -> int:
     exp = doc.experiment
     hermitian = doc.spectral["hermitian_extend"]
     if hermitian and exp.psi_final is not None:
@@ -335,72 +304,74 @@ def cmd_ldos(doc: RunDocument, outdir: Path) -> int:
         )
         extra["reference_width"] = width
         extra["oracle_sectors"] = _eigensystem(exp.spec).sectors
-    _emit_run_records(outdir, doc, "ldos", extra)
+    _emit_run_records(outdir, doc, command, extra)
     return 0
 
 
-def cmd_baseline(doc: RunDocument, outdir: Path, method: str) -> int:
+def _baseline_rng(exp: ExperimentConfig):
+    """The generator of a baseline's shots."""
+    return np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(17,)))
+
+
+def cmd_hadamard(doc: RunDocument, outdir: Path, command: str) -> int:
     exp = doc.experiment
-    rng = np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(17,)))
-    shots = doc.baseline["shots"]
-    if method == "hadamard":
-        parts = [doc.baseline["part"]] if "part" in doc.baseline else ["real", "imag"]
-        estimates = [
-            hadamard_test(exp.spec, exp.psi, exp.t_max, exp.tau, exp.order,
-                          part, shots, rng)
-            for part in parts
-        ]
-        columns = [parts, [exp.t_max] * len(parts), estimates]
-        header = ["part", "t", "estimate"]
-        if exp.spec.n_sites <= ORACLE_MAX_SITES:
-            g = exact_amplitude(exp.spec, exp.psi, exp.psi, exp.t_max)
-            refs = [g.real if p == "real" else g.imag for p in parts]
-            columns.append(refs)
-            header.append("oracle")
-        write_csv(outdir / "baseline_hadamard.csv", header, columns)
-        _emit_run_records(outdir, doc, "baseline hadamard")
-        return 0
-    if method == "sequential":
-        flip_sites = doc.baseline.get("flip_sites")
-        if not flip_sites:
-            raise ConfigError("baseline.flip_sites is required for the sequential method")
-        chain = [exp.psi]
-        for site in flip_sites:
-            chain.append(apply_matrix(chain[-1], SIGMA_X, (site,)))
-        anchor = _anchor(exp, lambda: exact_amplitude(exp.spec, exp.psi, exp.psi, exp.t_max))
-        thetas = doc.baseline["thetas"]
-        result = sequential_interferometry(
-            exp.spec, chain, exp.t_max, exp.tau, exp.order,
-            anchor_phase=anchor,
-            thetas=tuple(thetas),
-            shots=shots,
-            rng=rng,
-            fallback_threshold=doc.baseline["fallback_threshold"],
-        )
-        steps = list(range(len(result.step_phases)))
-        write_csv(
-            outdir / "baseline_sequential.csv",
-            ["step", "r_ii", "r_ij", "r_jj", "step_phase", "fallback"],
-            [
-                steps,
-                [m[0] for m in result.magnitudes],
-                [m[1] for m in result.magnitudes],
-                [m[2] for m in result.magnitudes],
-                result.step_phases,
-                [s in result.fallback_steps for s in steps],
-            ],
-        )
-        extra = {"phase": result.phase, "i_tilde": result.i_tilde, "anchor": anchor}
-        if exp.spec.n_sites <= ORACLE_MAX_SITES:
-            extra["oracle_phase"] = float(
-                np.angle(exact_amplitude(exp.spec, chain[-1], chain[-1], exp.t_max))
-            )
-        _emit_run_records(outdir, doc, "baseline sequential", extra)
-        return 0
-    raise ConfigError(f"unknown baseline method {method!r}")
+    rng = _baseline_rng(exp)
+    parts = [doc.baseline["part"]] if "part" in doc.baseline else ["real", "imag"]
+    estimates = [
+        hadamard_test(exp.spec, exp.psi, exp.t_max, exp.tau, exp.order,
+                      part, doc.baseline["shots"], rng)
+        for part in parts
+    ]
+    columns = [parts, [exp.t_max] * len(parts), estimates]
+    header = ["part", "t", "estimate"]
+    if exp.spec.n_sites <= ORACLE_MAX_SITES:
+        g = exact_amplitude(exp.spec, exp.psi, exp.psi, exp.t_max)
+        columns.append([g.real if p == "real" else g.imag for p in parts])
+        header.append("oracle")
+    write_csv(outdir / "baseline_hadamard.csv", header, columns)
+    _emit_run_records(outdir, doc, command)
+    return 0
 
 
-def cmd_cost(doc: RunDocument, outdir: Path) -> int:
+def cmd_sequential(doc: RunDocument, outdir: Path, command: str) -> int:
+    exp = doc.experiment
+    rng = _baseline_rng(exp)
+    flip_sites = doc.baseline.get("flip_sites")
+    if not flip_sites:
+        raise ConfigError("baseline.flip_sites is required for the sequential method")
+    chain = [exp.psi]
+    for site in flip_sites:
+        chain.append(apply_matrix(chain[-1], SIGMA_X, (site,)))
+    anchor = _anchor(exp, lambda: exact_amplitude(exp.spec, exp.psi, exp.psi, exp.t_max))
+    result = sequential_interferometry(
+        exp.spec, chain, exp.t_max, exp.tau, exp.order,
+        anchor_phase=anchor,
+        thetas=tuple(doc.baseline["thetas"]),
+        shots=doc.baseline["shots"],
+        rng=rng,
+        fallback_threshold=doc.baseline["fallback_threshold"],
+    )
+    steps = list(range(len(result.step_phases)))
+    write_csv(
+        outdir / "baseline_sequential.csv",
+        ["step", "r_ii", "r_ij", "r_jj", "step_phase", "fallback"],
+        [
+            steps,
+            *zip(*result.magnitudes),  # r_ii, r_ij, r_jj
+            result.step_phases,
+            [s in result.fallback_steps for s in steps],
+        ],
+    )
+    extra = {"phase": result.phase, "i_tilde": result.i_tilde, "anchor": anchor}
+    if exp.spec.n_sites <= ORACLE_MAX_SITES:
+        extra["oracle_phase"] = float(
+            np.angle(exact_amplitude(exp.spec, chain[-1], chain[-1], exp.t_max))
+        )
+    _emit_run_records(outdir, doc, command, extra)
+    return 0
+
+
+def cmd_cost(doc: RunDocument, outdir: Path, command: str) -> int:
     block = doc.cost
     n_list = block["n"] if isinstance(block["n"], list) else [block["n"]]
     t, eps, order, dim = block["t"], block["epsilon"], block["p"], block["d"]
@@ -417,8 +388,24 @@ def cmd_cost(doc: RunDocument, outdir: Path) -> int:
          "depth", "measurements"],
         list(zip(*rows)),
     )
-    _emit_run_records(outdir, doc, "cost")
+    _emit_run_records(outdir, doc, command)
     return 0
+
+
+#: every run the CLI makes, under the name its runinfo.json records: the
+#: command, followed for baseline by its --method.  Each entry is called as
+#: ``handler(doc, outdir, name)``.
+COMMANDS = {
+    "amplitude": partial(run_trace, "amplitude.csv"),
+    "phase": partial(run_trace, "phase.csv"),
+    "two-sided": partial(run_trace, "two_sided.csv"),
+    "scaling": cmd_scaling,
+    "ldos": cmd_ldos,
+    "noise": partial(run_trace, "phase.csv"),
+    "baseline hadamard": cmd_hadamard,
+    "baseline sequential": cmd_sequential,
+    "cost": cmd_cost,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,10 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase reconstruction of Loschmidt amplitudes from "
         "magnitude measurements at complex times.",
     )
-    parser.add_argument("command", choices=[
-        "amplitude", "phase", "two-sided", "scaling", "ldos", "noise",
-        "baseline", "cost",
-    ])
+    words = [name.split() for name in COMMANDS]
+    parser.add_argument("command", choices=list(dict.fromkeys(w[0] for w in words)))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
@@ -439,39 +424,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted and ignored, for callers that still "
                              "pass it (the perfbench workloads): trajectory "
                              "chunks run serially, so results do not depend on it")
-    parser.add_argument("--method", choices=["hadamard", "sequential"],
-                        help="baseline method (baseline command only)")
+    parser.add_argument("--method", choices=[w[1] for w in words if len(w) > 1],
+                        help="method of the command that takes one (baseline)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    name = " ".join(filter(None, (args.command, args.method)))
     try:
-        doc = load_config(args.config)
-        if args.seed is not None:
-            # through replace, so the override meets the config's seed checks
-            noise = doc.experiment.noise
-            if noise is not None and doc.raw["noise"].get("seed") is None:
-                noise = replace(noise, master_seed=args.seed)
-            doc.experiment = replace(doc.experiment, seed=args.seed, noise=noise)
-        outdir = Path(args.out)
-        if args.command == "amplitude":
-            return cmd_amplitude(doc, outdir)
-        if args.command in ("phase", "noise"):
-            return cmd_phase(doc, outdir, args.command)
-        if args.command == "two-sided":
-            return cmd_two_sided(doc, outdir)
-        if args.command == "scaling":
-            return cmd_scaling(doc, outdir)
-        if args.command == "ldos":
-            return cmd_ldos(doc, outdir)
-        if args.command == "baseline":
-            if args.method is None:
-                raise ConfigError("baseline requires --method hadamard|sequential")
-            return cmd_baseline(doc, outdir, args.method)
-        if args.command == "cost":
-            return cmd_cost(doc, outdir)
-        raise ConfigError(f"unknown command {args.command}")
+        if name not in COMMANDS:
+            methods = [key.split()[1] for key in COMMANDS if key.startswith(f"{args.command} ")]
+            if methods:
+                raise ConfigError(f"{args.command} requires --method {'|'.join(methods)}")
+            raise ConfigError(f"{args.command} takes no --method")
+        doc = load_config(args.config, args.seed)
+        return COMMANDS[name](doc, Path(args.out), name)
     except (ConfigError, ValueError) as exc:
         # a ValueError is a precondition of a library call failing on bad inputs
         print(f"config error: {exc}", file=sys.stderr)

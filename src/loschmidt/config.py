@@ -21,8 +21,8 @@ Each value is checked once, by type and range, in the table of its block
 ``NoiseConfig`` run their blocks' tables, for Python callers as for JSON.
 The tables of the command blocks (``spectral``, ``baseline``, ``cost``,
 ``sweep``) also hold each key's default, after its check; those blocks are
-resolved at load, so the commands and the resolved-config snapshot read
-one set of values.
+resolved at load, so the commands and the resolved-config snapshot
+(``RunDocument.resolved``) read one set of values.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ def _count(value) -> bool:
 
 def _seed(value) -> bool:
     return _integer(value) and value >= 0
+
+
+def _order(value) -> bool:
+    """A Trotter order: 1, 2 or 4."""
+    return _integer(value) and value in _ORDERS
 
 
 def _one_of(options):
@@ -123,7 +128,7 @@ _ALGORITHM_CHECKS = (
     ("tau", _positive, "a positive number"),
     ("h", _positive, "a positive number"),
     ("t_max", _nonnegative, "a nonnegative number"),
-    ("order", lambda v: _integer(v) and v in _ORDERS, "one of 1, 2, 4"),
+    ("order", _order, "one of 1, 2, 4"),
     ("rule", _one_of(_RULES), f"one of {_RULES}"),
     ("ite_mode", _one_of(_ITE_MODES), f"one of {_ITE_MODES}"),
     ("backend", _one_of(_BACKENDS), f"one of {_BACKENDS}"),
@@ -350,7 +355,7 @@ _COST_CHECKS = (
      "a positive integer or a non-empty list of them", [8, 16, 32, 64]),
     ("t", _nonnegative, "a nonnegative number", 4.0),
     ("epsilon", _positive, "a positive number", 0.01),
-    ("p", lambda v: _integer(v) and v in _ORDERS, "one of 1, 2, 4", 2),
+    ("p", _order, "one of 1, 2, 4", 2),
     ("d", _count, "a positive integer", 1),
     ("r", _nonnegative, "a nonnegative number", 1.0),
     ("i_factor", _finite, "a finite number", 1.0),
@@ -397,6 +402,22 @@ class RunDocument:
     baseline: dict
     cost: dict
 
+    def resolved(self) -> dict:
+        """Config snapshot with every default made explicit: the algorithm,
+        noise and seed values the run used, and the resolved command
+        blocks.  It loads again as the same run."""
+        exp = self.experiment
+        resolved = json.loads(json.dumps(self.raw))  # deep copy
+        resolved["algorithm"] = {key: getattr(exp, key) for key, _, _ in _ALGORITHM_CHECKS}
+        resolved["seed"] = exp.seed
+        if exp.noise is not None:
+            noise = {**vars(exp.noise), "seed": exp.noise.master_seed}
+            resolved["noise"] = {key: noise[key] for key, _, _ in _NOISE_CHECKS}
+        resolved.update(spectral=self.spectral, baseline=self.baseline, cost=self.cost)
+        if self.sweep is not None:
+            resolved["sweep"] = self.sweep
+        return resolved
+
 
 def _optional_block(doc: dict, name: str, checks) -> dict:
     """A command-level block with its defaults, which are all it holds when
@@ -407,7 +428,11 @@ def _optional_block(doc: dict, name: str, checks) -> dict:
     return _with_defaults(block or {}, checks)
 
 
-def parse_document(doc: Any) -> RunDocument:
+def parse_document(doc: Any, seed: int | None = None) -> RunDocument:
+    """The run document of a JSON config.  ``seed``, when given, replaces
+    the config's ``seed`` (the ``--seed`` flag), in a noise block without a
+    seed of its own too; the config's seed is still checked, so a file that
+    does not load alone does not load with a replacement either."""
     _checked_block(doc, "config", _TOP_KEYS, {"model", "states", "algorithm"})
     spec = parse_model(doc["model"])
     n_sites = spec.n_sites
@@ -426,7 +451,8 @@ def parse_document(doc: Any) -> RunDocument:
     # ExperimentConfig checks the algorithm values, NoiseConfig the noise block
     algo = _checked_block(doc["algorithm"], "algorithm", _keys(_ALGORITHM_CHECKS),
                           {"tau", "h", "t_max"})
-    seed = doc.get("seed", 0)
+    _check_values(doc, _TOP_CHECKS, "")
+    seed = doc.get("seed", 0) if seed is None else seed
     noise = None
     if doc.get("noise") is not None:
         noise = parse_noise(doc["noise"], seed)
@@ -456,7 +482,9 @@ def parse_document(doc: Any) -> RunDocument:
     )
 
 
-def load_config(path) -> RunDocument:
+def load_config(path, seed: int | None = None) -> RunDocument:
+    """The run document of the JSON config file at ``path``; ``seed`` as
+    in ``parse_document``."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -464,4 +492,4 @@ def load_config(path) -> RunDocument:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_document(doc)
+    return parse_document(doc, seed)

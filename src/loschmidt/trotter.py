@@ -8,13 +8,15 @@ mitigation exponent count, so it is fixed at plan build time and never
 re-derived.
 
 Order 2 is the symmetric splitting A/2 B A/2; order 4 is the Suzuki
-recursion on the order-2 step.  A plan holds the step's distinct checked
-gates as one ``GateStack`` and one tuple of gate indices per physical layer,
-compiled once at construction through ``_compile_stack``, so noise still
-has one insertion point per physical layer.  The mirrored tail of a
-symmetric step and the repeated outer steps of order 4 repeat the index
-tuples of their first occurrence, and so share its compiled ops, including
-each folded diagonal layer's phase vector.
+recursion on the order-2 step.  ``_substeps`` states a step as data, and
+``build_plan`` builds the gates of each distinct (group, fraction) once.  A
+plan holds the step's distinct checked gates as one ``GateStack`` and one
+tuple of gate indices per physical layer, compiled once at construction
+through ``_compile_stack``, so noise still has one insertion point per
+physical layer.  The mirrored tail of a symmetric step and the repeated
+outer steps of order 4 repeat the index tuples of their first occurrence,
+and so share its compiled ops, including each folded diagonal layer's phase
+vector.
 """
 
 from __future__ import annotations
@@ -73,40 +75,20 @@ def _stack_in_term_order(terms, parts) -> GateStack:
     return GateStack(tuple(terms[k].support for k in order), tuple(kept[k] for k in order))
 
 
-def _group_layers(spec: HamiltonianSpec, label: str, dt: float, gates: GateStack):
-    """Brickwork layers of exp(-i dt H_j) for all terms of one group, as
-    tuples of indices into ``gates`` (a ``GateStack`` of lists), which gets
-    the group's checked gates appended.
-
-    Gates that equal the identity (zero-coefficient terms) are dropped, so
-    they neither cost work nor count as noise locations.
-    """
-    terms = [term for term in spec.terms if term.group == label]
-    parts = [(idx, *_exp_gates(mats, dt)) for idx, mats in _stacks_by_width(terms)]
-    group = _stack_in_term_order(terms, parts)
-    start = len(gates.supports)
-    gates.supports.extend(group.supports)
-    gates.matrices.extend(group.matrices)
-    return _layer_index(group.supports, start=start)
-
-
-def _step_layers(spec: HamiltonianSpec, dt: float, order: int, gates: GateStack):
-    """The layer index of one step; its gates are appended to ``gates``."""
-    labels = spec.group_labels()
+def _substeps(labels, order: int) -> list[tuple[str, float, int]]:
+    """One step as (group, fraction of tau, layer direction) triples: the
+    groups in turn (order 1); A/2 B A/2 split at the last group, whose
+    mirrored tail runs the head's layers backwards (order 2); the Suzuki
+    recursion U2(a tau)^2 U2((1-4a) tau) U2(a tau)^2 on it (order 4)."""
     if order == 1:
-        return [layer for label in labels for layer in _group_layers(spec, label, dt, gates)]
+        return [(label, 1.0, 1) for label in labels]
     if order == 2:
-        if len(labels) == 1:
-            return _group_layers(spec, labels[0], dt, gates)
-        head = [
-            layer for label in labels[:-1] for layer in _group_layers(spec, label, dt / 2, gates)
-        ]
-        middle = _group_layers(spec, labels[-1], dt, gates)
-        return head + middle + head[::-1]
+        head = [(label, 0.5, 1) for label in labels[:-1]]
+        return head + [(labels[-1], 1.0, 1)] + [(label, w, -1) for label, w, _ in head[::-1]]
     if order == 4:
-        outer = _step_layers(spec, _SUZUKI_A * dt, 2, gates)
-        inner = _step_layers(spec, (1 - 4 * _SUZUKI_A) * dt, 2, gates)
-        return outer + outer + inner + outer + outer
+        weights = (_SUZUKI_A, _SUZUKI_A, 1 - 4 * _SUZUKI_A, _SUZUKI_A, _SUZUKI_A)
+        return [(label, weight * w, way)
+                for weight in weights for label, w, way in _substeps(labels, 2)]
     raise ValueError(f"unsupported Trotter order {order}; choose 1, 2 or 4")
 
 
@@ -157,10 +139,24 @@ def build_plan(spec: HamiltonianSpec, t: float, tau: float, order: int = 2) -> T
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > 4 * np.finfo(float).eps * max(1.0, abs(ratio)):
         raise ValueError(f"incommensurate step: t/tau = {ratio} is not an integer")
-    gates = GateStack([], [])
-    index = _step_layers(spec, tau, order, gates) if n_steps > 0 else []
-    stack = GateStack(tuple(gates.supports), tuple(gates.matrices))
-    return TrotterPlan(order, tau, n_steps, spec.n_sites, stack, tuple(index))
+    substeps = _substeps(spec.group_labels(), order) if n_steps > 0 else []
+    # the brickwork of exp(-i weight tau H_j) over one group's terms, once
+    # per distinct (group, weight); gates equal to the identity are dropped,
+    # so they neither cost work nor count as noise locations
+    supports, matrices, layers = [], [], {}
+    for label, weight, _ in substeps:
+        if (label, weight) not in layers:
+            terms = [term for term in spec.terms if term.group == label]
+            parts = [(idx, *_exp_gates(mats, weight * tau))
+                     for idx, mats in _stacks_by_width(terms)]
+            group = _stack_in_term_order(terms, parts)
+            layers[label, weight] = _layer_index(group.supports, start=len(supports))
+            supports += group.supports
+            matrices += group.matrices
+    index = tuple(layer for label, weight, way in substeps
+                  for layer in layers[label, weight][::way])
+    stack = GateStack(tuple(supports), tuple(matrices))
+    return TrotterPlan(order, tau, n_steps, spec.n_sites, stack, index)
 
 
 def evolve(state: StateVector, plan: TrotterPlan, n_steps: int | None = None) -> StateVector:

@@ -185,3 +185,15 @@ class TestResourceCost:
             CostInput("magic", 4, 1.0, 0.1)
         with pytest.raises(ValueError):
             CostInput("hadamard", 4, 1.0, -0.1)
+        # what the scaling laws cannot take: a negative size or time gave a
+        # TypeError (a complex power) or a negative depth or count, and a
+        # nan factor a nan count
+        for method in ("hadamard", "sequential", "this_work"):
+            for field, value in (("n_sites", -4), ("n_sites", 0), ("n_sites", 2.5),
+                                 ("t", -1.0), ("r", -1.0), ("i_factor", float("nan")),
+                                 ("i_factor", float("inf")), ("epsilon", float("nan")),
+                                 ("order", 2.0), ("dimension", 0), ("n_sites", True)):
+                kwargs = dict(method=method, n_sites=8, t=1.0, epsilon=0.01)
+                kwargs[field] = value
+                with pytest.raises(ValueError, match=f"^{field} must be"):
+                    resource_cost(CostInput(**kwargs))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import loschmidt.config as config_module
-from loschmidt.cli import _resolved_document, cmd_two_sided, main, write_csv
+from loschmidt.cli import COMMANDS, build_parser, main, write_csv
 from loschmidt.config import _ALGORITHM_CHECKS, _NOISE_CHECKS, ExperimentConfig, parse_document
 from loschmidt.exceptions import ConfigError
 from loschmidt.model import expectation, oracle_phase_series, tfim
@@ -242,7 +242,7 @@ class TestCliCommands:
 
     def test_snapshot_resolves_the_sweep_t_max(self):
         doc = base_config(sweep={"kind": "h", "n_values": [2], "values": [0.05]})
-        resolved = _resolved_document(parse_document(doc))
+        resolved = parse_document(doc).resolved()
         assert resolved["sweep"] == {**doc["sweep"], "t_max": doc["algorithm"]["t_max"]}
 
     def test_resolved_algorithm_block_has_the_checked_keys(self, tmp_path):
@@ -278,6 +278,67 @@ class TestCliCommands:
         assert main(["phase", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("config error: seed must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["phase", "noise"])
+    def test_seed_flag_does_not_hide_an_invalid_file_seed(self, tmp_path, capsys, command):
+        # the file does not load alone, so it does not load with a
+        # replacement either
+        doc = command_config(command)
+        doc["seed"] = -3
+        out = tmp_path / "out"
+        argv = command_argv(command, write_config(tmp_path, doc), out)
+        assert main(argv + ["--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise_seed, expected", [(None, 4), (9, 9)])
+    def test_seed_flag_is_the_noise_seed_default(self, noise_seed, expected):
+        doc = command_config("noise")
+        if noise_seed is not None:
+            doc["noise"]["seed"] = noise_seed
+        run = parse_document(doc, seed=4)
+        assert run.experiment.seed == 4
+        assert run.experiment.noise.master_seed == expected
+        assert run.resolved()["seed"] == 4 and run.resolved()["noise"]["seed"] == expected
+        # the file itself is left as it was
+        assert doc["seed"] == 11 and doc["noise"].get("seed") == noise_seed
+
+    def test_seed_flag_reads_as_the_same_seed_in_the_file(self, tmp_path):
+        doc = command_config("noise")
+        flag, written = tmp_path / "flag", tmp_path / "written"
+        argv = command_argv("noise", write_config(tmp_path, doc), flag)
+        assert main(argv + ["--seed", "3"]) == 0
+        doc["seed"] = 3
+        assert main(command_argv("noise", write_config(tmp_path, doc), written)) == 0
+        for name in ("phase.csv", "resolved_config.json", "runinfo.json"):
+            assert (flag / name).read_bytes() == (written / name).read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        "amplitude", "phase", "noise", "two-sided", "scaling", "ldos", "cost",
+    ])
+    def test_method_outside_baseline_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        # only baseline reads --method; elsewhere it would be accepted and ignored
+        out = tmp_path / "out"
+        argv = command_argv(command, write_config(tmp_path, command_config(command)), out)
+        assert main(argv + ["--method", "hadamard"]) == 2
+        assert capsys.readouterr().err == f"config error: {command} takes no --method\n"
+        assert not out.exists()
+
+    def test_baseline_without_method_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["baseline", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: baseline requires --method hadamard|sequential\n"
+        assert not out.exists()
+
+    def test_the_parser_and_the_dispatch_read_one_table(self):
+        parser = build_parser()
+        commands = {name.split()[0] for name in COMMANDS}
+        methods = {name.split()[1] for name in COMMANDS if " " in name}
+        actions = {action.dest: action for action in parser._actions}
+        assert set(actions["command"].choices) == commands
+        assert set(actions["method"].choices) == methods == {"hadamard", "sequential"}
 
     def test_runinfo_carries_version(self, tmp_path):
         import loschmidt
@@ -428,7 +489,7 @@ class TestTwoSided:
         run_doc = parse_document(doc)
         exp = run_doc.experiment
         before = (exp.psi_final, exp.prefix_steps, exp.anchor)
-        assert cmd_two_sided(run_doc, tmp_path) == 0
+        assert COMMANDS["two-sided"](run_doc, tmp_path, "two-sided") == 0
         assert run_doc.experiment is exp
         assert (exp.psi_final, exp.prefix_steps, exp.anchor) == before == (None, 0, None)
         # the snapshot still records the anchor the run used

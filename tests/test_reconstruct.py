@@ -482,12 +482,10 @@ class TestRunPhaseExperiment:
         # phi'(0) = -<H> = +J(N-1)/4 up to O(h^2)
         assert abs(trace.dphi_dt[0] - (n - 1) / 4) < 5e-3
 
-    @pytest.mark.parametrize("case", ["tfim_up", "tilted_two_sided"])
-    def test_noiseless_trajectory_equals_statevector_backend(self, case):
-        # one gamma = 0 trajectory without shots runs the same circuits as
-        # the statevector backend, so every series agrees bit for bit
-        from loschmidt.noise import NoiseConfig
-
+    @staticmethod
+    def _trajectory_case(case):
+        """ExperimentConfig arguments of a closed-form run from t = 0, or of
+        a general run against a distinct bra from grid point 3 on."""
         spec = tfim(4, 1.0, 0.5)
         if case == "tfim_up":
             kwargs = dict(spec=spec, psi=product_state(["up"] * 4),
@@ -497,7 +495,16 @@ class TestRunPhaseExperiment:
             kwargs = dict(spec=spec, psi=psi, ite_mode="general_bj",
                           psi_final=product_state(["up", "x+", "y+", "up"]),
                           prefix_steps=3, anchor=0.3)
-        kwargs.update(tau=0.05, h=0.05, t_max=0.5)
+        return dict(kwargs, tau=0.05, h=0.05, t_max=0.5)
+
+    @pytest.mark.parametrize("case", ["tfim_up", "tilted_two_sided"])
+    def test_noiseless_trajectory_equals_statevector_backend(self, case):
+        # at gamma = 0 without shots the noisy backend reads the statevector
+        # backend's evaluator (no trajectory runs), so every series agrees
+        # bit for bit
+        from loschmidt.noise import NoiseConfig
+
+        kwargs = self._trajectory_case(case)
         sv = run_phase_experiment(ExperimentConfig(backend="statevector_trotter", **kwargs))
         noisy = run_phase_experiment(ExperimentConfig(
             backend="noisy", noise=NoiseConfig(gamma=0.0, n_trajectories=1), **kwargs
@@ -507,6 +514,26 @@ class TestRunPhaseExperiment:
             assert np.array_equal(getattr(noisy, name), getattr(sv, name))
             assert np.array_equal(getattr(noisy, f"{name}_raw"), getattr(sv, name))
         assert np.array_equal(noisy.phi, sv.phi)
+
+    @pytest.mark.parametrize("n_trajectories", [1, 3])
+    @pytest.mark.parametrize("case", ["tfim_up", "tilted_two_sided"])
+    def test_trajectory_branch_equals_statevector_backend(self, case, n_trajectories):
+        # at gamma = 1e-15 the trajectories run, with the ITE layers of
+        # pair.compiled before the Trotter steps, the records offset by
+        # pair.n_layers and the prefix steps unrecorded; no Pauli fires in
+        # these draws, so the raw series are the evaluator's up to rounding
+        from loschmidt.noise import NoiseConfig
+
+        kwargs = self._trajectory_case(case)
+        sv = run_phase_experiment(ExperimentConfig(backend="statevector_trotter", **kwargs))
+        noisy = run_phase_experiment(ExperimentConfig(
+            backend="noisy", noise=NoiseConfig(gamma=1e-15, n_trajectories=n_trajectories),
+            **kwargs,
+        ))
+        assert np.max(np.abs(noisy.r_squared_raw - sv.r**2)) <= 1e-12
+        for name in ("p_plus", "p_minus"):
+            assert np.max(np.abs(getattr(noisy, f"{name}_raw") - getattr(sv, name))) <= 1e-12
+        assert not noisy.clamped.any()
 
     @pytest.mark.parametrize("n_trajectories", [1, 3])
     def test_gamma_zero_is_the_noiseless_run_unmitigated(self, n_trajectories):
