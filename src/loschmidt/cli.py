@@ -49,11 +49,10 @@ from .model import (
     expectation,
     oracle_evolve,
     oracle_phase_series,
-    tfim,
 )
 from .reconstruct import PhaseTrace, run_phase_experiment
 from .spectral import exact_ldos, ldos_dft
-from .statevector import apply_matrix, product_state
+from .statevector import apply_matrix
 from .trotter import build_plan, evolve
 
 PHASE_HEADER = ["t", "r", "p_plus", "p_minus", "dphi_dt", "phi", "re_g", "im_g"]
@@ -217,12 +216,7 @@ def cmd_scaling(doc: RunDocument, outdir: Path, command: str) -> int:
     n_values = doc.sweep["n_values"]
     values = doc.sweep["values"]
     t_max = doc.sweep["t_max"]
-    model_block = doc.raw["model"]
-    if model_block.get("model") != "tfim":
-        raise ConfigError("scaling sweeps support the built-in tfim model only")
-    psi_name = doc.raw["states"]["psi"]
-    if not isinstance(psi_name, str):
-        raise ConfigError("scaling sweeps need a named states.psi, not a per-site list")
+    cases = [doc.sweep_case(n) for n in n_values]
     if exp.psi_final is not None:
         raise ConfigError("scaling sweeps compare psi with itself; remove states.psi_final")
     if exp.noise is not None:
@@ -236,9 +230,7 @@ def cmd_scaling(doc: RunDocument, outdir: Path, command: str) -> int:
 
     rows = []
     exponents = []
-    for n in n_values:
-        spec = tfim(n, model_block["J"], model_block["g"])
-        psi = product_state([psi_name] * n)
+    for n, (spec, psi) in zip(n_values, cases):
         errs = []
         for value in values:
             tau = value if kind == "tau" else exp.tau

@@ -141,6 +141,10 @@ _ALGORITHM_CHECKS = (
 #: the top-level values, also fields of ExperimentConfig
 _TOP_CHECKS = (("seed", _seed, "a nonnegative integer"),)
 
+#: the fields of ExperimentConfig that no config key sets: ``prefix_steps``
+#: is the two-sided command's count of steps before the grid
+_RUN_CHECKS = (("prefix_steps", _seed, "a nonnegative integer"),)
+
 #: the noise block, as the fields of NoiseConfig (``seed`` is master_seed)
 _NOISE_CHECKS = (
     ("gamma", lambda v: _finite(v) and 0 <= v < 1, "a number in [0, 1)"),
@@ -188,9 +192,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_values(vars(self), _ALGORITHM_CHECKS, "algorithm")
-        _check_values(vars(self), _TOP_CHECKS, "")
+        _check_values(vars(self), _TOP_CHECKS + _RUN_CHECKS, "")
         if self.backend == "noisy" and self.noise is None:
             raise ConfigError("noisy backend requires a noise block")
+        if self.noise is not None and self.backend != "noisy":
+            raise ConfigError("a noise block requires backend 'noisy' (or leave backend unset)")
         if self.noise is not None and self.shots is not None:
             raise ConfigError("algorithm.shots is not read next to a noise block; set noise.shots")
         if self.backend == "exact_oracle" and self.spec.n_sites > ORACLE_MAX_SITES:
@@ -402,6 +408,18 @@ class RunDocument:
     baseline: dict
     cost: dict
 
+    def sweep_case(self, n_sites: int) -> tuple[HamiltonianSpec, StateVector]:
+        """The tfim chain of the document's ``J`` and ``g`` on ``n_sites``
+        sites and its named ``psi`` on every site, one point of the scaling
+        sweep; a ``terms`` model or a per-site ``psi`` list does not carry
+        over to another size and is refused."""
+        model, psi = self.raw["model"], self.raw["states"]["psi"]
+        if model["model"] != "tfim":
+            raise ConfigError("scaling sweeps support the built-in tfim model only")
+        if not isinstance(psi, str):
+            raise ConfigError("scaling sweeps need a named states.psi, not a per-site list")
+        return tfim(n_sites, model["J"], model["g"]), product_state([psi] * n_sites)
+
     def resolved(self) -> dict:
         """Config snapshot with every default made explicit: the algorithm,
         noise and seed values the run used, and the resolved command
@@ -457,10 +475,6 @@ def parse_document(doc: Any, seed: int | None = None) -> RunDocument:
     if doc.get("noise") is not None:
         noise = parse_noise(doc["noise"], seed)
         algo = {"backend": "noisy", **algo}
-        if algo["backend"] != "noisy":
-            raise ConfigError(
-                "a noise block requires backend 'noisy' (or leave backend unset)"
-            )
 
     sweep = doc.get("sweep")
     if sweep is not None:

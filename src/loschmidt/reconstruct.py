@@ -38,14 +38,11 @@ from .ite import apply_ite  # noqa: F401  (perfbench/tracer.py patches it here)
 from .ite import build_ite_plan_general, build_ite_plan_tfim
 from .model import amplitude_series
 from .noise import mitigate_rescale, sample_shots, trajectory_survivals
-from .statevector import _transposed, inner_product
+from .statevector import inner_product
 from .trotter import build_plan
 from .trotter import evolve  # noqa: F401  (perfbench/tracer.py patches it here)
 
 _P_FLOOR = 1e-30
-
-#: spawn keys for the per-family shot-sampling streams
-_FAMILY_R, _FAMILY_PLUS, _FAMILY_MINUS = 0, 1, 2
 
 
 @dataclass
@@ -329,18 +326,17 @@ def _noiseless_series(psi, bra, step, ite_pair, prefix_steps: int, n_points: int
     psi the kets of ``ite_pair``, grown from its site vectors on one block
     schedule (psi up to a global phase, which no modulus reads).  Since
     <bra|U^k x> = ((U^T)^k conj(bra)) . x, one vector w = conj(bra) runs the
-    transposed step: first ``prefix_steps`` times, then once between grid
-    points, and each point reads three plain dot products with the fixed
-    kets.  That is prefix_steps + n_points - 1 steps for all three
+    plan's ``transposed`` step: first ``prefix_steps`` times, then once
+    between grid points, and each point reads three plain dot products with
+    the fixed kets.  That is prefix_steps + n_points - 1 steps for all three
     families, and memory of the two held kets plus w.
     """
     kets = [psi.amplitudes, *ite_pair.kets()]
-    back = _transposed(step.compiled)
     w = bra.amplitudes.conj()
     out = np.empty((len(kets), n_points))
     for k in range(-prefix_steps, n_points):
         if k > -prefix_steps:
-            for layer in back:
+            for layer in step.transposed:
                 for op in layer:
                     op.apply(w)
         if k >= 0:
@@ -369,16 +365,19 @@ def run_phase_experiment(config) -> PhaseTrace:
       the site vectors, then the same steps), all read off one evolution of
       the bra under the transposed step (``_noiseless_series``),
     * ``noisy`` — at gamma > 0, the same circuits as depolarizing
-      trajectories (``trajectory_survivals``), with the ITE prefix run layer
-      by layer (``pair.compiled``) so the Paulis act between its layers,
-      then rescaling mitigation at each record point's layer depth.  At
+      trajectories (``trajectory_survivals``): each family is its prefix
+      (none for r, the plus or minus layers of ``pair.compiled`` for p+-,
+      run layer by layer so the Paulis act between them) followed by the
+      Trotter steps, recorded at layer depth len(prefix) + d after d step
+      layers, then rescaling mitigation at each record point's depth.  At
       gamma = 0 no Pauli can fire and the rescaling factor is 1: the series
       are those of ``statevector_trotter``, the mitigated columns equal the
       raw ones and no point is clamped.
 
     Shots and their seed come from the noise block on ``noisy`` and from
     ``config.shots``/``config.seed`` otherwise; each family is sampled from
-    its own generator, with its own spawn key.  The ITE pair is built from
+    its own generator, spawned from the seed with the family's index as its
+    key: 0 for r, 1 for p+, 2 for p-.  The ITE pair is built from
     ``config.psi`` in this function, so its layers run without
     ``apply_ite``'s state check.
     """
@@ -395,21 +394,18 @@ def run_phase_experiment(config) -> PhaseTrace:
     pair = builder(spec, psi, config.h)
     log_c_plus, log_c_minus = pair.log_c
 
-    if config.anchor is not None:
-        anchor = config.anchor
-    else:
-        overlap = inner_product(bra, psi) if config.prefix_steps == 0 else None
-        if overlap is None:
-            raise ConfigError(
-                "anchor must be supplied when the grid does not start at t = 0"
-            )
+    anchor = config.anchor
+    if anchor is None:
+        if config.prefix_steps:
+            raise ConfigError("anchor must be supplied when the grid does not start at t = 0")
+        overlap = inner_product(bra, psi)
         if abs(overlap) == 0:
             raise ConfigError("anchor undefined: <psi'|psi> vanishes at t = 0")
         anchor = float(np.angle(overlap))
 
-    noisy = config.backend == "noisy"
+    noise = config.noise
     # the rescaling factor (1 - gamma)^(N D) is 1 at gamma = 0: no mitigation
-    mitigate = noisy and config.noise.gamma > 0
+    mitigate = noise is not None and noise.gamma > 0
     if config.backend == "exact_oracle":
         t_eval = times + config.prefix_steps * config.tau
         # the strip t, t + ih, t - ih in one call: one phase table of t
@@ -420,45 +416,37 @@ def run_phase_experiment(config) -> PhaseTrace:
             np.exp(2.0 * (np.log(np.abs(g_plus)) - log_c_plus)),
             np.exp(2.0 * (np.log(np.abs(g_minus)) - log_c_minus)),
         ]
-    elif mitigate:
-        # one circuit per family, r / + / -: the ITE layers (none for r),
-        # then the Trotter steps, recorded once per grid point; the Paulis
-        # act between layers, so the ITE prefix runs layer by layer
-        step = build_plan(spec, config.tau, config.tau, config.order)
-        trotter_layers = step.compiled * (config.prefix_steps + n_points - 1)
-        record_r = [(config.prefix_steps + k) * step.layers_per_step for k in range(n_points)]
-        circuits = [(trotter_layers, record_r)] + [
-            (ite_layers + trotter_layers, [pair.n_layers + d for d in record_r])
-            for ite_layers in pair.compiled
-        ]
-        series = [
-            trajectory_survivals(psi, layers, record, bra, config.noise)
-            for layers, record in circuits
-        ]
     else:
         step = build_plan(spec, config.tau, config.tau, config.order)
-        series = list(_noiseless_series(psi, bra, step, pair, config.prefix_steps, n_points))
+        if mitigate:
+            # one circuit per family r / + / -: its prefix (none, or the ITE
+            # layers, run layer by layer so the Paulis act between them),
+            # then the Trotter steps, recorded once per grid point
+            steps = step.compiled * (config.prefix_steps + n_points - 1)
+            depths = [(config.prefix_steps + k) * step.layers_per_step for k in range(n_points)]
+            circuits = [(prefix + steps, [len(prefix) + d for d in depths])
+                        for prefix in ((), *pair.compiled)]
+            series = [
+                trajectory_survivals(psi, layers, record, bra, noise)
+                for layers, record in circuits
+            ]
+        else:
+            series = list(_noiseless_series(psi, bra, step, pair, config.prefix_steps, n_points))
 
-    if noisy:
-        shots, seed = config.noise.shots, config.noise.master_seed
-    else:
-        shots, seed = config.shots, config.seed
+    shots, seed = (noise.shots, noise.master_seed) if noise else (config.shots, config.seed)
     if shots is not None:
-        series = [
-            _sample_series(p, shots, seed, family)
-            for p, family in zip(series, (_FAMILY_R, _FAMILY_PLUS, _FAMILY_MINUS))
-        ]
+        series = [_sample_series(p, shots, seed, family) for family, p in enumerate(series)]
     extras: dict = {}
-    if noisy:
+    if noise is not None:
         extras.update(r_squared_raw=series[0], p_plus_raw=series[1], p_minus_raw=series[2])
         clamp_flags = np.zeros(n_points, dtype=bool)
         if mitigate:
-            gamma, n_sites = config.noise.gamma, spec.n_sites
             mitigated = []
             for probs, (_, record) in zip(series, circuits):
                 out = np.empty(n_points)
                 for k, depth in enumerate(record):
-                    out[k], clamped = mitigate_rescale(float(probs[k]), gamma, n_sites, depth)
+                    out[k], clamped = mitigate_rescale(
+                        float(probs[k]), noise.gamma, spec.n_sites, depth)
                     clamp_flags[k] |= clamped
                 mitigated.append(out)
             series = mitigated

@@ -40,9 +40,9 @@ site vectors, and one matmul writes the larger state; a block inside them
 runs in place.  For the ITE staircase every block grows the state, so the
 ket costs about one write of the full state.
 
-``_transposed`` turns compiled layers into those of the transposed circuit
-U^T: the layers in reverse order, each ``BlockOp`` matrix transposed once
-and each ``PhaseOp`` shared as it is.  Noiseless runs use it to evolve the
+The transposed circuit U^T compiles through the same entry, from the
+stack with each matrix transposed and the layer index reversed
+(``TrotterPlan.transposed``).  Noiseless runs use it to evolve the
 conjugated bra once instead of three kets, since <bra|U^k x> =
 ((U^T)^k conj(bra)) . x.
 
@@ -482,26 +482,6 @@ def _gates_times(matrix: np.ndarray, stop: int, members) -> np.ndarray:
         view = matrix.reshape(1 << (stop - lo - _width(mat)), len(mat), -1)
         matrix = np.matmul(mat, view).reshape(matrix.shape)
     return matrix
-
-
-def _transposed(layers) -> tuple[tuple, ...]:
-    """The compiled layers of the transposed circuit: the layers in reverse
-    order, each ``BlockOp`` with its matrix transposed (stored C-contiguous)
-    and each ``PhaseOp`` shared as it is, since a diagonal is its own
-    transpose.  The ops of one layer act on disjoint sites, so their order
-    within it does not matter.  An op that several layers share (the
-    mirrored tail of a symmetric step) is transposed once and stays
-    shared."""
-    flipped: dict = {}
-
-    def flip(op):
-        if isinstance(op, PhaseOp):
-            return op
-        if op not in flipped:
-            flipped[op] = BlockOp(op.shape, np.ascontiguousarray(op.matrix.T))
-        return flipped[op]
-
-    return tuple([tuple(map(flip, layer)) for layer in reversed(layers)])
 
 
 def _run_layers(state: StateVector, layers) -> StateVector:

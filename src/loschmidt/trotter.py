@@ -11,17 +11,22 @@ Order 2 is the symmetric splitting A/2 B A/2; order 4 is the Suzuki
 recursion on the order-2 step.  ``_substeps`` states a step as data, and
 ``build_plan`` builds the gates of each distinct (group, fraction) once.  A
 plan holds the step's distinct checked gates as one ``GateStack`` and one
-tuple of gate indices per physical layer, compiled once at construction
-through ``_compile_stack``, so noise still has one insertion point per
-physical layer.  The mirrored tail of a symmetric step and the repeated
-outer steps of order 4 repeat the index tuples of their first occurrence,
-and so share its compiled ops, including each folded diagonal layer's phase
-vector.
+tuple of gate indices per physical layer.  It owns both execution forms of
+the step, each compiled on first use through ``_compile_stack``:
+``compiled``, the step U with one op tuple per physical layer, so noise
+still has one insertion point per physical layer (trajectories and
+``evolve``), and ``transposed``, the step U^T that noiseless runs apply to
+the conjugated bra: the same stack with each matrix transposed, on the
+layer index reversed.  The mirrored tail of a symmetric step and the
+repeated outer steps of order 4 repeat the index tuples of their first
+occurrence, and so share its compiled ops, including each folded diagonal
+layer's phase vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,8 +103,9 @@ class TrotterPlan:
 
     ``gate_stack`` holds the step's distinct checked gates and
     ``layer_index`` one tuple of gate indices per physical layer, the census
-    of the step.  ``compiled`` holds their execution form, built once at
-    construction.
+    of the step.  ``compiled`` (the step) and ``transposed`` (its
+    transpose) are their execution forms, each built on first use, so a
+    run compiles only the form it executes.
     """
 
     order: int
@@ -108,11 +114,20 @@ class TrotterPlan:
     n_sites: int
     gate_stack: GateStack = field(repr=False)
     layer_index: tuple[tuple[int, ...], ...] = field(repr=False)
-    compiled: tuple[tuple, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        compiled = _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
-        object.__setattr__(self, "compiled", compiled)
+    @cached_property
+    def compiled(self) -> tuple[tuple, ...]:
+        """The ops of each layer of the step, in order."""
+        return _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
+
+    @cached_property
+    def transposed(self) -> tuple[tuple, ...]:
+        """The ops of each layer of U^T: the layers in reverse order, each
+        gate transposed (and stored C-contiguous).  The gates of one layer
+        act on disjoint sites, so each layer is its own gates transposed."""
+        matrices = tuple([np.ascontiguousarray(mat.T) for mat in self.gate_stack.matrices])
+        stack = GateStack(self.gate_stack.supports, matrices)
+        return _compile_stack(self.n_sites, stack, self.layer_index[::-1])
 
     # perfbench/tracer.py counts the gates of a step through this name
     @property

@@ -10,9 +10,15 @@ import pytest
 
 import loschmidt.config as config_module
 from loschmidt.cli import COMMANDS, build_parser, main, write_csv
-from loschmidt.config import _ALGORITHM_CHECKS, _NOISE_CHECKS, ExperimentConfig, parse_document
+from loschmidt.config import (
+    _ALGORITHM_CHECKS,
+    _NOISE_CHECKS,
+    ExperimentConfig,
+    NoiseConfig,
+    parse_document,
+)
 from loschmidt.exceptions import ConfigError
-from loschmidt.model import expectation, oracle_phase_series, tfim
+from loschmidt.model import dense_matrix, expectation, oracle_phase_series, tfim
 from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.spectral import ldos_dft
 from loschmidt.statevector import product_state
@@ -726,6 +732,43 @@ class TestBadConfigWritesNothing:
         with pytest.raises(ConfigError, match=tau):
             replace(cfg, tau="0.1")
 
+    @pytest.mark.parametrize("backend", [{}, {"backend": "statevector_trotter"},
+                                         {"backend": "exact_oracle"}])
+    def test_noise_block_beside_another_backend_refused(self, backend):
+        # the noise block's gamma and shots were dropped on these backends
+        cfg = parse_document(base_config()).experiment
+        noise = NoiseConfig(0.2, 10, shots=100)
+        refused = r"^a noise block requires backend 'noisy' \(or leave backend unset\)$"
+        with pytest.raises(ConfigError, match=refused):
+            ExperimentConfig(cfg.spec, cfg.psi, tau=0.1, h=0.1, t_max=0.2, noise=noise, **backend)
+        assert replace(cfg, backend="noisy", noise=noise).noise is noise
+
+    def test_noise_block_beside_another_backend_refused_in_json(self):
+        doc = base_config(noise={"gamma": 0.2, "n_trajectories": 10})
+        doc["algorithm"]["backend"] = "statevector_trotter"
+        with pytest.raises(ConfigError, match="a noise block requires backend 'noisy'"):
+            parse_document(doc)
+        # an invalid algorithm value is reported first
+        doc["algorithm"]["tau"] = -1
+        with pytest.raises(ConfigError, match="algorithm.tau must be a positive number"):
+            parse_document(doc)
+        del doc["algorithm"]["backend"]
+        doc["algorithm"]["tau"] = 0.05
+        assert parse_document(doc).experiment.backend == "noisy"
+
+    @pytest.mark.parametrize("steps", [-3, 2.5, True, "1", None])
+    def test_prefix_steps_must_be_a_nonnegative_integer(self, steps):
+        # -3 ran: the first three points were rows of np.empty and t = 0 sat
+        # at index 3; 2.5 raised a TypeError inside the run
+        cfg = parse_document(base_config()).experiment
+        with pytest.raises(ConfigError, match=r"^prefix_steps must be a nonnegative integer"):
+            replace(cfg, prefix_steps=steps, anchor=0.0)
+
+    def test_prefix_steps_accepts_integers(self):
+        cfg = parse_document(base_config()).experiment
+        assert replace(cfg, prefix_steps=np.int64(3), anchor=0.0).prefix_steps == 3
+        assert replace(cfg, prefix_steps=0).prefix_steps == 0
+
 
 class TestScalingLdosCost:
     def test_scaling_single_point(self, tmp_path):
@@ -801,6 +844,24 @@ class TestScalingLdosCost:
         assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and what in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_case_is_the_named_chain_at_each_size(self):
+        doc = parse_document(base_config(states={"psi": "x+"}))
+        for n in (2, 5):
+            spec, psi = doc.sweep_case(n)
+            assert np.array_equal(dense_matrix(spec), dense_matrix(tfim(n, 1.0, 0.5)))
+            assert np.array_equal(psi.amplitudes, product_state(["x+"] * n).amplitudes)
+
+    def test_scaling_refuses_a_term_list_model(self, tmp_path, capsys):
+        sx = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+        doc = base_config(model={"model": "terms", "n": 2,
+                                 "terms": [{"support": [0], "matrix": sx}]},
+                          sweep={"kind": "h", "n_values": [3, 4], "values": [0.1]})
+        out = tmp_path / "out"
+        assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: scaling sweeps support the built-in tfim model only\n"
         assert not out.exists()
 
     def test_scaling_empty_sweep_rejected(self, tmp_path):

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import loschmidt.reconstruct as reconstruct_module
+import loschmidt.trotter as trotter_module
+from loschmidt.config import ExperimentConfig, NoiseConfig
 from loschmidt.ite import build_ite_plan_general, build_ite_plan_tfim
 from loschmidt.model import dense_matrix, tfim
+from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.statevector import GateStack, StateVector, product_state
 from loschmidt.trotter import TrotterPlan, _stack_in_term_order, build_plan, evolve
 
@@ -111,6 +115,40 @@ class TestPlanForm:
         # each distinct gate is stored once
         used = sorted({k for layer in index for k in layer})
         assert used == list(range(len(plan.gate_stack.supports)))
+
+    @pytest.mark.parametrize("backend, gamma, form", [
+        ("statevector_trotter", None, "transposed"),
+        ("noisy", 0.0, "transposed"),
+        ("noisy", 0.1, "compiled"),
+    ])
+    def test_run_compiles_only_the_form_it_executes(self, monkeypatch, backend, gamma, form):
+        # noiseless runs evolve the bra under U^T, trajectories run U layer
+        # by layer; each compiles its form once and never the other
+        plans, calls = [], []
+
+        def build(*args, _original=reconstruct_module.build_plan):
+            plans.append(_original(*args))
+            return plans[-1]
+
+        def compile_stack(*args, _original=trotter_module._compile_stack):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(reconstruct_module, "build_plan", build)
+        monkeypatch.setattr(trotter_module, "_compile_stack", compile_stack)
+        noise = None if gamma is None else NoiseConfig(gamma=gamma, n_trajectories=2)
+        run_phase_experiment(ExperimentConfig(
+            spec=tfim(4, 1.0, 0.5), psi=product_state(["x+", "up", "y-", "down"]),
+            tau=0.05, h=0.05, t_max=0.2, prefix_steps=2, anchor=0.0, order=1,
+            ite_mode="general_bj", backend=backend, noise=noise,
+        ))
+        (plan,) = plans
+        other = {"compiled": "transposed", "transposed": "compiled"}[form]
+        assert form in vars(plan) and other not in vars(plan)
+        (_, stack, index), = calls
+        way = -1 if form == "transposed" else 1
+        assert list(index) == list(plan.layer_index[::way])
+        assert stack.supports == plan.gate_stack.supports
 
 
 class TestEvolve:
