@@ -108,10 +108,12 @@ def hadamard_test(
     """Ancilla-interference estimate of Re or Im <psi| U_trotter(t) |psi>.
 
     ``shots=None`` returns the exact-probability value (M -> infinity);
-    otherwise the ancilla measurement is sampled ``shots`` times.
+    otherwise the ancilla measurement is sampled ``shots`` times from
+    ``rng``, which is then required.
     """
     if part not in ("real", "imag"):
         raise ValueError("part must be 'real' or 'imag'")
+    _check_rng(shots, rng)
     # after the first Hadamard both halves of the register hold psi/sqrt(2);
     # S^dag and the controlled evolution act on the ancilla-1 half only
     half = psi.amplitudes / np.sqrt(2)
@@ -119,8 +121,6 @@ def hadamard_test(
     evolved = evolve(branch, build_plan(spec, t, tau, order)).amplitudes
     # the last Hadamard leaves (a0 + a1)/sqrt(2) on the ancilla-0 half
     p_zero = float(np.linalg.norm(half + evolved) ** 2) / 2
-    if shots is not None and rng is None:
-        rng = np.random.default_rng()
     return 2.0 * _estimate(p_zero, shots, rng) - 1.0
 
 
@@ -137,6 +137,12 @@ class InterferometryResult:
 
 def _survival(bra: StateVector, ket: StateVector) -> float:
     return float(np.abs(np.vdot(bra.amplitudes, ket.amplitudes)) ** 2)
+
+
+def _check_rng(shots, rng) -> None:
+    """Shots are drawn from a caller's generator, never an unseeded one."""
+    if shots is not None and rng is None:
+        raise ValueError("shots need an rng: pass a seeded numpy Generator")
 
 
 def _estimate(p: float, shots, rng) -> float:
@@ -168,13 +174,14 @@ def sequential_interferometry(
     fix first phi_ij - phi_ii and then phi_jj - phi_ij.  When the cross
     magnitude r_ij falls below ``fallback_threshold`` the pair is linked in
     one solve by projecting onto the unshifted superposition instead.
+    ``shots=None`` uses the exact probabilities; otherwise each is sampled
+    ``shots`` times from ``rng``, which is then required.
 
     The two-step solver identifies <psi_j|U|psi_i> with <psi_i|U|psi_j>,
     exact when the evolution matrix is symmetric in the computational basis
     (real Hamiltonian terms, as for the built-in chain).
     """
-    if rng is None:
-        rng = np.random.default_rng()
+    _check_rng(shots, rng)
     th0, th1 = float(thetas[0]), float(thetas[1])
     if abs(np.sin(th1 - th0)) < 1e-9:
         raise ValueError("theta values must differ by a non-multiple of pi")

@@ -17,6 +17,13 @@ command refuses it.  ``--seed`` replaces the config's seed as the config
 loads (``load_config``), so the noise block and the snapshot see it like a
 seed written in the file.
 
+Each handler computes and writes nothing: called as ``handler(doc, name)``,
+it returns ``(doc, tables, extra)``, the document whose snapshot the run
+records, its CSV tables as ``{file name: (header, columns)}`` and the keys
+it adds to runinfo.json.  ``main`` then hands them to ``write_run``, the one
+writer, so nothing is written until the command has finished and a command
+that fails leaves no output directory.
+
 Every run writes a resolved-config snapshot (re-ingestable) and a run-info
 record with the library version next to its data files.  Numbers are
 emitted with 17 significant digits and LF line endings; identical configs
@@ -50,7 +57,7 @@ from .model import (
     oracle_evolve,
     oracle_phase_series,
 )
-from .reconstruct import PhaseTrace, run_phase_experiment
+from .reconstruct import ANCHOR_FLOOR, PhaseTrace, run_phase_experiment
 from .spectral import exact_ldos, ldos_dft
 from .statevector import apply_matrix
 from .trotter import build_plan, evolve
@@ -84,10 +91,8 @@ def _csv_column(column):
 
 
 def write_csv(path: Path, header, columns) -> None:
-    """Rectangular CSV with '.'-decimal 17-significant-digit floats, LF.
-    Creates the output directory, so a run that fails before its first
-    write leaves none."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Rectangular CSV with '.'-decimal 17-significant-digit floats, LF, in
+    an existing directory."""
     columns = [_csv_column(column) for column in columns]
     row_format = ",".join(spec for spec, _ in columns) + "\n"
     rows = zip(*(values for _, values in columns))
@@ -113,24 +118,15 @@ def _oracle_record(exp: ExperimentConfig) -> dict:
     return {"oracle_sectors": _eigensystem(exp.spec).sectors}
 
 
-def _emit_run_records(outdir: Path, doc: RunDocument, command: str, extra=None):
-    outdir.mkdir(parents=True, exist_ok=True)
-    info = {"version": __version__, "command": command, **(extra or {})}
-    for name, record in (("resolved_config.json", doc.resolved()), ("runinfo.json", info)):
-        # one write of the whole text, not json.dump's stream of chunks
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-        (outdir / name).write_text(text, encoding="utf-8", newline="\n")
-
-
 def _anchor(exp: ExperimentConfig, reference) -> float:
     """The config's anchor, else the angle of the oracle amplitude ``reference()``;
-    ConfigError beyond ORACLE_MAX_SITES or when |G| < 1e-12 (rounding noise)."""
+    ConfigError beyond ORACLE_MAX_SITES or when |G| < ANCHOR_FLOOR."""
     if exp.anchor is not None:
         return exp.anchor
     if exp.spec.n_sites > ORACLE_MAX_SITES:
         raise ConfigError(f"the anchor must be supplied beyond {ORACLE_MAX_SITES} sites")
     g = reference()
-    if abs(g) < 1e-12:
+    if abs(g) < ANCHOR_FLOOR:
         raise ConfigError("the oracle anchor amplitude vanishes; supply an anchor")
     return float(np.angle(g))
 
@@ -152,8 +148,8 @@ def _two_sided_experiment(doc: RunDocument) -> ExperimentConfig:
     if exp.backend == "exact_oracle":
         evolved = oracle_evolve(exp.spec, psi_ref, t_prime)
     else:
-        plan = build_plan(exp.spec, t_prime, exp.tau, exp.order)
-        evolved = evolve(psi_ref, plan)
+        plan = build_plan(exp.spec, exp.tau, exp.tau, exp.order)
+        evolved = evolve(psi_ref, plan, prefix_steps)
     bra = apply_matrix(evolved, matrix.conj().T, sites)
 
     def reference():  # on the oracle backend, bra already is the oracle bra
@@ -164,12 +160,12 @@ def _two_sided_experiment(doc: RunDocument) -> ExperimentConfig:
     return replace(exp, psi_final=bra, prefix_steps=prefix_steps, anchor=_anchor(exp, reference))
 
 
-def run_trace(csv_name: str, doc: RunDocument, outdir: Path, command: str) -> int:
+def run_trace(csv_name: str, doc: RunDocument, command: str):
     """Run the experiment of ``doc`` for the amplitude, phase, noise or
-    two-sided command and write its trace to ``csv_name`` next to the run
-    records.  ``amplitude`` writes t, r and p+- alone; the others write the
-    whole trace, with the raw and mitigated columns on the noisy backend,
-    and record its health.  ``two-sided`` runs ``_two_sided_experiment``,
+    two-sided command and return its trace as the table ``csv_name``.
+    ``amplitude`` keeps t, r and p+- alone; the others keep the whole
+    trace, with the raw and mitigated columns on the noisy backend, and
+    record its health.  ``two-sided`` runs ``_two_sided_experiment``,
     and its snapshot records the anchor the run used, so a replay
     reproduces it."""
     extra = {}
@@ -195,12 +191,10 @@ def run_trace(csv_name: str, doc: RunDocument, outdir: Path, command: str) -> in
         del header[4:], columns[4:]
     else:
         extra.update(_trace_health(trace))
-    write_csv(outdir / csv_name, header, columns)
-    _emit_run_records(outdir, doc, command, {**extra, **_oracle_record(exp)})
-    return 0
+    return doc, {csv_name: (header, columns)}, {**extra, **_oracle_record(exp)}
 
 
-def cmd_scaling(doc: RunDocument, outdir: Path, command: str) -> int:
+def cmd_scaling(doc: RunDocument, command: str):
     """Phase error against the oracle over the sweep's sizes and h or tau
     values: each point is the config's experiment with the tfim chain of
     that size, the named ``psi`` on every site, and the swept value.  What
@@ -247,27 +241,19 @@ def cmd_scaling(doc: RunDocument, outdir: Path, command: str) -> int:
                 (n, float(np.polyfit(np.log(values), np.log(errs), 1)[0]))
             )
 
-    write_csv(
-        outdir / "scaling_points.csv",
-        ["kind", "N", "h", "tau", "order", "max_abs_dphi", "normalized"],
-        list(zip(*rows)),
-    )
+    points = (["kind", "N", "h", "tau", "order", "max_abs_dphi", "normalized"],
+              list(zip(*rows)))
     summary_rows = [("exponent", f"N={n}", e) for n, e in exponents]
     norm = {(r[1], r[2] if kind == "h" else r[3]): r[6] for r in rows}
     for value in values:
         scaled = [norm[(n, value)] for n in n_values]
         spread = (max(scaled) - min(scaled)) / float(np.mean(scaled))
         summary_rows.append(("cross_n_spread", f"{kind}={value:g}", spread))
-    write_csv(
-        outdir / "scaling_summary.csv",
-        ["metric", "label", "value"],
-        list(zip(*summary_rows)),
-    )
-    _emit_run_records(outdir, doc, command)
-    return 0
+    summary = (["metric", "label", "value"], list(zip(*summary_rows)))
+    return doc, {"scaling_points.csv": points, "scaling_summary.csv": summary}, {}
 
 
-def cmd_ldos(doc: RunDocument, outdir: Path, command: str) -> int:
+def cmd_ldos(doc: RunDocument, command: str):
     exp = doc.experiment
     hermitian = doc.spectral["hermitian_extend"]
     if hermitian and exp.psi_final is not None:
@@ -281,7 +267,7 @@ def cmd_ldos(doc: RunDocument, outdir: Path, command: str) -> int:
         times=trace.times,
         taper_width=doc.spectral["taper_width"],
     )
-    write_csv(outdir / "ldos.csv", ["E", "d"], [spectrum.energies, spectrum.densities])
+    tables = {"ldos.csv": (["E", "d"], [spectrum.energies, spectrum.densities])}
     extra = {
         "eta": spectrum.eta, "window_center": center,
         "imag_residue": spectrum.max_imag_residue, **_trace_health(trace),
@@ -289,15 +275,10 @@ def cmd_ldos(doc: RunDocument, outdir: Path, command: str) -> int:
     if exp.spec.n_sites <= ORACLE_MAX_SITES:
         width = doc.spectral["width"]
         reference = exact_ldos(exp.spec, exp.psi, width)
-        write_csv(
-            outdir / "ldos_reference.csv",
-            ["E", "d"],
-            [reference.energies, reference.densities],
-        )
+        tables["ldos_reference.csv"] = (["E", "d"], [reference.energies, reference.densities])
         extra["reference_width"] = width
         extra["oracle_sectors"] = _eigensystem(exp.spec).sectors
-    _emit_run_records(outdir, doc, command, extra)
-    return 0
+    return doc, tables, extra
 
 
 def _baseline_rng(exp: ExperimentConfig):
@@ -305,7 +286,7 @@ def _baseline_rng(exp: ExperimentConfig):
     return np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(17,)))
 
 
-def cmd_hadamard(doc: RunDocument, outdir: Path, command: str) -> int:
+def cmd_hadamard(doc: RunDocument, command: str):
     exp = doc.experiment
     rng = _baseline_rng(exp)
     parts = [doc.baseline["part"]] if "part" in doc.baseline else ["real", "imag"]
@@ -320,12 +301,10 @@ def cmd_hadamard(doc: RunDocument, outdir: Path, command: str) -> int:
         g = exact_amplitude(exp.spec, exp.psi, exp.psi, exp.t_max)
         columns.append([g.real if p == "real" else g.imag for p in parts])
         header.append("oracle")
-    write_csv(outdir / "baseline_hadamard.csv", header, columns)
-    _emit_run_records(outdir, doc, command)
-    return 0
+    return doc, {"baseline_hadamard.csv": (header, columns)}, {}
 
 
-def cmd_sequential(doc: RunDocument, outdir: Path, command: str) -> int:
+def cmd_sequential(doc: RunDocument, command: str):
     exp = doc.experiment
     rng = _baseline_rng(exp)
     flip_sites = doc.baseline.get("flip_sites")
@@ -344,8 +323,7 @@ def cmd_sequential(doc: RunDocument, outdir: Path, command: str) -> int:
         fallback_threshold=doc.baseline["fallback_threshold"],
     )
     steps = list(range(len(result.step_phases)))
-    write_csv(
-        outdir / "baseline_sequential.csv",
+    table = (
         ["step", "r_ii", "r_ij", "r_jj", "step_phase", "fallback"],
         [
             steps,
@@ -359,11 +337,10 @@ def cmd_sequential(doc: RunDocument, outdir: Path, command: str) -> int:
         extra["oracle_phase"] = float(
             np.angle(exact_amplitude(exp.spec, chain[-1], chain[-1], exp.t_max))
         )
-    _emit_run_records(outdir, doc, command, extra)
-    return 0
+    return doc, {"baseline_sequential.csv": table}, extra
 
 
-def cmd_cost(doc: RunDocument, outdir: Path, command: str) -> int:
+def cmd_cost(doc: RunDocument, command: str):
     block = doc.cost
     n_list = block["n"] if isinstance(block["n"], list) else [block["n"]]
     t, eps, order, dim = block["t"], block["epsilon"], block["p"], block["d"]
@@ -374,19 +351,27 @@ def cmd_cost(doc: RunDocument, outdir: Path, command: str) -> int:
             est = resource_cost(CostInput(method, n, t, eps, order, dim, r, i_factor))
             rows.append((method, n, t, eps, order, dim, r, i_factor,
                          est.depth, est.measurements))
-    write_csv(
-        outdir / "cost.csv",
-        ["method", "N", "t", "epsilon", "p", "d", "r", "i_factor",
-         "depth", "measurements"],
-        list(zip(*rows)),
-    )
-    _emit_run_records(outdir, doc, command)
-    return 0
+    header = ["method", "N", "t", "epsilon", "p", "d", "r", "i_factor",
+              "depth", "measurements"]
+    return doc, {"cost.csv": (header, list(zip(*rows)))}, {}
+
+
+def write_run(outdir: Path, command: str, doc: RunDocument, tables: dict, extra: dict) -> None:
+    """Make ``outdir`` and write a finished run into it: each table through
+    ``write_csv``, then the snapshot of ``doc`` and the run-info record."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, columns) in tables.items():
+        write_csv(outdir / name, header, columns)
+    info = {"version": __version__, "command": command, **extra}
+    for name, record in (("resolved_config.json", doc.resolved()), ("runinfo.json", info)):
+        # one write of the whole text, not json.dump's stream of chunks
+        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        (outdir / name).write_text(text, encoding="utf-8", newline="\n")
 
 
 #: every run the CLI makes, under the name its runinfo.json records: the
 #: command, followed for baseline by its --method.  Each entry is called as
-#: ``handler(doc, outdir, name)``.
+#: ``handler(doc, name)`` and returns ``(doc, tables, extra)`` for ``write_run``.
 COMMANDS = {
     "amplitude": partial(run_trace, "amplitude.csv"),
     "phase": partial(run_trace, "phase.csv"),
@@ -430,8 +415,9 @@ def main(argv=None) -> int:
             if methods:
                 raise ConfigError(f"{args.command} requires --method {'|'.join(methods)}")
             raise ConfigError(f"{args.command} takes no --method")
-        doc = load_config(args.config, args.seed)
-        return COMMANDS[name](doc, Path(args.out), name)
+        doc, tables, extra = COMMANDS[name](load_config(args.config, args.seed), name)
+        write_run(Path(args.out), name, doc, tables, extra)
+        return 0
     except (ConfigError, ValueError) as exc:
         # a ValueError is a precondition of a library call failing on bad inputs
         print(f"config error: {exc}", file=sys.stderr)

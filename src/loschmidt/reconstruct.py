@@ -43,6 +43,8 @@ from .trotter import build_plan
 from .trotter import evolve  # noqa: F401  (perfbench/tracer.py patches it here)
 
 _P_FLOOR = 1e-30
+#: below this |<psi'|psi>| (or the oracle's |G|) an anchor angle is rounding noise
+ANCHOR_FLOOR = 1e-12
 
 
 @dataclass
@@ -399,7 +401,7 @@ def run_phase_experiment(config) -> PhaseTrace:
         if config.prefix_steps:
             raise ConfigError("anchor must be supplied when the grid does not start at t = 0")
         overlap = inner_product(bra, psi)
-        if abs(overlap) == 0:
+        if abs(overlap) < ANCHOR_FLOOR:
             raise ConfigError("anchor undefined: <psi'|psi> vanishes at t = 0")
         anchor = float(np.angle(overlap))
 

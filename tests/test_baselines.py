@@ -57,6 +57,19 @@ class TestHadamardTest:
                           0.1, 0.1, 2, "abs")
 
 
+def test_shots_without_an_rng_are_refused():
+    # shots are drawn from the caller's generator, never an unseeded one
+    spec = tfim(2, 1.0, 0.5)
+    chain = [product_state(["up", "up"]), product_state(["down", "up"])]
+    with pytest.raises(ValueError, match="rng"):
+        hadamard_test(spec, chain[0], 0.1, 0.1, 2, "real", shots=100)
+    with pytest.raises(ValueError, match="rng"):
+        sequential_interferometry(spec, chain, 0.1, 0.1, shots=100)
+    # exact calls need none
+    assert abs(hadamard_test(spec, chain[0], 0.0, 0.1, 2, "real") - 1.0) < 1e-12
+    sequential_interferometry(spec, chain, 0.1, 0.1)
+
+
 class TestSequentialInterferometry:
     def test_empty_chain_returns_anchor(self):
         spec = tfim(3, 1.0, 0.5)

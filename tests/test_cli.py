@@ -17,7 +17,7 @@ from loschmidt.config import (
     NoiseConfig,
     parse_document,
 )
-from loschmidt.exceptions import ConfigError
+from loschmidt.exceptions import ConfigError, NumericsError
 from loschmidt.model import dense_matrix, expectation, oracle_phase_series, tfim
 from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.spectral import ldos_dft
@@ -495,13 +495,28 @@ class TestTwoSided:
         run_doc = parse_document(doc)
         exp = run_doc.experiment
         before = (exp.psi_final, exp.prefix_steps, exp.anchor)
-        assert COMMANDS["two-sided"](run_doc, tmp_path, "two-sided") == 0
+        run_doc_used, _, extra = COMMANDS["two-sided"](run_doc, "two-sided")
         assert run_doc.experiment is exp
         assert (exp.psi_final, exp.prefix_steps, exp.anchor) == before == (None, 0, None)
-        # the snapshot still records the anchor the run used
-        resolved = json.loads((tmp_path / "resolved_config.json").read_text())
-        info = json.loads((tmp_path / "runinfo.json").read_text())
-        assert resolved["algorithm"]["anchor"] == info["anchor"]
+        # the returned snapshot still records the anchor the run used
+        assert run_doc_used.resolved()["algorithm"]["anchor"] == extra["anchor"]
+
+    @pytest.mark.parametrize("backend", ["statevector_trotter", "exact_oracle"])
+    def test_t_prime_rounding_is_accepted_on_every_backend(self, tmp_path, backend):
+        # t'/tau within 1e-9 of an integer runs the rounded number of steps,
+        # on the Trotter backends as on the oracle
+        runs = {}
+        for t_prime in (0.1, 0.1 + 1e-12):
+            doc = base_config()
+            doc["algorithm"]["backend"] = backend
+            doc["states"].update(operator_a={"sites": [0], "name": "x"}, t_prime=t_prime)
+            out = tmp_path / f"out_{t_prime!r}"
+            assert main(["two-sided", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 0
+            rows = read_rows(out / "two_sided.csv")
+            runs[t_prime] = np.array([complex(float(r["re_g"]), float(r["im_g"])) for r in rows])
+        exact, rounded = runs.values()
+        assert np.max(np.abs(rounded - exact)) < 1e-9
 
     def test_incommensurate_t_prime(self, tmp_path):
         doc = base_config()
@@ -559,6 +574,25 @@ class TestAnchorRule:
         out = tmp_path / "out"
         assert main(argv + ["--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         assert json.loads((out / "runinfo.json").read_text())["anchor"] == 0.25
+
+    def test_rounding_noise_overlap_is_no_anchor(self, tmp_path, capsys):
+        # <psi'|psi> of these states is 5.55e-17: rounding noise, whose angle
+        # phase once took as its anchor
+        site = [[0.7677497412796078, 0], [0.5814997658650531, -0.26910659052498803]]
+        site_final = [[-0.5814997658650531, -0.26910659052498803], [0.7677497412796078, 0]]
+        doc = base_config(model={"model": "tfim", "n": 3, "J": 1.0, "g": 0.5})
+        doc["algorithm"].update(tau=0.1, h=0.1, t_max=0.5, ite_mode="general_bj")
+        doc["states"] = {"psi": [site, "up", "up"], "psi_final": [site_final, "up", "up"]}
+        out = tmp_path / "out"
+        assert main(["phase", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: anchor undefined: <psi'|psi> vanishes at t = 0\n")
+        assert not out.exists()
+        exp = parse_document(doc).experiment
+        with pytest.raises(ConfigError, match="anchor undefined"):
+            run_phase_experiment(exp)
+        # a supplied anchor still runs
+        assert run_phase_experiment(replace(exp, anchor=0.0)).anchor == 0.0
 
     def test_oracle_backend_evolves_its_bra_once(self, tmp_path, monkeypatch):
         # the oracle backend's bra is the oracle bra the anchor needs
@@ -704,6 +738,33 @@ class TestBadConfigWritesNothing:
         out = tmp_path / "out"
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_failure_after_a_table_is_computed_leaves_no_directory(
+            self, tmp_path, monkeypatch, capsys):
+        # ldos has its spectrum before the oracle reference fails; nothing is
+        # written until the command has finished
+        import loschmidt.cli as cli_module
+
+        def fail(*_args):
+            raise NumericsError("reference failed")
+
+        monkeypatch.setattr(cli_module, "exact_ldos", fail)
+        out = tmp_path / "out"
+        assert main(["ldos", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: reference failed\n"
+        assert not out.exists()
+
+    def test_a_handler_returns_its_tables_and_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = parse_document(base_config(
+            cost={"n": [8, 16], "t": 4.0, "epsilon": 0.01, "p": 2, "d": 1}))
+        returned, tables, extra = COMMANDS["cost"](doc, "cost")
+        assert returned is doc and extra == {}
+        header, columns = tables["cost.csv"]
+        assert list(tables) == ["cost.csv"] and header[:2] == ["method", "N"]
+        assert len(columns) == len(header) and len(columns[0]) == 6
+        assert list(tmp_path.iterdir()) == []
 
     def test_good_values_pass(self):
         doc = base_config(
