@@ -30,7 +30,10 @@ emitted with 17 significant digits and LF line endings; identical configs
 and seeds reproduce byte-identical files at any ``--threads``, while values
 from the dense oracle can move at rounding level with the BLAS thread count.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  An
+``--out`` that cannot be made or written is a configuration error, like an
+unreadable ``--config``; a write that fails partway may leave behind the
+files already written.
 """
 
 from __future__ import annotations
@@ -416,7 +419,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{args.command} requires --method {'|'.join(methods)}")
             raise ConfigError(f"{args.command} takes no --method")
         doc, tables, extra = COMMANDS[name](load_config(args.config, args.seed), name)
-        write_run(Path(args.out), name, doc, tables, extra)
+        try:
+            write_run(Path(args.out), name, doc, tables, extra)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
         return 0
     except (ConfigError, ValueError) as exc:
         # a ValueError is a precondition of a library call failing on bad inputs

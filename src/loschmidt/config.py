@@ -496,12 +496,23 @@ def parse_document(doc: Any, seed: int | None = None) -> RunDocument:
     )
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object of a config file; a key it repeats is refused, since
+    JSON would keep the last value and drop the first without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path, seed: int | None = None) -> RunDocument:
     """The run document of the JSON config file at ``path``; ``seed`` as
-    in ``parse_document``."""
+    in ``parse_document``.  A key repeated in any object is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

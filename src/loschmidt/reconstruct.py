@@ -17,7 +17,8 @@ complex times.  The pipeline per grid point t_k:
 3. integrate the estimates over the uniform grid (composite Simpson by
    default) starting from an anchored phase,
 4. optionally detect near-zeros of r(t) and repair the phase jumps the
-   integration picks up there,
+   integration picks up there (``reconstruct_trace`` resolves the
+   detection and order-selection thresholds, and passes them on),
 5. assemble G = r * exp(i*phi) together with the running statistical factor
    I used by the shot-noise error model.
 
@@ -59,7 +60,9 @@ class PhaseTrace:
     p+ or p- was not positive and was raised to ``_P_FLOOR``; ``crossings``
     and ``correction_phases`` record the repaired near-zeros, and
     ``skipped_crossings`` those left unrepaired because a derivative
-    stencil would leave the series.
+    stencil would leave the series.  The trace keeps results only: the
+    anchor is ``phi[0]``, and h, shots and the thresholds stay with the
+    caller that passed them.
     """
 
     times: np.ndarray
@@ -70,10 +73,6 @@ class PhaseTrace:
     phi: np.ndarray
     g_complex: np.ndarray
     i_factor: np.ndarray
-    h: float
-    anchor: float = 0.0
-    shots: int | None = None
-    zero_threshold: float | None = None
     crossings: list[int] = field(default_factory=list)
     correction_phases: list[float] = field(default_factory=list)
     skipped_crossings: list[int] = field(default_factory=list)
@@ -116,17 +115,11 @@ def integrate_phase(derivatives, tau: float, rule: str = "simpson", anchor: floa
     return phi
 
 
-def detect_zeros(trace: PhaseTrace, threshold: float | None = None) -> list[int]:
+def detect_zeros(trace: PhaseTrace, threshold: float = 1e-3) -> list[int]:
     """Indices where the real-time magnitude dips below ``threshold`` at a
-    local minimum (one index per below-threshold run).
-
-    Default threshold: max(1e-3, 10/sqrt(shots)) when the trace was shot
-    sampled, else 1e-3.
+    local minimum (one index per below-threshold run).  ``reconstruct_trace``
+    resolves the threshold of a reconstruction, shots included.
     """
-    if threshold is None:
-        threshold = trace.zero_threshold
-    if threshold is None:
-        threshold = 1e-3 if trace.shots is None else max(1e-3, 10.0 / np.sqrt(trace.shots))
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     r = trace.r
@@ -166,7 +159,7 @@ def _one_sided_derivative(
     return (vals[0] - 2.0 * vals[1] + vals[2]) / tau**2
 
 
-def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: float | None = None) -> PhaseTrace:
+def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: float = 1e-3) -> PhaseTrace:
     """Repair the phase branch after each near-zero of r(t).
 
     Crossing a zero of order n0, the true amplitude changes sign like
@@ -181,15 +174,11 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
     :func:`_one_sided_derivative`.
 
     n0 defaults to 1; n0 = 2 is selected when both one-sided first
-    derivatives fall below ``derivative_threshold``, by default the
-    trace's configured ``zero_threshold``, else 1e-3.  Under shots with no
-    configured threshold that is 1e-3, not the max(1e-3, 10/sqrt(shots))
-    with which ``detect_zeros`` finds the crossings.  Higher orders raise.
+    derivatives fall below ``derivative_threshold`` (``reconstruct_trace``
+    resolves it next to the detection threshold).  Higher orders raise.
     """
     if len(crossings) == 0:
         return trace
-    if derivative_threshold is None:
-        derivative_threshold = trace.zero_threshold if trace.zero_threshold else 1e-3
     tau = float(trace.times[1] - trace.times[0]) if len(trace) > 1 else 0.0
     g = trace.g_complex.copy()
     phi = trace.phi.copy()
@@ -262,6 +251,13 @@ def reconstruct_trace(
     log rescaling constants of their plans; ``r`` is the real-time
     magnitude series.  The phase channel never reads ``r`` except for zero
     detection.
+
+    Zero repair runs two thresholds.  ``detect_zeros`` finds crossings where
+    r dips below ``threshold``, by default 1e-3, or max(1e-3, 10/sqrt(shots))
+    when the series were sampled from ``shots`` shots; ``correct_phase_jumps``
+    picks each crossing's order against ``threshold``, by default 1e-3 with
+    or without shots.  With zero repair on, a non-positive ``threshold``
+    raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -306,16 +302,17 @@ def reconstruct_trace(
         phi=phi,
         g_complex=r * np.exp(1j * phi),
         i_factor=_running_i_factor(times, p_plus, p_minus),
-        h=h,
-        anchor=anchor,
-        shots=shots,
-        zero_threshold=threshold,
         floored=np.flatnonzero(bad).tolist(),
     )
     if zero_correction and n > 1:
-        crossings = detect_zeros(trace, threshold)
+        # the default thresholds differ under shots: a sampled r scatters by
+        # ~1/sqrt(shots), so detection widens to 10/sqrt(shots), while the
+        # order selection of each detected crossing keeps 1e-3
+        detect_at, order_at = (threshold, threshold) if threshold is not None else (
+            1e-3 if shots is None else max(1e-3, 10.0 / np.sqrt(shots)), 1e-3)
+        crossings = detect_zeros(trace, detect_at)
         if crossings:
-            trace = correct_phase_jumps(trace, crossings)
+            trace = correct_phase_jumps(trace, crossings, order_at)
     return trace
 
 

@@ -28,16 +28,15 @@ from .statevector import StateVector
 class LdosSpectrum:
     """Energy grid with density values.
 
-    ``eta`` is the grid spacing (energy resolution), ``window_offset`` the
-    center energy the periodic window was shifted to, and
+    ``eta`` is the grid spacing (energy resolution) and
     ``max_imag_residue`` the largest imaginary part discarded when taking
-    the real densities (tiny for Hermitian-symmetric input).
+    the real densities (tiny for Hermitian-symmetric input).  The window
+    ``ldos_dft`` centred on its ``center_energy`` shows in ``energies``.
     """
 
     energies: np.ndarray
     densities: np.ndarray
     eta: float
-    window_offset: float = 0.0
     max_imag_residue: float = 0.0
 
     def total_weight(self) -> float:
@@ -108,7 +107,6 @@ def ldos_dft(
         energies=energies,
         densities=densities.real,
         eta=eta,
-        window_offset=center_energy,
         max_imag_residue=residue,
     )
 

@@ -591,8 +591,11 @@ class TestAnchorRule:
         exp = parse_document(doc).experiment
         with pytest.raises(ConfigError, match="anchor undefined"):
             run_phase_experiment(exp)
-        # a supplied anchor still runs
-        assert run_phase_experiment(replace(exp, anchor=0.0)).anchor == 0.0
+        # a supplied anchor still runs, and the phase starts on it exactly
+        for backend, noise in (("exact_oracle", None), ("statevector_trotter", None),
+                               ("noisy", NoiseConfig(gamma=0.1, n_trajectories=2))):
+            run = replace(exp, anchor=0.25, backend=backend, noise=noise)
+            assert run_phase_experiment(run).phi[0] == 0.25
 
     def test_oracle_backend_evolves_its_bra_once(self, tmp_path, monkeypatch):
         # the oracle backend's bra is the oracle bra the anchor needs
@@ -737,6 +740,30 @@ class TestBadConfigWritesNothing:
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "out"
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_an_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        # the directory cannot be made: a config error, as for an
+        # unreadable --config, not a traceback
+        (tmp_path / "F").write_text("")
+        out = tmp_path / "F" / "out"
+        config = Path(__file__).resolve().parents[1] / "configs" / "cost.json"
+        assert main(["cost", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ") and str(out) in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "F"]
+
+    def test_a_repeated_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # JSON keeps the last of two values; the config refuses the pair
+        text = json.dumps(base_config()).replace('"tau": 0.05', '"tau": 0.1, "tau": 0.05')
+        assert text.count('"tau"') == 2
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["phase", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config repeats key 'tau' in one object\n")
         assert not out.exists()
 
     def test_failure_after_a_table_is_computed_leaves_no_directory(

@@ -135,12 +135,12 @@ class TestIntegratePhase:
 
 
 class TestDetectZeros:
-    def _trace(self, r, shots=None):
+    def _trace(self, r):
         n = len(r)
         t = np.arange(n) * 0.1
         ones = np.ones(n)
         return reconstruct_trace(t, np.asarray(r, float), ones, ones, 0.0, 0.0,
-                                 0.1, zero_correction=False, shots=shots)
+                                 0.1, zero_correction=False)
 
     def test_flat_magnitude(self):
         assert detect_zeros(self._trace(np.ones(10)), 1e-3) == []
@@ -157,11 +157,38 @@ class TestDetectZeros:
 
     def test_default_threshold_uses_shots(self):
         r = np.ones(11)
-        r[5] = 0.05  # below 10/sqrt(400) = 0.5? no: threshold = max(1e-3, 0.5)
-        trace = self._trace(r, shots=400)
-        assert detect_zeros(trace) == [5]
+        r[5] = 0.05  # below max(1e-3, 10/sqrt(400)) = 0.5
+        ones = np.ones(11)
+        t = np.arange(11) * 0.1
+        trace = reconstruct_trace(t, r, ones, ones, 0.0, 0.0, 0.1, shots=400)
+        assert trace.crossings == [5]
         # without shots the default 1e-3 misses it
-        assert detect_zeros(self._trace(r)) == []
+        assert reconstruct_trace(t, r, ones, ones, 0.0, 0.0, 0.1).crossings == []
+
+    def test_order_is_chosen_against_1e_3_under_shots(self):
+        # one-sided first derivatives of 0.05 at the dip: above 1e-3, so the
+        # crossing is first order (a pi jump), though both sit below the
+        # 10/sqrt(400) = 0.5 that detected it; against 0.5 the order would
+        # be 2 and the jump 0
+        r = np.ones(11)
+        r[4:7] = [0.015, 0.01, 0.015]
+        ones = np.ones(11)
+        t = np.arange(11) * 0.1
+        trace = reconstruct_trace(t, r, ones, ones, 0.0, 0.0, 0.1, shots=400)
+        assert trace.crossings == [5]
+        assert abs(trace.correction_phases[0]) == pytest.approx(np.pi)
+        # a configured threshold sets both: 0.5 makes the same dip second order
+        trace = reconstruct_trace(t, r, ones, ones, 0.0, 0.0, 0.1, threshold=0.5)
+        assert trace.crossings == [5]
+        assert trace.correction_phases[0] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("shots", [None, 400])
+    def test_a_zero_threshold_raises(self, shots):
+        r = np.ones(11)
+        ones = np.ones(11)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            reconstruct_trace(np.arange(11) * 0.1, r, ones, ones, 0.0, 0.0, 0.1,
+                              threshold=0.0, shots=shots)
 
     @staticmethod
     def _reference_scan(r, threshold):
