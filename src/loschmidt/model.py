@@ -238,13 +238,13 @@ def _eigensystem(spec: HamiltonianSpec) -> Eigensystem:
     energies = np.concatenate([e for _, (e, _) in solved])
     order = np.argsort(energies, kind="stable")
     position = np.argsort(order)
-    transposed = np.empty((len(orbit),) * 2, dtype)
+    eigvec_rows = np.empty((len(orbit),) * 2, dtype)
     start = 0
     for c, (_, u) in solved:
         stop = start + u.shape[1]
-        transposed[position[start:stop]] = np.take(u.T, slot[c], axis=1) * amplitude[c]
+        eigvec_rows[position[start:stop]] = np.take(u.T, slot[c], axis=1) * amplitude[c]
         start = stop
-    return Eigensystem(energies[order], transposed.T, len(solved))
+    return Eigensystem(energies[order], eigvec_rows.T, len(solved))
 
 
 def _eigen_product(states: np.ndarray, matrix: np.ndarray) -> np.ndarray:

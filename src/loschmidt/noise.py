@@ -4,13 +4,15 @@ The depolarizing channel of rate gamma applies one of X, Y, Z (probability
 gamma/3 each) independently to every qubit after every circuit layer.  It is
 unraveled exactly by discrete Pauli insertion into Monte Carlo wavefunction
 trajectories; survival probabilities are the trajectory average of
-|<psi_final|state>|^2.  ``circuit_survivals`` runs one layered circuit as B
-trajectories, held as the rows of one (B, 2^N) array and run in place, each
-with its own Paulis after every layer.  ``trajectory_survivals`` runs the
-trajectories through it one chunk of at most ``_CHUNK_AMPS`` amplitudes
-after another.  It serves the noisy backend at gamma > 0 only: where no
-Pauli can fire, ``run_phase_experiment`` reads all three families off one
-evolution of the bra (``reconstruct._noiseless_series``).
+|<psi_final|state>|^2.  ``circuit_survivals`` is the one circuit runner
+that records overlaps: it runs one layered circuit as B trajectories, held
+as the rows of one (B, 2^N) array and run in place, each with its own
+Paulis after every layer, and records |<f|row>|^2 for each of F final
+vectors f.  ``trajectory_survivals`` runs the trajectories through it one
+chunk of at most ``_CHUNK_AMPS`` amplitudes after another, for the noisy
+backend at gamma > 0.  Where no Pauli can fire, ``run_phase_experiment``
+runs it on one zero-error row: the bra under the adjoint step, recorded
+against the three kets.
 
 Determinism contract, stream version 2:
 
@@ -109,31 +111,34 @@ def _draw_errors(rng, n_layers: int, n_qubits: int, gamma: float) -> np.ndarray:
 
 
 def circuit_survivals(
-    state: StateVector, layers, record_after, psi_final: StateVector, errors: np.ndarray
+    state: StateVector, layers, record_after, finals, errors: np.ndarray
 ) -> np.ndarray:
-    """|<psi_final|row>|^2 of a layered circuit at its record points, one
-    row of the result per trajectory.
+    """|<f|row>|^2 of a layered circuit at its record points, for each
+    final vector f of ``finals`` (2^N amplitude arrays) and each trajectory
+    row.
 
-    ``layers`` are compiled layers (a plan's ``compiled``); ``record_after``
-    lists ascending layer counts (0 <= k <= len(layers)) after which the
-    overlap is recorded, so an entry 0 records the bare initial state.
-    ``errors`` is a (B, len(layers), N) array of the Paulis that act after
-    each layer of B trajectories (0 none, 1 X, 2 Y, 3 Z).  All B rows start
-    as ``state`` and run in place in one (B, 2^N) buffer.  Returns a
-    (B, len(record_after)) array.
+    ``layers`` are compiled layers (a plan's ``compiled`` or ``adjoint``);
+    ``record_after`` lists ascending layer counts (0 <= k <= len(layers))
+    after which the overlaps are recorded, so an entry 0 records the bare
+    initial state.  ``errors`` is a (B, len(layers), N) array of the Paulis
+    that act after each layer of B trajectories (0 none, 1 X, 2 Y, 3 Z).
+    All B rows start as ``state`` and run in place in one (B, 2^N) buffer.
+    Returns a (B, len(finals), len(record_after)) array.
     """
     if any(k < 0 or k > len(layers) for k in record_after):
         raise ValueError("record_after entries must lie within the layer range")
+    if list(record_after) != sorted(record_after):
+        raise ValueError("record_after entries must be ascending")
     n_rows = len(errors)
     amps = np.empty((n_rows, len(state.amplitudes)), dtype=complex)
     amps[:] = state.amplitudes
     fired = errors.any(axis=(0, 2)).tolist()
-    final = psi_final.amplitudes
-    out = np.empty((n_rows, len(record_after)))
+    out = np.empty((n_rows, len(finals), len(record_after)))
 
     def record(column):
-        for row in range(n_rows):
-            out[row, column] = abs(np.vdot(final, amps[row])) ** 2
+        for row, vector in enumerate(amps):
+            for f, final in enumerate(finals):
+                out[row, f, column] = abs(np.vdot(final, vector)) ** 2
 
     pointer = 0
     for k, layer in enumerate(layers):
@@ -180,7 +185,8 @@ def trajectory_survivals(
         for row, traj in enumerate(chunk):
             rng = np.random.default_rng(base ^ np.uint64(traj))
             errors[row] = _draw_errors(rng, n_layers, n_qubits, noise.gamma)
-        parts.append(circuit_survivals(psi_init, layers, record_after, psi_final, errors))
+        parts.append(circuit_survivals(
+            psi_init, layers, record_after, [psi_final.amplitudes], errors)[:, 0])
     return np.concatenate(parts).mean(axis=0)
 
 

@@ -19,12 +19,15 @@ complex times.  The pipeline per grid point t_k:
 4. optionally detect near-zeros of r(t) and repair the phase jumps the
    integration picks up there (``reconstruct_trace`` resolves the
    detection and order-selection thresholds, and passes them on),
-5. assemble G = r * exp(i*phi) together with the running statistical factor
-   I used by the shot-noise error model.
+5. assemble G = r * exp(i*phi).
 
 ``reconstruct_trace`` is the purely classical part (it consumes measured
 probability series and works equally for external data); dispatching the
 simulation backends that produce those series is ``run_phase_experiment``.
+Both Trotter backends run their circuits through one runner,
+``noise.circuit_survivals``: the noisy trajectories run the forward step U,
+and a noiseless run evolves the bra once under the adjoint step, since
+<psi'|U^k x> = <(U^dagger)^k psi'|x>.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import _count
 from .exceptions import ConfigError, NumericsError
 from .ite import apply_ite  # noqa: F401  (perfbench/tracer.py patches it here)
 from .ite import build_ite_plan_general, build_ite_plan_tfim
 from .model import amplitude_series
-from .noise import mitigate_rescale, sample_shots, trajectory_survivals
+from .noise import circuit_survivals, mitigate_rescale, sample_shots, trajectory_survivals
 from .statevector import inner_product
 from .trotter import build_plan
 from .trotter import evolve  # noqa: F401  (perfbench/tracer.py patches it here)
@@ -72,7 +76,6 @@ class PhaseTrace:
     dphi_dt: np.ndarray
     phi: np.ndarray
     g_complex: np.ndarray
-    i_factor: np.ndarray
     crossings: list[int] = field(default_factory=list)
     correction_phases: list[float] = field(default_factory=list)
     skipped_crossings: list[int] = field(default_factory=list)
@@ -218,17 +221,6 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
     )
 
 
-def _running_i_factor(times, p_plus, p_minus) -> np.ndarray:
-    integrand = 1.0 / np.sqrt(p_plus) + 1.0 / np.sqrt(p_minus)
-    out = np.empty_like(integrand)
-    out[0] = integrand[0]
-    if len(times) > 1:
-        # the running mean over the elapsed time, so grids may start anywhere
-        cum = np.cumsum(np.diff(times) * (integrand[1:] + integrand[:-1]) / 2.0)
-        out[1:] = cum / (times[1:] - times[0])
-    return out
-
-
 def reconstruct_trace(
     times,
     r,
@@ -257,7 +249,8 @@ def reconstruct_trace(
     when the series were sampled from ``shots`` shots; ``correct_phase_jumps``
     picks each crossing's order against ``threshold``, by default 1e-3 with
     or without shots.  With zero repair on, a non-positive ``threshold``
-    raises ValueError.
+    raises ValueError, and so does a ``shots`` that is neither None nor a
+    positive integer.
     """
     times = np.asarray(times, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -268,6 +261,8 @@ def reconstruct_trace(
         raise ValueError("series lengths differ")
     if h <= 0:
         raise ValueError("h must be positive")
+    if shots is not None and not _count(shots):
+        raise ValueError(f"shots must be a positive integer or None, got {shots!r}")
     if n > 1:
         steps = np.diff(times)
         if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
@@ -301,7 +296,6 @@ def reconstruct_trace(
         dphi_dt=dphi,
         phi=phi,
         g_complex=r * np.exp(1j * phi),
-        i_factor=_running_i_factor(times, p_plus, p_minus),
         floored=np.flatnonzero(bad).tolist(),
     )
     if zero_correction and n > 1:
@@ -314,34 +308,6 @@ def reconstruct_trace(
         if crossings:
             trace = correct_phase_jumps(trace, crossings, order_at)
     return trace
-
-
-def _noiseless_series(psi, bra, step, ite_pair, prefix_steps: int, n_points: int) -> np.ndarray:
-    """The exact r^2, p+ and p- series of a noiseless run, as the rows of a
-    (3, n_points) array, from one Trotter evolution.
-
-    Row x holds |<bra| U^(prefix_steps + k) x>|^2 at grid point k, for the
-    kets x = psi, V+ psi and V- psi, where U is one step of ``step`` and V+-
-    psi the kets of ``ite_pair``, grown from its site vectors on one block
-    schedule (psi up to a global phase, which no modulus reads).  Since
-    <bra|U^k x> = ((U^T)^k conj(bra)) . x, one vector w = conj(bra) runs the
-    plan's ``transposed`` step: first ``prefix_steps`` times, then once
-    between grid points, and each point reads three plain dot products with
-    the fixed kets.  That is prefix_steps + n_points - 1 steps for all three
-    families, and memory of the two held kets plus w.
-    """
-    kets = [psi.amplitudes, *ite_pair.kets()]
-    w = bra.amplitudes.conj()
-    out = np.empty((len(kets), n_points))
-    for k in range(-prefix_steps, n_points):
-        if k > -prefix_steps:
-            for layer in step.transposed:
-                for op in layer:
-                    op.apply(w)
-        if k >= 0:
-            for row, ket in enumerate(kets):
-                out[row, k] = abs(np.dot(ket, w)) ** 2
-    return out
 
 
 def _sample_series(p, shots, seed, family) -> np.ndarray:
@@ -360,9 +326,11 @@ def run_phase_experiment(config) -> PhaseTrace:
       (imaginary-time constants still come from the configured ITE pair so
       the recorded probabilities match what an experiment would see),
     * ``statevector_trotter`` — exact overlap probabilities of the three
-      families (r: the Trotter steps; p+-: the ITE pair's kets, grown from
-      the site vectors, then the same steps), all read off one evolution of
-      the bra under the transposed step (``_noiseless_series``),
+      families |<psi'|U^(prefix_steps + k) x>|^2 for the kets x = psi,
+      V+ psi and V- psi (the ITE pair's kets, grown from the site vectors),
+      all read off one evolution of the bra under the plan's ``adjoint``
+      step: ``circuit_survivals`` on one zero-error row, recorded against
+      the three kets,
     * ``noisy`` — at gamma > 0, the same circuits as depolarizing
       trajectories (``trajectory_survivals``): each family is its prefix
       (none for r, the plus or minus layers of ``pair.compiled`` for p+-,
@@ -417,20 +385,25 @@ def run_phase_experiment(config) -> PhaseTrace:
         ]
     else:
         step = build_plan(spec, config.tau, config.tau, config.order)
+        n_steps = config.prefix_steps + n_points - 1
+        # the step layers run before each grid point is recorded
+        depths = [(config.prefix_steps + k) * step.layers_per_step for k in range(n_points)]
         if mitigate:
             # one circuit per family r / + / -: its prefix (none, or the ITE
             # layers, run layer by layer so the Paulis act between them),
             # then the Trotter steps, recorded once per grid point
-            steps = step.compiled * (config.prefix_steps + n_points - 1)
-            depths = [(config.prefix_steps + k) * step.layers_per_step for k in range(n_points)]
-            circuits = [(prefix + steps, [len(prefix) + d for d in depths])
+            circuits = [(prefix + step.compiled * n_steps, [len(prefix) + d for d in depths])
                         for prefix in ((), *pair.compiled)]
             series = [
                 trajectory_survivals(psi, layers, record, bra, noise)
                 for layers, record in circuits
             ]
         else:
-            series = list(_noiseless_series(psi, bra, step, pair, config.prefix_steps, n_points))
+            # <psi'|U^k x> = <(U^dagger)^k psi'|x>: one evolution of the bra
+            # under the adjoint step, recorded against psi, V+ psi and V- psi
+            kets = [psi.amplitudes, *pair.kets()]
+            errors = np.zeros((1, depths[-1], spec.n_sites), dtype=np.int8)
+            series = list(circuit_survivals(bra, step.adjoint * n_steps, depths, kets, errors)[0])
 
     shots, seed = (noise.shots, noise.master_seed) if noise else (config.shots, config.seed)
     if shots is not None:

@@ -9,11 +9,11 @@ least significant bit of the local matrix index.  ``|up>`` is the basis
 vector ``(1, 0)`` (eigenvalue +1 of sigma^z).
 
 Every plan runs on one kernel path: each layer of gates on adjacent sites
-becomes a short tuple of ops, and one runner applies them in place to one
-contiguous copy of the amplitudes for ``apply_layer``, ``evolve`` and
-``apply_ite`` (the trajectory runner ``circuit_survivals`` and the noiseless
-series keep their own loops, since they record overlaps between layers or
-steps).  Every plan compiles through one entry, ``_compile_stack``: its
+becomes a short tuple of ops, applied in place by ``_run_layers`` to one
+contiguous copy of the amplitudes (``apply_layer``, ``evolve`` and
+``apply_ite``), or by ``noise.circuit_survivals``, the one runner that
+records overlaps between layers (trajectories and noiseless series).
+Every plan compiles through one entry, ``_compile_stack``: its
 checked ``GateStack`` (supports in term order, one matrix each) and a
 layer index over the supports (``_layer_index``), each distinct layer of
 the index compiled once by the core ``_compile_placed`` from its (lowest
@@ -40,11 +40,10 @@ site vectors, and one matmul writes the larger state; a block inside them
 runs in place.  For the ITE staircase every block grows the state, so the
 ket costs about one write of the full state.
 
-The transposed circuit U^T compiles through the same entry, from the
-stack with each matrix transposed and the layer index reversed
-(``TrotterPlan.transposed``).  Noiseless runs use it to evolve the
-conjugated bra once instead of three kets, since <bra|U^k x> =
-((U^T)^k conj(bra)) . x.
+The adjoint circuit U^dagger compiles through the same entry, from the
+stack with each matrix its conjugate transpose and the layer index reversed
+(``TrotterPlan.adjoint``).  Noiseless runs use it to evolve the bra once
+instead of three kets, since <bra|U^k x> = <(U^dagger)^k bra|x>.
 
 An op acts on any C-contiguous array whose last axis holds 2^N amplitudes:
 a single state of shape ``(2^N,)`` or a batch of states as the rows of a

@@ -15,12 +15,12 @@ tuple of gate indices per physical layer.  It owns both execution forms of
 the step, each compiled on first use through ``_compile_stack``:
 ``compiled``, the step U with one op tuple per physical layer, so noise
 still has one insertion point per physical layer (trajectories and
-``evolve``), and ``transposed``, the step U^T that noiseless runs apply to
-the conjugated bra: the same stack with each matrix transposed, on the
-layer index reversed.  The mirrored tail of a symmetric step and the
-repeated outer steps of order 4 repeat the index tuples of their first
-occurrence, and so share its compiled ops, including each folded diagonal
-layer's phase vector.
+``evolve``), and ``adjoint``, the step U^dagger that noiseless runs evolve
+the bra under: the same stack with each matrix replaced by its conjugate
+transpose, on the layer index reversed.  The mirrored tail of a symmetric
+step and the repeated outer steps of order 4 repeat the index tuples of
+their first occurrence, and so share its compiled ops, including each
+folded diagonal layer's phase vector.
 """
 
 from __future__ import annotations
@@ -103,13 +103,11 @@ class TrotterPlan:
 
     ``gate_stack`` holds the step's distinct checked gates and
     ``layer_index`` one tuple of gate indices per physical layer, the census
-    of the step.  ``compiled`` (the step) and ``transposed`` (its
-    transpose) are their execution forms, each built on first use, so a
-    run compiles only the form it executes.
+    of the step.  ``compiled`` (the step) and ``adjoint`` (its inverse) are
+    their execution forms, each built on first use, so a run compiles only
+    the form it executes.
     """
 
-    order: int
-    tau: float
     n_steps: int
     n_sites: int
     gate_stack: GateStack = field(repr=False)
@@ -121,11 +119,14 @@ class TrotterPlan:
         return _compile_stack(self.n_sites, self.gate_stack, self.layer_index)
 
     @cached_property
-    def transposed(self) -> tuple[tuple, ...]:
-        """The ops of each layer of U^T: the layers in reverse order, each
-        gate transposed (and stored C-contiguous).  The gates of one layer
-        act on disjoint sites, so each layer is its own gates transposed."""
-        matrices = tuple([np.ascontiguousarray(mat.T) for mat in self.gate_stack.matrices])
+    def adjoint(self) -> tuple[tuple, ...]:
+        """The ops of each layer of U^dagger: the layers in reverse order,
+        each gate its conjugate transpose (stored C-contiguous).  The gates
+        of one layer act on disjoint sites, so each layer is its own gates'
+        adjoint."""
+        # on 2x2 and 4x4 gates this beats np.conjugate(mat.T, order="C"),
+        # whose keyword handling costs more than the copy
+        matrices = tuple([mat.conj().T.copy() for mat in self.gate_stack.matrices])
         stack = GateStack(self.gate_stack.supports, matrices)
         return _compile_stack(self.n_sites, stack, self.layer_index[::-1])
 
@@ -171,7 +172,7 @@ def build_plan(spec: HamiltonianSpec, t: float, tau: float, order: int = 2) -> T
     index = tuple(layer for label, weight, way in substeps
                   for layer in layers[label, weight][::way])
     stack = GateStack(tuple(supports), tuple(matrices))
-    return TrotterPlan(order, tau, n_steps, spec.n_sites, stack, index)
+    return TrotterPlan(n_steps, spec.n_sites, stack, index)
 
 
 def evolve(state: StateVector, plan: TrotterPlan, n_steps: int | None = None) -> StateVector:

@@ -26,7 +26,7 @@ from loschmidt.exceptions import NumericsError
 from loschmidt.ite import ItePair, apply_ite, build_ite_plan_general, build_ite_plan_tfim, ite_angle
 from loschmidt.model import HamiltonianSpec, LocalTerm, _embed, tfim
 from loschmidt.noise import NoiseConfig
-from loschmidt.reconstruct import _noiseless_series, run_phase_experiment
+from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.statevector import (
     BlockOp,
     GateStack,
@@ -902,6 +902,39 @@ def reference_series(spec, psi, bra, tau, order, h, prefix_steps, n_points):
     return out
 
 
+def transposed_reference(spec, psi, bra, tau, order, h, prefix_steps, n_points):
+    """The same series by the former evaluation: w = conj(bra) under the
+    step's gates transposed (on the reversed layer index), first
+    ``prefix_steps`` times and then once between grid points, each point
+    read as the plain dot products of w with psi, V+ psi and V- psi."""
+    step = build_plan(spec, tau, tau, order)
+    stack = step.gate_stack
+    flipped = GateStack(stack.supports, tuple([np.ascontiguousarray(m.T) for m in stack.matrices]))
+    back = _compile_stack(spec.n_sites, flipped, step.layer_index[::-1])
+    kets = [psi.amplitudes, *build_ite_plan_general(spec, psi, h).kets()]
+    w = StateVector(spec.n_sites, bra.amplitudes.conj())
+    out = np.empty((3, n_points))
+    for k in range(-prefix_steps, n_points):
+        if k > -prefix_steps:
+            w = _run_layers(w, back)
+        if k >= 0:
+            for row, ket in enumerate(kets):
+                out[row, k] = abs(np.dot(ket, w.amplitudes)) ** 2
+    return out
+
+
+def noiseless_trace(spec, psi, bra, tau, order, h, prefix_steps, n_points):
+    """The trace of a ``statevector_trotter`` run on ``n_points`` grid
+    points."""
+    trace = run_phase_experiment(ExperimentConfig(
+        spec=spec, psi=psi, psi_final=bra, tau=tau, h=h, t_max=(n_points - 1) * tau,
+        prefix_steps=prefix_steps, anchor=0.0, order=order, ite_mode="general_bj",
+        zero_correction=False,
+    ))
+    assert len(trace) == n_points
+    return trace
+
+
 #: five sites of dense random terms in two groups, one support reversed, so
 #: no gate is symmetric and the step's layers are not a palindrome at order 1
 RANDOM_CHAIN = HamiltonianSpec(5, tuple(
@@ -911,9 +944,10 @@ RANDOM_CHAIN = HamiltonianSpec(5, tuple(
 ))
 
 
-class TestTransposedEvaluation:
-    """The noiseless series read off the bra evolved under the transposed
-    step, against forward circuits, and the transposed ops themselves."""
+class TestAdjointEvaluation:
+    """The noiseless series read off the bra evolved under the adjoint
+    step, against forward circuits and against the former transposed
+    evaluation, and the adjoint ops themselves."""
 
     @PROPERTY
     @given(spec=chains(max_sites=6), order=st.sampled_from([1, 2, 4]),
@@ -923,36 +957,61 @@ class TestTransposedEvaluation:
         rng = np.random.default_rng(seed)
         psi, bra = (_random_state(rng, spec.n_sites, product=True) for _ in range(2))
         tau, h = 0.2, 0.1
-        step = build_plan(spec, tau, tau, order)
-        pair = build_ite_plan_general(spec, psi, h)
-        series = _noiseless_series(psi, bra, step, pair, prefix_steps, n_points)
+        trace = noiseless_trace(spec, psi, bra, tau, order, h, prefix_steps, n_points)
+        series = np.array([trace.r ** 2, trace.p_plus, trace.p_minus])
         expected = reference_series(spec, psi, bra, tau, order, h, prefix_steps, n_points)
-        assert series.shape == (3, n_points)
         assert np.max(np.abs(series - expected)) < 1e-12
+
+    @staticmethod
+    def _assert_equals_transposed(spec, psi, bra, order, prefix_steps, n_points):
+        # bit for bit: conj(bra) under U^T is the conjugate of bra under
+        # U^dagger entry for entry, and vdot(x, w) is the conjugate of
+        # dot(x, conj(w)) term for term
+        tau, h = 0.2, 0.1
+        trace = noiseless_trace(spec, psi, bra, tau, order, h, prefix_steps, n_points)
+        expected = transposed_reference(spec, psi, bra, tau, order, h, prefix_steps, n_points)
+        assert trace.r.tobytes() == np.sqrt(expected[0]).tobytes()
+        assert trace.p_plus.tobytes() == expected[1].tobytes()
+        assert trace.p_minus.tobytes() == expected[2].tobytes()
+
+    @PROPERTY
+    @given(spec=chains(max_sites=8), order=st.sampled_from([1, 2, 4]),
+           prefix_steps=st.sampled_from([0, 3]), seed=SEEDS)
+    def test_series_equal_transposed_evaluation(self, spec, order, prefix_steps, seed):
+        rng = np.random.default_rng(seed)
+        psi, bra = (_random_state(rng, spec.n_sites, product=True) for _ in range(2))
+        self._assert_equals_transposed(spec, psi, bra, order, prefix_steps, 5)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_tfim_n14_equals_transposed_evaluation(self, order):
+        rng = np.random.default_rng(order)
+        psi, bra = (_random_state(rng, 14, product=True) for _ in range(2))
+        self._assert_equals_transposed(tfim(14, 1.0, 0.5), psi, bra, order, 2, 4)
 
     @PROPERTY
     @given(spec=chains(max_sites=6), order=st.sampled_from([1, 2, 4]), seed=SEEDS)
     @example(spec=tfim(6, 1.0, 0.5), order=2, seed=0)
     @example(spec=RANDOM_CHAIN, order=1, seed=0)
-    def test_transposed_step_is_the_adjoint_pairing(self, spec, order, seed):
-        # (U^T conj(a)) . b = <a|U b> for the step U, each op of the plan's
-        # transposed form the matching op of its forward form transposed,
-        # stored C-contiguous, and shared where the forward op is shared
+    def test_adjoint_step_is_the_adjoint_pairing(self, spec, order, seed):
+        # <U^dagger a|b> = <a|U b> for the step U, each op of the plan's
+        # adjoint form the matching op of its forward form conjugate-
+        # transposed, stored C-contiguous, and shared where the forward op
+        # is shared
         step = build_plan(spec, 0.3, 0.3, order)
-        back = step.transposed
+        back = step.adjoint
         rng = np.random.default_rng(seed)
         a, b = (_random_state(rng, spec.n_sites, product=False) for _ in range(2))
-        w = _run_layers(StateVector(spec.n_sites, a.amplitudes.conj()), back).amplitudes
+        w = _run_layers(a, back).amplitudes
         forward = np.vdot(a.amplitudes, _run_layers(b, step.compiled).amplitudes)
-        assert abs(np.dot(w, b.amplitudes) - forward) < 1e-13
+        assert abs(np.vdot(w, b.amplitudes) - forward) < 1e-13
         ops = [op for layer in step.compiled[::-1] for op in layer]
         flipped = [op for layer in back for op in layer]
         assert [type(op) for op in flipped] == [type(op) for op in ops]
         for op, new in zip(ops, flipped):
             if isinstance(op, PhaseOp):
-                assert np.array_equal(new.phase, op.phase)
+                assert np.array_equal(new.phase, op.phase.conj())
             else:
                 assert new.shape == op.shape and new.matrix.flags.c_contiguous
-                assert np.array_equal(new.matrix, op.matrix.T)
+                assert np.array_equal(new.matrix, op.matrix.conj().T)
         shared = [[new is other for other in flipped] for new in flipped]
         assert shared == [[op is other for other in ops] for op in ops]

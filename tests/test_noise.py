@@ -20,7 +20,6 @@ from loschmidt.noise import (
 )
 from loschmidt.ite import build_ite_plan_general
 from loschmidt.model import SIGMA_X, SIGMA_Y, SIGMA_Z, tfim
-from loschmidt.reconstruct import _noiseless_series
 from loschmidt.statevector import (
     GateStack,
     StateVector,
@@ -169,6 +168,15 @@ class TestRunNoisyProbability:
         with pytest.raises(ValueError):
             trajectory_survivals(psi, [[]], [2], psi, noise)
 
+    def test_record_points_out_of_order(self):
+        # a descending entry would be recorded after the last layer
+        psi = product_state(["x+", "up"])
+        layers = build_plan(tfim(2, 1.0, 0.5), 0.1, 0.1, 2).compiled * 5
+        assert len(layers) == 15
+        noise = NoiseConfig(gamma=0.1, n_trajectories=2)
+        with pytest.raises(ValueError, match="ascending"):
+            trajectory_survivals(psi, layers, [6, 2], psi, noise)
+
 
 def stream_base(master_seed):
     return np.random.SeedSequence(master_seed).generate_state(1, np.uint64)[0]
@@ -224,8 +232,9 @@ class TestBatchedTrajectories:
         ]
         rows = np.array([survivals for survivals, _ in refs])
         errors = np.array([drawn for _, drawn in refs])
-        batched = circuit_survivals(psi, layers, record, bra, errors)
-        assert batched.tobytes() == rows.tobytes()
+        batched = circuit_survivals(psi, layers, record, [bra.amplitudes], errors)
+        assert batched.shape == (n_traj, 1, len(record))
+        assert batched[:, 0].tobytes() == rows.tobytes()
         noise = NoiseConfig(gamma=gamma, n_trajectories=n_traj, master_seed=seed)
         mean = trajectory_survivals(psi, layers, record, bra, noise)
         assert mean.tobytes() == rows.mean(axis=0).tobytes()
@@ -267,19 +276,32 @@ class TestBatchedTrajectories:
     def test_gamma_zero_rows_equal_noiseless_run(self):
         # the rows of a zero-error batch get the same arithmetic, bit for
         # bit; the noiseless backend reads the same overlaps off one
-        # evolution of the bra under the transposed step, in another order;
-        # at h = 0 the two ITE kets are psi as well
+        # evolution of the bra under the adjoint step, recorded against
+        # the three kets; at h = 0 the two ITE kets are psi as well
         psi = product_state(["x+", "up", "down"])
         spec = tfim(3, 1.0, 0.5)
         step = build_plan(spec, 0.1, 0.1, 2)
         layers = step.compiled * 3
         record = [k * step.layers_per_step for k in range(4)]
-        batched = circuit_survivals(psi, layers, record, psi, np.zeros((4, len(layers), 3)))
+        zeros = np.zeros((4, len(layers), 3))
+        batched = circuit_survivals(psi, layers, record, [psi.amplitudes], zeros)
         assert batched.tobytes() == np.repeat(batched[:1], 4, axis=0).tobytes()
-        pair = build_ite_plan_general(spec, psi, 0.0)
-        noiseless = _noiseless_series(psi, psi, step, pair, 0, len(record))
+        kets = [psi.amplitudes, *build_ite_plan_general(spec, psi, 0.0).kets()]
+        noiseless = circuit_survivals(psi, step.adjoint * 3, record, kets, zeros[:1])[0]
         assert noiseless.shape == (3, 4)
         assert np.max(np.abs(batched[0] - noiseless)) < 1e-12
+
+    def test_finals_share_one_evolution(self):
+        # each final vector's column equals a one-final run of its own
+        psi, bra = product_state(["x+", "y-", "down"]), product_state(["y+", "up", "x-"])
+        layers = build_plan(tfim(3, 1.0, 0.5), 0.1, 0.1, 1).compiled * 2
+        errors = np.zeros((2, len(layers), 3), dtype=np.int8)
+        errors[1, 1, 0] = 2
+        finals = [psi.amplitudes, bra.amplitudes]
+        both = circuit_survivals(psi, layers, [0, 1, 4], finals, errors)
+        for f, final in enumerate(finals):
+            alone = circuit_survivals(psi, layers, [0, 1, 4], [final], errors)
+            assert both[:, f].tobytes() == alone[:, 0].tobytes()
 
 
 class TestSampleShots:

@@ -310,20 +310,16 @@ class TestReconstructTrace:
         trace, _ = synthetic_zero_trace()
         np.testing.assert_allclose(np.abs(trace.g_complex), trace.r, rtol=5e-16, atol=0)
 
-    def test_i_factor_unit_probabilities(self):
-        t = np.arange(6) * 0.2
-        ones = np.ones(6)
-        trace = reconstruct_trace(t, ones, ones, ones, 0.0, 0.0, 0.1)
-        assert np.allclose(trace.i_factor, 2.0)
-
-    @pytest.mark.parametrize("t", [[5.0, 5.1, 5.2], [-0.1, 0.0, 0.1]])
-    def test_i_factor_averages_over_elapsed_time(self, t):
-        # an external grid that does not start at 0: the running mean is over
-        # t - t[0], so it neither shrinks with t nor divides by a zero t
-        ones = np.ones(3)
-        with np.errstate(all="raise"):
-            trace = reconstruct_trace(np.array(t), ones, ones, ones, 0.0, 0.0, 0.1)
-        np.testing.assert_allclose(trace.i_factor, 2.0, rtol=1e-12, atol=0)
+    @pytest.mark.parametrize("shots", [0, -4, 2.5])
+    def test_shots_must_be_a_positive_integer(self, shots):
+        # shots 0 would make the detection threshold 10/sqrt(0) = inf, so
+        # every dip of a smooth r would count as a crossing; shots -4 would
+        # make it nan and skip zero repair without a word
+        t = np.arange(21) * 0.1
+        r = 1.0 + 0.1 * np.cos(3.0 * t)
+        p = np.full(21, 0.5)
+        with pytest.raises(ValueError, match="shots"):
+            reconstruct_trace(t, r, p, p, 0.0, 0.0, 0.1, shots=shots)
 
     def test_zero_probability_without_correction_names_time(self):
         t = np.arange(3) * 0.1

@@ -117,12 +117,12 @@ class TestPlanForm:
         assert used == list(range(len(plan.gate_stack.supports)))
 
     @pytest.mark.parametrize("backend, gamma, form", [
-        ("statevector_trotter", None, "transposed"),
-        ("noisy", 0.0, "transposed"),
+        ("statevector_trotter", None, "adjoint"),
+        ("noisy", 0.0, "adjoint"),
         ("noisy", 0.1, "compiled"),
     ])
     def test_run_compiles_only_the_form_it_executes(self, monkeypatch, backend, gamma, form):
-        # noiseless runs evolve the bra under U^T, trajectories run U layer
+        # noiseless runs evolve the bra under U^dagger, trajectories run U layer
         # by layer; each compiles its form once and never the other
         plans, calls = [], []
 
@@ -143,10 +143,10 @@ class TestPlanForm:
             ite_mode="general_bj", backend=backend, noise=noise,
         ))
         (plan,) = plans
-        other = {"compiled": "transposed", "transposed": "compiled"}[form]
+        other = {"compiled": "adjoint", "adjoint": "compiled"}[form]
         assert form in vars(plan) and other not in vars(plan)
         (_, stack, index), = calls
-        way = -1 if form == "transposed" else 1
+        way = -1 if form == "adjoint" else 1
         assert list(index) == list(plan.layer_index[::way])
         assert stack.supports == plan.gate_stack.supports
 
@@ -169,8 +169,6 @@ class TestEvolve:
         forward = build_plan(spec, 1.0, 0.05, 2)
         stack = forward.gate_stack
         backward = TrotterPlan(
-            forward.order,
-            forward.tau,
             forward.n_steps,
             forward.n_sites,
             GateStack(stack.supports, tuple(m.conj().T for m in stack.matrices)),

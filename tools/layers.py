@@ -14,8 +14,8 @@ pair's per-layer compile and apply of the plus stack, both kets grown from
 the site vectors (``ite_ket``: the pair's ``kets()``, as noiseless runs
 call it), the whole noiseless
 three-family evaluation of r^2, p+ and p- at K = 11 grid points
-(``noiseless_series``: both ITE kets, then the bra under the transposed
-step), one round of the depolarizing channel, and, for N <= 12, the
+(``noiseless_series``: both ITE kets, then ``circuit_survivals`` of the bra
+under the adjoint step, as ``run_phase_experiment`` runs it), one round of the depolarizing channel, and, for N <= 12, the
 dense-oracle eigensystem and an ``amplitude_series`` strip on the cached
 eigensystem.  Once, independent of N: shot sampling,
 ``reconstruct_trace`` and ``ldos_dft`` on a K-point series.
@@ -42,8 +42,8 @@ import numpy as np  # noqa: E402
 
 from loschmidt.ite import build_ite_plan_general  # noqa: E402
 from loschmidt.model import ORACLE_MAX_SITES, _eigensystem, amplitude_series, tfim  # noqa: E402
-from loschmidt.noise import apply_noise_layer, sample_shots  # noqa: E402
-from loschmidt.reconstruct import _noiseless_series, reconstruct_trace  # noqa: E402
+from loschmidt.noise import apply_noise_layer, circuit_survivals, sample_shots  # noqa: E402
+from loschmidt.reconstruct import reconstruct_trace  # noqa: E402
 from loschmidt.spectral import ldos_dft  # noqa: E402
 from loschmidt.statevector import _compile_stack, _run_layers, product_state  # noqa: E402
 from loschmidt.trotter import build_plan, evolve  # noqa: E402
@@ -71,6 +71,16 @@ def timed(fn, repeats: int) -> dict:
             "worst_ms": round(1e3 * max(walls), 4)}
 
 
+def noiseless_series(psi, step, pair, n_points: int) -> np.ndarray:
+    """r^2, p+ and p- of the noiseless backend at ``n_points`` grid points:
+    the bra psi under the adjoint step, recorded against psi, V+ psi and
+    V- psi on one zero-error row."""
+    depths = [k * step.layers_per_step for k in range(n_points)]
+    errors = np.zeros((1, depths[-1], psi.n_qubits), dtype=np.int8)
+    kets = [psi.amplitudes, *pair.kets()]
+    return circuit_survivals(psi, step.adjoint * (n_points - 1), depths, kets, errors)[0]
+
+
 def size_layers(n: int, seed: int, repeats: int) -> dict:
     spec, psi = tfim(n, 1.0, 0.5), tilted_state(n, seed)
     step = build_plan(spec, TAU, TAU, 2)
@@ -85,8 +95,7 @@ def size_layers(n: int, seed: int, repeats: int) -> dict:
         "ite_compile_layers": timed(lambda: _compile_stack(n, stack, index), repeats),
         "ite_apply_layers": timed(lambda: _run_layers(psi, pair.compiled[0]), repeats),
         "ite_ket": timed(pair.kets, repeats),
-        "noiseless_series": timed(lambda: _noiseless_series(psi, psi, step, pair, 0, 11),
-                                  repeats),
+        "noiseless_series": timed(lambda: noiseless_series(psi, step, pair, 11), repeats),
         "noise_layer": timed(lambda: apply_noise_layer(psi, 0.05, rng), repeats),
     }
     if n <= ORACLE_MAX_SITES:
