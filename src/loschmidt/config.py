@@ -37,7 +37,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .model import ORACLE_MAX_SITES, SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec, LocalTerm, tfim
-from .statevector import StateVector, _check_unitary, product_state
+from .statevector import STATEVECTOR_MAX_SITES, StateVector, _check_unitary, product_state
 
 _RULES = ("simpson", "trapezoid")
 _ITE_MODES = ("tfim_closed_form", "general_bj")
@@ -233,14 +233,20 @@ def _checked_block(block: Any, where: str, allowed, required=frozenset(), checks
     return block
 
 
+def _sites(least: int):
+    """Predicate of a site count from ``least`` to ``STATEVECTOR_MAX_SITES``,
+    checked before any state of that size is allocated."""
+    return lambda value: _integer(value) and least <= value <= STATEVECTOR_MAX_SITES
+
+
 _TFIM_CHECKS = (
-    ("n", lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+    ("n", _sites(2), f"an integer in [2, {STATEVECTOR_MAX_SITES}]"),
     ("J", _finite, "a finite number"),
     ("g", _finite, "a finite number"),
 )
 
 _TERMS_CHECKS = (
-    ("n", _count, "a positive integer"),
+    ("n", _sites(1), f"an integer in [1, {STATEVECTOR_MAX_SITES}]"),
     ("terms", lambda v: isinstance(v, list), "a list of terms"),
 )
 
@@ -371,8 +377,8 @@ _COST_CHECKS = (
 _SWEEP_CHECKS = (
     ("kind", _one_of(("h", "tau")), "'h' or 'tau'"),
     # the scaling sweep runs the built-in chain, which needs two sites
-    ("n_values", _list_of(lambda v: _integer(v) and v >= 2),
-     "a non-empty list of integers >= 2"),
+    ("n_values", _list_of(_sites(2)),
+     f"a non-empty list of integers in [2, {STATEVECTOR_MAX_SITES}]"),
     ("values", _list_of(_positive), "a non-empty list of positive numbers"),
     ("t_max", _nonnegative, "a nonnegative number"),
 )

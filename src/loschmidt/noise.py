@@ -4,15 +4,15 @@ The depolarizing channel of rate gamma applies one of X, Y, Z (probability
 gamma/3 each) independently to every qubit after every circuit layer.  It is
 unraveled exactly by discrete Pauli insertion into Monte Carlo wavefunction
 trajectories; survival probabilities are the trajectory average of
-|<psi_final|state>|^2.  ``circuit_survivals`` is the one circuit runner
-that records overlaps: it runs one layered circuit as B trajectories, held
-as the rows of one (B, 2^N) array and run in place, each with its own
-Paulis after every layer, and records |<f|row>|^2 for each of F final
-vectors f.  ``trajectory_survivals`` runs the trajectories through it one
-chunk of at most ``_CHUNK_AMPS`` amplitudes after another, for the noisy
-backend at gamma > 0.  Where no Pauli can fire, ``run_phase_experiment``
-runs it on one zero-error row: the bra under the adjoint step, recorded
-against the three kets.
+|<psi_final|state>|^2.  Each jump is one more op of the circuit:
+``PauliOp`` holds the Paulis of one layer for the rows of a batch, as
+codes 0 (none), 1 (X), 2 (Y) and 3 (Z), and only this module builds or
+reads those codes.  ``trajectory_survivals`` runs B trajectories as the
+rows of one (B, 2^N) array through ``statevector.circuit_survivals``, the
+one circuit runner, one chunk of at most ``_CHUNK_AMPS`` amplitudes after
+another, with a ``PauliOp`` after each layer where a row of the chunk has
+an error.  The noisy backend runs it at gamma > 0; where no Pauli can
+fire, ``run_phase_experiment`` calls the runner with no Pauli ops.
 
 Determinism contract, stream version 2:
 
@@ -42,11 +42,13 @@ qubits, and clamps the result to [0, 1].
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .config import NoiseConfig  # noqa: F401  (the noise block; config owns its checks)
+from .config import NoiseConfig, _count  # noqa: F401  (the noise block; config owns its checks)
 from .exceptions import NumericsError
-from .statevector import StateVector
+from .statevector import StateVector, circuit_survivals
 # perfbench/tracer.py counts gates and noise rounds by patching
 # ``apply_layer`` here and ``apply_noise_layer`` below.  The batched runner
 # calls neither, so on noisy runs its statevector.gates,
@@ -62,31 +64,37 @@ from .statevector import apply_layer  # noqa: F401
 _CHUNK_AMPS = 1 << 16
 
 
-def _apply_errors(amps: np.ndarray, errors: np.ndarray) -> None:
-    """Apply the Paulis of a (B, N) error array (0 none, 1 X, 2 Y, 3 Z) to
-    the rows of a (B, 2^N) batch, in place."""
-    for qubit in np.flatnonzero(errors.any(axis=0)):
-        # axis 2 is the qubit's bit, as in the compiled gate kernel
-        view = amps.reshape(len(amps), -1, 2, 1 << int(qubit))
-        rows = np.flatnonzero(errors[:, qubit])
-        paulis = errors[rows, qubit]
-        flip = rows[paulis != 3]  # X and Y flip the qubit
-        if flip.size:
-            view[flip] = view[flip, :, ::-1]
-        ys = rows[paulis == 2]
-        if ys.size:
-            view[ys, :, 0] *= -1j  # was |1>, Y|1> = -i|0>
-            view[ys, :, 1] *= 1j
-        zs = rows[paulis == 3]
-        if zs.size:
-            view[zs, :, 1] *= -1
+@dataclass(frozen=True, eq=False)
+class PauliOp:
+    """The Paulis that act on the rows of a (B, 2^N) batch after one layer:
+    ``codes`` is a (B, N) array, row b's entry for qubit q 0 (none), 1 (X),
+    2 (Y) or 3 (Z), applied to row b."""
+
+    codes: np.ndarray
+
+    def apply(self, amps: np.ndarray) -> None:
+        for qubit in np.flatnonzero(self.codes.any(axis=0)):
+            # axis 2 is the qubit's bit, as in the compiled gate kernel
+            view = amps.reshape(len(amps), -1, 2, 1 << int(qubit))
+            rows = np.flatnonzero(self.codes[:, qubit])
+            paulis = self.codes[rows, qubit]
+            flip = rows[paulis != 3]  # X and Y flip the qubit
+            if flip.size:
+                view[flip] = view[flip, :, ::-1]
+            ys = rows[paulis == 2]
+            if ys.size:
+                view[ys, :, 0] *= -1j  # was |1>, Y|1> = -i|0>
+                view[ys, :, 1] *= 1j
+            zs = rows[paulis == 3]
+            if zs.size:
+                view[zs, :, 1] *= -1
 
 
 def apply_noise_layer(state: StateVector, gamma: float, rng) -> StateVector:
     """One round of the depolarizing channel: per qubit, with probability
     gamma apply a uniformly chosen Pauli.
 
-    The one-layer, one-trajectory case of the circuit runner: its Paulis are
+    One layer of one version 2 trajectory: its Paulis are
     ``_draw_errors(rng, 1, N, gamma)``, so the consumed stream length does
     not depend on which errors fire.  Returns ``state`` itself when none
     fires.
@@ -97,7 +105,7 @@ def apply_noise_layer(state: StateVector, gamma: float, rng) -> StateVector:
     if not errors.any():
         return state
     amps = state.amplitudes.copy()
-    _apply_errors(amps[None], errors)
+    PauliOp(errors).apply(amps[None])
     return StateVector(state.n_qubits, amps)
 
 
@@ -108,51 +116,6 @@ def _draw_errors(rng, n_layers: int, n_qubits: int, gamma: float) -> np.ndarray:
     hits = rng.random((n_layers, n_qubits)) < gamma
     picks = rng.integers(0, 3, (n_layers, n_qubits))
     return np.where(hits, picks + 1, 0).astype(np.int8)
-
-
-def circuit_survivals(
-    state: StateVector, layers, record_after, finals, errors: np.ndarray
-) -> np.ndarray:
-    """|<f|row>|^2 of a layered circuit at its record points, for each
-    final vector f of ``finals`` (2^N amplitude arrays) and each trajectory
-    row.
-
-    ``layers`` are compiled layers (a plan's ``compiled`` or ``adjoint``);
-    ``record_after`` lists ascending layer counts (0 <= k <= len(layers))
-    after which the overlaps are recorded, so an entry 0 records the bare
-    initial state.  ``errors`` is a (B, len(layers), N) array of the Paulis
-    that act after each layer of B trajectories (0 none, 1 X, 2 Y, 3 Z).
-    All B rows start as ``state`` and run in place in one (B, 2^N) buffer.
-    Returns a (B, len(finals), len(record_after)) array.
-    """
-    if any(k < 0 or k > len(layers) for k in record_after):
-        raise ValueError("record_after entries must lie within the layer range")
-    if list(record_after) != sorted(record_after):
-        raise ValueError("record_after entries must be ascending")
-    n_rows = len(errors)
-    amps = np.empty((n_rows, len(state.amplitudes)), dtype=complex)
-    amps[:] = state.amplitudes
-    fired = errors.any(axis=(0, 2)).tolist()
-    out = np.empty((n_rows, len(finals), len(record_after)))
-
-    def record(column):
-        for row, vector in enumerate(amps):
-            for f, final in enumerate(finals):
-                out[row, f, column] = abs(np.vdot(final, vector)) ** 2
-
-    pointer = 0
-    for k, layer in enumerate(layers):
-        while pointer < len(record_after) and record_after[pointer] == k:
-            record(pointer)
-            pointer += 1
-        for op in layer:
-            op.apply(amps)
-        if fired[k]:
-            _apply_errors(amps, errors[:, k])
-    while pointer < len(record_after):
-        record(pointer)
-        pointer += 1
-    return out
 
 
 def trajectory_survivals(
@@ -166,13 +129,14 @@ def trajectory_survivals(
     """Trajectory-averaged survival probabilities of a layered circuit.
 
     The trajectories run one chunk after another, each chunk as
-    max(1, ``_CHUNK_AMPS`` // 2^N) rows of ``circuit_survivals`` with its
-    trajectories' version 2 draws.  Returns the average over
-    ``noise.n_trajectories`` trajectories for each recording point; the
-    result does not depend on the chunk size (pre-assigned streams,
-    fixed-order reduction).  ``threads`` is accepted and ignored, for the
-    callers that still pass it (perfbench/run.py): the chunks run serially,
-    so memory stays at one chunk.
+    max(1, ``_CHUNK_AMPS`` // 2^N) rows, all starting as ``psi_init``, of
+    ``circuit_survivals``: the chunk's version 2 draws become one
+    ``PauliOp`` after each layer where any of its trajectories has an
+    error.  Returns the average over ``noise.n_trajectories`` trajectories
+    for each recording point; the result does not depend on the chunk size
+    (pre-assigned streams, fixed-order reduction).  ``threads`` is accepted
+    and ignored, for the callers that still pass it (perfbench/run.py): the
+    chunks run serially, so memory stays at one chunk.
     """
     record_after = list(record_after)
     n_qubits, n_layers = psi_init.n_qubits, len(layers)
@@ -185,8 +149,11 @@ def trajectory_survivals(
         for row, traj in enumerate(chunk):
             rng = np.random.default_rng(base ^ np.uint64(traj))
             errors[row] = _draw_errors(rng, n_layers, n_qubits, noise.gamma)
-        parts.append(circuit_survivals(
-            psi_init, layers, record_after, [psi_final.amplitudes], errors)[:, 0])
+        fired = errors.any(axis=(0, 2)).tolist()
+        circuit = [(*layer, PauliOp(errors[:, k])) if fired[k] else layer
+                   for k, layer in enumerate(layers)]
+        amps = np.repeat(psi_init.amplitudes[None], len(chunk), axis=0)
+        parts.append(circuit_survivals(amps, circuit, record_after, [psi_final.amplitudes])[:, 0])
     return np.concatenate(parts).mean(axis=0)
 
 
@@ -194,8 +161,11 @@ def sample_shots(p, shots: int, rng):
     """Finite-measurement estimate of a probability: binomial(M, p)/M.
 
     ``p`` is one probability (returns a float) or an array of them (returns
-    an array, one binomial draw per entry in order).
+    an array, one binomial draw per entry in order).  ``shots`` must be a
+    positive integer.
     """
+    if not _count(shots):
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     values = np.asarray(p, dtype=float)
     # written so that nan fails
     outside = ~((values >= 0.0) & (values <= 1.0))
@@ -214,7 +184,8 @@ def mitigate_rescale(
     Raises when the rescaling factor underflows past 1e-12 (the mitigation
     has no signal left to recover at that depth).
     """
-    if p_hat < 0 or gamma < 0 or n_qubits < 0 or depth < 0:
+    # written so that nan fails
+    if not (p_hat >= 0 and gamma >= 0 and n_qubits >= 0 and depth >= 0):
         raise ValueError("mitigation inputs must be nonnegative")
     factor = (1.0 - gamma) ** (n_qubits * depth)
     if factor < 1e-12:

@@ -25,8 +25,9 @@ complex times.  The pipeline per grid point t_k:
 probability series and works equally for external data); dispatching the
 simulation backends that produce those series is ``run_phase_experiment``.
 Both Trotter backends run their circuits through one runner,
-``noise.circuit_survivals``: the noisy trajectories run the forward step U,
-and a noiseless run evolves the bra once under the adjoint step, since
+``statevector.circuit_survivals``: the noisy trajectories run the forward
+step U with their Paulis as ops between its layers, and a noiseless run
+evolves the bra once under the adjoint step, since
 <psi'|U^k x> = <(U^dagger)^k psi'|x>.
 """
 
@@ -42,8 +43,8 @@ from .exceptions import ConfigError, NumericsError
 from .ite import apply_ite  # noqa: F401  (perfbench/tracer.py patches it here)
 from .ite import build_ite_plan_general, build_ite_plan_tfim
 from .model import amplitude_series
-from .noise import circuit_survivals, mitigate_rescale, sample_shots, trajectory_survivals
-from .statevector import inner_product
+from .noise import mitigate_rescale, sample_shots, trajectory_survivals
+from .statevector import circuit_survivals, inner_product
 from .trotter import build_plan
 from .trotter import evolve  # noqa: F401  (perfbench/tracer.py patches it here)
 
@@ -123,7 +124,8 @@ def detect_zeros(trace: PhaseTrace, threshold: float = 1e-3) -> list[int]:
     local minimum (one index per below-threshold run).  ``reconstruct_trace``
     resolves the threshold of a reconstruction, shots included.
     """
-    if threshold <= 0:
+    # written so that nan fails
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     r = trace.r
     # runs [start, end) of below-threshold points, from the padded mask's edges
@@ -248,9 +250,9 @@ def reconstruct_trace(
     r dips below ``threshold``, by default 1e-3, or max(1e-3, 10/sqrt(shots))
     when the series were sampled from ``shots`` shots; ``correct_phase_jumps``
     picks each crossing's order against ``threshold``, by default 1e-3 with
-    or without shots.  With zero repair on, a non-positive ``threshold``
-    raises ValueError, and so does a ``shots`` that is neither None nor a
-    positive integer.
+    or without shots.  With zero repair on, a ``threshold`` that is not
+    positive (nan included) raises ValueError, and so does a ``shots`` that
+    is neither None nor a positive integer.
     """
     times = np.asarray(times, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -329,8 +331,8 @@ def run_phase_experiment(config) -> PhaseTrace:
       families |<psi'|U^(prefix_steps + k) x>|^2 for the kets x = psi,
       V+ psi and V- psi (the ITE pair's kets, grown from the site vectors),
       all read off one evolution of the bra under the plan's ``adjoint``
-      step: ``circuit_survivals`` on one zero-error row, recorded against
-      the three kets,
+      step: ``circuit_survivals`` on one row, a copy of the bra, recorded
+      against the three kets,
     * ``noisy`` — at gamma > 0, the same circuits as depolarizing
       trajectories (``trajectory_survivals``): each family is its prefix
       (none for r, the plus or minus layers of ``pair.compiled`` for p+-,
@@ -402,8 +404,8 @@ def run_phase_experiment(config) -> PhaseTrace:
             # <psi'|U^k x> = <(U^dagger)^k psi'|x>: one evolution of the bra
             # under the adjoint step, recorded against psi, V+ psi and V- psi
             kets = [psi.amplitudes, *pair.kets()]
-            errors = np.zeros((1, depths[-1], spec.n_sites), dtype=np.int8)
-            series = list(circuit_survivals(bra, step.adjoint * n_steps, depths, kets, errors)[0])
+            series = list(circuit_survivals(
+                bra.amplitudes[None].copy(), step.adjoint * n_steps, depths, kets)[0])
 
     shots, seed = (noise.shots, noise.master_seed) if noise else (config.shots, config.seed)
     if shots is not None:

@@ -8,11 +8,15 @@ Qubit ``i`` maps to bit ``i`` of the amplitude index, i.e. qubit 0 is the
 least significant bit of the local matrix index.  ``|up>`` is the basis
 vector ``(1, 0)`` (eigenvalue +1 of sigma^z).
 
-Every plan runs on one kernel path: each layer of gates on adjacent sites
-becomes a short tuple of ops, applied in place by ``_run_layers`` to one
-contiguous copy of the amplitudes (``apply_layer``, ``evolve`` and
-``apply_ite``), or by ``noise.circuit_survivals``, the one runner that
-records overlaps between layers (trajectories and noiseless series).
+Every plan runs through one loop, ``circuit_survivals``: each layer of a
+circuit is a short tuple of ops, run in place and in order on the rows of
+a (B, 2^N) array that the caller owns, and the overlaps of the rows with a
+list of final vectors are recorded between layers.  ``_run_layers``
+(``apply_layer``, ``evolve`` and ``apply_ite``) runs it on one copy of a
+state with no record points; the noiseless series runs it on a copy of
+the bra, and the noisy trajectories on rows of psi, with each layer's
+Paulis as one more op (``noise.PauliOp``).  The only ops run outside it
+are ``_product_ket``'s in-place blocks.
 Every plan compiles through one entry, ``_compile_stack``: its
 checked ``GateStack`` (supports in term order, one matrix each) and a
 layer index over the supports (``_layer_index``), each distinct layer of
@@ -77,6 +81,14 @@ _ATOL_UNITARY = 1e-10
 #: one one-site op costs.  Blocks of 4 or 6 sites made a step slower at
 #: N = 8, 14 and 20.
 _FUSE_SITES = 5
+
+#: Most sites a config may ask of the statevector backends, as
+#: ``model.ORACLE_MAX_SITES`` caps the oracle.  A state is 16 * 2^N bytes,
+#: and a noiseless run at N = 22 raised the peak resident set by 5.91
+#: states.  At that rate N = 24 needs about 1.6 GB and N = 26 about 6.3 GB,
+#: too much beside other work on an 8 GB machine; the method is scoped to
+#: N of 20-24.
+STATEVECTOR_MAX_SITES = 24
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -483,13 +495,50 @@ def _gates_times(matrix: np.ndarray, stop: int, members) -> np.ndarray:
     return matrix
 
 
-def _run_layers(state: StateVector, layers) -> StateVector:
-    """Apply compiled layers in order: one copy of the amplitudes, ops in
-    place."""
-    amps = state.amplitudes.copy()
-    for layer in layers:
+def circuit_survivals(amps: np.ndarray, layers, record_after, finals) -> np.ndarray:
+    """|<f|row>|^2 of a layered circuit at its record points, for each
+    final vector f of ``finals`` (2^N amplitude arrays) and each row of
+    ``amps``.
+
+    ``amps`` is a C-contiguous (B, 2^N) array that the caller owns: the ops
+    of each layer run on it in place, in order, so it ends as the rows
+    after the whole circuit.  ``layers`` are tuples of ops, each with an
+    in-place ``apply(amps)``: a plan's ``compiled`` or ``adjoint``, to
+    which the noisy trajectories append their ``noise.PauliOp``s.
+    ``record_after`` lists ascending layer counts (0 <= k <= len(layers))
+    after which the overlaps are recorded, so an entry 0 records the rows
+    as given.  Returns a (B, len(finals),
+    len(record_after)) array.
+    """
+    if any(k < 0 or k > len(layers) for k in record_after):
+        raise ValueError("record_after entries must lie within the layer range")
+    if list(record_after) != sorted(record_after):
+        raise ValueError("record_after entries must be ascending")
+    out = np.empty((len(amps), len(finals), len(record_after)))
+
+    def record(column):
+        for row, vector in enumerate(amps):
+            for f, final in enumerate(finals):
+                out[row, f, column] = abs(np.vdot(final, vector)) ** 2
+
+    pointer = 0
+    for k, layer in enumerate(layers):
+        while pointer < len(record_after) and record_after[pointer] == k:
+            record(pointer)
+            pointer += 1
         for op in layer:
             op.apply(amps)
+    while pointer < len(record_after):
+        record(pointer)
+        pointer += 1
+    return out
+
+
+def _run_layers(state: StateVector, layers) -> StateVector:
+    """Apply compiled layers in order to one copy of the amplitudes, through
+    the circuit runner with no record points."""
+    amps = state.amplitudes.copy()
+    circuit_survivals(amps[None], layers, (), ())
     return StateVector(state.n_qubits, amps)
 
 

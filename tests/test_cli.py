@@ -21,7 +21,7 @@ from loschmidt.exceptions import ConfigError, NumericsError
 from loschmidt.model import dense_matrix, expectation, oracle_phase_series, tfim
 from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.spectral import ldos_dft
-from loschmidt.statevector import product_state
+from loschmidt.statevector import STATEVECTOR_MAX_SITES, product_state
 
 
 def base_config(**overrides):
@@ -144,7 +144,7 @@ class TestCliCommands:
 
     def test_amplitude_matches_oracle_magnitudes(self, tmp_path):
         from loschmidt.model import amplitude_series, tfim
-        from loschmidt.statevector import product_state
+        from loschmidt.statevector import STATEVECTOR_MAX_SITES, product_state
 
         doc = base_config(model={"model": "tfim", "n": 6, "J": 1.0, "g": 0.5})
         doc["algorithm"].update({"tau": 0.05, "h": 0.05, "t_max": 1.0})
@@ -717,6 +717,34 @@ class TestBadConfigWritesNothing:
         assert main(command_argv(command, cfg, out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, block, value", [
+        ("phase", "model", {"model": "tfim", "n": 25, "J": 1.0, "g": 0.5}),
+        ("phase", "model", {"model": "tfim", "n": 30, "J": 1.0, "g": 0.5}),
+        ("phase", "model", {"model": "terms", "n": 25, "terms": []}),
+        ("scaling", "sweep", {**_SWEEP, "n_values": [4, 25]}),
+    ])
+    def test_more_sites_than_the_cap_are_refused_before_any_state(
+        self, tmp_path, capsys, monkeypatch, command, block, value
+    ):
+        # a 25-site state is 512 MiB and a 30-site one 16 GiB: the config
+        # is refused before any state of that size is asked for
+        assert STATEVECTOR_MAX_SITES == 24
+        small_state = config_module.product_state
+
+        def refuse_large(orientations):
+            if len(orientations) > STATEVECTOR_MAX_SITES:
+                raise AssertionError(f"asked for a {len(orientations)}-site state")
+            return small_state(orientations)
+
+        monkeypatch.setattr(config_module, "product_state", refuse_large)
+        doc = command_config(command)
+        doc[block] = value
+        out = tmp_path / "out"
+        assert main(command_argv(command, write_config(tmp_path, doc), out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and ", 24]" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_algorithm_shots_next_to_noise_names_noise_shots(self, tmp_path, capsys):

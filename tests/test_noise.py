@@ -11,8 +11,8 @@ import loschmidt.noise as noise_module
 from loschmidt.exceptions import NumericsError
 from loschmidt.noise import (
     NoiseConfig,
+    PauliOp,
     apply_noise_layer,
-    circuit_survivals,
     mitigate_rescale,
     sample_shots,
     statistical_error_model,
@@ -24,8 +24,10 @@ from loschmidt.statevector import (
     GateStack,
     StateVector,
     _compile_stack,
+    _run_layers,
     apply_layer,
     apply_matrix,
+    circuit_survivals,
     product_state,
 )
 from loschmidt.trotter import build_plan
@@ -188,7 +190,7 @@ def reference_trajectory(psi, layers, record_after, bra, gamma, rng):
     Draws random((L, N)) < gamma, then integers(0, 3, (L, N)); after layer
     l the Pauli picks[l, q] acts on every hit qubit q through
     ``apply_matrix``.  Returns the survivals at the record points and the
-    draws as ``circuit_survivals`` takes them (0 none, 1 X, 2 Y, 3 Z).
+    draws as ``PauliOp`` codes (0 none, 1 X, 2 Y, 3 Z).
     """
     n_layers, n = len(layers), psi.n_qubits
     hits = rng.random((n_layers, n)) < gamma
@@ -218,6 +220,34 @@ def noisy_circuits(draw):
     return psi, layers, record, bra
 
 
+def rows_of(state, n_rows):
+    """A fresh (n_rows, 2^N) batch whose rows are ``state``."""
+    return np.repeat(state.amplitudes[None], n_rows, axis=0)
+
+
+def with_paulis(layers, errors):
+    """``layers`` with the (B, L, N) codes ``errors`` as one ``PauliOp``
+    after each layer, whether or not any of them fires."""
+    return [(*layer, PauliOp(errors[:, k])) for k, layer in enumerate(layers)]
+
+
+class TestPauliOp:
+    @PROPERTY
+    @given(n=st.integers(1, 6), n_rows=st.integers(1, 5), seed=SEEDS)
+    def test_rows_match_apply_matrix(self, n, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 4, (n_rows, n)).astype(np.int8)
+        amps = rng.normal(size=(n_rows, 2**n)) + 1j * rng.normal(size=(n_rows, 2**n))
+        expected = []
+        for row, vector in zip(codes, amps):
+            state = StateVector(n, vector)
+            for qubit in np.flatnonzero(row):
+                state = apply_matrix(state, PAULIS[row[qubit] - 1], [qubit])
+            expected.append(state.amplitudes)
+        PauliOp(codes).apply(amps)
+        assert np.array_equal(amps, np.array(expected))
+
+
 class TestBatchedTrajectories:
     @PROPERTY
     @given(circuit=noisy_circuits(), gamma=st.sampled_from([0.1, 0.5]),
@@ -232,7 +262,8 @@ class TestBatchedTrajectories:
         ]
         rows = np.array([survivals for survivals, _ in refs])
         errors = np.array([drawn for _, drawn in refs])
-        batched = circuit_survivals(psi, layers, record, [bra.amplitudes], errors)
+        batched = circuit_survivals(
+            rows_of(psi, n_traj), with_paulis(layers, errors), record, [bra.amplitudes])
         assert batched.shape == (n_traj, 1, len(record))
         assert batched[:, 0].tobytes() == rows.tobytes()
         noise = NoiseConfig(gamma=gamma, n_trajectories=n_traj, master_seed=seed)
@@ -274,20 +305,24 @@ class TestBatchedTrajectories:
         assert peak <= chunk + draws + results + 64 * 1024
 
     def test_gamma_zero_rows_equal_noiseless_run(self):
-        # the rows of a zero-error batch get the same arithmetic, bit for
-        # bit; the noiseless backend reads the same overlaps off one
-        # evolution of the bra under the adjoint step, recorded against
-        # the three kets; at h = 0 the two ITE kets are psi as well
+        # the rows of a batch without Paulis get the same arithmetic, bit
+        # for bit, and so do rows whose PauliOps fire nothing; the
+        # noiseless backend reads the same overlaps off one evolution of
+        # the bra under the adjoint step, recorded against the three kets;
+        # at h = 0 the two ITE kets are psi as well
         psi = product_state(["x+", "up", "down"])
         spec = tfim(3, 1.0, 0.5)
         step = build_plan(spec, 0.1, 0.1, 2)
         layers = step.compiled * 3
         record = [k * step.layers_per_step for k in range(4)]
-        zeros = np.zeros((4, len(layers), 3))
-        batched = circuit_survivals(psi, layers, record, [psi.amplitudes], zeros)
+        batched = circuit_survivals(rows_of(psi, 4), layers, record, [psi.amplitudes])
         assert batched.tobytes() == np.repeat(batched[:1], 4, axis=0).tobytes()
+        zeros = np.zeros((4, len(layers), 3), dtype=np.int8)
+        silent = circuit_survivals(
+            rows_of(psi, 4), with_paulis(layers, zeros), record, [psi.amplitudes])
+        assert silent.tobytes() == batched.tobytes()
         kets = [psi.amplitudes, *build_ite_plan_general(spec, psi, 0.0).kets()]
-        noiseless = circuit_survivals(psi, step.adjoint * 3, record, kets, zeros[:1])[0]
+        noiseless = circuit_survivals(rows_of(psi, 1), step.adjoint * 3, record, kets)[0]
         assert noiseless.shape == (3, 4)
         assert np.max(np.abs(batched[0] - noiseless)) < 1e-12
 
@@ -297,11 +332,22 @@ class TestBatchedTrajectories:
         layers = build_plan(tfim(3, 1.0, 0.5), 0.1, 0.1, 1).compiled * 2
         errors = np.zeros((2, len(layers), 3), dtype=np.int8)
         errors[1, 1, 0] = 2
+        circuit = with_paulis(layers, errors)
         finals = [psi.amplitudes, bra.amplitudes]
-        both = circuit_survivals(psi, layers, [0, 1, 4], finals, errors)
+        both = circuit_survivals(rows_of(psi, 2), circuit, [0, 1, 4], finals)
         for f, final in enumerate(finals):
-            alone = circuit_survivals(psi, layers, [0, 1, 4], [final], errors)
+            alone = circuit_survivals(rows_of(psi, 2), circuit, [0, 1, 4], [final])
             assert both[:, f].tobytes() == alone[:, 0].tobytes()
+
+    def test_runner_evolves_the_rows_it_is_given(self):
+        # the caller's array ends as the rows after the whole circuit, the
+        # state _run_layers returns
+        psi = product_state(["x+", "y-", "down"])
+        layers = build_plan(tfim(3, 1.0, 0.5), 0.1, 0.1, 2).compiled * 2
+        amps = rows_of(psi, 2)
+        circuit_survivals(amps, layers, [], [])
+        expected = _run_layers(psi, layers).amplitudes
+        assert amps.tobytes() == np.repeat(expected[None], 2, axis=0).tobytes()
 
 
 class TestSampleShots:
@@ -336,6 +382,13 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="outside"):
             sample_shots(np.array([0.5, bad]), 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shots", [0, 2.5, -3])
+    def test_shots_must_be_a_positive_integer(self, shots):
+        # 0 divided by zero, 2.5 truncated the binomial count and then
+        # divided by 2.5, -3 failed inside numpy
+        with pytest.raises(ValueError, match="shots must be a positive integer"):
+            sample_shots(0.5, shots, np.random.default_rng(0))
+
 
 class TestMitigateRescale:
     def test_gamma_zero_identity(self):
@@ -356,6 +409,11 @@ class TestMitigateRescale:
     def test_blow_up_guard(self):
         with pytest.raises(NumericsError, match="mitigation blow-up"):
             mitigate_rescale(0.5, 0.5, 8, 10)
+
+    @pytest.mark.parametrize("p_hat, gamma", [(np.nan, 0.01), (0.5, np.nan)])
+    def test_nan_raises(self, p_hat, gamma):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mitigate_rescale(p_hat, gamma, 4, 2)
 
 
 class TestStatisticalErrorModel:

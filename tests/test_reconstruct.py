@@ -1,12 +1,15 @@
 """Tests for the phase reconstruction pipeline."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loschmidt.config import ExperimentConfig
 from loschmidt.exceptions import NumericsError
+from loschmidt.ite import build_ite_plan_general
 from loschmidt.model import (
     amplitude_series,
     exact_amplitude,
@@ -23,6 +26,7 @@ from loschmidt.reconstruct import (
     run_phase_experiment,
 )
 from loschmidt.statevector import product_state
+from loschmidt.trotter import build_plan
 
 
 def synthetic_zero_trace(h=0.02, tau=0.05, zero_correction=True, threshold=1e-3):
@@ -182,13 +186,18 @@ class TestDetectZeros:
         assert trace.crossings == [5]
         assert trace.correction_phases[0] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("threshold", [0.0, np.nan])
     @pytest.mark.parametrize("shots", [None, 400])
-    def test_a_zero_threshold_raises(self, shots):
-        r = np.ones(11)
-        ones = np.ones(11)
+    def test_a_zero_threshold_raises(self, threshold, shots):
+        # the default threshold repairs the dip at index 10; a nan one must
+        # not leave it unrepaired without a word
+        t = np.arange(21) * 0.1
+        r = 1.0 + 0.1 * np.cos(3.0 * t)
+        r[10] = 1e-5
+        p = np.full(21, 0.5)
+        assert reconstruct_trace(t, r, p, p, 0.0, 0.0, 0.1).crossings == [10]
         with pytest.raises(ValueError, match="threshold must be positive"):
-            reconstruct_trace(np.arange(11) * 0.1, r, ones, ones, 0.0, 0.0, 0.1,
-                              threshold=0.0, shots=shots)
+            reconstruct_trace(t, r, p, p, 0.0, 0.0, 0.1, threshold=threshold, shots=shots)
 
     @staticmethod
     def _reference_scan(r, threshold):
@@ -643,6 +652,26 @@ def _tilted_psi(n, seed):
     azimuth = rng.uniform(0.0, 2.0 * np.pi, n)
     return product_state([[np.cos(a / 2), np.sin(a / 2) * np.exp(1j * b)]
                           for a, b in zip(theta, azimuth)])
+
+
+def test_layer_timings_run_the_production_noiseless_call():
+    # tools/layers.py times its own copy of the noiseless backend's call;
+    # a change to either that the other does not follow fails here
+    path = Path(__file__).resolve().parents[1] / "tools" / "layers.py"
+    spec_from_file = importlib.util.spec_from_file_location("layer_timings", path)
+    layers = importlib.util.module_from_spec(spec_from_file)
+    spec_from_file.loader.exec_module(layers)
+    spec, psi = tfim(6, 1.0, 0.5), layers.tilted_state(6, 1)
+    step = build_plan(spec, layers.TAU, layers.TAU, 2)
+    pair = build_ite_plan_general(spec, psi, layers.H)
+    rows = layers.noiseless_series(psi, step, pair, 11)
+    trace = run_phase_experiment(ExperimentConfig(
+        spec=spec, psi=psi, tau=layers.TAU, h=layers.H, t_max=10 * layers.TAU,
+        ite_mode="general_bj"))
+    assert len(trace) == 11
+    assert np.sqrt(rows[0]).tobytes() == trace.r.tobytes()
+    assert rows[1].tobytes() == trace.p_plus.tobytes()
+    assert rows[2].tobytes() == trace.p_minus.tobytes()
 
 
 class TestNearZeroNextToShiftedLine:

@@ -12,13 +12,15 @@ Per size N: one order-2 Trotter step (``evolve``), the general ITE build
 (``ite_build``: the pair, both signs' constants, and its stacks), the
 pair's per-layer compile and apply of the plus stack, both kets grown from
 the site vectors (``ite_ket``: the pair's ``kets()``, as noiseless runs
-call it), the whole noiseless
-three-family evaluation of r^2, p+ and p- at K = 11 grid points
-(``noiseless_series``: both ITE kets, then ``circuit_survivals`` of the bra
-under the adjoint step, as ``run_phase_experiment`` runs it), one round of the depolarizing channel, and, for N <= 12, the
-dense-oracle eigensystem and an ``amplitude_series`` strip on the cached
-eigensystem.  Once, independent of N: shot sampling,
-``reconstruct_trace`` and ``ldos_dft`` on a K-point series.
+call it), the whole noiseless three-family evaluation of r^2, p+ and p- at
+K = 11 grid points (``noiseless_series``: both ITE kets, then
+``statevector.circuit_survivals`` on a copy of the bra under the adjoint
+step, the call ``run_phase_experiment`` makes), one round of the
+depolarizing channel (``noise_layer``: a ``PauliOp`` on one row when a
+Pauli fires), and, for N <= 12, the dense-oracle eigensystem and an
+``amplitude_series`` strip on the cached eigensystem.  Once, independent
+of N: shot sampling, ``reconstruct_trace`` and ``ldos_dft`` on a K-point
+series.
 
 OpenBLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` is set, as in the
 benchmark harness.  The numbers only compare within one run on one machine.
@@ -42,10 +44,15 @@ import numpy as np  # noqa: E402
 
 from loschmidt.ite import build_ite_plan_general  # noqa: E402
 from loschmidt.model import ORACLE_MAX_SITES, _eigensystem, amplitude_series, tfim  # noqa: E402
-from loschmidt.noise import apply_noise_layer, circuit_survivals, sample_shots  # noqa: E402
+from loschmidt.noise import apply_noise_layer, sample_shots  # noqa: E402
 from loschmidt.reconstruct import reconstruct_trace  # noqa: E402
 from loschmidt.spectral import ldos_dft  # noqa: E402
-from loschmidt.statevector import _compile_stack, _run_layers, product_state  # noqa: E402
+from loschmidt.statevector import (  # noqa: E402
+    _compile_stack,
+    _run_layers,
+    circuit_survivals,
+    product_state,
+)
 from loschmidt.trotter import build_plan, evolve  # noqa: E402
 
 #: the step and shift of the trotter_n14 workload
@@ -73,12 +80,13 @@ def timed(fn, repeats: int) -> dict:
 
 def noiseless_series(psi, step, pair, n_points: int) -> np.ndarray:
     """r^2, p+ and p- of the noiseless backend at ``n_points`` grid points:
-    the bra psi under the adjoint step, recorded against psi, V+ psi and
-    V- psi on one zero-error row."""
+    one row, a copy of the bra psi, under the adjoint step, recorded
+    against psi, V+ psi and V- psi.  A test holds it to the series that
+    ``run_phase_experiment`` computes, byte for byte."""
     depths = [k * step.layers_per_step for k in range(n_points)]
-    errors = np.zeros((1, depths[-1], psi.n_qubits), dtype=np.int8)
     kets = [psi.amplitudes, *pair.kets()]
-    return circuit_survivals(psi, step.adjoint * (n_points - 1), depths, kets, errors)[0]
+    return circuit_survivals(
+        psi.amplitudes[None].copy(), step.adjoint * (n_points - 1), depths, kets)[0]
 
 
 def size_layers(n: int, seed: int, repeats: int) -> dict:
