@@ -22,7 +22,10 @@ it returns ``(doc, tables, extra)``, the document whose snapshot the run
 records, its CSV tables as ``{file name: (header, columns)}`` and the keys
 it adds to runinfo.json.  ``main`` then hands them to ``write_run``, the one
 writer, so nothing is written until the command has finished and a command
-that fails leaves no output directory.
+that fails leaves no output directory.  ``scaling`` takes its points from
+``RunDocument.sweep_points``, which checks every sweep rule, the oracle's
+12-site cap included, before the first state is built; the command only
+runs and tabulates them.
 
 Every run writes a resolved-config snapshot (re-ingestable) and a run-info
 record with the library version next to its data files.  Numbers are
@@ -42,7 +45,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -148,19 +151,18 @@ def _two_sided_experiment(doc: RunDocument) -> ExperimentConfig:
         raise ConfigError("t_prime must be an integer multiple of tau")
     psi_ref = exp.psi_final if exp.psi_final is not None else exp.psi
 
+    @cache
+    def oracle_bra():
+        return apply_matrix(oracle_evolve(exp.spec, psi_ref, t_prime), matrix.conj().T, sites)
+
+    # the anchor is settled, or refused, before the bra is evolved
+    anchor = _anchor(exp, lambda: exact_amplitude(exp.spec, oracle_bra(), exp.psi, t_prime))
     if exp.backend == "exact_oracle":
-        evolved = oracle_evolve(exp.spec, psi_ref, t_prime)
+        bra = oracle_bra()  # evolved once, for the anchor and the run
     else:
         plan = build_plan(exp.spec, exp.tau, exp.tau, exp.order)
-        evolved = evolve(psi_ref, plan, prefix_steps)
-    bra = apply_matrix(evolved, matrix.conj().T, sites)
-
-    def reference():  # on the oracle backend, bra already is the oracle bra
-        oracle_bra = bra if exp.backend == "exact_oracle" else apply_matrix(
-            oracle_evolve(exp.spec, psi_ref, t_prime), matrix.conj().T, sites)
-        return exact_amplitude(exp.spec, oracle_bra, exp.psi, t_prime)
-
-    return replace(exp, psi_final=bra, prefix_steps=prefix_steps, anchor=_anchor(exp, reference))
+        bra = apply_matrix(evolve(psi_ref, plan, prefix_steps), matrix.conj().T, sites)
+    return replace(exp, psi_final=bra, prefix_steps=prefix_steps, anchor=anchor)
 
 
 def run_trace(csv_name: str, doc: RunDocument, command: str):
@@ -198,62 +200,35 @@ def run_trace(csv_name: str, doc: RunDocument, command: str):
 
 
 def cmd_scaling(doc: RunDocument, command: str):
-    """Phase error against the oracle over the sweep's sizes and h or tau
-    values: each point is the config's experiment with the tfim chain of
-    that size, the named ``psi`` on every site, and the swept value.  What
-    cannot carry over to another size is refused: a per-site ``psi`` list,
-    ``psi_final``, a noise block, a backend other than
-    ``statevector_trotter``; so is an anchor, which would shift every
-    phase error by its distance from arg G(0) = 0."""
-    exp = doc.experiment
-    if doc.sweep is None:
-        raise ConfigError("scaling runs need a sweep block")
-    # the sweep block was checked at load
-    kind = doc.sweep["kind"]
-    n_values = doc.sweep["n_values"]
-    values = doc.sweep["values"]
-    t_max = doc.sweep["t_max"]
-    cases = [doc.sweep_case(n) for n in n_values]
-    if exp.psi_final is not None:
-        raise ConfigError("scaling sweeps compare psi with itself; remove states.psi_final")
-    if exp.noise is not None:
-        raise ConfigError("scaling sweeps run noiseless circuits; remove the noise block")
-    if exp.backend != "statevector_trotter":
-        raise ConfigError(
-            f"scaling sweeps run the statevector_trotter backend, not {exp.backend!r}"
-        )
-    if exp.anchor is not None:
-        raise ConfigError("scaling sweeps anchor at arg G(0) = 0; remove algorithm.anchor")
-
+    """Phase error against the oracle at each point of the sweep
+    (``RunDocument.sweep_points``, which refuses a sweep before its first
+    point runs), normalized by N h^2 or N tau^order; the summary fits each
+    size's error exponent over the swept values and the spread across sizes
+    of each value's normalized error."""
+    points = doc.sweep_points()
+    kind, values = doc.sweep["kind"], doc.sweep["values"]
+    power = doc.experiment.order if kind == "tau" else 2
     rows = []
-    exponents = []
-    for n, (spec, psi) in zip(n_values, cases):
-        errs = []
-        for value in values:
-            tau = value if kind == "tau" else exp.tau
-            h = value if kind == "h" else exp.h
-            cfg = replace(exp, spec=spec, psi=psi, tau=tau, h=h, t_max=t_max)
-            trace = run_phase_experiment(cfg)
-            _, phi_or = oracle_phase_series(spec, psi, psi, trace.times)
-            err = float(np.max(np.abs(trace.phi - phi_or)))
-            power = exp.order if kind == "tau" else 2
-            rows.append((kind, n, h, tau, exp.order, err, err / (n * value**power)))
-            errs.append(err)
-        if len(values) > 1:
-            exponents.append(
-                (n, float(np.polyfit(np.log(values), np.log(errs), 1)[0]))
-            )
+    for n, value, exp in points:
+        trace = run_phase_experiment(exp)
+        _, phi_or = oracle_phase_series(exp.spec, exp.psi, exp.psi, trace.times)
+        err = float(np.max(np.abs(trace.phi - phi_or)))
+        rows.append((kind, n, exp.h, exp.tau, exp.order, err, err / (n * value**power)))
 
-    points = (["kind", "N", "h", "tau", "order", "max_abs_dphi", "normalized"],
-              list(zip(*rows)))
-    summary_rows = [("exponent", f"N={n}", e) for n, e in exponents]
-    norm = {(r[1], r[2] if kind == "h" else r[3]): r[6] for r in rows}
-    for value in values:
-        scaled = [norm[(n, value)] for n in n_values]
+    # each size's points are len(values) consecutive rows
+    sizes = [rows[i:i + len(values)] for i in range(0, len(rows), len(values))]
+    summary_rows = [
+        ("exponent", f"N={size[0][1]}",
+         float(np.polyfit(np.log(values), np.log([row[5] for row in size]), 1)[0]))
+        for size in sizes if len(values) > 1
+    ]
+    for value, column in zip(values, zip(*sizes)):
+        scaled = [row[6] for row in column]
         spread = (max(scaled) - min(scaled)) / float(np.mean(scaled))
         summary_rows.append(("cross_n_spread", f"{kind}={value:g}", spread))
+    table = (["kind", "N", "h", "tau", "order", "max_abs_dphi", "normalized"], list(zip(*rows)))
     summary = (["metric", "label", "value"], list(zip(*summary_rows)))
-    return doc, {"scaling_points.csv": points, "scaling_summary.csv": summary}, {}
+    return doc, {"scaling_points.csv": table, "scaling_summary.csv": summary}, {}
 
 
 def cmd_ldos(doc: RunDocument, command: str):

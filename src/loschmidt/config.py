@@ -23,13 +23,18 @@ The tables of the command blocks (``spectral``, ``baseline``, ``cost``,
 ``sweep``) also hold each key's default, after its check; those blocks are
 resolved at load, so the commands and the resolved-config snapshot
 (``RunDocument.resolved``) read one set of values.
+
+The load ranges hold for every command.  The rules of one command that
+need more than one block live with the document too: the scaling sweep's
+(``RunDocument.sweep_points``), the dense oracle's 12-site cap on its sizes
+included, are all checked before its first state is built.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from typing import Any
 
@@ -199,6 +204,8 @@ class ExperimentConfig:
             raise ConfigError("a noise block requires backend 'noisy' (or leave backend unset)")
         if self.noise is not None and self.shots is not None:
             raise ConfigError("algorithm.shots is not read next to a noise block; set noise.shots")
+        if self.threshold is not None and not self.zero_correction:
+            raise ConfigError("algorithm.threshold is not read with zero_correction off")
         if self.backend == "exact_oracle" and self.spec.n_sites > ORACLE_MAX_SITES:
             raise ConfigError(
                 f"exact_oracle backend is capped at {ORACLE_MAX_SITES} sites, "
@@ -414,17 +421,51 @@ class RunDocument:
     baseline: dict
     cost: dict
 
-    def sweep_case(self, n_sites: int) -> tuple[HamiltonianSpec, StateVector]:
-        """The tfim chain of the document's ``J`` and ``g`` on ``n_sites``
-        sites and its named ``psi`` on every site, one point of the scaling
-        sweep; a ``terms`` model or a per-site ``psi`` list does not carry
-        over to another size and is refused."""
-        model, psi = self.raw["model"], self.raw["states"]["psi"]
+    def sweep_points(self):
+        """The points of the scaling sweep, as a lazy iterator of ``(n,
+        value, experiment)``: for each size of ``sweep.n_values`` and each
+        swept value, the config's experiment with the tfim chain of the
+        document's ``J`` and ``g`` on ``n`` sites, its named ``psi`` on
+        every site, the sweep's ``t_max`` and ``value`` as its ``h`` or
+        ``tau``.  A size's chain and state are built when its first point
+        is reached.
+
+        Every sweep rule is checked here, before the iterator is returned
+        and before any state is built.  What cannot carry over to another
+        size is refused: a model other than tfim, a per-site ``psi`` list,
+        ``psi_final``, a noise block and a backend other than
+        ``statevector_trotter``; so is an anchor, which would shift every
+        phase error by its distance from arg G(0) = 0, and a size the
+        dense oracle, which each point is compared with, cannot take."""
+        exp, model, psi = self.experiment, self.raw["model"], self.raw["states"]["psi"]
+        if self.sweep is None:
+            raise ConfigError("scaling runs need a sweep block")
         if model["model"] != "tfim":
             raise ConfigError("scaling sweeps support the built-in tfim model only")
         if not isinstance(psi, str):
             raise ConfigError("scaling sweeps need a named states.psi, not a per-site list")
-        return tfim(n_sites, model["J"], model["g"]), product_state([psi] * n_sites)
+        if exp.psi_final is not None:
+            raise ConfigError("scaling sweeps compare psi with itself; remove states.psi_final")
+        if exp.noise is not None:
+            raise ConfigError("scaling sweeps run noiseless circuits; remove the noise block")
+        if exp.backend != "statevector_trotter":
+            raise ConfigError("scaling sweeps run the statevector_trotter backend, "
+                              f"not {exp.backend!r}")
+        if exp.anchor is not None:
+            raise ConfigError("scaling sweeps anchor at arg G(0) = 0; remove algorithm.anchor")
+        kind, n_values, values, t_max = (
+            self.sweep[key] for key in ("kind", "n_values", "values", "t_max"))
+        if max(n_values) > ORACLE_MAX_SITES:
+            raise ConfigError(f"scaling sweeps compare with the oracle, capped at "
+                              f"{ORACLE_MAX_SITES} sites; sweep.n_values holds {max(n_values)}")
+
+        def points():
+            for n in n_values:
+                spec, ket = tfim(n, model["J"], model["g"]), product_state([psi] * n)
+                for value in values:
+                    yield n, value, replace(exp, spec=spec, psi=ket, t_max=t_max, **{kind: value})
+
+        return points()
 
     def resolved(self) -> dict:
         """Config snapshot with every default made explicit: the algorithm,

@@ -180,8 +180,12 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
 
     n0 defaults to 1; n0 = 2 is selected when both one-sided first
     derivatives fall below ``derivative_threshold`` (``reconstruct_trace``
-    resolves it next to the detection threshold).  Higher orders raise.
+    resolves it next to the detection threshold).  Higher orders raise, and
+    so does a ``derivative_threshold`` that is not positive (nan included).
     """
+    # written so that nan fails, as in detect_zeros
+    if not derivative_threshold > 0:
+        raise ValueError("derivative_threshold must be positive")
     if len(crossings) == 0:
         return trace
     tau = float(trace.times[1] - trace.times[0]) if len(trace) > 1 else 0.0

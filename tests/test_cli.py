@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,15 @@ from loschmidt.config import (
     parse_document,
 )
 from loschmidt.exceptions import ConfigError, NumericsError
-from loschmidt.model import dense_matrix, expectation, oracle_phase_series, tfim
+from loschmidt.model import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dense_matrix,
+    expectation,
+    oracle_phase_series,
+    tfim,
+)
 from loschmidt.reconstruct import run_phase_experiment
 from loschmidt.spectral import ldos_dft
 from loschmidt.statevector import STATEVECTOR_MAX_SITES, product_state
@@ -597,6 +606,26 @@ class TestAnchorRule:
             run = replace(exp, anchor=0.25, backend=backend, noise=noise)
             assert run_phase_experiment(run).phi[0] == 0.25
 
+    @pytest.mark.parametrize("case", ["two-sided beyond the oracle", "two-sided vanishing"])
+    def test_two_sided_refuses_its_anchor_before_the_bra_evolves(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        # the Trotter evolution of psi' ran first, for a time that grows
+        # with 2^N, and the missing anchor was refused after it
+        import loschmidt.cli as cli_module
+
+        def evolve(*args):
+            raise AssertionError("the bra was evolved")
+
+        monkeypatch.setattr(cli_module, "evolve", evolve)
+        argv, doc = _anchor_case(case)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: " + (
+            "the anchor must be supplied beyond 12 sites\n" if case.endswith("oracle")
+            else "the oracle anchor amplitude vanishes; supply an anchor\n")
+        assert not out.exists()
+
     def test_oracle_backend_evolves_its_bra_once(self, tmp_path, monkeypatch):
         # the oracle backend's bra is the oracle bra the anchor needs
         import loschmidt.cli as cli_module
@@ -617,6 +646,14 @@ class TestAnchorRule:
 #: None replaces the whole block
 _SWEEP = {"kind": "h", "n_values": [4], "values": [0.1]}
 _SX = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+
+
+def _pairs(matrix):
+    """A matrix as the config's nested [re, im] pairs."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
 _BAD_BLOCK_VALUES = [
     ("cost", "cost", None, {"t": None}),
     ("cost", "cost", None, {"t": "4.0"}),
@@ -673,6 +710,27 @@ _BAD_BLOCK_VALUES = [
     ("phase", "algorithm", "h", True),
     ("phase", "algorithm", "anchor", True),
     ("phase", "states", "psi", ["up", "up", "up", [[True, 0.0], [0.0, 0.0]]]),
+    # refusals past the value tables: a block or a model that is not an
+    # object, an unknown model kind, a term that LocalTerm or HamiltonianSpec
+    # refuses, states and operators their parsers refuse, zero repair's threshold
+    # with zero repair off, the noise command without a noise block and the
+    # closed-form ITE on a sigma^y term
+    ("phase", "config", "algorithm", [0.05, 0.05, 0.5]),
+    ("phase", "config", "model", "tfim"),
+    ("phase", "model", "model", "ising"),
+    ("phase", "model", None, {"model": "terms", "n": 2,
+                              "terms": [{"support": [0], "matrix": _pairs([[0, 1], [0, 0]])}]}),
+    ("phase", "model", None, {"model": "terms", "n": 3, "terms": [
+        {"support": [0, 2], "matrix": _pairs(np.kron(SIGMA_Z, SIGMA_Z))}]}),
+    ("phase", "states", "psi", "left"),
+    ("phase", "algorithm", None, {"tau": 0.05, "h": 0.05, "t_max": 0.5,
+                                  "zero_correction": False, "threshold": 0.05}),
+    ("two-sided", "operator_a", "matrix", _pairs(SIGMA_X)),
+    ("two-sided", "operator_a", "sites", [0, 1]),
+    ("two-sided", "states", "operator_a", {"sites": [0, 1], "matrix": _pairs(SIGMA_X)}),
+    ("noise", "config", "noise", None),
+    ("phase", "model", None, {"model": "terms", "n": 2,
+                              "terms": [{"support": [0], "matrix": _pairs(SIGMA_Y)}]}),
 ]
 
 
@@ -746,6 +804,33 @@ class TestBadConfigWritesNothing:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and ", 24]" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{'model': 'tfim'}", "config is not valid JSON: "),
+        (json.dumps(base_config(model={"model": "tfim", "n": 13, "J": 1.0, "g": 0.5},
+                                algorithm={"tau": 0.05, "h": 0.05, "t_max": 0.5,
+                                           "backend": "exact_oracle"})),
+         "exact_oracle backend is capped at 12 sites, got 13"),
+    ])
+    def test_a_file_no_block_table_refuses_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["phase", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message) and "Traceback" not in err
+        assert not out.exists()
+
+    def test_threshold_with_zero_repair_off_is_refused(self):
+        # reconstruct_trace reads threshold only when zero repair is on
+        cfg = parse_document(base_config()).experiment
+        refused = r"^algorithm\.threshold is not read with zero_correction off$"
+        with pytest.raises(ConfigError, match=refused):
+            replace(cfg, zero_correction=False, threshold=0.05)
+        assert replace(cfg, zero_correction=False).threshold is None
+        assert replace(cfg, threshold=0.05).threshold == 0.05
 
     def test_algorithm_shots_next_to_noise_names_noise_shots(self, tmp_path, capsys):
         # the noisy backend samples noise.shots; algorithm.shots was ignored
@@ -962,12 +1047,87 @@ class TestScalingLdosCost:
         assert err.startswith("config error: ") and what in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_sweep_case_is_the_named_chain_at_each_size(self):
-        doc = parse_document(base_config(states={"psi": "x+"}))
-        for n in (2, 5):
-            spec, psi = doc.sweep_case(n)
-            assert np.array_equal(dense_matrix(spec), dense_matrix(tfim(n, 1.0, 0.5)))
-            assert np.array_equal(psi.amplitudes, product_state(["x+"] * n).amplitudes)
+    @pytest.mark.parametrize("kind", ["h", "tau"])
+    def test_sweep_points_are_the_named_chain_at_each_size(self, kind):
+        sweep = {"kind": kind, "n_values": [2, 5], "values": [0.1, 0.2], "t_max": 0.3}
+        doc = parse_document(base_config(states={"psi": "x+"}, sweep=sweep))
+        points = list(doc.sweep_points())
+        assert [(n, value) for n, value, _ in points] == [(2, 0.1), (2, 0.2), (5, 0.1), (5, 0.2)]
+        for n, value, exp in points:
+            assert np.array_equal(dense_matrix(exp.spec), dense_matrix(tfim(n, 1.0, 0.5)))
+            assert np.array_equal(exp.psi.amplitudes, product_state(["x+"] * n).amplitudes)
+            swept = {"h": doc.experiment.h, "tau": doc.experiment.tau, kind: value}
+            assert (exp.h, exp.tau, exp.t_max) == (swept["h"], swept["tau"], 0.3)
+            assert replace(exp, spec=doc.experiment.spec, psi=doc.experiment.psi,
+                           h=doc.experiment.h, tau=doc.experiment.tau,
+                           t_max=doc.experiment.t_max) == doc.experiment
+
+    def test_sweep_points_refuse_in_order_before_any_state(self, monkeypatch):
+        # a document that breaks every sweep rule; each step mends the rule
+        # refused last, so the next rule in the order is the one refused
+        doc = base_config(
+            model={"model": "terms", "n": 4, "terms": [{"support": [0], "matrix": _SX}]},
+            states={"psi": ["up"] * 4, "psi_final": "down"},
+            noise={"gamma": 0.01, "n_trajectories": 2},
+        )
+        doc["algorithm"]["anchor"] = 0.3
+        steps = [
+            ("scaling runs need a sweep block",
+             lambda d: d.update(sweep={**_SWEEP, "n_values": [4, 13]})),
+            ("the built-in tfim model only", lambda d: d.update(model=base_config()["model"])),
+            ("a named states.psi", lambda d: d["states"].update(psi="up")),
+            ("remove states.psi_final", lambda d: d["states"].pop("psi_final")),
+            ("remove the noise block",
+             lambda d: d.update(noise=None) or d["algorithm"].update(backend="exact_oracle")),
+            ("statevector_trotter backend, not 'exact_oracle'",
+             lambda d: d["algorithm"].pop("backend")),
+            ("remove algorithm.anchor", lambda d: d["algorithm"].pop("anchor")),
+            ("capped at 12 sites; sweep.n_values holds 13",
+             lambda d: d["sweep"].update(n_values=[4, 12])),
+        ]
+        refused = []
+        for what, mend in steps:
+            refused.append((what, parse_document(json.loads(json.dumps(doc)))))
+            mend(doc)
+        valid = parse_document(doc)
+
+        def build(*args):
+            raise AssertionError("a sweep chain or state was built")
+
+        monkeypatch.setattr(config_module, "tfim", build)
+        monkeypatch.setattr(config_module, "product_state", build)
+        for what, parsed in refused:
+            with pytest.raises(ConfigError, match=re.escape(what)):
+                parsed.sweep_points()
+        valid.sweep_points()  # passes every rule and builds nothing yet
+
+    def test_sweep_points_build_each_size_at_its_first_point(self, monkeypatch):
+        doc = parse_document(base_config(
+            sweep={"kind": "h", "n_values": [2, 3], "values": [0.1, 0.2]}))
+        built = []
+        for name in ("tfim", "product_state"):
+            original = getattr(config_module, name)
+            monkeypatch.setattr(config_module, name, lambda *args, name=name, original=original:
+                                built.append(name) or original(*args))
+        points = doc.sweep_points()
+        assert built == []
+        sizes = [(next(points)[0], len(built)) for _ in range(4)]
+        assert sizes == [(2, 2), (2, 2), (3, 4), (3, 4)]
+        assert next(points, None) is None and len(built) == 4
+
+    def test_scaling_beyond_the_oracle_cap_runs_no_point(self, tmp_path, capsys, monkeypatch):
+        # N = 4 ran before N = 13 was refused by the oracle
+        import loschmidt.cli as cli_module
+
+        runs = []
+        monkeypatch.setattr(cli_module, "run_phase_experiment", runs.append)
+        doc = base_config(sweep={**_SWEEP, "n_values": [4, 13]})
+        out = tmp_path / "out"
+        assert main(["scaling", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scaling sweeps compare with the oracle, capped at 12 sites; "
+            "sweep.n_values holds 13\n")
+        assert runs == [] and not out.exists()
 
     def test_scaling_refuses_a_term_list_model(self, tmp_path, capsys):
         sx = [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]

@@ -199,6 +199,20 @@ class TestDetectZeros:
         with pytest.raises(ValueError, match="threshold must be positive"):
             reconstruct_trace(t, r, p, p, 0.0, 0.0, 0.1, threshold=threshold, shots=shots)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+    def test_a_derivative_threshold_that_is_not_positive_raises(self, threshold):
+        # nan and -1 made every |d| < threshold false, so the dip at index
+        # 10 was taken as first order and repaired by pi without a word,
+        # where a threshold of 10 selects order 2 and repairs it by 0
+        t = np.arange(21) * 0.1
+        r = 1.0 + 0.1 * np.cos(3.0 * t)
+        r[10] = 1e-5
+        p = np.full(21, 0.5)
+        trace = reconstruct_trace(t, r, p, p, 0.0, 0.0, 0.1, zero_correction=False)
+        assert correct_phase_jumps(trace, [10], 10.0).correction_phases == [0.0]
+        with pytest.raises(ValueError, match="^derivative_threshold must be positive$"):
+            correct_phase_jumps(trace, [10], threshold)
+
     @staticmethod
     def _reference_scan(r, threshold):
         """The per-point scan for below-threshold runs, kept as the reference."""
