@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _count, _finite, _nonnegative, _order, _positive
+from .config import _COST_FIELDS
 from .exceptions import NumericsError
 from .model import HamiltonianSpec
 from .noise import sample_shots
@@ -40,7 +40,8 @@ class CostInput:
     """Parameters of the scaling formulas: system size N, evolution time t,
     target additive error epsilon, Trotter order p, spatial dimension d,
     amplitude scale r, and the statistical factor I (or its sequential
-    analogue)."""
+    analogue).  Each number is checked by its row of ``config._COST_FIELDS``,
+    the table of the config's ``cost`` block."""
 
     method: str
     n_sites: int
@@ -54,23 +55,10 @@ class CostInput:
     def __post_init__(self):
         if self.method not in ("hadamard", "sequential", "this_work"):
             raise ValueError("method must be hadamard, sequential or this_work")
-        for name, accepts, what in _COST_INPUT_CHECKS:
+        for name, _, accepts, what, _ in _COST_FIELDS:
             value = getattr(self, name)
             if not accepts(value):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
-#: each number of CostInput, with the predicate of its key in the config's
-#: ``cost`` block: values the scaling laws can take
-_COST_INPUT_CHECKS = (
-    ("n_sites", _count, "a positive integer"),
-    ("t", _nonnegative, "a nonnegative number"),
-    ("epsilon", _positive, "a positive number"),
-    ("order", _order, "one of 1, 2, 4"),
-    ("dimension", _count, "a positive integer"),
-    ("r", _nonnegative, "a nonnegative number"),
-    ("i_factor", _finite, "a finite number"),
-)
 
 
 @dataclass

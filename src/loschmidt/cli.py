@@ -63,7 +63,7 @@ from .model import (
     oracle_evolve,
     oracle_phase_series,
 )
-from .reconstruct import ANCHOR_FLOOR, PhaseTrace, run_phase_experiment
+from .reconstruct import ANCHOR_FLOOR, run_phase_experiment
 from .spectral import exact_ldos, ldos_dft
 from .statevector import apply_matrix
 from .trotter import build_plan, evolve
@@ -105,13 +105,6 @@ def write_csv(path: Path, header, columns) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         handle.write("".join(row_format % row for row in rows))
-
-
-def _trace_health(trace: PhaseTrace) -> dict:
-    """Floored points, repaired crossings and crossings skipped at the series
-    boundary of a trace, for runinfo.json."""
-    keys = ("floored", "crossings", "correction_phases", "skipped_crossings")
-    return {key: getattr(trace, key) for key in keys}
 
 
 def _oracle_record(exp: ExperimentConfig) -> dict:
@@ -167,12 +160,13 @@ def _two_sided_experiment(doc: RunDocument) -> ExperimentConfig:
 
 def run_trace(csv_name: str, doc: RunDocument, command: str):
     """Run the experiment of ``doc`` for the amplitude, phase, noise or
-    two-sided command and return its trace as the table ``csv_name``.
-    ``amplitude`` keeps t, r and p+- alone; the others keep the whole
-    trace, with the raw and mitigated columns on the noisy backend, and
-    record its health.  ``two-sided`` runs ``_two_sided_experiment``,
-    and its snapshot records the anchor the run used, so a replay
-    reproduces it."""
+    two-sided command and return its trace as the table ``csv_name``, with
+    its health (``PhaseTrace.health``) for runinfo.json.  ``amplitude``
+    keeps t, r and p+- alone, whose p+- are the floored values the health
+    names; the others keep the whole trace, with the raw and mitigated
+    columns when the run filled them (the noisy backend).  ``two-sided``
+    runs ``_two_sided_experiment``, and its snapshot records the anchor the
+    run used, so a replay reproduces it."""
     extra = {}
     if command == "noise" and doc.experiment.noise is None:
         raise ConfigError("the noise command requires a noise block")
@@ -185,7 +179,7 @@ def run_trace(csv_name: str, doc: RunDocument, command: str):
         trace.times, trace.r, trace.p_plus, trace.p_minus,
         trace.dphi_dt, trace.phi, trace.g_complex.real, trace.g_complex.imag,
     ]
-    if exp.backend == "noisy":
+    if trace.clamped is not None:
         header += NOISE_EXTRA_HEADER
         columns += [
             trace.p_plus_raw, trace.p_minus_raw,
@@ -194,9 +188,7 @@ def run_trace(csv_name: str, doc: RunDocument, command: str):
         ]
     if command == "amplitude":
         del header[4:], columns[4:]
-    else:
-        extra.update(_trace_health(trace))
-    return doc, {csv_name: (header, columns)}, {**extra, **_oracle_record(exp)}
+    return doc, {csv_name: (header, columns)}, {**extra, **trace.health, **_oracle_record(exp)}
 
 
 def cmd_scaling(doc: RunDocument, command: str):
@@ -248,7 +240,7 @@ def cmd_ldos(doc: RunDocument, command: str):
     tables = {"ldos.csv": (["E", "d"], [spectrum.energies, spectrum.densities])}
     extra = {
         "eta": spectrum.eta, "window_center": center,
-        "imag_residue": spectrum.max_imag_residue, **_trace_health(trace),
+        "imag_residue": spectrum.max_imag_residue, **trace.health,
     }
     if exp.spec.n_sites <= ORACLE_MAX_SITES:
         width = doc.spectral["width"]

@@ -95,6 +95,11 @@ def _list_of(accepts):
     return lambda value: isinstance(value, list) and bool(value) and all(map(accepts, value))
 
 
+def _one_or_list(accepts):
+    """Predicate of a value ``accepts`` takes or a non-empty list of them."""
+    return lambda value: accepts(value) or _list_of(accepts)(value)
+
+
 def _list(length: int, accepts):
     """Predicate of a list of ``length`` entries that ``accepts`` takes."""
     return lambda value: (
@@ -368,16 +373,25 @@ _SPECTRAL_CHECKS = (
     ("taper_width", _optional(_positive), "a positive number or null", None),
 )
 
-#: the cost block's keys: N is one count or a list of them, the rest numbers
-_COST_CHECKS = (
-    ("n", lambda v: _count(v) or _list_of(_count)(v),
-     "a positive integer or a non-empty list of them", [8, 16, 32, 64]),
-    ("t", _nonnegative, "a nonnegative number", 4.0),
-    ("epsilon", _positive, "a positive number", 0.01),
-    ("p", _order, "one of 1, 2, 4", 2),
-    ("d", _count, "a positive integer", 1),
-    ("r", _nonnegative, "a nonnegative number", 1.0),
-    ("i_factor", _finite, "a finite number", 1.0),
+#: the numbers of the scaling laws, each as (``baselines.CostInput`` field,
+#: ``cost`` block key, predicate, description, default): the values the laws
+#: can take.  ``CostInput`` checks its fields with this table, and the cost
+#: block's table is derived from it.
+_COST_FIELDS = (
+    ("n_sites", "n", _count, "a positive integer", [8, 16, 32, 64]),
+    ("t", "t", _nonnegative, "a nonnegative number", 4.0),
+    ("epsilon", "epsilon", _positive, "a positive number", 0.01),
+    ("order", "p", _order, "one of 1, 2, 4", 2),
+    ("dimension", "d", _count, "a positive integer", 1),
+    ("r", "r", _nonnegative, "a nonnegative number", 1.0),
+    ("i_factor", "i_factor", _finite, "a finite number", 1.0),
+)
+
+#: the cost block's keys, whose N is one size or a list of them
+_COST_CHECKS = tuple(
+    (key, _one_or_list(accepts), f"{what} or a non-empty list of them", default)
+    if key == "n" else (key, accepts, what, default)
+    for _, key, accepts, what, default in _COST_FIELDS
 )
 
 #: ``t_max`` defaults to the algorithm block's, which ``parse_document`` sets

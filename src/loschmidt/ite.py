@@ -28,21 +28,22 @@ Each builder returns one ``ItePair`` for both signs, from one
 factorisation of the state into its (N, 2) site vectors, in O(N + 2^N)
 from the amplitudes one bit flip away from the largest one; a state that
 the outer product of those vectors does not reproduce is rejected.  The
-pair computes both log constants at construction.  Its canonical form is
-one pair of checked gate stacks on one support tuple (term order, after
-the identity drop and one batched unitarity check), built on first use by
-the same constructor as a Trotter plan's; the general form takes one
-``eigh`` of the term matrices (for both constants) and one of the
-generators B (for both signs' gates) per support width.  The layer index,
-the census ``n_layers``, ``compiled`` (one layer tuple per sign, so errors
-can act between layers) and the block schedule of ``kets()`` (V+- psi
-grown from the site vectors in blocks of up to five sites, for circuits
-with no error between the ITE layers) are each derived once from the
-shared supports.  The pair keeps the site vectors, not the 2^N amplitudes,
-and ``apply_ite`` refuses a state whose overlap with their product does not
-have modulus one: the gates are only meaningful for the state the pair was
-built for, up to a global phase.  A caller that reads only ``log_c`` (the
-dense oracle) builds no gates.
+pair computes both log constants at construction and refuses them when
+they are not finite, as an ``h`` too large for the terms makes them.  Its
+canonical form is one pair of checked gate stacks on one support tuple
+(term order, after the identity drop and one batched unitarity check),
+built on first use by the same constructor as a Trotter plan's; the
+general form takes one ``eigh`` of the term matrices (for both constants)
+and one of the generators B (for both signs' gates) per support width.
+The layer index, the census ``n_layers``, ``compiled`` (one layer tuple
+per sign, so errors can act between layers) and the block schedule of
+``kets()`` (V+- psi grown from the site vectors in blocks of up to five
+sites, for circuits with no error between the ITE layers) are each derived
+once from the shared supports.  The pair keeps the site vectors, not the
+2^N amplitudes, and ``apply_ite`` refuses a state whose overlap with their
+product does not have modulus one: the gates are only meaningful for the
+state the pair was built for, up to a global phase.  A caller that reads
+only ``log_c`` (the dense oracle) builds no gates.
 """
 
 from __future__ import annotations
@@ -95,12 +96,24 @@ class ItePair:
     factors of the state the pair was built for, for circuits with no error
     between the ITE layers.  A caller that reads only ``log_c`` (the dense
     oracle) builds no gates.
+
+    The pair refuses a ``log_c`` that is not finite with ``NumericsError``,
+    for both builders: the reconstruction adds each log constant to every
+    log survival of its sign, so one overflowed (inf) or undefined (nan)
+    constant would make every phase nan.  ``h`` too large for the terms
+    does it, as cosh(2 a h) overflowing in the closed form or 0 * inf in
+    the general form's c^2.
     """
 
     n_sites: int
     log_c: tuple[float, float]
     site_vectors: np.ndarray = field(repr=False)
     build_stacks: Callable[[], tuple[GateStack, GateStack]] = field(repr=False)
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.log_c)):
+            raise NumericsError(
+                f"ITE rescaling constants are not finite: log c = {tuple(map(float, self.log_c))}")
 
     @cached_property
     def stacks(self) -> tuple[GateStack, GateStack]:
@@ -266,8 +279,6 @@ def build_ite_plan_general(spec: HamiltonianSpec, psi: StateVector, h: float) ->
         for row, sign in zip(c_sq, (1, -1)):
             row[idx] = np.sum(weights * np.exp(sign * 2.0 * h * energies), axis=1)
         widths.append((idx, mats, phi))
-    if np.any(c_sq <= 0):
-        raise NumericsError("nonpositive rescaling constant")
 
     def stacks() -> tuple[GateStack, GateStack]:
         parts = []  # (term indices, plus gates, minus gates) per width

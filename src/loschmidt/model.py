@@ -67,7 +67,8 @@ class LocalTerm:
         dim = 2 ** len(self.support)
         if mat.shape != (dim, dim):
             raise ValueError("term matrix shape does not match support")
-        if np.max(np.abs(mat - mat.conj().T)) > _ATOL_HERMITIAN:
+        # written so that a nan entry fails
+        if not np.max(np.abs(mat - mat.conj().T)) <= _ATOL_HERMITIAN:
             raise ValueError("term matrix is not Hermitian")
         self.matrix = mat
 

@@ -205,10 +205,10 @@ def statistical_error_model(trace, shots: int, h: float) -> float:
     """
     p_plus = np.asarray(trace.p_plus, dtype=float)
     p_minus = np.asarray(trace.p_minus, dtype=float)
-    if np.any(p_plus <= 0) or np.any(p_minus <= 0):
+    # written so that a nan probability fails
+    if not (np.all(p_plus > 0) and np.all(p_minus > 0)):
         raise NumericsError("statistical error model undefined: zero probability in trace")
     integrand = 1.0 / np.sqrt(p_plus) + 1.0 / np.sqrt(p_minus)
+    # 0.0 on a single point
     integral = float(np.trapezoid(integrand, np.asarray(trace.times, dtype=float)))
-    if len(trace.times) == 1:
-        integral = 0.0
     return integral / (h * np.sqrt(shots))

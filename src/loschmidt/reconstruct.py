@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import _count
+from .config import _count, _positive
 from .exceptions import ConfigError, NumericsError
 from .ite import apply_ite  # noqa: F401  (perfbench/tracer.py patches it here)
 from .ite import build_ite_plan_general, build_ite_plan_tfim
@@ -91,6 +91,15 @@ class PhaseTrace:
     def __len__(self):
         return len(self.times)
 
+    @property
+    def health(self) -> dict:
+        """The trace's numerical health, as runinfo.json records it for
+        every command that runs a trace: the ``floored`` points, the
+        repaired ``crossings`` with their ``correction_phases`` and the
+        ``skipped_crossings``."""
+        keys = ("floored", "crossings", "correction_phases", "skipped_crossings")
+        return {key: getattr(self, key) for key in keys}
+
 
 def integrate_phase(derivatives, tau: float, rule: str = "simpson", anchor: float = 0.0):
     """Cumulative integral of uniformly spaced derivative samples.
@@ -98,11 +107,12 @@ def integrate_phase(derivatives, tau: float, rule: str = "simpson", anchor: floa
     "simpson" applies the composite rule on even-interval prefixes and
     closes a trailing odd interval with a trapezoid; "trapezoid" is the
     plain composite rule.  The first entry equals ``anchor`` exactly.
+    ``tau`` must be a finite positive number (config's ``_positive``).
     """
     d = np.asarray(derivatives, dtype=float)
     if d.ndim != 1 or len(d) < 2:
         raise ValueError("need at least 2 derivative samples")
-    if tau <= 0:
+    if not _positive(tau):
         raise ValueError("tau must be positive")
     if rule not in ("simpson", "trapezoid"):
         raise ValueError(f"unknown integration rule {rule!r}")
@@ -122,10 +132,10 @@ def integrate_phase(derivatives, tau: float, rule: str = "simpson", anchor: floa
 def detect_zeros(trace: PhaseTrace, threshold: float = 1e-3) -> list[int]:
     """Indices where the real-time magnitude dips below ``threshold`` at a
     local minimum (one index per below-threshold run).  ``reconstruct_trace``
-    resolves the threshold of a reconstruction, shots included.
+    resolves the threshold of a reconstruction, shots included; it must be
+    a finite positive number (config's ``_positive``).
     """
-    # written so that nan fails
-    if not threshold > 0:
+    if not _positive(threshold):
         raise ValueError("threshold must be positive")
     r = trace.r
     # runs [start, end) of below-threshold points, from the padded mask's edges
@@ -181,10 +191,10 @@ def correct_phase_jumps(trace: PhaseTrace, crossings, derivative_threshold: floa
     n0 defaults to 1; n0 = 2 is selected when both one-sided first
     derivatives fall below ``derivative_threshold`` (``reconstruct_trace``
     resolves it next to the detection threshold).  Higher orders raise, and
-    so does a ``derivative_threshold`` that is not positive (nan included).
+    so does a ``derivative_threshold`` that config's ``_positive`` refuses
+    (nan, infinity and bools included), as in ``detect_zeros``.
     """
-    # written so that nan fails, as in detect_zeros
-    if not derivative_threshold > 0:
+    if not _positive(derivative_threshold):
         raise ValueError("derivative_threshold must be positive")
     if len(crossings) == 0:
         return trace
@@ -254,9 +264,10 @@ def reconstruct_trace(
     r dips below ``threshold``, by default 1e-3, or max(1e-3, 10/sqrt(shots))
     when the series were sampled from ``shots`` shots; ``correct_phase_jumps``
     picks each crossing's order against ``threshold``, by default 1e-3 with
-    or without shots.  With zero repair on, a ``threshold`` that is not
-    positive (nan included) raises ValueError, and so does a ``shots`` that
-    is neither None nor a positive integer.
+    or without shots.  ``h`` must be a finite positive number (config's
+    ``_positive``).  With zero repair on, a ``threshold`` that is not one
+    raises ValueError, and so does a ``shots`` that is neither None nor a
+    positive integer.
     """
     times = np.asarray(times, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -265,7 +276,7 @@ def reconstruct_trace(
     n = len(times)
     if not (len(r) == len(p_plus) == len(p_minus) == n):
         raise ValueError("series lengths differ")
-    if h <= 0:
+    if not _positive(h):
         raise ValueError("h must be positive")
     if shots is not None and not _count(shots):
         raise ValueError(f"shots must be a positive integer or None, got {shots!r}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _positive
 from .model import HamiltonianSpec, _eigen_product, _eigensystem
 from .model import dense_matrix  # noqa: F401  (perfbench/tracer.py patches it here)
 from .statevector import StateVector
@@ -59,13 +60,14 @@ def ldos_dft(
     to negative times via G(-t) = G(t)*.  ``times`` may be passed for
     validation; the grid must be uniform with spacing tau starting at 0.
     ``taper_width`` optionally multiplies the samples by a Gaussian
-    exp(-(t/w)^2/2) before transforming (off by default); it must be
-    positive.
+    exp(-(t/w)^2/2) before transforming (off by default).  ``tau`` and a
+    given ``taper_width`` must be finite positive numbers (config's
+    ``_positive``).
     """
     g = np.asarray(g_samples, dtype=complex)
     if g.ndim != 1 or len(g) < 2:
         raise ValueError("need at least 2 amplitude samples")
-    if tau <= 0:
+    if not _positive(tau):
         raise ValueError("tau must be positive")
     if times is not None:
         times = np.asarray(times, dtype=float)
@@ -76,7 +78,7 @@ def ldos_dft(
             raise ValueError("non-uniform grid: samples must sit at t = k tau")
 
     if taper_width is not None:
-        if not taper_width > 0:
+        if not _positive(taper_width):
             raise ValueError("taper_width must be positive")
         t_grid = np.arange(len(g)) * tau
         g = g * np.exp(-0.5 * (t_grid / taper_width) ** 2)
@@ -115,9 +117,10 @@ def exact_ldos(spec: HamiltonianSpec, psi: StateVector, width: float) -> LdosSpe
     """Gaussian-broadened exact LDOS from the cached dense eigensystem.
 
     d(E) = sum_k |<E_k|psi>|^2 N(E - E_k; width) on a grid extending a few
-    widths past the spectrum edges; normalized to unit integral.
+    widths past the spectrum edges; normalized to unit integral.  ``width``
+    must be a finite positive number (config's ``_positive``).
     """
-    if width <= 0:
+    if not _positive(width):
         raise ValueError("width must be positive")
     energies, vectors, _ = _eigensystem(spec)
     weights = np.abs(_eigen_product(psi.amplitudes, vectors.conj())) ** 2

@@ -83,11 +83,14 @@ _ATOL_UNITARY = 1e-10
 _FUSE_SITES = 5
 
 #: Most sites a config may ask of the statevector backends, as
-#: ``model.ORACLE_MAX_SITES`` caps the oracle.  A state is 16 * 2^N bytes,
-#: and a noiseless run at N = 22 raised the peak resident set by 5.91
-#: states.  At that rate N = 24 needs about 1.6 GB and N = 26 about 6.3 GB,
-#: too much beside other work on an 8 GB machine; the method is scoped to
-#: N of 20-24.
+#: ``model.ORACLE_MAX_SITES`` caps the oracle.  A state is 16 * 2^N bytes.
+#: A noiseless ``phase`` run through ``cli.main`` (the TFIM at J = 1,
+#: g = 0.5, general_bj on a tilted product psi, tau = 0.1, h = 0.05, K = 3
+#: points) raised ``ru_maxrss`` over its value before the run by 7.41
+#: states at N = 22 (474.5 MiB, on a 2-core x86-64 machine with 8 GB and
+#: OPENBLAS_NUM_THREADS=1).  At that rate N = 24 needs about 1.9 GB and
+#: N = 26 about 7.6 GB, too much beside other work on an 8 GB machine; the
+#: method is scoped to N of 20-24.
 STATEVECTOR_MAX_SITES = 24
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -164,7 +167,8 @@ def _resolve_orientation(spec) -> np.ndarray:
     if vec.shape != (2,):
         raise ValueError("orientation must be a named axis state or a 2-component pair")
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-8:
+    # written so that a nan component fails
+    if not abs(nrm - 1.0) <= 1e-8:
         raise ValueError(f"orientation vector has norm {nrm}, expected 1")
     return vec / nrm
 

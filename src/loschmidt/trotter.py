@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import _nonnegative, _positive
 from .model import HamiltonianSpec
 from .statevector import (
     GateStack,
@@ -144,12 +145,14 @@ class TrotterPlan:
 def build_plan(spec: HamiltonianSpec, t: float, tau: float, order: int = 2) -> TrotterPlan:
     """Trotter plan covering total time ``t`` in steps of ``tau``.
 
-    ``t/tau`` must be an integer to within 4 ulp; the layer decomposition of
-    a single step is built once and reused for every step.
+    ``t`` must be a finite nonnegative number and ``tau`` a finite positive
+    one, by config's rules (``_nonnegative``, ``_positive``: a bool is
+    neither), and ``t/tau`` an integer to within 4 ulp; the layer
+    decomposition of a single step is built once and reused for every step.
     """
-    if t < 0:
+    if not _nonnegative(t):
         raise ValueError("total time must be nonnegative")
-    if tau <= 0:
+    if not _positive(tau):
         raise ValueError("Trotter step must be positive")
     ratio = t / tau
     n_steps = int(round(ratio))

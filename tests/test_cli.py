@@ -380,7 +380,8 @@ class TestCliCommands:
         trace = run_phase_experiment(experiment)
         assert trace.crossings and len(trace.correction_phases) == len(trace.crossings)
         cfg = write_config(tmp_path, doc)
-        for command in ("phase", "two-sided", "ldos"):
+        # amplitude's p+- columns hold the floored values its health names
+        for command in ("amplitude", "phase", "two-sided", "ldos"):
             out = tmp_path / command
             assert main([command, "--config", cfg, "--out", str(out)]) == 0
             info = json.loads((out / "runinfo.json").read_text())

@@ -186,7 +186,8 @@ class TestDetectZeros:
         assert trace.crossings == [5]
         assert trace.correction_phases[0] == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("threshold", [0.0, np.nan])
+    # infinity and True (an int, 1) fail config's _positive too
+    @pytest.mark.parametrize("threshold", [0.0, np.nan, np.inf, True])
     @pytest.mark.parametrize("shots", [None, 400])
     def test_a_zero_threshold_raises(self, threshold, shots):
         # the default threshold repairs the dip at index 10; a nan one must
@@ -199,7 +200,7 @@ class TestDetectZeros:
         with pytest.raises(ValueError, match="threshold must be positive"):
             reconstruct_trace(t, r, p, p, 0.0, 0.0, 0.1, threshold=threshold, shots=shots)
 
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf, True])
     def test_a_derivative_threshold_that_is_not_positive_raises(self, threshold):
         # nan and -1 made every |d| < threshold false, so the dip at index
         # 10 was taken as first order and repaired by pi without a word,

@@ -109,7 +109,8 @@ class TestLdosDft:
         with pytest.raises(ValueError, match="non-uniform"):
             ldos_dft(np.ones(4), 0.1, times=np.array([0.0, 0.1, 0.25, 0.3]))
 
-    @pytest.mark.parametrize("taper_width", [0.0, -1.0])
+    # nan, infinity and bools fail config's _positive too
+    @pytest.mark.parametrize("taper_width", [0.0, -1.0, np.nan, np.inf, True])
     def test_nonpositive_taper_rejected(self, taper_width):
         g = np.exp(-1j * 0.3 * np.arange(10) * 0.1)
         with pytest.raises(ValueError, match="taper_width must be positive"):
