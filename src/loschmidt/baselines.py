@@ -35,22 +35,27 @@ from .statevector import StateVector, inner_product
 from .trotter import build_plan, evolve
 
 
+#: the cost block's default of each ``CostInput`` field
+_COST_DEFAULTS = {name: default for name, _, _, _, default in _COST_FIELDS}
+
+
 @dataclass
 class CostInput:
     """Parameters of the scaling formulas: system size N, evolution time t,
     target additive error epsilon, Trotter order p, spatial dimension d,
     amplitude scale r, and the statistical factor I (or its sequential
     analogue).  Each number is checked by its row of ``config._COST_FIELDS``,
-    the table of the config's ``cost`` block."""
+    the table of the config's ``cost`` block, and p, d, r and I default to
+    that block's defaults."""
 
     method: str
     n_sites: int
     t: float
     epsilon: float
-    order: int = 2
-    dimension: int = 1
-    r: float = 1.0
-    i_factor: float = 1.0
+    order: int = _COST_DEFAULTS["order"]
+    dimension: int = _COST_DEFAULTS["dimension"]
+    r: float = _COST_DEFAULTS["r"]
+    i_factor: float = _COST_DEFAULTS["i_factor"]
 
     def __post_init__(self):
         if self.method not in ("hadamard", "sequential", "this_work"):

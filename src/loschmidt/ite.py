@@ -75,6 +75,14 @@ from .trotter import _exp_gates, _stack_in_term_order, _stacks_by_width
 _PRODUCT_ATOL = 1e-10
 
 
+def _constant_errstate() -> np.errstate:
+    """The error state the builders compute their constants in: an overflow
+    (inf), 0 * inf (nan) or log(0) (-inf) passes silently, so that
+    ``ItePair``'s finite check is the one refusal, also where warnings are
+    raised as errors."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 def ite_angle(h: float, g: float) -> float:
     """Rotation angle theta = arctan(tanh(h g / 2)) of one transverse-field
     site under exp(h g S^x); odd in h."""
@@ -219,7 +227,8 @@ def build_ite_plan_tfim(spec: HamiltonianSpec, psi: StateVector, h: float) -> It
             continue
         if len(term.support) == 1 and np.max(np.abs(mat - mat[0, 1].real * SIGMA_X)) < 1e-12:
             a = float(mat[0, 1].real)  # term = a * sigma^x
-            log_cosh = 0.5 * np.log(np.cosh(2.0 * a * h))
+            with _constant_errstate():
+                log_cosh = 0.5 * np.log(np.cosh(2.0 * a * h))
             log_plus += log_cosh
             log_minus += log_cosh
             idx.append(k)
@@ -277,7 +286,8 @@ def build_ite_plan_general(spec: HamiltonianSpec, psi: StateVector, h: float) ->
         energies, vectors = np.linalg.eigh(mats)
         weights = np.abs((vectors.conj().swapaxes(1, 2) @ phi[:, :, None])[:, :, 0]) ** 2
         for row, sign in zip(c_sq, (1, -1)):
-            row[idx] = np.sum(weights * np.exp(sign * 2.0 * h * energies), axis=1)
+            with _constant_errstate():
+                row[idx] = np.sum(weights * np.exp(sign * 2.0 * h * energies), axis=1)
         widths.append((idx, mats, phi))
 
     def stacks() -> tuple[GateStack, GateStack]:
@@ -292,5 +302,6 @@ def build_ite_plan_general(spec: HamiltonianSpec, psi: StateVector, h: float) ->
                 _stack_in_term_order(terms, [(idx, minus) for idx, _, minus in parts]))
 
     # summed left to right in term order, as a term-by-term accumulation would
-    log_c = tuple(sum((0.5 * np.log(row)).tolist(), 0.0) for row in c_sq)
+    with _constant_errstate():
+        log_c = tuple(sum((0.5 * np.log(row)).tolist(), 0.0) for row in c_sq)
     return ItePair(psi.n_qubits, log_c, vecs, stacks)

@@ -12,7 +12,12 @@ need no special cases.
 ``amplitude_series`` evaluates <psi'| exp(-i H z) |psi> at complex times
 ``z = t - i*beta`` (``exact_amplitude`` at one) by eigendecomposition of
 the dense matrix: the project-wide ground truth for every approximate
-pipeline, capped at 12 sites.  The dense H is diagonalised in the symmetry
+pipeline, capped at 12 sites.  On a real arithmetic time column of at
+least 16 points, as every run's grid is, its exp(-i t E) table is factored
+into two tables of about sqrt(K) rows each, one complex multiply per entry,
+which moves G by rounding only (within 1e-13 (1 + max|E| max|t|)); shorter
+or other grids take one complex exp per entry.  The dense H is real
+(float64) when every term is, and is diagonalised in the symmetry
 blocks of whichever of the global spin flip prod X and the mirror
 i -> N-1-i leave it exactly invariant: 4 quarter-size blocks when both do,
 as for the TFIM at any couplings, 2 when one does, and one full ``eigh``
@@ -25,6 +30,7 @@ meets states only in ``_eigen_product``.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -44,6 +50,10 @@ _ATOL_HERMITIAN = 1e-12
 
 #: entries of one exp(-i z E) block in ``amplitude_series`` (16 MB complex)
 _SERIES_BLOCK = 2**20
+
+#: the shortest time column whose phase table ``amplitude_series`` factors:
+#: at N = 8 the factored and per-entry tables cost the same at 16 rows
+_FACTORED_MIN_ROWS = 16
 
 
 @dataclass(eq=False)
@@ -129,28 +139,33 @@ def _embed(term: LocalTerm, n: int) -> np.ndarray:
 
 
 def dense_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Sum of embedded local terms as a dense Hermitian 2^N x 2^N matrix.
+    """Sum of embedded local terms as a dense Hermitian 2^N x 2^N matrix,
+    float64 when no term matrix has an imaginary part (the TFIM and every
+    chain of real terms) and complex128 otherwise.
 
     Each term is added into a strided view of the output that is diagonal in
     the sites above and below its support: O(2^N 4^k) work per k-site term
     and no 4^N temporary.  Each diagonal entry is then the sum of its terms'
     contributions in sorted order, so it depends only on their multiset: a
     symmetry that permutes the terms, as the mirror permutes the bonds,
-    leaves H bitwise invariant for any couplings.
+    leaves H bitwise invariant for any couplings.  A real H is bitwise the
+    real part of the complex sum of the same terms.
     """
     if spec.n_sites > ORACLE_MAX_SITES:
         raise ValueError(f"oracle size limit: n_sites {spec.n_sites} > {ORACLE_MAX_SITES}")
     n = spec.n_sites
-    full = np.zeros((2**n, 2**n), dtype=complex)
-    diagonals = np.zeros((len(spec.terms), 2**n), dtype=complex)
+    real = not any(term.matrix.imag.any() for term in spec.terms)
+    dtype = float if real else complex
+    full = np.zeros((2**n, 2**n), dtype)
+    diagonals = np.zeros((len(spec.terms), 2**n), dtype)
     for term, diagonal in zip(spec.terms, diagonals):
-        lo, matrix = _lsb_first(term.support, term.matrix)
+        lo, matrix = _lsb_first(term.support, term.matrix.real if real else term.matrix)
         width = len(term.support)
         shape = (2 ** (n - lo - width), 2**width, 2**lo)
         block = np.einsum("aibajb->aijb", full.reshape(shape + shape))  # view of full
         block += matrix[None, :, :, None]
         diagonal.reshape(shape)[:] = np.diagonal(matrix)[None, :, None]
-    total = np.zeros(2**n, dtype=complex)
+    total = np.zeros(2**n, dtype)
     for contributions in np.sort(diagonals, axis=0):
         total += contributions
     np.fill_diagonal(full, total)
@@ -205,8 +220,6 @@ def _eigensystem(spec: HamiltonianSpec) -> Eigensystem:
     are that matrix's transpose: orthonormal full-space columns in the
     order of the energies."""
     full = dense_matrix(spec)
-    if not full.imag.any():
-        full = full.real
     symmetries = _symmetries(full, spec.n_sites)
     if not symmetries:
         energies, vectors = np.linalg.eigh(full)
@@ -282,7 +295,18 @@ def amplitude_series(
     one phase table of the first column serves every column, each against
     the weights scaled by its exp(-i d_r E).  The table is built in blocks of
     at most ``_SERIES_BLOCK`` entries, so memory stays bounded in the grid.
-    Raises ``ValueError`` when the column offsets are not constant."""
+    Raises ``ValueError`` when the column offsets are not constant.
+
+    A first column that is real and arithmetic, t_k = t_0 + k step to within
+    4 eps max|t| (every grid ``run_phase_experiment`` builds), and at least
+    ``_FACTORED_MIN_ROWS`` long has its table factored: in groups of
+    m = ceil(sqrt(block rows)) rows, row q m + r is exp(-i E t_{qm}) times
+    exp(-i E r step), one complex multiply per entry in place of one complex
+    exp, from tables of about 2 sqrt(block rows) rows.  The factored table
+    moves G by rounding only, within 1e-13 (1 + max|E| max|t|) for unit
+    states and a real column.  Any other column, and any grid shorter than
+    the crossover (``exact_amplitude`` among them), takes one exp per entry,
+    bit for bit as before; the tests hold the factored table to that one."""
     energies, vectors, _ = _eigensystem(spec)
     states = np.stack([psi_final.amplitudes, psi_init.amplitudes])
     c_final, c_init = _eigen_product(states, vectors.conj())
@@ -294,12 +318,43 @@ def amplitude_series(
     weights = (np.conj(c_final) * c_init)[:, None] * np.exp(-1j * np.outer(energies, offsets[:1]))
     out = np.empty(grid.shape, dtype=complex)
     rows = max(1, _SERIES_BLOCK // energies.size)
+    step = _grid_step(grid[:, 0])
+    if step is not None:
+        # m = ceil(sqrt(block rows)) balances the exps of the two tables;
+        # low[r] = exp(-i E r step), r < m, serves every block
+        m = math.isqrt(min(rows, len(grid)) - 1) + 1
+        low = np.exp(-1j * np.outer(np.arange(m) * step, energies))
     for start in range(0, len(grid), rows):
-        table = np.outer(grid[start:start + rows, 0], energies)
-        table *= -1j
-        np.exp(table, out=table)
+        times = grid[start:start + rows, 0]
+        if step is None:
+            table = np.outer(times, energies)
+            table *= -1j
+            np.exp(table, out=table)
+        else:
+            # row q m + r of the block is high[q] low[r]; a short last group
+            # takes the first rows of low
+            high = np.exp(-1j * np.outer(times[::m].real, energies))
+            table = np.empty((len(times), energies.size), dtype=complex)
+            full = len(times) // m
+            groups = table[:full * m].reshape(full, m, energies.size)
+            np.multiply(high[:full, None], low, out=groups)
+            np.multiply(high[full:], low[:len(times) - full * m], out=table[full * m:])
         out[start:start + rows] = table @ weights
     return out if z_values.ndim == 2 else out[:, 0]
+
+
+def _grid_step(times: np.ndarray) -> float | None:
+    """The step of a complex time column that is real and arithmetic,
+    t_k = t_0 + k step to within 4 eps max|t|, and at least
+    ``_FACTORED_MIN_ROWS`` long; None for any other column (nan fails)."""
+    if len(times) < _FACTORED_MIN_ROWS or np.any(times.imag != 0):
+        return None
+    times = times.real
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    drift = np.max(np.abs(times - (times[0] + np.arange(len(times)) * step)))
+    if not drift <= 4 * np.finfo(float).eps * np.max(np.abs(times)):
+        return None
+    return step
 
 
 def oracle_evolve(spec: HamiltonianSpec, state: StateVector, t: float) -> StateVector:

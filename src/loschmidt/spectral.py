@@ -24,6 +24,9 @@ from .model import HamiltonianSpec, _eigen_product, _eigensystem
 from .model import dense_matrix  # noqa: F401  (perfbench/tracer.py patches it here)
 from .statevector import StateVector
 
+#: log of the smallest normal double: below it, exp is subnormal or 0
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
+
 
 @dataclass
 class LdosSpectrum:
@@ -119,6 +122,12 @@ def exact_ldos(spec: HamiltonianSpec, psi: StateVector, width: float) -> LdosSpe
     d(E) = sum_k |<E_k|psi>|^2 N(E - E_k; width) on a grid extending a few
     widths past the spectrum edges; normalized to unit integral.  ``width``
     must be a finite positive number (config's ``_positive``).
+
+    ``exp`` runs only on Gaussian exponents at or above log(tiny) = -708.4,
+    37.6 widths from E_k; a term further out, whose exp would be subnormal
+    or 0, is 0.  That moves a density by less than 2^N tiny / (width
+    sqrt(2 pi)), below 1e-300 absolute at N <= 12 for any width above 4e-5,
+    and leaves a density whose terms are all kept bitwise as it was.
     """
     if not _positive(width):
         raise ValueError("width must be positive")
@@ -128,12 +137,17 @@ def exact_ldos(spec: HamiltonianSpec, psi: StateVector, width: float) -> LdosSpe
     hi = energies[-1] + 6 * width
     step = width / 8.0
     grid = np.arange(lo, hi + step, step)
-    # one grid x 2^N buffer, updated in place
+    # one grid x 2^N buffer, updated in place, and one mask: exp runs only
+    # where it does not underflow, as an entry on its subnormal or underflow
+    # path costs about 160 or 20 normal ones; the rest is 0
     gauss = np.subtract.outer(grid, energies)
     gauss /= width
     np.square(gauss, out=gauss)
     gauss *= -0.5
-    np.exp(gauss, out=gauss)
+    kept = gauss >= _LOG_TINY
+    np.exp(gauss, out=gauss, where=kept)
+    np.logical_not(kept, out=kept)
+    gauss[kept] = 0.0
     gauss /= width * np.sqrt(2.0 * np.pi)
     densities = gauss @ weights
     return LdosSpectrum(energies=grid, densities=densities, eta=float(step))

@@ -1,6 +1,8 @@
 """Tests for Hamiltonian construction and the dense complex-time oracle."""
 
+import sys
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_compiled_plans import PROPERTY, SEEDS, chains
 
+import loschmidt.model as model_module
 from loschmidt.exceptions import NumericsError
 from loschmidt.model import (
     HamiltonianSpec,
@@ -144,7 +147,9 @@ class TestDenseMatrix:
                 for entry in zip(*diagonals)
             ])
         built = dense_matrix(spec)
-        assert built.dtype == complex
+        # real terms give a real H, bitwise the real part of the complex sum
+        real = not any(term.matrix.imag.any() for term in spec.terms)
+        assert built.dtype == (float if real else complex)
         np.testing.assert_array_equal(built, expected)
 
     def test_non_hermitian_rejected(self):
@@ -281,7 +286,7 @@ class TestOraclePhaseSeries:
 def _complex_eigh_series(spec, bra, ket, z_values):
     """V exp(-i E z) V^dag from the complex solver, independent of the
     oracle's cache and of its choice of solver."""
-    energies, vectors = np.linalg.eigh(dense_matrix(spec))
+    energies, vectors = np.linalg.eigh(dense_matrix(spec).astype(complex))
     weights = np.conj(vectors.conj().T @ bra.amplitudes) * (vectors.conj().T @ ket.amplitudes)
     return np.array([np.sum(weights * np.exp(-1j * energies * z)) for z in z_values])
 
@@ -395,6 +400,81 @@ class TestAmplitudeSeries:
             tracemalloc.stop()
         assert series.shape == (20000,)
         assert peak < 100e6
+
+
+def _per_entry_series(*args):
+    """``amplitude_series`` on its per-entry phase table, one complex exp
+    per entry: the reference of the factored table."""
+    with patch.object(model_module, "_FACTORED_MIN_ROWS", sys.maxsize):
+        return amplitude_series(*args)
+
+
+class TestFactoredPhaseTable:
+    """A real arithmetic grid of at least ``_FACTORED_MIN_ROWS`` times builds
+    its phase table from two small tables; every other grid keeps the
+    per-entry table, bit for bit."""
+
+    @PROPERTY
+    @given(spec=st.one_of(chains(max_sites=6), st.just(tfim(8, 1.0, 0.5))), seed=SEEDS,
+           t0=st.floats(-50.0, 50.0), step=st.floats(1e-3, 0.5),
+           k=st.integers(model_module._FACTORED_MIN_ROWS, 2001), block_rows=st.integers(1, 40),
+           h=st.sampled_from([0.0, 0.05]))
+    def test_within_rounding_of_the_per_entry_table(self, spec, seed, t0, step, k, block_rows, h):
+        # blocks of up to 40 rows split the groups of m rows at their ends
+        rng = np.random.default_rng(seed)
+        bra, ket = (_random_unit_state(rng, spec.n_sites) for _ in range(2))
+        times = t0 + np.arange(k) * step
+        assert model_module._grid_step(times + 0j) is not None
+        grid = times[:, None] + 1j * h * np.array([0.0, 1.0, -1.0])
+        with patch.object(model_module, "_SERIES_BLOCK", block_rows * 2**spec.n_sites):
+            factored = amplitude_series(spec, bra, ket, grid)
+            reference = _per_entry_series(spec, bra, ket, grid)
+        top = np.max(np.abs(_eigensystem(spec).energies))
+        # the weights of the t -+ ih columns grow by up to exp(h max|E|)
+        bound = 1e-13 * (1.0 + top * np.max(np.abs(times))) * np.exp(h * top)
+        assert np.max(np.abs(factored - reference)) <= bound
+
+    def test_every_grid_of_a_run_takes_the_factored_table(self):
+        # run_phase_experiment's grids: k tau, shifted by a prefix of steps
+        for tau in (0.001, 0.01, 0.02, 0.05, 0.1, 0.3):
+            for k in (16, 201, 2001):
+                for prefix in (0, 1, 17):
+                    times = np.arange(k) * tau + prefix * tau
+                    step = model_module._grid_step(times + 0j)
+                    assert step == pytest.approx(tau, rel=1e-12)
+
+    def _assert_bitwise_per_entry(self, grid):
+        spec = tfim(6, 1.0, 0.5)
+        rng = np.random.default_rng(5)
+        bra, ket = _random_unit_state(rng, 6), _random_unit_state(rng, 6)
+        assert np.array_equal(amplitude_series(spec, bra, ket, grid),
+                              _per_entry_series(spec, bra, ket, grid))
+
+    def test_a_grid_off_arithmetic_keeps_the_per_entry_table(self):
+        times = np.arange(201) * 0.05
+        times[100] += 1e-9
+        assert model_module._grid_step(times + 0j) is None
+        self._assert_bitwise_per_entry(times)
+        self._assert_bitwise_per_entry(times[:, None] + 0.01j * np.array([0.0, 1.0, -1.0]))
+
+    def test_a_complex_first_column_keeps_the_per_entry_table(self):
+        times = np.arange(201) * 0.05 + 0.01j
+        assert model_module._grid_step(times) is None
+        self._assert_bitwise_per_entry(times)
+        self._assert_bitwise_per_entry(times[:, None] + np.array([0.0, 0.02j]))
+
+    def test_a_short_grid_keeps_the_per_entry_table(self):
+        times = np.arange(model_module._FACTORED_MIN_ROWS - 1) * 0.05
+        assert model_module._grid_step(times + 0j) is None
+        self._assert_bitwise_per_entry(times)
+        self._assert_bitwise_per_entry(np.array([0.7]))
+
+    def test_columns_that_differ_by_more_than_constants_still_refused(self):
+        spec = tfim(3, 1.0, 0.5)
+        psi = product_state(["up"] * 3)
+        t = np.arange(201) * 0.05
+        with pytest.raises(ValueError, match="differ by constants"):
+            amplitude_series(spec, psi, psi, np.stack([t, 2.0 * t], axis=1))
 
 
 #: 2-site terms that commute with X (x) X: real ones, and Y (x) Z, which is

@@ -205,14 +205,13 @@ Z400 = HamiltonianSpec(2, (
 ))
 
 
-#: the overflow the ITE builders meet on the way to a refused constant
-OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning",
-    "ignore:invalid value encountered:RuntimeWarning",
-)
+#: the ITE builders meet an overflow on the way to a refused constant, and
+#: refuse it the same way where numpy's warnings are raised as errors (as
+#: under ``PYTHONWARNINGS=error::RuntimeWarning``)
+RUNTIME_WARNINGS_RAISE = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-@OVERFLOW_WARNINGS
+@RUNTIME_WARNINGS_RAISE
 class TestItePairConstants:
     """``ItePair`` refuses rescaling constants that are not finite."""
 
@@ -256,7 +255,7 @@ def _overflow_configs():
     return {"closed_form": closed, "general_bj": general}
 
 
-@OVERFLOW_WARNINGS
+@RUNTIME_WARNINGS_RAISE
 @pytest.mark.parametrize("backend", ["statevector_trotter", "exact_oracle"])
 @pytest.mark.parametrize("name", ["closed_form", "general_bj"])
 def test_an_ite_overflow_exits_3_and_writes_nothing(tmp_path, capsys, name, backend):
@@ -285,3 +284,13 @@ def test_cost_input_and_the_cost_block_read_one_table(field, key, accepts, what,
     with pytest.raises(ConfigError, match=f"^cost.{key} must be {what}"):
         parse_document(doc)
     assert parse_document({**doc, "cost": {}}).cost[key] == default
+
+
+@pytest.mark.parametrize("method", ["hadamard", "sequential", "this_work"])
+def test_cost_input_defaults_are_the_cost_blocks(method):
+    doc = {"model": {"model": "tfim", "n": 2, "J": 1.0, "g": 0.5}, "states": {"psi": "up"},
+           "algorithm": {"tau": 0.1, "h": 0.1, "t_max": 1.0}, "cost": {"n": 8}}
+    block = parse_document(doc).cost
+    given = CostInput(method, block["n"], block["t"], block["epsilon"])
+    for field, key, *_ in _COST_FIELDS:
+        assert getattr(given, field) == block[key], field

@@ -9,7 +9,18 @@ import pytest
 import loschmidt.model as model_module
 import loschmidt.spectral as spectral_module
 from loschmidt.cli import main
-from loschmidt.model import amplitude_series, dense_matrix, expectation, tfim
+from loschmidt.model import (
+    SIGMA_X,
+    SIGMA_Z,
+    HamiltonianSpec,
+    LocalTerm,
+    _eigen_product,
+    _eigensystem,
+    amplitude_series,
+    dense_matrix,
+    expectation,
+    tfim,
+)
 from loschmidt.spectral import exact_ldos, ldos_dft
 from loschmidt.statevector import StateVector, product_state
 
@@ -238,3 +249,47 @@ class TestExactLdos:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="oracle size limit"):
             exact_ldos(tfim(13, 1.0, 0.5), product_state(["up"] * 13), 0.08)
+
+
+def _unmasked_densities(spec, psi, width, grid):
+    """The Gaussian sum with exp on every entry, in ``exact_ldos``'s order of
+    operations: its reference."""
+    energies, vectors, _ = _eigensystem(spec)
+    weights = np.abs(_eigen_product(psi.amplitudes, vectors.conj())) ** 2
+    gauss = np.subtract.outer(grid, energies)
+    gauss /= width
+    np.square(gauss, out=gauss)
+    gauss *= -0.5
+    np.exp(gauss, out=gauss)
+    gauss /= width * np.sqrt(2.0 * np.pi)
+    return gauss @ weights
+
+
+class TestExactLdosSkipsUnderflow:
+    """``exact_ldos`` leaves out of ``exp`` the Gaussian entries that would
+    underflow, which moves no density by more than they sum to."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_tfim_densities_are_bitwise_the_unmasked_sum(self, n):
+        spec, psi = tfim(n, 1.0, 0.5), product_state([[np.cos(0.1 * k), np.sin(0.1 * k)]
+                                                        for k in range(n)])
+        spectrum = exact_ldos(spec, psi, 0.08)
+        assert np.array_equal(spectrum.densities,
+                              _unmasked_densities(spec, psi, 0.08, spectrum.energies))
+
+    def test_far_bands_move_by_less_than_what_underflows(self):
+        # levels -10.5, -9.5, 9.5, 10.5: the bands lie 19 = 237 widths apart,
+        # and the grid point 37.5 widths above -9.5 has one Gaussian at
+        # exponent -703.1, just above the cut, with 0.18 of the weight
+        width = 0.08
+        spec = HamiltonianSpec(2, (LocalTerm((0,), 10.0 * SIGMA_Z, "z"),
+                                   LocalTerm((1,), 0.5 * SIGMA_X, "x")))
+        psi = product_state([[0.8, 0.6], "up"])
+        spectrum = exact_ldos(spec, psi, width)
+        unmasked = _unmasked_densities(spec, psi, width, spectrum.energies)
+        moved = spectrum.densities != unmasked
+        assert np.any(moved) and np.all(unmasked[moved] < 1e-300)
+        # each of the 2^N Gaussians left out is below tiny / (width sqrt(2 pi))
+        bound = 4 * np.finfo(float).tiny / (width * np.sqrt(2.0 * np.pi))
+        assert np.max(np.abs(spectrum.densities - unmasked)) <= bound
+        assert np.max(spectrum.densities[unmasked < 1e-300]) > 1e-306

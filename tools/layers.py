@@ -17,10 +17,11 @@ K = 11 grid points (``noiseless_series``: both ITE kets, then
 ``statevector.circuit_survivals`` on a copy of the bra under the adjoint
 step, the call ``run_phase_experiment`` makes), one round of the
 depolarizing channel (``noise_layer``: a ``PauliOp`` on one row when a
-Pauli fires), and, for N <= 12, the dense-oracle eigensystem and an
-``amplitude_series`` strip on the cached eigensystem.  Once, independent
-of N: shot sampling, ``reconstruct_trace`` and ``ldos_dft`` on a K-point
-series.
+Pauli fires), and, for N <= 12, the dense-oracle eigensystem, an
+``amplitude_series`` strip at K = 201 and ``exact_ldos`` (width 0.08) on
+the cached eigensystem, with a K = 2001 strip at N = 12.  Once,
+independent of N: shot sampling, ``reconstruct_trace`` and ``ldos_dft`` on
+a K-point series.
 
 OpenBLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` is set, as in the
 benchmark harness.  The numbers only compare within one run on one machine.
@@ -46,7 +47,7 @@ from loschmidt.ite import build_ite_plan_general  # noqa: E402
 from loschmidt.model import ORACLE_MAX_SITES, _eigensystem, amplitude_series, tfim  # noqa: E402
 from loschmidt.noise import apply_noise_layer, sample_shots  # noqa: E402
 from loschmidt.reconstruct import reconstruct_trace  # noqa: E402
-from loschmidt.spectral import ldos_dft  # noqa: E402
+from loschmidt.spectral import exact_ldos, ldos_dft  # noqa: E402
 from loschmidt.statevector import (  # noqa: E402
     _compile_stack,
     _run_layers,
@@ -107,7 +108,7 @@ def size_layers(n: int, seed: int, repeats: int) -> dict:
         "noise_layer": timed(lambda: apply_noise_layer(psi, 0.05, rng), repeats),
     }
     if n <= ORACLE_MAX_SITES:
-        strip = np.arange(201)[:, None] * TAU + 1j * H * np.array([0.0, 1.0, -1.0])
+        strip = np.arange(2001)[:, None] * TAU + 1j * H * np.array([0.0, 1.0, -1.0])
 
         def eigensystem():
             _eigensystem.cache_clear()
@@ -115,7 +116,11 @@ def size_layers(n: int, seed: int, repeats: int) -> dict:
 
         out["oracle_eigensystem"] = timed(eigensystem, repeats)
         out["amplitude_series_k201"] = timed(
-            lambda: amplitude_series(spec, psi, psi, strip), repeats)
+            lambda: amplitude_series(spec, psi, psi, strip[:201]), repeats)
+        out["exact_ldos"] = timed(lambda: exact_ldos(spec, psi, 0.08), repeats)
+        if n == ORACLE_MAX_SITES:
+            out["amplitude_series_k2001"] = timed(
+                lambda: amplitude_series(spec, psi, psi, strip), repeats)
     return out
 
 
